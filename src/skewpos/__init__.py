@@ -1,9 +1,9 @@
 """Skew shaped positroid varieties: combinatorics, exact points, splicing."""
 
 from .braid import BraidWord, CrossingMap, beta, cut_braid, half_twist
-from .cluster import Quiver, Seed, exchange_ratio, mutate, quiver, seed_at
-from .diagram import BoxRef, Partition, RibbonDecomposition, SkewDiagram, column_heights, conjugate
-from .linalg import FlagK, RatMatrix, Subspace, cramer_expand, minor, rel_position, transversal
+from .cluster import Quiver, Seed, exchange_products, exchange_ratio, mutate, quiver, seed_at
+from .diagram import BoxRef, Partition, RibbonDecomposition, SkewDiagram, conjugate
+from .linalg import FlagK, RatMatrix, Subspace, minor, rel_position, transversal
 from .permutations import (
     BoundedAffinePermutation,
     GrassmannNecklace,
@@ -16,10 +16,10 @@ from .permutations import (
     w_grassmannian,
     w_skew,
 )
-from .plabic import LatticeTrip, source_labels, trip, trip_permutation
+from .plabic import LatticeTrip, source_labels, trip, trip_permutation, trips
 from .splicing import (
     A_factor,
-    CutContext,
+    Cut,
     chart_is_everything,
     flag_at_cut,
     in_U_a,

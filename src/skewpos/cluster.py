@@ -103,8 +103,7 @@ def seed_at(V: PointV) -> Seed:
 
 def _mutate_quiver(q: Quiver, box: BoxRef) -> Quiver:
     mult: dict[Arrow, int] = {e: m for e, m in q.arrows}
-    into = [(src, m) for (src, dst), m in q.arrows if dst == box]
-    out = [(dst, m) for (src, dst), m in q.arrows if src == box]
+    into, out = q.arrows_into(box), q.arrows_out(box)
     # insert composites i -> j for i -> box -> j, unless both endpoints frozen
     for src, m1 in into:
         for dst, m2 in out:
@@ -139,18 +138,13 @@ def mutate(s: Seed, box: BoxRef) -> Seed:
     old = s.value(box)
     if old == 0:
         raise ValueError(f"cannot mutate at {box}: its value vanishes")
-    prod_in = Fraction(1)
-    for src, m in q.arrows_into(box):
-        prod_in *= s.value(src) ** m
-    prod_out = Fraction(1)
-    for dst, m in q.arrows_out(box):
-        prod_out *= s.value(dst) ** m
+    prod_in, prod_out = exchange_products(s, box)
     new = (prod_in + prod_out) / old
     return Seed(_mutate_quiver(q, box), tuple((b, new if b == box else v) for b, v in s.values))
 
 
-def exchange_ratio(s: Seed, box: BoxRef) -> Fraction:
-    """Ratio of in-arrow to out-arrow value products at a mutable vertex."""
+def exchange_products(s: Seed, box: BoxRef) -> tuple[Fraction, Fraction]:
+    """(product over in-arrows, product over out-arrows) of the neighbour values at a mutable vertex."""
     q = s.quiver
     if not q.is_mutable(box):
         raise ValueError(f"exchange ratio is defined at mutable vertices only: {box}")
@@ -160,6 +154,12 @@ def exchange_ratio(s: Seed, box: BoxRef) -> Fraction:
     den = Fraction(1)
     for dst, m in q.arrows_out(box):
         den *= s.value(dst) ** m
+    return num, den
+
+
+def exchange_ratio(s: Seed, box: BoxRef) -> Fraction:
+    """Ratio of in-arrow to out-arrow value products at a mutable vertex."""
+    num, den = exchange_products(s, box)
     if den == 0:
         raise ZeroDivisionError(f"out-product vanishes at {box}")
     return num / den

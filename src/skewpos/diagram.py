@@ -230,8 +230,3 @@ class RibbonDecomposition:
     R: tuple[BoxRef, ...]
     Rbar: tuple[BoxRef, ...]
     R1: tuple[BoxRef, ...]
-
-
-def column_heights(d: SkewDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(mu_bar, lambda_bar) indexed a = 1..n-k from the right."""
-    return d.mu_bar[1:], d.lambda_bar[1:]

@@ -229,28 +229,16 @@ def solve_columns(columns: list[Vector], target: Vector) -> list[Fraction]:
     aug = [[columns[j][r] for j in range(m)] + [target[r]] for r in range(k)]
     red = _echelon(aug)
     coeffs = [ZERO] * m
-    seen = set()
+    pivots = 0
     for r in red:
         pc = next(c for c in range(m + 1) if r[c] != 0)
         if pc == m:
             raise ValueError("target not in the span of the given columns")
         coeffs[pc] = r[m]
-        seen.add(pc)
-    if len(seen) < Subspace.span(k, columns).dim:
-        raise ValueError("internal: echelon lost pivots")  # pragma: no cover
-    if Subspace.span(k, columns).dim < m:
+        pivots += 1
+    if pivots < m:
         raise ValueError("given columns are linearly dependent")
     return coeffs
-
-
-def cramer_expand(M: RatMatrix, target: Vector, basis) -> list[Fraction]:
-    """Expand target over the listed columns of M (1-based, ordered).
-
-    Coefficient j equals the minor with the j-th basis column replaced by the
-    target, divided by the basis minor (Cramer).  Implemented by exact solve;
-    the quotient-of-minors identity is exercised in tests.
-    """
-    return solve_columns([M.column(j) for j in basis], target)
 
 
 @dataclass(frozen=True)

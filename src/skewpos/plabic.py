@@ -127,7 +127,8 @@ def trip(d: SkewDiagram, i: int) -> LatticeTrip:
         boxes = enclosed
         labels_mu = False
     else:
-        boxes = tuple(b for b in d.boxes() if b not in set(enclosed))
+        inside = set(enclosed)
+        boxes = tuple(b for b in d.boxes() if b not in inside)
         labels_mu = True
     return LatticeTrip(i, end, orientation, tuple(path), boxes, labels_mu)
 
@@ -166,38 +167,36 @@ def _inside(polygon: list[Pt], cx: Fraction, cy: Fraction) -> bool:
     return crossings % 2 == 1
 
 
-def trip_permutation(d: SkewDiagram) -> tuple[tuple[int, ...], dict[int, str]]:
+def trips(d: SkewDiagram) -> tuple[LatticeTrip, ...]:
+    """The n lattice trips, trips(d)[i - 1] = trip(d, i)."""
+    return tuple(trip(d, i) for i in range(1, d.n + 1))
+
+
+def trip_permutation(ts: tuple[LatticeTrip, ...]) -> tuple[tuple[int, ...], dict[int, str]]:
     """(one-line trip permutation, loop decorations); agrees with the affine permutation mod n."""
-    perm = []
-    decorations: dict[int, str] = {}
-    for i in range(1, d.n + 1):
-        T = trip(d, i)
-        perm.append(T.end)
-        if T.end == i:
-            decorations[i] = T.orientation
-    return tuple(perm), decorations
+    perm = tuple(T.end for T in ts)
+    decorations = {T.start: T.orientation for T in ts if T.end == T.start}
+    return perm, decorations
 
 
-def source_labels(d: SkewDiagram) -> dict[BoxRef, tuple[int, ...]]:
+def source_labels(d: SkewDiagram, ts: tuple[LatticeTrip, ...]) -> dict[BoxRef, tuple[int, ...]]:
     """Accumulated trip labels per skew-diagram box; equals the boundary-path labels."""
     acc: dict[BoxRef, list[int]] = {b: [] for b in d.boxes()}
-    for i in range(1, d.n + 1):
-        for b in trip(d, i).boxes:
-            acc[b].append(i)
+    for T in ts:
+        for b in T.boxes:
+            acc[b].append(T.start)
     return {b: tuple(sorted(labels)) for b, labels in acc.items()}
 
 
-def mu_region_label(d: SkewDiagram) -> tuple[int, ...]:
+def mu_region_label(ts: tuple[LatticeTrip, ...]) -> tuple[int, ...]:
     """Labels collected by the southwest region: the counterclockwise trip starts."""
-    return tuple(sorted(i for i in range(1, d.n + 1)
-                        if trip(d, i).labels_mu_region))
+    return tuple(sorted(T.start for T in ts if T.labels_mu_region))
 
 
 def trips_json(d: SkewDiagram) -> dict:
-    out = []
-    for i in range(1, d.n + 1):
-        T = trip(d, i)
-        out.append(
+    ts = trips(d)
+    return {
+        "trips": [
             {
                 "start": T.start,
                 "end": T.end,
@@ -206,17 +205,16 @@ def trips_json(d: SkewDiagram) -> dict:
                 "boxes": [[b.a, b.i] for b in T.boxes],
                 "labels_mu_region": T.labels_mu_region,
             }
-        )
-    return {
-        "trips": out,
-        "labels": {f"a{b.a}i{b.i}": list(v) for b, v in source_labels(d).items()},
-        "mu_region": list(mu_region_label(d)),
+            for T in ts
+        ],
+        "labels": {f"a{b.a}i{b.i}": list(v) for b, v in source_labels(d, ts).items()},
+        "mu_region": list(mu_region_label(ts)),
     }
 
 
 def ascii_grid(d: SkewDiagram) -> str:
     """Plain text grid of the box labels, rows printed top down."""
-    labels = source_labels(d)
+    labels = source_labels(d, trips(d))
     cells: dict[tuple[int, int], str] = {}
     width = 1
     for b, v in labels.items():
@@ -240,15 +238,14 @@ def ascii_grid(d: SkewDiagram) -> str:
 
 def verify_trips(d: SkewDiagram) -> None:
     """Cross-check the lattice model against the diagram combinatorics; raises on failure."""
-    perm, decorations = trip_permutation(d)
+    ts = trips(d)
+    perm, decorations = trip_permutation(ts)
     assert perm == baf(d).mod_n(), "trip permutation differs from the affine permutation"
     assert decorations == baf(d).fixed_point_decorations()
     I_mu = set(d.I_mu())
-    for i in range(1, d.n + 1):
-        T = trip(d, i)
-        assert (T.orientation == "counterclockwise") == (i in I_mu)
-    labels = source_labels(d)
-    for b, v in labels.items():
+    for T in ts:
+        assert (T.orientation == "counterclockwise") == (T.start in I_mu)
+    for b, v in source_labels(d, ts).items():
         assert len(v) == d.k, f"box {b} received {len(v)} labels"
         assert v == tuple(sorted(d.long_label(b.a, b.i)))
-    assert mu_region_label(d) == d.I_mu()
+    assert mu_region_label(ts) == d.I_mu()

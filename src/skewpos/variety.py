@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .diagram import BoxRef, SkewDiagram
 from .linalg import (
@@ -30,6 +29,13 @@ from .linalg import (
     zero_vector,
 )
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf
+
+
+def _cyclic_column(M: RatMatrix, t: int) -> Vector:
+    """Column t of a k x n matrix, any integer t, with v_{t+n} = (-1)^{k-1} v_t."""
+    q, r = divmod(t - 1, M.ncols)
+    v = M.column(r + 1)
+    return v if (q * (M.nrows - 1)) % 2 == 0 else vec_scale(Fraction(-1), v)
 
 
 @dataclass(frozen=True)
@@ -65,10 +71,7 @@ class PointV:
 
     def column(self, t: int) -> Vector:
         """Column t with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
-        n, k = self.diagram.n, self.diagram.k
-        q, r = divmod(t - 1, n)
-        v = self.matrix.column(r + 1)
-        return v if (q * (k - 1)) % 2 == 0 else vec_scale(Fraction(-1), v)
+        return _cyclic_column(self.matrix, t)
 
     def delta(self, J) -> Fraction:
         """Signed minor in the listed column order (cyclic indices allowed)."""
@@ -125,16 +128,9 @@ def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
     k, n = M.nrows, M.ncols
     if M.rank() != k:
         raise ValueError("rank-deficient matrix")
-    sign = Fraction(-1) if (k - 1) % 2 else Fraction(1)
-
-    def col(t: int) -> Vector:
-        q, r = divmod(t - 1, n)
-        v = M.column(r + 1)
-        return v if q % 2 == 0 else vec_scale(sign, v)
-
     window = []
     for i in range(1, n + 1):
-        vi = col(i)
+        vi = _cyclic_column(M, i)
         span = Subspace.zero(k)
         j = i
         while True:
@@ -143,7 +139,7 @@ def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
             j += 1
             if j > i + n:  # pragma: no cover - impossible at full rank
                 raise AssertionError("cyclic span never captured the column")
-            span = span.add(Subspace.span(k, [col(j)]))
+            span = span.add(Subspace.span(k, [_cyclic_column(M, j)]))
         window.append(j)
     return BoundedAffinePermutation(n, k, tuple(window))
 
@@ -178,21 +174,6 @@ def necklace_of_point(M: RatMatrix) -> GrassmannNecklace:
                     break
         entries.append(tuple(sorted(chosen)))
     return GrassmannNecklace(n, k, tuple(entries))
-
-
-def necklace_entry_exhaustive(M: RatMatrix, i: int) -> tuple[int, ...]:
-    """All-subsets oracle for one necklace entry (test use; n <= ~12)."""
-    k, n = M.nrows, M.ncols
-    start = (i % n) + 1
-    keyed = [
-        tuple(sorted((x - start) % n for x in J))
-        for J in combinations(range(1, n + 1), k)
-        if minor(M, J) != 0
-    ]
-    best = max(keyed)
-    if not all(all(a <= b for a, b in zip(key, best)) for key in keyed):
-        raise AssertionError("no Gale maximum among nonvanishing subsets")
-    return tuple(sorted((p + start - 1) % n + 1 for p in best))
 
 
 # -- sampling -------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import strategies as st
 
 from skewpos import Partition, SkewDiagram
+from skewpos.linalg import minor
 
 
 @pytest.fixture
@@ -53,6 +56,21 @@ def intro_off_chart_point(seed_range=range(1, 40)):
             if not in_U_a(W, 5):
                 return W
     raise RuntimeError("no off-chart point found in the seed range")
+
+
+def necklace_entry_exhaustive(M, i: int) -> tuple[int, ...]:
+    """All-subsets oracle for one necklace entry (n <= ~12); checks necklace_of_point."""
+    k, n = M.nrows, M.ncols
+    start = (i % n) + 1
+    keyed = [
+        tuple(sorted((x - start) % n for x in J))
+        for J in combinations(range(1, n + 1), k)
+        if minor(M, J) != 0
+    ]
+    best = max(keyed)
+    if not all(all(a <= b for a, b in zip(key, best)) for key in keyed):
+        raise AssertionError("no Gale maximum among nonvanishing subsets")
+    return tuple(sorted((p + start - 1) % n + 1 for p in best))
 
 
 @st.composite

@@ -9,6 +9,7 @@ import random
 import time
 
 from skewpos import (
+    Cut,
     Partition,
     SkewDiagram,
     baf,
@@ -23,6 +24,7 @@ from skewpos import (
     source_labels,
     trip,
     trip_permutation,
+    trips,
     verify_exchange_ratios,
     verify_minor_scaling,
     w_grassmannian,
@@ -31,7 +33,8 @@ from skewpos import (
 )
 from skewpos.cli import random_diagram, subseed
 from skewpos.linalg import det, vec_add, vec_scale, vec_sub
-from skewpos.variety import necklace_entry_exhaustive
+
+from conftest import necklace_entry_exhaustive
 
 
 def criterion(num, text):
@@ -234,13 +237,13 @@ TRIPLES = _fifty_triples()
 @criterion(8, "right-factor minor scaling on 50 random triples")
 def test_criterion_08():
     for d, a, V in TRIPLES:
-        assert verify_minor_scaling(V, a) == []
+        assert verify_minor_scaling(Cut.at(V, a)) == []
 
 
 @criterion(9, "exchange-ratio agreement on the same 50 triples")
 def test_criterion_09():
     for d, a, V in TRIPLES:
-        assert verify_exchange_ratios(V, a) == []
+        assert verify_exchange_ratios(Cut.at(V, a)) == []
 
 
 @criterion(10, "fully frozen columns splice on the whole variety")
@@ -271,10 +274,11 @@ def test_criterion_11():
     for t in range(200):
         rng = random.Random(subseed(11, "diagram", t))
         d = random_diagram(rng, max_n=10)
-        perm, decorations = trip_permutation(d)
+        ts = trips(d)
+        perm, decorations = trip_permutation(ts)
         assert perm == baf(d).mod_n()
         assert decorations == baf(d).fixed_point_decorations()
-        for b, labels in source_labels(d).items():
+        for b, labels in source_labels(d, ts).items():
             assert labels == tuple(sorted(d.long_label(b.a, b.i)))
     T4, T5 = trip(RUNNING, 4), trip(RUNNING, 5)
     assert T4.orientation == "clockwise" and T4.labeled_box_count() == 5

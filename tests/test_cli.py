@@ -142,6 +142,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_point_off_the_cluster_torus(self, capsys):
+        # the sampled point has seed value 0 at box (3, 1), so exchange
+        # out-products vanish on both sides of a cut
+        code, out, _ = run(capsys, "verify", "--diagram",
+                           '{"n": 11, "k": 8, "lambda": [3, 3, 2, 2], "mu": []}',
+                           "--seed", "276030479")
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+
     def test_injected_fault_reproducer(self, capsys, monkeypatch):
         import skewpos.cli as cli
 

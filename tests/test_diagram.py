@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from skewpos import Partition, SkewDiagram, column_heights, conjugate
+from skewpos import Partition, SkewDiagram, conjugate
 
 from conftest import skew_diagrams
 
@@ -44,7 +44,7 @@ class TestPartitionValidation:
 
 class TestColumnHeights:
     def test_running(self, running):
-        mu_bar, lambda_bar = column_heights(running)
+        mu_bar, lambda_bar = running.mu_bar[1:], running.lambda_bar[1:]
         assert lambda_bar == (2, 2, 3, 3, 4, 4, 5)
         assert mu_bar == (0, 0, 0, 0, 2, 3, 3)
 
@@ -54,12 +54,12 @@ class TestColumnHeights:
 
     def test_full_rectangle(self):
         d = SkewDiagram(7, 3, Partition((4, 4, 4)), Partition())
-        mu_bar, lambda_bar = column_heights(d)
+        mu_bar, lambda_bar = d.mu_bar[1:], d.lambda_bar[1:]
         assert lambda_bar == (3, 3, 3, 3) and mu_bar == (0, 0, 0, 0)
 
     @given(skew_diagrams())
     def test_monotone(self, d):
-        mu_bar, lambda_bar = column_heights(d)
+        mu_bar, lambda_bar = d.mu_bar[1:], d.lambda_bar[1:]
         for a in range(len(lambda_bar)):
             assert mu_bar[a] <= lambda_bar[a]
         assert list(lambda_bar) == sorted(lambda_bar)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from skewpos import Partition, SkewDiagram, baf, source_labels, trip, trip_permutation
+from skewpos import Partition, SkewDiagram, baf, source_labels, trip, trip_permutation, trips
 from skewpos.plabic import ascii_grid, mu_region_label, trips_json, verify_trips
 
 from conftest import skew_diagrams
@@ -47,18 +47,18 @@ class TestFigureTrips:
 
 class TestTripPermutation:
     def test_running(self, running):
-        perm, _ = trip_permutation(running)
+        perm, _ = trip_permutation(trips(running))
         assert perm == baf(running).mod_n()
 
     def test_disconnected_fixed_point(self, disconnected):
-        perm, decorations = trip_permutation(disconnected)
+        perm, decorations = trip_permutation(trips(disconnected))
         assert perm[4] == 5
         assert decorations == {5: "clockwise"}
 
     @given(skew_diagrams())
     @settings(max_examples=80, deadline=None)
     def test_equals_baf(self, d):
-        perm, decorations = trip_permutation(d)
+        perm, decorations = trip_permutation(trips(d))
         assert perm == baf(d).mod_n()
         assert decorations == baf(d).fixed_point_decorations()
 
@@ -72,30 +72,30 @@ class TestTripPermutation:
 
 class TestSourceLabels:
     def test_running_matches_long_labels(self, running):
-        labels = source_labels(running)
+        labels = source_labels(running, trips(running))
         for b, v in labels.items():
             assert v == tuple(sorted(running.long_label(b.a, b.i)))
 
     def test_disconnected_grid(self, disconnected):
-        labels = {(b.a, b.i): v for b, v in source_labels(disconnected).items()}
+        labels = {(b.a, b.i): v for b, v in source_labels(disconnected, trips(disconnected)).items()}
         assert labels[(4, 3)] == (3, 4, 6, 9)
         assert labels[(4, 4)] == (3, 4, 6, 7)
         assert labels[(5, 4)] == (3, 4, 7, 8)
         assert labels[(1, 1)] == (1, 4, 8, 9)
 
     def test_mu_region(self, running, disconnected):
-        assert mu_region_label(running) == running.I_mu()
-        assert mu_region_label(disconnected) == disconnected.I_mu()
+        assert mu_region_label(trips(running)) == running.I_mu()
+        assert mu_region_label(trips(disconnected)) == disconnected.I_mu()
 
     def test_empty_skew(self):
         d = SkewDiagram(8, 3, Partition((4, 2)), Partition((4, 2)))
-        assert source_labels(d) == {}
-        assert mu_region_label(d) == d.I_mu()
+        assert source_labels(d, trips(d)) == {}
+        assert mu_region_label(trips(d)) == d.I_mu()
 
     @given(skew_diagrams())
     @settings(max_examples=50, deadline=None)
     def test_k_labels_per_box(self, d):
-        for b, v in source_labels(d).items():
+        for b, v in source_labels(d, trips(d)).items():
             assert len(v) == d.k
 
     @given(skew_diagrams())

@@ -5,11 +5,14 @@ import pytest
 
 from skewpos import (
     A_factor,
-    CutContext,
+    BoxRef,
+    Cut,
     Partition,
     SkewDiagram,
     beta,
     chart_is_everything,
+    exchange_products,
+    exchange_ratio,
     flag_at_cut,
     in_U_a,
     left_point,
@@ -17,6 +20,7 @@ from skewpos import (
     phi,
     right_point,
     sample,
+    seed_at,
     splice_report,
     transversal,
     verify_exchange_ratios,
@@ -208,11 +212,10 @@ class TestTriangularity:
         # volume: every maximal minor of the two blocks agrees
         V = sample(intro, seed=12)
         a = 6
-        ctx = CutContext.at(intro, a)
-        R = right_point(V, a)
+        R = Cut.at(V, a).right
         k = intro.k
         for i in range(1, k + 1):
-            ublock = [R.matrix.column(b) for b in ctx.I_mu_right[i - 1:]]
+            ublock = [R.matrix.column(b) for b in R.diagram.I_mu()[i - 1:]]
             vblock = [V.column(b) for b in intro.I_mu()[i - 1:]]
             w = k - i + 1
             for rows in combinations(range(k), w):
@@ -226,41 +229,52 @@ class TestVerification:
         for seed in (1, 7, 13):
             V = sample(intro, seed=seed)
             if in_U_a(V, 6):
-                assert verify_minor_scaling(V, 6) == []
+                assert verify_minor_scaling(Cut.at(V, 6)) == []
 
     def test_exchange_ratios_intro(self, intro):
         V = sample(intro, seed=7)
-        assert verify_exchange_ratios(V, 6) == []
+        assert verify_exchange_ratios(Cut.at(V, 6)) == []
+
+    def test_exchange_ratios_off_the_cluster_torus(self):
+        # the point `verify` samples for this diagram and seed has seed value 0 at box (3, 1)
+        d = SkewDiagram(11, 8, Partition((3, 3, 2, 2)), Partition(()))
+        V = sample(d, subseed(276030479, "point", 0))
+        assert seed_at(V).value(BoxRef(3, 1)) == 0
+        c = Cut.at(V, 1)
+        box = BoxRef(2, 1)  # mutable in the left factor; at a = 1 it is also box (2, 1) of V
+        assert exchange_products(c.left_seed, box)[1] == exchange_products(c.seed, box)[1] == 0
+        with pytest.raises(ZeroDivisionError):
+            exchange_ratio(c.seed, box)
+        assert verify_exchange_ratios(c) == []
 
     def test_trivial_window_boxes_equal_on_the_nose(self, intro):
         V = sample(intro, seed=14)
         a = 6
-        ctx = CutContext.at(intro, a)
-        R = right_point(V, a)
-        for box in ctx.right.boxes():
+        R = Cut.at(V, a).right
+        for box in R.diagram.boxes():
             if box.a + box.i - 1 < a + intro.mu_bar[a]:
-                assert R.delta(ctx.right.long_label(box.a, box.i)) == V.delta(
+                assert R.delta(R.diagram.long_label(box.a, box.i)) == V.delta(
                     intro.long_label(box.a, box.i)
                 )
 
     def test_random_triples(self,):
         for d, a, V in random_chart_triples(12, base_seed=99):
-            assert verify_minor_scaling(V, a) == []
-            assert verify_exchange_ratios(V, a) == []
+            c = Cut.at(V, a)
+            assert verify_minor_scaling(c) == []
+            assert verify_exchange_ratios(c) == []
 
     def test_left_minor_equality(self, intro):
         V = sample(intro, seed=15)
         a = 6
-        ctx = CutContext.at(intro, a)
-        L = left_point(V, a)
+        L = Cut.at(V, a).left
         mu_bar = intro.mu_bar[a]
-        for box in ctx.left.boxes():
+        for box in L.diagram.boxes():
             orig = intro.long_label(box.a + a - 1, box.i)
             relabeled = tuple(sorted(
                 set(range(1, mu_bar + 1))
                 | {t - a + 1 for t in orig if t not in intro.I_mu()[:mu_bar]}
             ))
-            assert ctx.left.long_label(box.a, box.i) == relabeled
+            assert L.diagram.long_label(box.a, box.i) == relabeled
             assert L.delta(relabeled) == V.delta(orig)
 
     def test_braid_length_bookkeeping(self, intro):
@@ -293,6 +307,6 @@ class TestFullChart:
         W = intro_off_chart_point()
         assert not in_U_a(W, 5)
         with pytest.raises(ValueError, match="chart"):
-            right_point(W, 5)
+            Cut.at(W, 5)
         with pytest.raises(ValueError, match="chart"):
-            left_point(W, 5)
+            phi(W, 5)

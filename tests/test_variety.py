@@ -17,9 +17,9 @@ from skewpos import (
     xi,
 )
 from skewpos.linalg import RatMatrix, unit_vector, vec_scale, zero_vector
-from skewpos.variety import PointV, necklace_entry_exhaustive, _normalize_r1
+from skewpos.variety import PointV, _normalize_r1
 
-from conftest import skew_diagrams
+from conftest import necklace_entry_exhaustive, skew_diagrams
 
 
 def identity_block(k, n):
