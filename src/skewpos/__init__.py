@@ -2,7 +2,7 @@
 
 from .braid import BraidWord, CrossingMap, beta, cut_braid, half_twist
 from .cluster import Quiver, Seed, exchange_products, exchange_ratio, mutate, quiver, seed_at
-from .diagram import BoxRef, Partition, RibbonDecomposition, SkewDiagram, conjugate
+from .diagram import BoxRef, InvariantError, Partition, RibbonDecomposition, SkewDiagram, conjugate
 from .linalg import FlagK, RatMatrix, Subspace, minor, rel_position, transversal
 from .permutations import (
     BoundedAffinePermutation,
@@ -20,6 +20,7 @@ from .plabic import LatticeTrip, source_labels, trip, trip_permutation, trips
 from .splicing import (
     A_factor,
     Cut,
+    OffChart,
     chart_is_everything,
     flag_at_cut,
     in_U_a,

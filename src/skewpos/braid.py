@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BoxRef, SkewDiagram
+from .diagram import BoxRef, InvariantError, SkewDiagram
 from .permutations import adjacent_transposition, compose, identity, inversions, longest_element
 
 
@@ -82,7 +82,8 @@ def half_twist(k: int) -> BraidWord:
         letters.extend(range(k - 1, start - 1, -1))
     word = BraidWord(k, tuple(letters))
     perm = word.permutation()
-    assert perm == longest_element(k) and len(letters) == inversions(perm)
+    if perm != longest_element(k) or len(letters) != inversions(perm):
+        raise InvariantError(f"half twist on {k} strands is not a reduced word for w_0")
     return word
 
 

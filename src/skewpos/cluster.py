@@ -7,7 +7,7 @@ its Pluecker coordinate at a fixed point, not a symbolic variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import BoxRef, SkewDiagram
@@ -73,17 +73,16 @@ class Seed:
 
     quiver: Quiver
     values: tuple[tuple[BoxRef, Fraction], ...]
+    _value: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        boxes = {b for b, _ in self.values}
-        if boxes != set(self.quiver.vertices):
+        value = dict(self.values)
+        if value.keys() != set(self.quiver.vertices):
             raise ValueError("seed values must cover exactly the quiver vertices")
+        object.__setattr__(self, "_value", value)
 
     def value(self, box: BoxRef) -> Fraction:
-        for b, x in self.values:
-            if b == box:
-                return x
-        raise KeyError(box)
+        return self._value[box]
 
 
 def seed_at(V: PointV) -> Seed:

@@ -15,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class InvariantError(AssertionError):
+    """A mathematical invariant of the package failed; raised explicitly, so it also runs under -O."""
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive parts; trailing zeros are dropped."""

@@ -1,17 +1,18 @@
 """Exact rational vectors, matrices, signed minors, subspaces and flags.
 
-All arithmetic uses ``fractions.Fraction``; there are no tolerances anywhere.
-Vectors are tuples of Fractions, matrices are row-major tuples of row tuples.
-Column indices are 1-based in the public operations, matching the labeling of
-diagram boxes by matrix columns.
+All arithmetic is exact; there are no tolerances anywhere.  Vectors are tuples
+of Fractions, matrices are row-major tuples of row tuples.  Eliminations run
+on primitive integer vectors (``_reduce``) and determinants by Bareiss's
+fraction-free elimination.  Column indices are 1-based in the public
+operations, matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-Rat = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -39,9 +40,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 
 def vec_scale(c: Fraction, v: Vector) -> Vector:
     return tuple(c * a for a in v)
-
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 @dataclass(frozen=True)
@@ -81,30 +79,93 @@ class RatMatrix:
         return [self.column(j) for j in range(1, self.ncols + 1)]
 
     def rank(self) -> int:
-        return len(_echelon([list(r) for r in self.rows]))
+        return len(_pivot_rows(self.rows))
+
+
+def _cleared(v) -> tuple[list[int], int]:
+    """(den * v, den) for the least common denominator den of the entries of v."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _primitive(v) -> list[int]:
+    """v scaled to a primitive integer vector (coprime entries); the span is unchanged."""
+    ints = _cleared(v)[0]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _reduce(pivots: list[tuple[int, list[int]]], v: list[int]) -> list[int]:
+    """v with each pivot column cleared in turn by its row, kept primitive.
+
+    ``pivots`` holds (column, primitive integer row) pairs, each row nonzero at its column
+    and every later row zero there; the result is zero iff v lies in the rows' span.
+    """
+    for c, p in pivots:
+        b = v[c]
+        if b:
+            a = p[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            v = [a * x - b * y for x, y in zip(v, p)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+    return v
+
+
+def _extend(pivots: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Add v to the span of the pivot rows; True iff the span grew."""
+    v = _reduce(pivots, v)
+    c = next((c for c, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    pivots.append((c, v))
+    return True
+
+
+def _pivot_rows(vectors) -> list[tuple[int, list[int]]]:
+    pivots: list = []
+    for v in vectors:
+        _extend(pivots, _primitive(v))
+    return pivots
+
+
+def _echelon(rows) -> list[list[Fraction]]:
+    """Reduced row echelon form of the span of the rows; returns the nonzero rows (pivots 1)."""
+    pivots = sorted(_pivot_rows(rows))
+    out = []
+    for j, (c, p) in enumerate(pivots):
+        # later rows vanish left of their own pivots, so cleared columns stay zero
+        p = _reduce(pivots[j + 1:], p)
+        out.append([Fraction(x, p[c]) for x in p])
+    return out
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
+    """Determinant by Bareiss's fraction-free elimination, after clearing each row's denominators."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    result = ONE
+    m, scale = [], 1
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("determinant of a non-square matrix")
+        ints, den = _cleared(r)
+        m.append(ints)
+        scale *= den
+    sign, prev = 1, 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
             return ZERO
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
-        result *= m[c][c]
-        inv = m[c][c]
+        top, p = m[c][c + 1:], m[c][c]
         for r in range(c + 1, n):
-            if m[r][c] != 0:
-                factor = m[r][c] / inv
-                for cc in range(c, n):
-                    m[r][cc] -= factor * m[c][cc]
-    return sign * result
+            row, f = m[r], m[r][c]
+            row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], top)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def minor(M: RatMatrix, J) -> Fraction:
@@ -115,30 +176,7 @@ def minor(M: RatMatrix, J) -> Fraction:
     J = tuple(J)
     if len(J) != M.nrows:
         raise ValueError(f"need {M.nrows} column indices, got {len(J)}")
-    cols = [M.column(j) for j in J]
-    return det([list(r) for r in zip(*cols)])
-
-
-def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form; returns the nonzero rows (pivots normalized to 1)."""
-    rows = [list(r) for r in rows]
-    m = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [e / inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [rows[i] for i in range(r)]
+    return det([M.column(j) for j in J])  # the transpose has the same determinant
 
 
 @dataclass(frozen=True)
@@ -154,8 +192,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector of wrong ambient dimension")
-        rows = _echelon([list(v) for v in vectors]) if vectors else []
-        return cls(ambient, tuple(tuple(r) for r in rows))
+        return cls(ambient, tuple(map(tuple, _echelon(vectors))))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -166,60 +203,33 @@ class Subspace:
         return len(self.basis)
 
     def contains_vector(self, v: Vector) -> bool:
-        return Subspace.span(self.ambient, list(self.basis) + [v]).dim == self.dim
+        if len(v) != self.ambient:
+            raise ValueError("vector of wrong ambient dimension")
+        return not any(_reduce(_pivot_rows(self.basis), _primitive(v)))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
+        self._check(other)
+        pivots = _pivot_rows(self.basis)
+        return not any(any(_reduce(pivots, _primitive(v))) for v in other.basis)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.span(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient, tuple(map(tuple, _echelon(self.basis + other.basis))))
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection via the nullspace of [basis_self | -basis_other]."""
+        """Exact intersection by Zassenhaus's algorithm.
+
+        Of the pivot rows of (a | a), a in self, and (b | 0), b in other, those
+        with a zero left half are (0 | x) for x in a basis of the intersection.
+        """
         self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        acols = list(self.basis)
-        bcols = list(other.basis)
-        # rows of the system: ambient equations, unknowns = coefficients on both bases
-        system = [
-            [acols[j][r] for j in range(len(acols))] + [-bcols[j][r] for j in range(len(bcols))]
-            for r in range(self.ambient)
-        ]
-        vectors = []
-        for sol in _nullspace(system):
-            coeffs = sol[: len(acols)]
-            v = zero_vector(self.ambient)
-            for cjf, col in zip(coeffs, acols):
-                v = vec_add(v, vec_scale(cjf, col))
-            vectors.append(v)
-        return Subspace.span(self.ambient, vectors)
-
-
-def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the matrix given by rows."""
-    if not rows:
-        return []
-    m = len(rows[0])
-    work = [list(r) for r in rows]
-    red = _echelon(work)
-    pivots = []
-    for r in red:
-        pivots.append(next(c for c in range(m) if r[c] != 0))
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        sol = [ZERO] * m
-        sol[fc] = ONE
-        for r, pc in zip(red, pivots):
-            sol[pc] = -r[fc]
-        basis.append(sol)
-    return basis
+        k = self.ambient
+        pivots = _pivot_rows([a + a for a in self.basis] + [b + (ZERO,) * k for b in other.basis])
+        return Subspace(k, tuple(map(tuple, _echelon(p[k:] for c, p in pivots if c >= k))))
 
 
 def solve_columns(columns: list[Vector], target: Vector) -> list[Fraction]:
@@ -228,17 +238,12 @@ def solve_columns(columns: list[Vector], target: Vector) -> list[Fraction]:
     m = len(columns)
     aug = [[columns[j][r] for j in range(m)] + [target[r]] for r in range(k)]
     red = _echelon(aug)
-    coeffs = [ZERO] * m
-    pivots = 0
-    for r in red:
-        pc = next(c for c in range(m + 1) if r[c] != 0)
-        if pc == m:
-            raise ValueError("target not in the span of the given columns")
-        coeffs[pc] = r[m]
-        pivots += 1
-    if pivots < m:
+    pivots = [next(c for c, x in enumerate(r) if x) for r in red]
+    if m in pivots:
+        raise ValueError("target not in the span of the given columns")
+    if len(pivots) < m:
         raise ValueError("given columns are linearly dependent")
-    return coeffs
+    return [r[m] for r in red]  # the pivots are the columns 0..m-1, in order
 
 
 @dataclass(frozen=True)
@@ -285,16 +290,11 @@ def rel_position(F1: FlagK, F2: FlagK) -> tuple[int, ...]:
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             dims[i][j] = F1.step(i).intersect(F2.step(j)).dim
-    w = []
-    for j in range(1, k + 1):
-        i = next(
-            i
-            for i in range(1, k + 1)
-            if dims[i][j] == dims[i - 1][j] + 1 and dims[i][j] == dims[i][j - 1] + 1
-            and dims[i - 1][j] == dims[i - 1][j - 1]
-        )
-        w.append(i)
-    return tuple(w)
+    # w(j) = i exactly where the second difference of the dimensions is 1
+    return tuple(
+        next(i for i in range(1, k + 1) if dims[i][j] - dims[i - 1][j] - dims[i][j - 1] + dims[i - 1][j - 1])
+        for j in range(1, k + 1)
+    )
 
 
 def transversal(F1: FlagK, F2: FlagK) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import BoxRef, SkewDiagram
+from .diagram import BoxRef, InvariantError, SkewDiagram
 from .permutations import baf
 
 Pt = tuple[int, int]
@@ -37,7 +37,8 @@ def _boundary_steps(d: SkewDiagram) -> list[dict]:
         else:
             steps.append({"t": t, "kind": "horizontal", "start": (x, y), "end": (x - 1, y)})
             x -= 1
-    assert (x, y) == (0, d.k)
+    if (x, y) != (0, d.k):
+        raise InvariantError(f"boundary path ends at {(x, y)}, not at {(0, d.k)}")
     return steps
 
 
@@ -237,15 +238,21 @@ def ascii_grid(d: SkewDiagram) -> str:
 
 
 def verify_trips(d: SkewDiagram) -> None:
-    """Cross-check the lattice model against the diagram combinatorics; raises on failure."""
+    """Cross-check the lattice model against the diagram combinatorics; raises InvariantError."""
     ts = trips(d)
     perm, decorations = trip_permutation(ts)
-    assert perm == baf(d).mod_n(), "trip permutation differs from the affine permutation"
-    assert decorations == baf(d).fixed_point_decorations()
+    if perm != baf(d).mod_n():
+        raise InvariantError("trip permutation differs from the affine permutation")
+    if decorations != baf(d).fixed_point_decorations():
+        raise InvariantError("trip loop orientations differ from the fixed-point decorations")
     I_mu = set(d.I_mu())
     for T in ts:
-        assert (T.orientation == "counterclockwise") == (T.start in I_mu)
+        if (T.orientation == "counterclockwise") != (T.start in I_mu):
+            raise InvariantError(f"trip {T.start} is {T.orientation}, against I_mu")
     for b, v in source_labels(d, ts).items():
-        assert len(v) == d.k, f"box {b} received {len(v)} labels"
-        assert v == tuple(sorted(d.long_label(b.a, b.i)))
-    assert mu_region_label(ts) == d.I_mu()
+        if len(v) != d.k:
+            raise InvariantError(f"box {b} received {len(v)} labels")
+        if v != tuple(sorted(d.long_label(b.a, b.i))):
+            raise InvariantError(f"trip labels of box {b} differ from its long label")
+    if mu_region_label(ts) != d.I_mu():
+        raise InvariantError("mu-region label differs from I_mu")

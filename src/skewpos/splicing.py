@@ -19,13 +19,24 @@ from .linalg import FlagK, RatMatrix, Subspace, solve_columns, transversal, vec_
 from .variety import PointV, membership  # noqa: F401 - perfbench/tests reads this binding
 
 
+class OffChart(ValueError):
+    """The point lies off the column-a chart: the minor at the long label ``label`` vanishes."""
+
+    def __init__(self, a: int, label: tuple[int, ...]):
+        super().__init__(f"point not in the column-{a} chart: minor at {sorted(label)} vanishes")
+        self.a, self.label = a, label
+
+
+def _vanishing_chart_label(V: PointV, a: int) -> tuple[int, ...] | None:
+    """The first long label I'(a, i), i going up column a, whose minor vanishes; None on the chart."""
+    d = V.diagram
+    labels = (d.long_label(a, i) for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1))
+    return next((J for J in labels if V.delta(J) == 0), None)
+
+
 def in_U_a(V: PointV, a: int) -> bool:
     """True iff every column-a minor Delta_{I'(a, i)} is nonzero."""
-    d = V.diagram
-    return all(
-        V.delta(d.long_label(a, i)) != 0
-        for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1)
-    )
+    return _vanishing_chart_label(V, a) is None
 
 
 def chart_is_everything(d: SkewDiagram, a: int) -> bool:
@@ -141,10 +152,11 @@ class Cut:
 
     @classmethod
     def at(cls, V: PointV, a: int) -> "Cut":
-        """Checks the chart once and membership once per matrix (inside ``seed_at``)."""
+        """Checks the chart once (raising OffChart) and membership once per matrix (in ``seed_at``)."""
         d = V.diagram
-        if not in_U_a(V, a):
-            raise ValueError(f"point is outside the column-{a} chart")
+        label = _vanishing_chart_label(V, a)
+        if label is not None:
+            raise OffChart(a, label)
         seed = seed_at(V)
         left, right = left_point(V, a), right_point(V, a)
         A = {t: A_factor(V, a, t) for t in range(a + d.mu_bar[a], a + d.lambda_bar[a])}
@@ -214,7 +226,8 @@ def frozen_coverage(c: Cut) -> dict:
 def splice_report(V: PointV, a: int) -> dict:
     """Full verification report for one cut; every check must come back "pass".
 
-    Membership of both factors is certified by ``Cut.at``, which raises otherwise.
+    Membership of both factors is certified by ``Cut.at``, which raises otherwise;
+    it raises OffChart when V lies off the column-a chart.
     """
     c = Cut.at(V, a)
     minors = verify_minor_scaling(c)

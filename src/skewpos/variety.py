@@ -9,16 +9,20 @@ torus coordinates) and back, exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import BoxRef, SkewDiagram
+from .diagram import BoxRef, InvariantError, SkewDiagram
 from .linalg import (
     FlagK,
     RatMatrix,
     Subspace,
     Vector,
     _echelon,
+    _extend,
+    _primitive,
+    _reduce,
+    det,
     minor,
     rat_from_str,
     rat_to_str,
@@ -75,7 +79,7 @@ class PointV:
 
     def delta(self, J) -> Fraction:
         """Signed minor in the listed column order (cyclic indices allowed)."""
-        return minor(RatMatrix.from_columns([self.column(t) for t in J]), range(1, self.diagram.k + 1))
+        return det([self.column(t) for t in J])
 
     def subspace(self, a: int, i: int) -> Subspace:
         """V(a, i) = span of the short-label columns of box (a, i)."""
@@ -124,22 +128,26 @@ class PointV:
 
 
 def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
-    """f(i) = min{ j >= i : v_i in span(v_{i+1}, .., v_j) }, cyclic columns."""
+    """f(i) = min{ j >= i : v_i in span(v_{i+1}, .., v_j) }, cyclic columns.
+
+    For each i the columns v_{i+1}, v_{i+2}, .. join the pivot rows one at a
+    time, and v_i's residual is reduced against each new row only.  The sign of
+    v_{t+n} = (-1)^{k-1} v_t changes no span, so the columns are used unsigned.
+    """
     k, n = M.nrows, M.ncols
     if M.rank() != k:
         raise ValueError("rank-deficient matrix")
+    cols = [_primitive(c) for c in M.columns()]
     window = []
     for i in range(1, n + 1):
-        vi = _cyclic_column(M, i)
-        span = Subspace.zero(k)
-        j = i
-        while True:
-            if span.contains_vector(vi):
-                break
+        pivots: list = []
+        residual, j = cols[i - 1], i
+        while any(residual):
+            if j == i + n:  # pragma: no cover - at full rank the n columns span Q^k
+                raise InvariantError("cyclic span never captured the column")
+            if _extend(pivots, cols[j % n]):
+                residual = _reduce(pivots[-1:], residual)
             j += 1
-            if j > i + n:  # pragma: no cover - impossible at full rank
-                raise AssertionError("cyclic span never captured the column")
-            span = span.add(Subspace.span(k, [_cyclic_column(M, j)]))
         window.append(j)
     return BoundedAffinePermutation(n, k, tuple(window))
 
@@ -161,14 +169,13 @@ def necklace_of_point(M: RatMatrix) -> GrassmannNecklace:
     k, n = M.nrows, M.ncols
     if M.rank() != k:
         raise ValueError("rank-deficient matrix")
+    cols = [_primitive(c) for c in M.columns()]
     entries = []
     for i in range(1, n + 1):
-        span = Subspace.zero(k)
+        pivots: list = []
         chosen: list[int] = []
         for t in _gale_descending(i, n):
-            cand = span.add(Subspace.span(k, [M.column(t)]))
-            if cand.dim > span.dim:
-                span = cand
+            if _extend(pivots, cols[t - 1]):
                 chosen.append(t)
                 if len(chosen) == k:
                     break
@@ -219,7 +226,7 @@ def _normalize_r1(V: PointV) -> PointV:
             continue
         t0 = a + d.mu_bar[a]
         J = d.long_label(a, d.lambda_bar[a])
-        val = minor(RatMatrix.from_columns([cols[t] for t in J]), range(1, d.k + 1))
+        val = det([cols[t] for t in J])
         cols[t0] = vec_scale(1 / val, cols[t0])
     return PointV(d, RatMatrix.from_columns([cols[t] for t in range(1, d.n + 1)]), V.seed)
 
@@ -242,18 +249,24 @@ class BraidLabeling:
     boundary_basis: tuple[Vector, ...]
     right_flag: FlagK
     torus: tuple[tuple[BoxRef, Fraction], ...]
+    _region: dict = field(init=False, repr=False, compare=False)
+    _torus: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_region", {(box.a, box.i): S for box, S in self.regions})
+        object.__setattr__(self, "_torus", {box.a: c for box, c in self.torus})
 
     def region(self, a: int, i: int) -> Subspace:
-        for box, S in self.regions:
-            if (box.a, box.i) == (a, i):
-                return S
-        raise KeyError(f"no region for box ({a},{i})")
+        try:
+            return self._region[(a, i)]
+        except KeyError:
+            raise KeyError(f"no region for box ({a},{i})") from None
 
     def torus_value(self, a: int) -> Fraction:
-        for box, c in self.torus:
-            if box.a == a:
-                return c
-        raise KeyError(f"no torus coordinate for column {a}")
+        try:
+            return self._torus[a]
+        except KeyError:
+            raise KeyError(f"no torus coordinate for column {a}") from None
 
     def with_torus(self, a: int, value: Fraction) -> "BraidLabeling":
         if value == 0:
@@ -279,38 +292,46 @@ def omega(V: PointV) -> BraidLabeling:
 
 
 def check_labeling(L: BraidLabeling) -> None:
-    """Region conditions of the braid diagram; raises AssertionError on violation."""
+    """Region conditions of the braid diagram; raises InvariantError on violation."""
     d = L.diagram
-    region = {(box.a, box.i): S for box, S in L.regions}
+    region = L._region
     ribbon = {(box.a, box.i) for box in d.ribbon().R}
     for (a, i), S in region.items():
-        assert S.dim == i, f"dim V({a},{i}) = {S.dim} != {i}"
+        if S.dim != i:
+            raise InvariantError(f"dim V({a},{i}) = {S.dim} != {i}")
     for (a, i), S in region.items():
-        if (a, i + 1) in region:
-            assert region[(a, i + 1)].contains(S), f"V({a},{i}) not in V({a},{i+1})"
+        if (a, i + 1) in region and not region[(a, i + 1)].contains(S):
+            raise InvariantError(f"V({a},{i}) not in V({a},{i+1})")
         if (a + 1, i) in region and (a, i + 1) in region:
-            assert region[(a, i + 1)].contains(region[(a + 1, i)])
+            if not region[(a, i + 1)].contains(region[(a + 1, i)]):
+                raise InvariantError(f"V({a+1},{i}) not in V({a},{i+1})")
         if (a + 1, i) in region:
-            if (a, i) in ribbon and (a + 1, i) in ribbon:
-                assert S == region[(a + 1, i)], f"ribbon equality fails at ({a},{i})"
-            if (a, i) not in ribbon:
-                assert S != region[(a + 1, i)], f"non-ribbon inequality fails at ({a},{i})"
+            if (a, i) in ribbon and (a + 1, i) in ribbon and S != region[(a + 1, i)]:
+                raise InvariantError(f"ribbon equality fails at ({a},{i})")
+            if (a, i) not in ribbon and S == region[(a + 1, i)]:
+                raise InvariantError(f"non-ribbon inequality fails at ({a},{i})")
     k = d.k
     boundary = L.boundary_basis
-    assert len(boundary) == k
+    if len(boundary) != k:
+        raise InvariantError(f"boundary framing has {len(boundary)} vectors, not {k}")
     w_op = [Subspace.span(k, boundary[:j]) for j in range(k + 1)]
-    assert w_op[k].dim == k, "boundary framing is not a basis"
+    if w_op[k].dim != k:
+        raise InvariantError("boundary framing is not a basis")
     for a in range(1, d.n - d.k + 1):
         for i in range(1, d.mu_bar[a] + 1):
             # the boundary conditions live at the crossing above, so they apply
             # only when the box (a-1, i+1) is part of the diagram
             if d.contains_box(a - 1, i) and (a - 1, i + 1) in region:
-                assert region[(a - 1, i + 1)].contains(w_op[i])
-                assert w_op[i] != region[(a - 1, i)], f"W^op_{i} = V({a-1},{i})"
+                if not region[(a - 1, i + 1)].contains(w_op[i]):
+                    raise InvariantError(f"W^op_{i} not in V({a-1},{i+1})")
+                if w_op[i] == region[(a - 1, i)]:
+                    raise InvariantError(f"W^op_{i} = V({a-1},{i})")
     flag_w = FlagK.from_columns(list(reversed(boundary)))
-    assert transversal(L.right_flag, flag_w), "right flag not transversal to F^W"
+    if not transversal(L.right_flag, flag_w):
+        raise InvariantError("right flag not transversal to F^W")
     for box, c in L.torus:
-        assert c != 0, f"torus coordinate at column {box.a} vanishes"
+        if c == 0:
+            raise InvariantError(f"torus coordinate at column {box.a} vanishes")
 
 
 def xi(L: BraidLabeling) -> PointV:
@@ -332,9 +353,7 @@ def xi(L: BraidLabeling) -> PointV:
             raise ValueError(f"intersection at column {a} is {line.dim}-dimensional")
         z = line.basis[0]
         J = d.long_label(a, d.lambda_bar[a])
-        current = minor(
-            RatMatrix.from_columns([z if t == t0 else cols[t] for t in J]), range(1, k + 1)
-        )
+        current = det([z if t == t0 else cols[t] for t in J])
         if current == 0:
             raise ValueError(f"pinning minor vanishes at column {a}; labeling invalid")
         cols[t0] = vec_scale(L.torus_value(a) / current, z)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -71,6 +72,98 @@ def necklace_entry_exhaustive(M, i: int) -> tuple[int, ...]:
     if not all(all(a <= b for a, b in zip(key, best)) for key in keyed):
         raise AssertionError("no Gale maximum among nonvanishing subsets")
     return tuple(sorted((p + start - 1) % n + 1 for p in best))
+
+
+# -- oracles: the from-scratch Fraction eliminations the integer kernel replaced ---------
+
+
+def echelon_oracle(rows) -> list[list[Fraction]]:
+    """Reduced row echelon form by Gauss-Jordan over Fraction; returns the nonzero rows."""
+    rows = [[Fraction(e) for e in r] for r in rows]
+    m = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [e / inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+def det_oracle(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction."""
+    n = len(rows)
+    m = [[Fraction(e) for e in r] for r in rows]
+    sign, result = 1, Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv = m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] != 0:
+                factor = m[r][c] / inv
+                for cc in range(c, n):
+                    m[r][cc] -= factor * m[c][cc]
+    return sign * result
+
+
+def contains_vector_oracle(basis, v) -> bool:
+    """v lies in the span of basis iff appending it and re-echelonning keeps the dimension."""
+    return len(echelon_oracle(list(basis) + [v])) == len(echelon_oracle(basis))
+
+
+def intersect_oracle(ambient: int, A, B) -> list[list[Fraction]]:
+    """RREF basis of span(A) ^ span(B), from the nullspace of [A^T | -B^T]."""
+    A, B = echelon_oracle(A), echelon_oracle(B)
+    if not A or not B:
+        return []
+    system = [[a[r] for a in A] + [-b[r] for b in B] for r in range(ambient)]
+    red = echelon_oracle(system)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in red]
+    vectors = []
+    for fc in (c for c in range(len(A) + len(B)) if c not in pivots):
+        coeffs = [Fraction(0)] * (len(A) + len(B))
+        coeffs[fc] = Fraction(1)
+        for r, pc in zip(red, pivots):
+            coeffs[pc] = -r[fc]
+        vectors.append([sum(coeffs[j] * A[j][t] for j in range(len(A))) for t in range(ambient)])
+    return echelon_oracle(vectors)
+
+
+def f_of_point_oracle(M) -> tuple[int, ...]:
+    """Window of f(i) = min{j >= i : v_i in span(v_{i+1..j})}, re-echelonning for every j.
+
+    Uses the signed cyclic columns v_{t+n} = (-1)^{k-1} v_t.
+    """
+    k, n = M.nrows, M.ncols
+    if len(echelon_oracle(M.rows)) != k:
+        raise ValueError("rank-deficient matrix")
+
+    def column(t):
+        q, r = divmod(t - 1, n)
+        v = M.column(r + 1)
+        return v if q * (k - 1) % 2 == 0 else tuple(-x for x in v)
+
+    window = []
+    for i in range(1, n + 1):
+        span, j = [], i
+        while not contains_vector_oracle(span, column(i)):
+            j += 1
+            span.append(column(j))
+        window.append(j)
+    return tuple(window)
 
 
 @st.composite

@@ -86,7 +86,7 @@ class TestSplice:
         code, _, err = run(capsys, "splice", "--diagram", INTRO, "--point", str(pfile),
                            "--column", "5")
         assert code == 1
-        assert "minor at [5, 6, 10, 11, 12] vanishes" in err
+        assert err == "point not in the column-5 chart: minor at [5, 6, 10, 11, 12] vanishes\n"
 
     def test_point_diagram_mismatch(self, capsys, tmp_path):
         out = tmp_path / "p.json"

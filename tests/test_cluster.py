@@ -81,6 +81,15 @@ class TestSeed:
         for b in running.ribbon().R1:
             assert s.value(b) == 1
 
+    def test_value_lookup_stays_out_of_eq_hash_and_repr(self, running):
+        s = seed_at(sample(running, seed=3))
+        t = Seed(s.quiver, s.values)
+        assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+        assert "_value" not in repr(s)
+        assert all(s.value(b) is x for b, x in s.values)
+        with pytest.raises(KeyError):
+            s.value(BoxRef(99, 1))
+
     def test_values_are_ascending_minors(self, running):
         V = sample(running, seed=5)
         s = seed_at(V)

@@ -1,4 +1,4 @@
-"""Guards for the compute-once splicing and trip pipelines.
+"""Guards for the compute-once splicing and trip pipelines and the integer kernel.
 
 The digests were recorded before the pipelines were restructured: the reports
 and the verify output must stay byte-identical.  The count tests pin how often
@@ -6,15 +6,18 @@ the expensive invariants run.
 """
 
 import hashlib
+import inspect
 import json
 import sys
 from collections import Counter
 
 import pytest
 
-from skewpos import Cut, sample, splice_report
+from skewpos import Cut, Partition, SkewDiagram, sample, splice_report
 from skewpos.cli import main
+from skewpos.linalg import Subspace, _echelon
 from skewpos.plabic import trip, trips_json, verify_trips
+from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import membership
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -30,6 +33,8 @@ INTRO_SEED16_REPORTS = {
 
 # sha256 of the standard output of `skewpos verify --trials 5 --seed 1`
 VERIFY_TRIALS5_SEED1 = "64570c6c2f86f68e71c9d887d8c13cb8bb2145952bc8293770bced8f441bd45a"
+# the same for `--trials 30 --seed 1`, the fingerprint the benchmark also checks
+VERIFY_TRIALS30_SEED1 = "781622fb18673edc7c67b63952fc8f454e5840947b00ae40a90a40e55873bff7"
 
 
 def sha256(text: str) -> str:
@@ -47,6 +52,11 @@ def test_verify_output_byte_identical(capsys):
     assert sha256(capsys.readouterr().out) == VERIFY_TRIALS5_SEED1
 
 
+def test_verify_fingerprint_byte_identical(capsys):
+    assert main(["verify", "--trials", "30", "--seed", "1"]) == 0
+    assert sha256(capsys.readouterr().out) == VERIFY_TRIALS30_SEED1
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Replace every binding of a function in the package by a call-recording wrapper."""
@@ -59,6 +69,9 @@ def counted(monkeypatch):
             calls.append(args)
             return fn(*args)
 
+        if inspect.ismethod(fn):  # a classmethod: replace it on its class
+            monkeypatch.setattr(fn.__self__, fn.__name__, staticmethod(counting))
+            return calls
         for mod in modules:
             for attr, obj in list(vars(mod).items()):
                 if obj is fn:
@@ -88,3 +101,28 @@ def test_one_trip_per_boundary_edge(counted, fixture, request):
     calls.clear()
     trips_json(d)
     assert sorted(i for _, i in calls) == list(range(1, d.n + 1))
+
+
+def staircase(n: int) -> SkewDiagram:
+    """k = (3n + 7) // 8 and, with w = n - k, lambda_j = max(w - j, 1), mu_j = max(w - j - 3, 0)."""
+    k = (3 * n + 7) // 8
+    w = n - k
+    lam = tuple(max(w - j, 1) for j in range(1, k + 1))
+    return SkewDiagram(n, k, Partition(lam), Partition(tuple(max(w - j - 3, 0) for j in range(1, k + 1))))
+
+
+def test_membership_runs_no_echelon(counted):
+    d = staircase(32)
+    V = sample(d, seed=1)
+    echelons, spans = counted(_echelon), counted(Subspace.span)
+    assert membership(V.matrix, d)
+    assert echelons == [] and spans == []
+    Subspace.span(d.k, [V.column(1)])  # the wrappers do see a call
+    assert len(echelons) == 1 and len(spans) == 1
+
+
+def test_verify_evaluates_each_chart_once(counted):
+    charts, in_chart = counted(_vanishing_chart_label), counted(in_U_a)
+    assert main(["verify", "--trials", "3", "--seed", "1"]) == 0
+    assert charts and max(Counter((V.matrix, a) for V, a in charts).values()) == 1
+    assert in_chart == []

@@ -1,0 +1,140 @@
+"""The integer elimination kernel against the Fraction eliminations it replaced.
+
+The oracles in conftest are the from-scratch Gauss-Jordan routines the package
+used before: reduced echelon forms, determinants, membership of a vector in a
+span, intersections and the cyclic rank function f of a point.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewpos import f_of_point
+from skewpos.linalg import RatMatrix, Subspace, det, minor
+
+from conftest import (
+    contains_vector_oracle,
+    det_oracle,
+    echelon_oracle,
+    f_of_point_oracle,
+    intersect_oracle,
+)
+
+INTEGERS = st.integers(-9, 9).map(Fraction)
+WIDE = st.integers(-(2**80), 2**80).map(Fraction)  # sampled points carry 41-82-bit entries
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def column_lists(draw, k, m, entries):
+    """m columns of length k; some are zero, some repeat an earlier column."""
+    cols = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            cols.append((Fraction(0),) * k)
+        elif kind == "repeat" and cols:
+            cols.append(draw(st.sampled_from(cols)))
+        else:
+            cols.append(tuple(draw(st.lists(entries, min_size=k, max_size=k))))
+    return cols
+
+
+@st.composite
+def matrices(draw, max_k=5, max_n=9, square=False):
+    """Integer or rational k x n matrices, also of low rank (a product through rank r < k)."""
+    entries = draw(st.sampled_from([INTEGERS, WIDE, RATIONALS]))
+    k = draw(st.integers(1, max_k))
+    n = k if square else draw(st.integers(k, max_n))
+    if draw(st.booleans()):
+        cols = draw(column_lists(k, n, entries))
+    else:
+        r = draw(st.integers(0, k - 1))
+        left = draw(column_lists(k, r, entries))
+        coeffs = draw(column_lists(r, n, INTEGERS))
+        cols = [tuple(sum((c[j] * left[j][t] for j in range(r)), Fraction(0)) for t in range(k))
+                for c in coeffs]
+    return RatMatrix.from_columns(cols)
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_oracle(M):
+    assert M.rank() == len(echelon_oracle(M.rows))
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_f_of_point_matches_oracle(M):
+    try:
+        want = f_of_point_oracle(M)
+    except ValueError as exc:
+        assert str(exc) == "rank-deficient matrix"
+        with pytest.raises(ValueError, match="rank-deficient matrix"):
+            f_of_point(M)
+    else:
+        assert f_of_point(M).window == want
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_f_of_point_even_k(k):
+    """Even k: the cyclic columns change sign, which the kernel ignores and the oracle keeps."""
+    rng = random.Random(k)
+    for _ in range(20):
+        cols = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(k + 4)]
+        M = RatMatrix.from_columns(cols)
+        if M.rank() == k:
+            assert f_of_point(M).window == f_of_point_oracle(M)
+
+
+@given(matrices(square=True))
+@settings(max_examples=150, deadline=None)
+def test_det_matches_oracle(M):
+    rows = [list(r) for r in M.rows]
+    assert det(rows) == det_oracle(rows)
+    assert minor(M, range(1, M.ncols + 1)) == det_oracle(rows)
+
+
+@pytest.mark.parametrize("rows, value", [
+    ([[Fraction(7, 3)]], Fraction(7, 3)),
+    ([[Fraction(0)]], 0),
+    ([[1, 2], [2, 4]], 0),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]], 0),
+    ([[0, 1], [1, 0]], -1),
+])
+def test_det_small_and_singular(rows, value):
+    assert det(rows) == det_oracle(rows) == value
+
+
+def test_det_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="non-square"):
+        det([[1, 2]])
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_span_is_the_oracle_echelon_form(M):
+    S = Subspace.span(M.nrows, M.columns())
+    assert [list(b) for b in S.basis] == echelon_oracle(M.columns())
+
+
+@given(matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_contains_vector_matches_oracle(M, data):
+    cols = M.columns()
+    S = Subspace.span(M.nrows, cols[:-1])
+    v = data.draw(st.sampled_from([cols[-1], cols[0], (Fraction(0),) * M.nrows]))
+    assert S.contains_vector(v) == contains_vector_oracle(cols[:-1], v)
+
+
+@given(matrices(), st.integers(0, 9))
+@settings(max_examples=100, deadline=None)
+def test_add_and_intersect_match_oracle(M, split):
+    k, cols = M.nrows, M.columns()
+    A, B = cols[:split], cols[split:]
+    SA, SB = Subspace.span(k, A), Subspace.span(k, B)
+    assert [list(b) for b in SA.add(SB).basis] == echelon_oracle(cols)
+    assert [list(b) for b in SA.intersect(SB).basis] == intersect_oracle(k, A, B)

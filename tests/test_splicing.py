@@ -7,6 +7,7 @@ from skewpos import (
     A_factor,
     BoxRef,
     Cut,
+    OffChart,
     Partition,
     SkewDiagram,
     beta,
@@ -306,7 +307,12 @@ class TestFullChart:
 
         W = intro_off_chart_point()
         assert not in_U_a(W, 5)
-        with pytest.raises(ValueError, match="chart"):
+        with pytest.raises(OffChart, match="chart") as info:
             Cut.at(W, 5)
+        d = W.diagram
+        first = next(i for i in range(d.mu_bar[5] + 1, d.lambda_bar[5] + 1)
+                     if W.delta(d.long_label(5, i)) == 0)
+        assert isinstance(info.value, ValueError)
+        assert (info.value.a, info.value.label) == (5, d.long_label(5, first))
         with pytest.raises(ValueError, match="chart"):
             phi(W, 5)

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import skewpos
 from skewpos import (
+    InvariantError,
     Partition,
     SkewDiagram,
     baf,
@@ -17,7 +23,8 @@ from skewpos import (
     xi,
 )
 from skewpos.linalg import RatMatrix, unit_vector, vec_scale, zero_vector
-from skewpos.variety import PointV, _normalize_r1
+from skewpos.linalg import Subspace
+from skewpos.variety import BraidLabeling, PointV, _normalize_r1, check_labeling
 
 from conftest import necklace_entry_exhaustive, skew_diagrams
 
@@ -189,6 +196,46 @@ class TestOmega:
     def test_torus_values_nonzero(self, running):
         L = omega(sample(running, seed=15))
         assert all(c != 0 for _, c in L.torus)
+
+    def test_zero_regions_rejected(self, running):
+        L = omega(sample(running, seed=13))
+        Z = BraidLabeling(running, tuple((box, Subspace.zero(running.k)) for box, _ in L.regions),
+                          L.boundary_basis, L.right_flag, L.torus)
+        with pytest.raises(InvariantError, match="dim V"):
+            check_labeling(Z)
+
+    def test_zero_regions_rejected_under_optimize(self):
+        """``python -O`` strips assert statements; the region checks must still run."""
+        script = (
+            "from skewpos import InvariantError, Partition, SkewDiagram, omega, sample\n"
+            "from skewpos.linalg import Subspace\n"
+            "from skewpos.variety import BraidLabeling, check_labeling\n"
+            "d = SkewDiagram(12, 5, Partition((7, 7, 5, 3, 1)), Partition((3, 3, 2)))\n"
+            "L = omega(sample(d, seed=13))\n"
+            "Z = BraidLabeling(d, tuple((b, Subspace.zero(d.k)) for b, _ in L.regions),\n"
+            "                  L.boundary_basis, L.right_flag, L.torus)\n"
+            "try:\n"
+            "    check_labeling(Z)\n"
+            "    print(__debug__, 'accepted')\n"
+            "except InvariantError as exc:\n"
+            "    print(__debug__, 'rejected:', exc)\n"
+        )
+        src = Path(skewpos.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out.startswith("False rejected: dim V("), out
+
+    def test_lookups_stay_out_of_eq_hash_and_repr(self, running):
+        L = omega(sample(running, seed=13))
+        M = BraidLabeling(L.diagram, L.regions, L.boundary_basis, L.right_flag, L.torus)
+        assert L == M and hash(L) == hash(M) and repr(L) == repr(M)
+        assert "_region" not in repr(L) and "_torus" not in repr(L)
+        box = L.regions[3][0]
+        assert L.region(box.a, box.i) is L.regions[3][1]
+        with pytest.raises(KeyError, match="no region"):
+            L.region(99, 1)
+        with pytest.raises(KeyError, match="no torus"):
+            L.torus_value(99)
 
     def test_v_in_W(self, running):
         V = sample(running, seed=16)
