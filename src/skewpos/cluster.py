@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import BoxRef, SkewDiagram
+from .diagram import BoxRef, InvariantError, SkewDiagram
 from .variety import PointV, membership
 
 Arrow = tuple[BoxRef, BoxRef]
@@ -95,7 +95,7 @@ def seed_at(V: PointV) -> Seed:
     for b in q.vertices:
         x = V.delta(tuple(sorted(d.long_label(b.a, b.i))))
         if b in q.frozen and x == 0:
-            raise AssertionError(f"frozen value vanishes at {b}")
+            raise InvariantError(f"frozen value vanishes at {b}")
         values.append((b, x))
     return Seed(q, tuple(values))
 

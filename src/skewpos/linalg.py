@@ -232,20 +232,6 @@ class Subspace:
         return Subspace(k, tuple(map(tuple, _echelon(p[k:] for c, p in pivots if c >= k))))
 
 
-def solve_columns(columns: list[Vector], target: Vector) -> list[Fraction]:
-    """Coefficients c with target = sum c_j * columns[j]; raises if unsolvable or dependent."""
-    k = len(target)
-    m = len(columns)
-    aug = [[columns[j][r] for j in range(m)] + [target[r]] for r in range(k)]
-    red = _echelon(aug)
-    pivots = [next(c for c, x in enumerate(r) if x) for r in red]
-    if m in pivots:
-        raise ValueError("target not in the span of the given columns")
-    if len(pivots) < m:
-        raise ValueError("given columns are linearly dependent")
-    return [r[m] for r in red]  # the pivots are the columns 0..m-1, in order
-
-
 @dataclass(frozen=True)
 class FlagK:
     """Complete flag F_1 c F_2 c ... c F_k = Q^k."""
@@ -309,6 +295,3 @@ def rat_to_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)

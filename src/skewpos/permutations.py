@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Partition, SkewDiagram
+from .diagram import InvariantError, Partition, SkewDiagram
 
 
 # -- plain symmetric-group helpers -----------------------------------------------
@@ -231,7 +231,7 @@ def w_skew(d: SkewDiagram) -> PermWord:
         word.extend(range(a + d.mu_bar[a], a + d.lambda_bar[a]))
     w = PermWord(perm, tuple(word))
     if w.length() != d.size() or wm.length() != w.length() + wl.length():
-        raise AssertionError("length-additive factorization failed")
+        raise InvariantError("length-additive factorization failed")
     return w
 
 

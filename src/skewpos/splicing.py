@@ -2,10 +2,10 @@
 
 On the open chart where the column-a minors are nonzero, a point V maps to a
 pair (V_left, V_right) of points on the two diagrams obtained by cutting along
-column a.  The left factor reuses columns of V; the right factor intersects the
-flag at the cut with the opposite flag of the boundary basis and is triangular
-over V with explicit rational scaling factors, which is what the verification
-suite checks exactly.
+column a.  The left factor reuses columns of V; the right factor reads the
+intersections of the flag at the cut with the opposite flag of the boundary
+basis off one echelon form and is triangular over V with explicit rational
+scaling factors, which is what the verification suite checks exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cluster import Seed, exchange_products, seed_at
-from .diagram import BoxRef, SkewDiagram
-from .linalg import FlagK, RatMatrix, Subspace, solve_columns, transversal, vec_scale
+from .diagram import BoxRef, InvariantError, SkewDiagram
+from .linalg import FlagK, RatMatrix, Subspace
 from .variety import PointV, membership  # noqa: F401 - perfbench/tests reads this binding
 
 
@@ -80,10 +80,12 @@ def left_point(V: PointV, a: int) -> PointV:
 def right_point(V: PointV, a: int) -> PointV:
     """Right factor, expressed in the frame of V (same frame as the scaling identities).
 
-    Boundary columns are the normalized vectors of the pairwise intersections
-    of the cut flag with the opposite flag of the b-columns; interior columns
-    are copied from V.  V must lie on the column-a chart; ``Cut.at`` checks
-    that and the factor's membership.
+    In the frame v_{b_j} = e_j of ``V.regauged()`` the opposite boundary flag is
+    W_j = span(e_{k-j+1}, .., e_k), so the cut flag F is transversal to it iff each
+    RREF basis of F_i has its pivots at 1..i.  The last row z then spans
+    F_i ^ W_{k-i+1} with z_i = 1, and the boundary column at level i is
+    sum_{j>=i} z_j v_{b_j}.  Interior columns are copied from V.  V must lie on
+    the column-a chart; ``Cut.at`` checks that and the factor's membership.
     """
     d = V.diagram
     k = d.k
@@ -93,20 +95,15 @@ def right_point(V: PointV, a: int) -> PointV:
         a + i - 1 for i in range(mu_bar + 1, k + 1)
     )
     if right.I_mu() != I_mu_right:
-        raise AssertionError("cut boundary labels disagree with the right diagram")
-    F = flag_at_cut(V, a)
-    if not transversal(F, V.flag_W()):
-        raise AssertionError("cut flag not transversal to the opposite boundary flag")
+        raise InvariantError("cut boundary labels disagree with the right diagram")
+    F = flag_at_cut(V.regauged(), a)
+    B = [V.column(d.b(j)) for j in range(1, k + 1)]
     cols: dict[int, tuple] = {}
     for i in range(1, k + 1):
-        line = F.step(i).intersect(V.W(k - i + 1))
-        if line.dim != 1:
-            raise AssertionError(f"cut intersection at level {i} is {line.dim}-dimensional")
-        z = line.basis[0]
-        coeffs = solve_columns([V.column(d.b(j)) for j in range(i, k + 1)], z)
-        if coeffs[0] == 0:
-            raise AssertionError(f"cut vector at level {i} has no leading boundary component")
-        cols[I_mu_right[i - 1]] = vec_scale(1 / coeffs[0], z)
+        z = F.step(i).basis[-1]
+        if z[i - 1] == 0:
+            raise InvariantError("cut flag not transversal to the opposite boundary flag")
+        cols[I_mu_right[i - 1]] = tuple(sum(z[j] * B[j][r] for j in range(i - 1, k)) for r in range(k))
     for ap in range(1, a):
         t = ap + d.mu_bar[ap]
         cols[t] = V.column(t)
@@ -128,7 +125,7 @@ def _factor_seed(side: str, W: PointV) -> Seed:
     try:
         return seed_at(W)
     except ValueError as exc:
-        raise AssertionError(f"{side} factor fails membership") from exc
+        raise InvariantError(f"{side} factor fails membership") from exc
 
 
 @dataclass(frozen=True)

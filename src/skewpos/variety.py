@@ -24,7 +24,6 @@ from .linalg import (
     _reduce,
     det,
     minor,
-    rat_from_str,
     rat_to_str,
     transversal,
     unit_vector,
@@ -59,19 +58,18 @@ class PointV:
 
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
-        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i."""
-        delta = minor(M, d.I_mu())
-        if delta == 0:
+        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i.
+
+        With the columns at I_mu moved first, the RREF of [B | rest] is B^-1 [B | rest]
+        exactly when B is invertible.
+        """
+        I_mu = d.I_mu()
+        order = list(I_mu) + [t for t in range(1, M.ncols + 1) if t not in I_mu]
+        red = _echelon([[row[t - 1] for t in order] for row in M.rows])
+        if len(red) < d.k or red[d.k - 1][d.k - 1] == 0:
             raise ValueError("columns at I_mu are dependent; not a point of the variety")
-        aug = [list(row) + [unit_vector(d.k, r + 1)[c] for c in range(d.k)]
-               for r, row in enumerate(zip(*(M.column(b) for b in d.I_mu())))]
-        red = _echelon(aug)
-        inv_rows = [r[d.k:] for r in red]
-        new_rows = [
-            tuple(sum(inv_rows[r][s] * M.rows[s][c] for s in range(d.k)) for c in range(M.ncols))
-            for r in range(d.k)
-        ]
-        return cls(d, RatMatrix(tuple(new_rows)), seed)
+        cols = dict(zip(order, zip(*red)))
+        return cls(d, RatMatrix.from_columns([cols[t] for t in range(1, M.ncols + 1)]), seed)
 
     def column(self, t: int) -> Vector:
         """Column t with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
@@ -85,23 +83,10 @@ class PointV:
         """V(a, i) = span of the short-label columns of box (a, i)."""
         return Subspace.span(self.diagram.k, [self.column(t) for t in self.diagram.short_label(a, i)])
 
-    def W(self, j: int) -> Subspace:
-        """W_j = span(v_{b_{k-j+1}}, ..., v_{b_k})."""
-        d = self.diagram
-        return Subspace.span(d.k, [self.column(d.b(t)) for t in range(d.k - j + 1, d.k + 1)])
-
     def W_op(self, j: int) -> Subspace:
         """W^op_j = span(v_{b_1}, ..., v_{b_j})."""
         d = self.diagram
         return Subspace.span(d.k, [self.column(d.b(t)) for t in range(1, j + 1)])
-
-    def flag_W(self) -> FlagK:
-        d = self.diagram
-        return FlagK.from_columns([self.column(d.b(t)) for t in range(d.k, 0, -1)])
-
-    def flag_W_op(self) -> FlagK:
-        d = self.diagram
-        return FlagK.from_columns([self.column(d.b(t)) for t in range(1, d.k + 1)])
 
     def regauged(self) -> "PointV":
         """Representative with v_{b_i} = e_i."""
@@ -117,7 +102,7 @@ class PointV:
     @classmethod
     def from_json(cls, obj: dict) -> "PointV":
         d = SkewDiagram.from_json(obj["diagram"])
-        M = RatMatrix(tuple(tuple(rat_from_str(e) for e in row) for row in obj["matrix"]))
+        M = RatMatrix(tuple(map(tuple, obj["matrix"])))
         p = cls(d, M, obj.get("seed"))
         if not membership(M, d):
             raise ValueError("deserialized point fails membership")
@@ -154,9 +139,13 @@ def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
 
 def membership(M: RatMatrix, d: SkewDiagram) -> bool:
     """True iff the matrix represents a point of the skew shaped positroid of d."""
-    if (M.nrows, M.ncols) != (d.k, d.n) or M.rank() != d.k:
+    if (M.nrows, M.ncols) != (d.k, d.n):
         return False
-    return f_of_point(M).window == baf(d).window
+    try:
+        f = f_of_point(M)
+    except ValueError:  # rank-deficient
+        return False
+    return f.window == baf(d).window
 
 
 def _gale_descending(i: int, n: int):

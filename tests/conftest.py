@@ -33,7 +33,7 @@ def intro_off_chart_point(seed_range=range(1, 40)):
     mutable minor at box (5, 2) vanishes while membership is preserved.
     """
     from skewpos import in_U_a, membership, sample
-    from skewpos.linalg import RatMatrix, solve_columns, vec_add, vec_scale, zero_vector
+    from skewpos.linalg import RatMatrix, vec_add, vec_scale, zero_vector
     from skewpos.variety import PointV
 
     d = SkewDiagram(12, 5, Partition((7, 7, 5, 3, 1)), Partition((3, 1)))
@@ -57,6 +57,38 @@ def intro_off_chart_point(seed_range=range(1, 40)):
             if not in_U_a(W, 5):
                 return W
     raise RuntimeError("no off-chart point found in the seed range")
+
+
+def solve_columns(columns, target) -> list[Fraction]:
+    """Coefficients c with target = sum c_j * columns[j]; raises if unsolvable or dependent."""
+    from skewpos.linalg import _echelon
+
+    k = len(target)
+    m = len(columns)
+    aug = [[columns[j][r] for j in range(m)] + [target[r]] for r in range(k)]
+    red = _echelon(aug)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in red]
+    if m in pivots:
+        raise ValueError("target not in the span of the given columns")
+    if len(pivots) < m:
+        raise ValueError("given columns are linearly dependent")
+    return [r[m] for r in red]  # the pivots are the columns 0..m-1, in order
+
+
+def W_span(V, j: int):
+    """W_j = span(v_{b_{k-j+1}}, ..., v_{b_k})."""
+    from skewpos.linalg import Subspace
+
+    d = V.diagram
+    return Subspace.span(d.k, [V.column(d.b(t)) for t in range(d.k - j + 1, d.k + 1)])
+
+
+def flag_W(V):
+    """The opposite boundary flag W_1 c W_2 c ... c W_k."""
+    from skewpos.linalg import FlagK
+
+    d = V.diagram
+    return FlagK.from_columns([V.column(d.b(t)) for t in range(d.k, 0, -1)])
 
 
 def necklace_entry_exhaustive(M, i: int) -> tuple[int, ...]:
@@ -164,6 +196,62 @@ def f_of_point_oracle(M) -> tuple[int, ...]:
             span.append(column(j))
         window.append(j)
     return tuple(window)
+
+
+# -- oracles: the flag, intersection and solve pipeline the echelon read-off replaced ----
+
+
+def from_matrix_oracle(d, M, seed=None):
+    """Re-gauge to v_{b_i} = e_i by inverting B = M[:, I_mu] and multiplying out B^-1 M."""
+    from skewpos.linalg import RatMatrix, unit_vector
+    from skewpos.variety import PointV
+
+    if minor(M, d.I_mu()) == 0:
+        raise ValueError("columns at I_mu are dependent; not a point of the variety")
+    aug = [list(row) + [unit_vector(d.k, r + 1)[c] for c in range(d.k)]
+           for r, row in enumerate(zip(*(M.column(b) for b in d.I_mu())))]
+    inv_rows = [r[d.k:] for r in echelon_oracle(aug)]
+    new_rows = [
+        tuple(sum(inv_rows[r][s] * M.rows[s][c] for s in range(d.k)) for c in range(M.ncols))
+        for r in range(d.k)
+    ]
+    return PointV(d, RatMatrix(tuple(new_rows)), seed)
+
+
+def right_point_oracle(V, a: int):
+    """Right factor from the cut flag: a transversality test against the opposite boundary
+    flag, then F_i ^ W_{k-i+1} by intersection, normalised by solving for its v_{b_i} part."""
+    from skewpos.linalg import RatMatrix, transversal, vec_scale
+    from skewpos.splicing import flag_at_cut
+    from skewpos.variety import PointV
+
+    d = V.diagram
+    k = d.k
+    right = d.cut(a)[1]
+    mu_bar = d.mu_bar[a]
+    I_mu_right = tuple(d.b(i) for i in range(1, mu_bar + 1)) + tuple(
+        a + i - 1 for i in range(mu_bar + 1, k + 1)
+    )
+    if right.I_mu() != I_mu_right:
+        raise AssertionError("cut boundary labels disagree with the right diagram")
+    F = flag_at_cut(V, a)
+    if not transversal(F, flag_W(V)):
+        raise AssertionError("cut flag not transversal to the opposite boundary flag")
+    cols = {}
+    for i in range(1, k + 1):
+        line = F.step(i).intersect(W_span(V, k - i + 1))
+        if line.dim != 1:
+            raise AssertionError(f"cut intersection at level {i} is {line.dim}-dimensional")
+        z = line.basis[0]
+        coeffs = solve_columns([V.column(d.b(j)) for j in range(i, k + 1)], z)
+        if coeffs[0] == 0:
+            raise AssertionError(f"cut vector at level {i} has no leading boundary component")
+        cols[I_mu_right[i - 1]] = vec_scale(1 / coeffs[0], z)
+    for ap in range(1, a):
+        t = ap + d.mu_bar[ap]
+        cols[t] = V.column(t)
+    M = RatMatrix.from_columns([cols[t] for t in range(1, k + a)])
+    return PointV(right, M, V.seed)
 
 
 @st.composite

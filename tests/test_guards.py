@@ -2,20 +2,24 @@
 
 The digests were recorded before the pipelines were restructured: the reports
 and the verify output must stay byte-identical.  The count tests pin how often
-the expensive invariants run.
+the expensive invariants run, and a source check keeps every invariant an
+explicit raise that also runs under ``python -O``.
 """
 
+import ast
 import hashlib
 import inspect
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from skewpos import Cut, Partition, SkewDiagram, sample, splice_report
+import skewpos
+from skewpos import Cut, Partition, SkewDiagram, right_point, sample, splice_report
 from skewpos.cli import main
-from skewpos.linalg import Subspace, _echelon
+from skewpos.linalg import Subspace, _echelon, transversal
 from skewpos.plabic import trip, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import membership
@@ -72,10 +76,12 @@ def counted(monkeypatch):
         if inspect.ismethod(fn):  # a classmethod: replace it on its class
             monkeypatch.setattr(fn.__self__, fn.__name__, staticmethod(counting))
             return calls
-        for mod in modules:
-            for attr, obj in list(vars(mod).items()):
+        # module bindings, and the class attribute of a method
+        owners = modules + [c for m in modules for c in vars(m).values() if isinstance(c, type)]
+        for owner in owners:
+            for attr, obj in list(vars(owner).items()):
                 if obj is fn:
-                    monkeypatch.setattr(mod, attr, counting)
+                    monkeypatch.setattr(owner, attr, counting)
         return calls
 
     return wrap
@@ -126,3 +132,25 @@ def test_verify_evaluates_each_chart_once(counted):
     assert main(["verify", "--trials", "3", "--seed", "1"]) == 0
     assert charts and max(Counter((V.matrix, a) for V, a in charts).values()) == 1
     assert in_chart == []
+
+
+def test_right_point_runs_no_intersection(counted, intro):
+    V = sample(intro, seed=16)
+    intersections, tests = counted(Subspace.intersect), counted(transversal)
+    right_point(V, 6)
+    assert intersections == [] and tests == []
+    V.W_op(1).intersect(V.W_op(2))  # the wrapper does see a call
+    assert len(intersections) == 1
+
+
+def test_src_has_no_assert():
+    """``assert`` vanishes under ``python -O``; invariants raise InvariantError instead."""
+    found = []
+    for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewpos import (
     A_factor,
@@ -28,7 +32,17 @@ from skewpos import (
     verify_minor_scaling,
 )
 from skewpos.cli import random_diagram, subseed
-from skewpos.linalg import Subspace, det, vec_add, vec_scale, vec_sub
+from skewpos.linalg import RatMatrix, Subspace, det, vec_add, vec_scale, vec_sub
+from skewpos.variety import PointV
+
+from conftest import (
+    W_span,
+    flag_W,
+    from_matrix_oracle,
+    intro_off_chart_point,
+    right_point_oracle,
+    skew_diagrams,
+)
 
 
 def random_chart_triples(count, base_seed=0, max_n=10):
@@ -79,7 +93,7 @@ class TestFlagAtCut:
         for seed in range(4, 10):
             V = sample(running, seed=seed)
             for a in range(1, 8):
-                assert in_U_a(V, a) == transversal(flag_at_cut(V, a), V.flag_W())
+                assert in_U_a(V, a) == transversal(flag_at_cut(V, a), flag_W(V))
 
     def test_boundary_column(self, running):
         V = sample(running, seed=5)
@@ -92,11 +106,11 @@ class TestFlagAtCut:
             d = random_diagram(rng, max_n=9)
             V = sample(d, seed=subseed(41, "pt", t))
             for a in range(1, d.n - d.k + 1):
-                assert in_U_a(V, a) == transversal(flag_at_cut(V, a), V.flag_W())
+                assert in_U_a(V, a) == transversal(flag_at_cut(V, a), flag_W(V))
 
     def test_intersection_dimension_running(self, running):
         V = sample(running, seed=30)
-        inter = V.subspace(6, 4).intersect(V.W(2))
+        inter = V.subspace(6, 4).intersect(W_span(V, 2))
         assert inter.dim == 1
         assert inter.contains_vector(V.column(9))
 
@@ -303,8 +317,6 @@ class TestFullChart:
         assert set(doc["A"]) == {"7", "8", "9"}
 
     def test_off_chart_rejected(self):
-        from conftest import intro_off_chart_point
-
         W = intro_off_chart_point()
         assert not in_U_a(W, 5)
         with pytest.raises(OffChart, match="chart") as info:
@@ -316,3 +328,74 @@ class TestFullChart:
         assert (info.value.a, info.value.label) == (5, d.long_label(5, first))
         with pytest.raises(ValueError, match="chart"):
             phi(W, 5)
+
+
+GAUGE_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def det_one_matrices(draw, k):
+    """L D U: unit lower and upper triangular L, U and a diagonal D of determinant 1."""
+    L = [[draw(GAUGE_ENTRIES) if j < i else Fraction(i == j) for j in range(k)] for i in range(k)]
+    U = [[draw(GAUGE_ENTRIES) if j > i else Fraction(i == j) for j in range(k)] for i in range(k)]
+    D = [draw(GAUGE_ENTRIES.filter(bool)) for _ in range(k - 1)]
+    D.append(1 / prod(D, start=Fraction(1)))
+    return [[sum(L[i][s] * D[s] * U[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
+
+
+def gauged(V, g) -> PointV:
+    """The point g V: the same point of the variety, with v_{b_j} = g e_j instead of e_j."""
+    rows = V.matrix.rows
+    k = len(rows)
+    return PointV(V.diagram, RatMatrix(tuple(
+        tuple(sum(g[i][s] * rows[s][c] for s in range(k)) for c in range(len(rows[0])))
+        for i in range(k)
+    )))
+
+
+def outcome(f, *args):
+    """The matrix f returns, or (is an AssertionError, message) for what it raises."""
+    try:
+        return f(*args).matrix
+    except (AssertionError, ValueError) as exc:
+        return isinstance(exc, AssertionError), str(exc)
+
+
+class TestRightFactorOracle:
+    """right_point and PointV.from_matrix against the pipelines they replaced (conftest)."""
+
+    @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_match_oracles_in_a_nonidentity_gauge(self, d, seed, data):
+        V = sample(d, seed=seed)
+        g = data.draw(det_one_matrices(d.k))
+        assume(any(g[i][j] != (i == j) for i in range(d.k) for j in range(d.k)))
+        W = gauged(V, g)
+        assert PointV.from_matrix(d, W.matrix) == from_matrix_oracle(d, W.matrix)
+        assert PointV.from_matrix(d, W.matrix).matrix == V.matrix
+        scaled = RatMatrix((tuple(3 * x for x in W.matrix.rows[0]),) + W.matrix.rows[1:])
+        assert PointV.from_matrix(d, scaled) == from_matrix_oracle(d, scaled)
+        for a in range(1, d.n - d.k + 1):
+            assert outcome(right_point, W, a) == outcome(right_point_oracle, W, a)
+
+    def test_dependent_gauge_columns_rejected_by_both(self, intro):
+        V = sample(intro, seed=3)
+        b1, b2 = intro.b(1), intro.b(2)
+        M = RatMatrix.from_columns([V.column(b2 if t == b1 else t) for t in range(1, intro.n + 1)])
+        assert outcome(PointV.from_matrix, intro, M) == outcome(from_matrix_oracle, intro, M)
+        with pytest.raises(ValueError, match="dependent"):
+            PointV.from_matrix(intro, M)
+
+    @pytest.mark.parametrize("g", [None, [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, -1],
+                                          [0, 0, 1, Fraction(1, 2), 0], [3, 0, 0, 0, 1]]])
+    def test_off_chart_point_raises_at_column_5_in_both(self, g):
+        W = intro_off_chart_point()
+        if g is not None:
+            W = gauged(W, g)
+        for a in range(1, 8):
+            got = outcome(right_point, W, a)
+            assert got == outcome(right_point_oracle, W, a)
+            if a == 5:
+                assert got == (True, "cut flag not transversal to the opposite boundary flag")
+            else:
+                assert isinstance(got, RatMatrix)

@@ -26,7 +26,7 @@ from skewpos.linalg import RatMatrix, unit_vector, vec_scale, zero_vector
 from skewpos.linalg import Subspace
 from skewpos.variety import BraidLabeling, PointV, _normalize_r1, check_labeling
 
-from conftest import necklace_entry_exhaustive, skew_diagrams
+from conftest import W_span, necklace_entry_exhaustive, skew_diagrams
 
 
 def identity_block(k, n):
@@ -241,7 +241,7 @@ class TestOmega:
         V = sample(running, seed=16)
         for a in range(1, 8):
             mu_bar = running.mu_bar[a]
-            assert V.W(running.k - mu_bar).contains_vector(V.column(a + mu_bar))
+            assert W_span(V, running.k - mu_bar).contains_vector(V.column(a + mu_bar))
 
 
 class TestXi:
