@@ -30,21 +30,22 @@ def subseed(seed: int, *parts) -> int:
     return int(digest[:16], 16)
 
 
+def load_json(source: str):
+    """Parse an inline JSON object, or the JSON file at a path."""
+    if source.lstrip().startswith("{"):
+        return json.loads(source)
+    with open(source) as fh:
+        return json.load(fh)
+
+
 def load_diagram(source: str) -> SkewDiagram:
-    """Accept a path to a JSON file or an inline JSON object."""
-    text = source
-    if not source.lstrip().startswith("{"):
-        with open(source) as fh:
-            text = fh.read()
-    return SkewDiagram.from_json(json.loads(text))
+    return SkewDiagram.from_json(load_json(source))
 
 
-def load_point(source: str) -> PointV:
-    text = source
-    if not source.lstrip().startswith("{"):
-        with open(source) as fh:
-            text = fh.read()
-    return PointV.from_json(json.loads(text))
+def box_ref(text: str) -> BoxRef:
+    """The --box value 'a,i'; argparse exits 2 on the ValueError of any other text."""
+    a, i = map(int, text.split(","))
+    return BoxRef(a, i)
 
 
 def emit(doc, out: str | None) -> None:
@@ -131,7 +132,7 @@ def cmd_plabic(args) -> int:
 def cmd_splice(args) -> int:
     d = load_diagram(args.diagram)
     if args.point:
-        V = load_point(args.point)
+        V = PointV.from_json(load_json(args.point))
         if V.diagram != d:
             print("point diagram differs from --diagram", file=sys.stderr)
             return 2
@@ -149,9 +150,9 @@ def cmd_splice(args) -> int:
 
 def cmd_mutate(args) -> int:
     d = load_diagram(args.diagram)
-    V = load_point(args.point) if args.point else sample(d, args.seed, bound=args.bound)
+    V = PointV.from_json(load_json(args.point)) if args.point else sample(d, args.seed, bound=args.bound)
     s = seed_at(V)
-    box = BoxRef(*map(int, args.box.split(",")))
+    box = args.box
     try:
         new = mutate(s, box)
         ratio = exchange_ratio(s, box)
@@ -210,6 +211,14 @@ def _trial_checks(d: SkewDiagram, seed: int, only: str | None, column: int | Non
                 yield f"splice@{a}", ok, None if ok else rep["checks"]
 
 
+def _guarded(checks):
+    """The checks of one trial; an exception ends the trial as one failed "crash" check."""
+    try:
+        yield from checks
+    except Exception as exc:
+        yield "crash", False, f"{type(exc).__name__}: {exc}"
+
+
 def cmd_verify(args) -> int:
     base = args.seed
     failures = []
@@ -222,7 +231,7 @@ def cmd_verify(args) -> int:
             rng = random.Random(subseed(base, "diagram", t))
             diagrams.append((t, random_diagram(rng)))
     for t, d in diagrams:
-        for name, ok, detail in _trial_checks(d, subseed(base, "point", t), args.only, args.column):
+        for name, ok, detail in _guarded(_trial_checks(d, subseed(base, "point", t), args.only, args.column)):
             results.append({"trial": t, "diagram": d.to_json(), "check": name, "ok": ok})
             if not ok:
                 failures.append(
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutate the initial seed at a box")
     common(p, point=True)
-    p.add_argument("--box", required=True, help="box as 'a,i'")
+    p.add_argument("--box", type=box_ref, required=True, help="box as 'a,i'")
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("verify", help="run the property suite on random diagrams and points")

@@ -19,6 +19,20 @@ class InvariantError(AssertionError):
     """A mathematical invariant of the package failed; raised explicitly, so it also runs under -O."""
 
 
+def json_key(obj, what: str, key: str, valid, expected: str, default=None):
+    """obj[key] of a parsed JSON object; raises ValueError naming a missing or ill-typed key."""
+    if not isinstance(obj, dict) or (key not in obj and default is None):
+        raise ValueError(f"{what} has no key {key!r}")
+    value = obj.get(key, default)
+    if not valid(value):
+        raise ValueError(f"{what} key {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(type(p) is int for p in x)
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive parts; trailing zeros are dropped."""
@@ -224,7 +238,11 @@ class SkewDiagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SkewDiagram":
-        return cls(int(obj["n"]), int(obj["k"]), Partition(tuple(obj["lambda"])), Partition(tuple(obj.get("mu", ()))))
+        n = json_key(obj, "diagram", "n", lambda x: type(x) is int, "an integer")
+        k = json_key(obj, "diagram", "k", lambda x: type(x) is int, "an integer")
+        lam = json_key(obj, "diagram", "lambda", _int_list, "a list of integers")
+        mu = json_key(obj, "diagram", "mu", _int_list, "a list of integers", default=[])
+        return cls(n, k, Partition(tuple(lam)), Partition(tuple(mu)))
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ A trip enters at its boundary edge, staircases southwest by alternating unit
 steps, and when the next step would leave the skew shape it reflects (south to
 north, or west to east) and runs straight to the boundary.  Clockwise trips
 label the boxes they enclose; counterclockwise trips label the boxes outside
-their enclosure together with the mu region.
+their enclosure together with the mu region.  A trip's loop is closed along the
+boundary arc from its exit back to its entry, and box (a, i) is enclosed iff an
+odd number of the loop's vertical edges crossing row i lie east of its left edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import BoxRef, InvariantError, SkewDiagram
 from .permutations import baf
@@ -25,21 +26,23 @@ from .permutations import baf
 Pt = tuple[int, int]
 
 
-def _boundary_steps(d: SkewDiagram) -> list[dict]:
-    """The n steps of the boundary path of lambda, labeled 1..n from the SE corner."""
+def _boundary_path(d: SkewDiagram) -> tuple[list[Pt], set[int]]:
+    """The n + 1 lattice points of lambda's boundary path from the SE corner, and I_lambda.
+
+    Step t runs from point t - 1 to point t; it is vertical exactly when t is in I_lambda.
+    """
     x, y = d.n - d.k, 0
     vertical = set(d.I_lambda())
-    steps = []
+    pts = [(x, y)]
     for t in range(1, d.n + 1):
         if t in vertical:
-            steps.append({"t": t, "kind": "vertical", "start": (x, y), "end": (x, y + 1)})
             y += 1
         else:
-            steps.append({"t": t, "kind": "horizontal", "start": (x, y), "end": (x - 1, y)})
             x -= 1
-    if (x, y) != (0, d.k):
-        raise InvariantError(f"boundary path ends at {(x, y)}, not at {(0, d.k)}")
-    return steps
+        pts.append((x, y))
+    if pts[-1] != (0, d.k):
+        raise InvariantError(f"boundary path ends at {pts[-1]}, not at {(0, d.k)}")
+    return pts, vertical
 
 
 @dataclass(frozen=True)
@@ -82,90 +85,41 @@ def trip(d: SkewDiagram, i: int) -> LatticeTrip:
     """The lattice trip starting at boundary edge i."""
     if not 1 <= i <= d.n:
         raise ValueError(f"boundary edge {i} out of range 1..{d.n}")
-    steps = _boundary_steps(d)
-    step = steps[i - 1]
-    vertical_starts = {s["start"]: s["t"] for s in steps if s["kind"] == "vertical"}
-    horizontal_ends = {s["end"]: s["t"] for s in steps if s["kind"] == "horizontal"}
-
-    if step["kind"] == "vertical":
-        pos: Pt = step["start"]
-        direction = "W"
-    else:
-        pos = step["end"]
-        direction = "S"
+    pts, vertical = _boundary_path(d)
+    pos, direction = (pts[i - 1], "W") if i in vertical else (pts[i], "S")
     path = [pos]
-    budget = 4 * d.k * (d.n - d.k) + 8
-    run: str | None = None
-    end = None
-    while budget > 0:
-        budget -= 1
-        if run == "E":
-            if pos in vertical_starts:
-                end = vertical_starts[pos]
-                break
-            pos = _move(pos, "E")
-            path.append(pos)
-        elif run == "N":
-            if pos in horizontal_ends:
-                end = horizontal_ends[pos]
-                break
-            pos = _move(pos, "N")
-            path.append(pos)
-        elif _edge_allowed(d, pos, direction):
-            pos = _move(pos, direction)
-            path.append(pos)
-            direction = "S" if direction == "W" else "W"
-        else:
-            run = "E" if direction == "W" else "N"
+    while _edge_allowed(d, pos, direction):  # staircase southwest
+        pos = _move(pos, direction)
+        path.append(pos)
+        direction = "S" if direction == "W" else "W"
+    # reflect, then run north to the end of a horizontal step or east to the start of a vertical one
+    clockwise = direction == "S"
+    if clockwise:
+        run, exits = "N", {pts[t]: t for t in range(1, d.n + 1) if t not in vertical}
     else:
-        raise RuntimeError(f"trip {i} failed to terminate; manual inspection required")
-    if end is None:
-        raise RuntimeError(f"trip {i} failed to terminate; manual inspection required")
-
-    orientation = "counterclockwise" if run == "E" else "clockwise"
-    enclosed = _enclosed_boxes(d, steps, i, end, path, orientation)
-    if orientation == "clockwise":
-        boxes = enclosed
-        labels_mu = False
-    else:
-        inside = set(enclosed)
-        boxes = tuple(b for b in d.boxes() if b not in inside)
-        labels_mu = True
-    return LatticeTrip(i, end, orientation, tuple(path), boxes, labels_mu)
+        run, exits = "E", {pts[t - 1]: t for t in vertical}
+    while pos not in exits:
+        if len(path) > 2 * d.n:
+            raise RuntimeError(f"trip {i} failed to terminate; manual inspection required")
+        pos = _move(pos, run)
+        path.append(pos)
+    end = exits[pos]
+    # the loop closes along the boundary arc from the exit back to the entry
+    arc = pts[i:end][::-1] if clockwise else pts[end:i]
+    boxes = _boxes_by_side(d, path + arc, inside=clockwise)
+    orientation = "clockwise" if clockwise else "counterclockwise"
+    return LatticeTrip(i, end, orientation, tuple(path), boxes, labels_mu_region=not clockwise)
 
 
-def _enclosed_boxes(d, steps, start: int, end: int, path, orientation: str) -> tuple[BoxRef, ...]:
-    """Boxes inside the loop formed by the trip and the boundary arc closing it."""
-    if len(path) <= 1:  # lollipop: nothing enclosed
-        return ()
-    closure: list[Pt] = []
-    if orientation == "clockwise":
-        # exit is the end point of horizontal step `end`; walk the boundary back (southeast)
-        for t in range(end, start, -1):
-            closure.append(steps[t - 1]["start"])
-    else:
-        # exit is the start point of vertical step `end`; walk the boundary forward (northwest)
-        for t in range(end, start):
-            closure.append(steps[t - 1]["end"])
-    polygon = list(path) + closure
-    out = []
-    for b in d.boxes():
-        c = d.n - d.k + 1 - b.a
-        cx, cy = Fraction(2 * c - 1, 2), Fraction(2 * b.i - 1, 2)
-        if _inside(polygon, cx, cy):
-            out.append(b)
-    return tuple(out)
-
-
-def _inside(polygon: list[Pt], cx: Fraction, cy: Fraction) -> bool:
-    """Ray casting east from (cx, cy); polygon edges are axis-aligned integer segments."""
-    crossings = 0
-    m = len(polygon)
-    for t in range(m):
-        (x1, y1), (x2, y2) = polygon[t], polygon[(t + 1) % m]
-        if x1 == x2 and x1 > cx and min(y1, y2) < cy < max(y1, y2):
-            crossings += 1
-    return crossings % 2 == 1
+def _boxes_by_side(d: SkewDiagram, polygon: list[Pt], inside: bool) -> tuple[BoxRef, ...]:
+    """Boxes inside a closed lattice polygon, or outside it; box (a, i) has its left edge at x = n-k-a."""
+    crossings: dict[int, list[int]] = {}
+    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
+        if x1 == x2:
+            for r in range(min(y1, y2) + 1, max(y1, y2) + 1):
+                crossings.setdefault(r, []).append(x1)
+    w = d.n - d.k
+    return tuple(b for b in d.boxes() if sum(x > w - b.a for x in crossings.get(b.i, ())) % 2 == inside)
 
 
 def trips(d: SkewDiagram) -> tuple[LatticeTrip, ...]:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import BoxRef, InvariantError, SkewDiagram
+from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
 from .linalg import (
     FlagK,
     RatMatrix,
@@ -101,12 +101,22 @@ class PointV:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointV":
-        d = SkewDiagram.from_json(obj["diagram"])
-        M = RatMatrix(tuple(map(tuple, obj["matrix"])))
+        diagram = json_key(obj, "point", "diagram", lambda x: isinstance(x, dict), "an object")
+        d = SkewDiagram.from_json(diagram)
+        rows = json_key(obj, "point", "matrix", _rational_rows, "a list of rows of integers or strings")
+        try:
+            M = RatMatrix(tuple(map(tuple, rows)))
+        except ZeroDivisionError:
+            raise ValueError("point key 'matrix' has an entry with denominator 0") from None
         p = cls(d, M, obj.get("seed"))
         if not membership(M, d):
             raise ValueError("deserialized point fails membership")
         return p
+
+
+def _rational_rows(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(r, list) and all(type(e) in (int, str) for e in r) for r in x)
 
 
 # -- point invariants ---------------------------------------------------------------

@@ -254,6 +254,63 @@ def right_point_oracle(V, a: int):
     return PointV(right, M, V.seed)
 
 
+# -- oracle: the step-dict polygon and Fraction ray casting the row-parity enclosure replaced --
+
+
+def enclosed_boxes_oracle(d, start: int, end: int, path, orientation: str):
+    """Boxes inside the loop of a trip, by casting a ray east from each box centre."""
+    x, y = d.n - d.k, 0
+    vertical = set(d.I_lambda())
+    steps = []
+    for t in range(1, d.n + 1):
+        if t in vertical:
+            steps.append({"t": t, "kind": "vertical", "start": (x, y), "end": (x, y + 1)})
+            y += 1
+        else:
+            steps.append({"t": t, "kind": "horizontal", "start": (x, y), "end": (x - 1, y)})
+            x -= 1
+    if len(path) <= 1:  # lollipop: nothing enclosed
+        return ()
+    if orientation == "clockwise":
+        # the exit is the end point of horizontal step `end`; walk the boundary back (southeast)
+        closure = [steps[t - 1]["start"] for t in range(end, start, -1)]
+    else:
+        # the exit is the start point of vertical step `end`; walk the boundary forward (northwest)
+        closure = [steps[t - 1]["end"] for t in range(end, start)]
+    polygon = list(path) + closure
+    m = len(polygon)
+    out = []
+    for b in d.boxes():
+        c = d.n - d.k + 1 - b.a
+        cx, cy = Fraction(2 * c - 1, 2), Fraction(2 * b.i - 1, 2)
+        crossings = 0
+        for t in range(m):
+            (x1, y1), (x2, y2) = polygon[t], polygon[(t + 1) % m]
+            if x1 == x2 and x1 > cx and min(y1, y2) < cy < max(y1, y2):
+                crossings += 1
+        if crossings % 2 == 1:
+            out.append(b)
+    return tuple(out)
+
+
+def all_skew_diagrams(max_n: int):
+    """Every skew diagram mu <= lambda in a k x (n-k) rectangle with 2 <= n <= max_n, 0 < k < n."""
+
+    def parts(length, cap):  # weakly decreasing, entry j at most cap[j]
+        if not length:
+            yield ()
+            return
+        for p in range(cap[0] + 1):
+            for rest in parts(length - 1, [min(p, c) for c in cap[1:]]):
+                yield (p,) + rest
+
+    for n in range(2, max_n + 1):
+        for k in range(1, n):
+            for lam in parts(k, [n - k] * k):
+                for mu in parts(k, lam):
+                    yield SkewDiagram(n, k, Partition(lam), Partition(mu))
+
+
 @st.composite
 def skew_diagrams(draw, max_n=10, min_n=4):
     n = draw(st.integers(min_n, max_n))

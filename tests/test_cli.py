@@ -1,4 +1,7 @@
 import json
+import random
+
+import pytest
 
 from skewpos.cli import main, random_diagram, subseed
 
@@ -164,6 +167,30 @@ class TestVerify:
         repro = doc["failures"][0]
         assert {"trial", "diagram", "seed", "check"} <= set(repro)
 
+    def test_crashing_trial_is_reported_and_run_continues(self, capsys, monkeypatch):
+        import skewpos.cli as cli
+
+        real, seeds = cli.splice_report, []
+        crash_seed = subseed(5, "point", 1)
+
+        def crash_on_trial_1(V, a):
+            seeds.append(V.seed)
+            if V.seed == crash_seed:
+                raise RuntimeError("injected")
+            return real(V, a)
+
+        monkeypatch.setattr(cli, "splice_report", crash_on_trial_1)
+        code, out, _ = run(capsys, "verify", "--trials", "4", "--seed", "5", "--only", "splice")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "fail" and doc["trials"] == 4
+        [crash] = doc["failures"]
+        assert crash["trial"] == 1 and crash["seed"] == crash_seed and crash["check"] == "crash"
+        assert crash["column"] is None and crash["detail"] == "RuntimeError: injected"
+        assert crash["diagram"] == random_diagram(random.Random(subseed(5, "diagram", 1))).to_json()
+        assert seeds.count(crash_seed) == 1  # the rest of trial 1 is skipped
+        assert {subseed(5, "point", t) for t in (2, 3)} <= set(seeds)  # later trials still run
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -176,11 +203,29 @@ class TestInputErrors:
         code, _, err = run(capsys, "inspect", "--diagram", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["inspect", "--diagram", '{"n": 5}'], "diagram has no key 'k'"),
+        (["inspect", "--diagram", '{"n": 5, "k": 2, "lambda": 3}'],
+         "diagram key 'lambda' must be a list of integers, got 3"),
+        (["splice", "--diagram", INTRO, "--column", "6", "--point", '{"diagram": %s}' % INTRO],
+         "point has no key 'matrix'"),
+        (["splice", "--diagram", INTRO, "--column", "6", "--point",
+          '{"diagram": %s, "matrix": [["1/0"]]}' % INTRO],
+         "point key 'matrix' has an entry with denominator 0"),
+    ], ids=["diagram-without-k", "lambda-not-a-list", "point-without-matrix", "zero-denominator"])
+    def test_malformed_json(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err == f"input error: {message}\n"
+
+    def test_malformed_box(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", "--diagram", RUNNING, "--box", "4"])
+        assert exc.value.code == 2
+        assert "argument --box: invalid box_ref value: '4'" in capsys.readouterr().err
+
 
 class TestRandomDiagram:
     def test_valid_and_deterministic(self):
-        import random
-
         for t in range(30):
             d1 = random_diagram(random.Random(subseed(1, t)))
             d2 = random_diagram(random.Random(subseed(1, t)))

@@ -20,7 +20,7 @@ import skewpos
 from skewpos import Cut, Partition, SkewDiagram, right_point, sample, splice_report
 from skewpos.cli import main
 from skewpos.linalg import Subspace, _echelon, transversal
-from skewpos.plabic import trip, trips_json, verify_trips
+from skewpos.plabic import ascii_grid, trip, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import membership
 
@@ -39,6 +39,19 @@ INTRO_SEED16_REPORTS = {
 VERIFY_TRIALS5_SEED1 = "64570c6c2f86f68e71c9d887d8c13cb8bb2145952bc8293770bced8f441bd45a"
 # the same for `--trials 30 --seed 1`, the fingerprint the benchmark also checks
 VERIFY_TRIALS30_SEED1 = "781622fb18673edc7c67b63952fc8f454e5840947b00ae40a90a40e55873bff7"
+
+# sha256 of json.dumps(trips_json(d), sort_keys=True) and of ascii_grid(d), recorded
+# with the Fraction ray-casting enclosure; "staircase" is staircase(64), k = 24
+PLABIC_OUTPUT = {
+    "running": ("5a3c83d2def6e74f595495b9ec3b974826b91143b42b1e52cbc4be8821b6afb3",
+                "348008e7ac449feda7549c1b6543d960ddbbdcaba5c07e5b5248fbeac9c16ae3"),
+    "disconnected": ("7843515e4743fdef187bf8d51fc0112a6229b3e07b91d79945595556fb5633ca",
+                     "0dc1009c254b5bcf2a57ca482c327557f3f2610fbfbeed7c2aad4f562c779138"),
+    "intro": ("1a243f4911b62c8fc1f143aadcafd0ecd35334f4cb91d308ecfbb8d54a5452e5",
+              "14fd0f25566f00ea8138cf6e4aaeb1d652d1463b371b5cac0ea04c89a3bd8bc5"),
+    "staircase": ("32faf51e00115d5caf288305f9a5101a5cedfa44c581952b002ad331757a16cd",
+                  "ba2e5d07b41b2aafc13cd7cae476a094f3e5e6cf782c345bf8b52612461403d0"),
+}
 
 
 def sha256(text: str) -> str:
@@ -59,6 +72,13 @@ def test_verify_output_byte_identical(capsys):
 def test_verify_fingerprint_byte_identical(capsys):
     assert main(["verify", "--trials", "30", "--seed", "1"]) == 0
     assert sha256(capsys.readouterr().out) == VERIFY_TRIALS30_SEED1
+
+
+@pytest.mark.parametrize("name", sorted(PLABIC_OUTPUT))
+def test_plabic_output_byte_identical(name, request):
+    d = staircase(64) if name == "staircase" else request.getfixturevalue(name)
+    digests = (sha256(json.dumps(trips_json(d), sort_keys=True)), sha256(ascii_grid(d)))
+    assert digests == PLABIC_OUTPUT[name]
 
 
 @pytest.fixture

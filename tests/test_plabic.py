@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from skewpos import Partition, SkewDiagram, baf, source_labels, trip, trip_permutation, trips
 from skewpos.plabic import ascii_grid, mu_region_label, trips_json, verify_trips
 
-from conftest import skew_diagrams
+from conftest import all_skew_diagrams, enclosed_boxes_oracle, skew_diagrams
 
 
 class TestFigureTrips:
@@ -102,6 +102,27 @@ class TestSourceLabels:
     @settings(max_examples=50, deadline=None)
     def test_full_verification(self, d):
         verify_trips(d)
+
+
+class TestEnclosureOracle:
+    """The row-parity enclosure on integers agrees with Fraction ray casting on every trip."""
+
+    @staticmethod
+    def check(d):
+        for T in trips(d):
+            enclosed = enclosed_boxes_oracle(d, T.start, T.end, T.path, T.orientation)
+            if T.orientation == "counterclockwise":
+                enclosed = tuple(b for b in d.boxes() if b not in enclosed)
+            assert T.boxes == enclosed, (d, T.start)
+
+    def test_every_diagram_up_to_n7(self):
+        for d in all_skew_diagrams(7):
+            self.check(d)
+
+    @given(skew_diagrams(max_n=16))
+    @settings(max_examples=100, deadline=None)
+    def test_random_diagrams(self, d):
+        self.check(d)
 
 
 class TestRendering:
