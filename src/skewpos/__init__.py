@@ -1,9 +1,9 @@
 """Skew shaped positroid varieties: combinatorics, exact points, splicing."""
 
-from .braid import BraidWord, CrossingMap, beta, cut_braid, half_twist
+from .braid import BraidWord, beta, cut_braid
 from .cluster import Quiver, Seed, exchange_products, exchange_ratio, mutate, quiver, seed_at
 from .diagram import BoxRef, InvariantError, Partition, RibbonDecomposition, SkewDiagram, conjugate
-from .linalg import FlagK, RatMatrix, Subspace, minor, rel_position, transversal
+from .linalg import FlagK, RatMatrix, Subspace, minor, transversal
 from .permutations import (
     BoundedAffinePermutation,
     GrassmannNecklace,
@@ -42,4 +42,15 @@ from .variety import (
     xi,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BraidWord", "beta", "cut_braid",
+    "Quiver", "Seed", "exchange_products", "exchange_ratio", "mutate", "quiver", "seed_at",
+    "BoxRef", "InvariantError", "Partition", "RibbonDecomposition", "SkewDiagram", "conjugate",
+    "FlagK", "RatMatrix", "Subspace", "minor", "transversal",
+    "BoundedAffinePermutation", "GrassmannNecklace", "PermWord", "baf", "baf_to_necklace", "necklace",
+    "necklace_to_baf", "verify_f_factorization", "w_grassmannian", "w_skew",
+    "LatticeTrip", "source_labels", "trip", "trip_permutation", "trips",
+    "A_factor", "Cut", "OffChart", "chart_is_everything", "flag_at_cut", "in_U_a", "left_point", "phi",
+    "right_point", "splice_report", "verify_exchange_ratios", "verify_minor_scaling",
+    "BraidLabeling", "PointV", "f_of_point", "membership", "necklace_of_point", "omega", "sample", "xi",
+]

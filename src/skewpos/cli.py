@@ -30,22 +30,34 @@ def subseed(seed: int, *parts) -> int:
     return int(digest[:16], 16)
 
 
-def load_json(source: str):
-    """Parse an inline JSON object, or the JSON file at a path."""
-    if source.lstrip().startswith("{"):
-        return json.loads(source)
-    with open(source) as fh:
-        return json.load(fh)
+def load_json(source: str, option: str) -> dict:
+    """The JSON object given to --option, inline or as the path of a JSON file."""
+    if source.lstrip().startswith(("{", "[")):
+        doc = json.loads(source)
+    else:
+        with open(source) as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"--{option} must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def load_diagram(source: str) -> SkewDiagram:
-    return SkewDiagram.from_json(load_json(source))
+    return SkewDiagram.from_json(load_json(source, "diagram"))
 
 
 def box_ref(text: str) -> BoxRef:
     """The --box value 'a,i'; argparse exits 2 on the ValueError of any other text."""
     a, i = map(int, text.split(","))
     return BoxRef(a, i)
+
+
+def positive_int(text: str) -> int:
+    """A --trials, --bound or --column value; argparse exits 2 on anything but an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def emit(doc, out: str | None) -> None:
@@ -58,6 +70,7 @@ def emit(doc, out: str | None) -> None:
 
 
 def random_diagram(rng: random.Random, max_n: int = 12) -> SkewDiagram:
+    """A skew diagram with 4 <= n <= max_n, drawn by ``rng.randint`` alone."""
     n = rng.randint(4, max_n)
     k = rng.randint(1, n - 1)
     lam = []
@@ -80,7 +93,7 @@ def random_diagram(rng: random.Random, max_n: int = 12) -> SkewDiagram:
 
 def cmd_inspect(args) -> int:
     d = load_diagram(args.diagram)
-    word, _, columns = beta(d)
+    word, columns = beta(d)
     rib = d.ribbon()
     doc = {
         "diagram": d.to_json(),
@@ -92,7 +105,7 @@ def cmd_inspect(args) -> int:
             f"a{b.a}i{b.i}": list(d.long_label(b.a, b.i)) for b in d.boxes()
         },
         "braid": {"k": word.strands, "letters": list(word.letters),
-                  "columns": [list(c) for c in columns], "text": render(word, columns)},
+                  "columns": [list(c) for c in columns], "text": render(columns)},
         "ribbon": {
             "R": [[b.a, b.i] for b in rib.R],
             "Rbar": [[b.a, b.i] for b in rib.Rbar],
@@ -132,7 +145,7 @@ def cmd_plabic(args) -> int:
 def cmd_splice(args) -> int:
     d = load_diagram(args.diagram)
     if args.point:
-        V = PointV.from_json(load_json(args.point))
+        V = PointV.from_json(load_json(args.point, "point"))
         if V.diagram != d:
             print("point diagram differs from --diagram", file=sys.stderr)
             return 2
@@ -150,7 +163,10 @@ def cmd_splice(args) -> int:
 
 def cmd_mutate(args) -> int:
     d = load_diagram(args.diagram)
-    V = PointV.from_json(load_json(args.point)) if args.point else sample(d, args.seed, bound=args.bound)
+    if args.point:
+        V = PointV.from_json(load_json(args.point, "point"))
+    else:
+        V = sample(d, args.seed, bound=args.bound)
     s = seed_at(V)
     box = args.box
     try:
@@ -198,7 +214,7 @@ def _trial_checks(d: SkewDiagram, seed: int, only: str | None, column: int | Non
             ok = xi(omega(V)).matrix == V.matrix
             yield "roundtrip", ok, None
         if want("splice"):
-            columns = [column] if column else list(range(1, d.n - d.k + 1))
+            columns = [column] if column is not None else list(range(1, d.n - d.k + 1))
             for a in columns:
                 try:
                     rep = splice_report(V, a)
@@ -251,54 +267,50 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewpos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "seed": dict(type=int, default=1),
+        "bound": dict(type=positive_int, default=100),
+        "trials": dict(type=positive_int, default=50),
+        "point": dict(default=None, help="path to point JSON or inline JSON"),
+    }
 
-    def common(p, point=False, needs_diagram=True, formats=("json",)):
+    def command(name, func, summary, *names, needs_diagram=True):
+        """A subcommand with --diagram, --out and the named shared options; each is read by func."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--diagram", required=needs_diagram, help="path to diagram JSON or inline JSON")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--bound", type=int, default=100)
-        p.add_argument("--trials", type=int, default=50)
+        for opt in names:
+            p.add_argument(f"--{opt}", **options[opt])
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=list(formats), default=formats[0])
-        if point:
-            p.add_argument("--point", default=None, help="path to point JSON or inline JSON")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("inspect", help="labels, necklace, affine permutation, braid, ribbon, quiver")
-    common(p)
-    p.set_defaults(func=cmd_inspect)
+    command("inspect", cmd_inspect, "labels, necklace, affine permutation, braid, ribbon, quiver")
 
-    p = sub.add_parser("sample", help="sample an exact rational point")
-    common(p)
+    p = command("sample", cmd_sample, "sample an exact rational point", "seed", "bound")
     p.add_argument("--normalize-r1", action="store_true",
                    help="rescale free columns so the top-of-column minors equal 1")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("quiver", help="emit the initial quiver")
-    common(p, formats=("json", "dot"))
-    p.set_defaults(func=cmd_quiver)
+    p = command("quiver", cmd_quiver, "emit the initial quiver")
+    p.add_argument("--format", choices=["json", "dot"], default="json")
 
-    p = sub.add_parser("plabic", help="emit lattice trips and the label table")
-    common(p, formats=("json", "text"))
-    p.set_defaults(func=cmd_plabic)
+    p = command("plabic", cmd_plabic, "emit lattice trips and the label table")
+    p.add_argument("--format", choices=["json", "text"], default="json")
 
-    p = sub.add_parser("splice", help="split a point along a column and verify the identities")
-    common(p, point=True)
-    p.add_argument("--column", type=int, required=True)
-    p.set_defaults(func=cmd_splice)
+    p = command("splice", cmd_splice, "split a point along a column and verify the identities",
+                "seed", "bound", "point")
+    p.add_argument("--column", type=positive_int, required=True)
 
-    p = sub.add_parser("mutate", help="mutate the initial seed at a box")
-    common(p, point=True)
+    p = command("mutate", cmd_mutate, "mutate the initial seed at a box", "seed", "bound", "point")
     p.add_argument("--box", type=box_ref, required=True, help="box as 'a,i'")
-    p.set_defaults(func=cmd_mutate)
 
-    p = sub.add_parser("verify", help="run the property suite on random diagrams and points")
-    common(p, needs_diagram=False)
-    p.add_argument("--column", type=int, default=None)
+    p = command("verify", cmd_verify, "run the property suite on random diagrams and points",
+                "seed", "trials", needs_diagram=False)
+    p.add_argument("--column", type=positive_int, default=None)
     p.add_argument(
         "--only",
         choices=["combinatorics", "plabic", "membership", "roundtrip", "splice"],
         default=None,
     )
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

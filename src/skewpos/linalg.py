@@ -35,9 +35,6 @@ def unit_vector(k: int, i: int) -> Vector:
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
 def vec_scale(c: Fraction, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
@@ -202,19 +199,10 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains_vector(self, v: Vector) -> bool:
-        if len(v) != self.ambient:
-            raise ValueError("vector of wrong ambient dimension")
-        return not any(_reduce(_pivot_rows(self.basis), _primitive(v)))
-
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
         pivots = _pivot_rows(self.basis)
         return not any(any(_reduce(pivots, _primitive(v))) for v in other.basis)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.ambient, tuple(map(tuple, _echelon(self.basis + other.basis))))
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -262,25 +250,6 @@ class FlagK:
         if i == 0:
             return Subspace.zero(self.ambient)
         return self.steps[i - 1]
-
-
-def rel_position(F1: FlagK, F2: FlagK) -> tuple[int, ...]:
-    """The permutation w of [k] with dim(F1_i ^ F2_j) = |{1..i} ^ {w(1)..w(j)}|.
-
-    Returned in one-line notation, 1-based: w[j-1] = w(j).
-    """
-    if F1.ambient != F2.ambient:
-        raise ValueError("flags in different ambient spaces")
-    k = F1.ambient
-    dims = [[0] * (k + 1) for _ in range(k + 1)]
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            dims[i][j] = F1.step(i).intersect(F2.step(j)).dim
-    # w(j) = i exactly where the second difference of the dimensions is 1
-    return tuple(
-        next(i for i in range(1, k + 1) if dims[i][j] - dims[i - 1][j] - dims[i][j - 1] + dims[i - 1][j - 1])
-        for j in range(1, k + 1)
-    )
 
 
 def transversal(F1: FlagK, F2: FlagK) -> bool:

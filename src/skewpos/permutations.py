@@ -49,10 +49,6 @@ def from_word(n: int, word) -> tuple[int, ...]:
     return w
 
 
-def longest_element(n: int) -> tuple[int, ...]:
-    return tuple(range(n, 0, -1))
-
-
 @dataclass(frozen=True)
 class PermWord:
     """One-line permutation plus an optional reduced word in adjacent transpositions."""

@@ -56,10 +56,6 @@ class LatticeTrip:
     boxes: tuple[BoxRef, ...]  # skew-diagram boxes labeled by this trip
     labels_mu_region: bool
 
-    def labeled_box_count(self) -> int:
-        """Printed labels in the diagram: skew boxes plus one for the mu region."""
-        return len(self.boxes) + (1 if self.labels_mu_region else 0)
-
 
 def _in_skew(d: SkewDiagram, c: int, r: int) -> bool:
     """Box membership in left-column/bottom-row coordinates."""

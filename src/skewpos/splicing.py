@@ -30,6 +30,8 @@ class OffChart(ValueError):
 def _vanishing_chart_label(V: PointV, a: int) -> tuple[int, ...] | None:
     """The first long label I'(a, i), i going up column a, whose minor vanishes; None on the chart."""
     d = V.diagram
+    if not 1 <= a <= d.n - d.k:
+        raise ValueError(f"cut column {a} out of range 1..{d.n - d.k}")
     labels = (d.long_label(a, i) for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1))
     return next((J for J in labels if V.delta(J) == 0), None)
 

@@ -267,12 +267,6 @@ class BraidLabeling:
         except KeyError:
             raise KeyError(f"no torus coordinate for column {a}") from None
 
-    def with_torus(self, a: int, value: Fraction) -> "BraidLabeling":
-        if value == 0:
-            raise ValueError("torus coordinates must be nonzero")
-        torus = tuple((box, value if box.a == a else c) for box, c in self.torus)
-        return BraidLabeling(self.diagram, self.regions, self.boundary_basis, self.right_flag, torus)
-
 
 def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram by the region subspaces, framing, right flag and torus scalars."""

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
 from skewpos import Partition, SkewDiagram
+from skewpos.cli import random_diagram
 from skewpos.linalg import minor
 
 
@@ -312,19 +314,10 @@ def all_skew_diagrams(max_n: int):
 
 
 @st.composite
-def skew_diagrams(draw, max_n=10, min_n=4):
-    n = draw(st.integers(min_n, max_n))
-    k = draw(st.integers(1, n - 1))
-    lam = []
-    prev = n - k
-    for _ in range(k):
-        prev = draw(st.integers(0, prev))
-        lam.append(prev)
-    mu = []
-    prev = None
-    for lj in lam:
-        hi = lj if prev is None else min(lj, prev)
-        m = draw(st.integers(0, hi))
-        mu.append(m)
-        prev = m
-    return SkewDiagram(n, k, Partition(tuple(lam)), Partition(tuple(mu)))
+def skew_diagrams(draw, max_n=10):
+    """The diagrams of ``skewpos verify`` (``cli.random_diagram``), with 4 <= n <= max_n.
+
+    Each ``randint(lo, hi)`` of the generator is drawn by Hypothesis, so failures shrink.
+    """
+    rng = SimpleNamespace(randint=lambda lo, hi: draw(st.integers(lo, hi)))
+    return random_diagram(rng, max_n)

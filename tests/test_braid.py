@@ -1,17 +1,15 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
-from skewpos import Partition, SkewDiagram, beta, cut_braid, half_twist
+from skewpos import BoxRef, Partition, SkewDiagram, beta, cut_braid
 from skewpos.braid import BraidWord, render
-from skewpos.permutations import inversions, longest_element
 
 from conftest import skew_diagrams
 
 
 class TestBeta:
     def test_intro_example(self, intro):
-        word, _, columns = beta(intro)
+        word, columns = beta(intro)
         assert columns == ((4, 3), (3, 2), (3, 2), (2, 1), (2, 1), (1,), (1,))
         assert word.letters == (4, 3, 3, 2, 3, 2, 2, 1, 2, 1, 1, 1)
 
@@ -21,7 +19,7 @@ class TestBeta:
 
     def test_single_column_run(self):
         d = SkewDiagram(4, 2, Partition((2, 1)), Partition())
-        word, _, columns = beta(d)
+        word, columns = beta(d)
         # column heights from the left are 2, 1: runs s_1 then empty
         assert columns == ((1,), ())
         assert word.letters == (1,)
@@ -33,40 +31,22 @@ class TestBeta:
 
     @given(skew_diagrams())
     def test_crossing_map_bijection(self, d):
-        word, cmap, _ = beta(d)
-        assert len(cmap.boxes) == len(word.letters)
-        assert len(set(cmap.boxes)) == len(cmap.boxes)
-        for pos, letter in enumerate(word.letters):
-            box = cmap.box_of(pos)
+        # letter s_i of the j-th run is the braid box (n-k+1-j, i)
+        word, columns = beta(d)
+        boxes = [BoxRef(d.n - d.k + 1 - j, i) for j, run in enumerate(columns, start=1) for i in run]
+        assert len(boxes) == len(word.letters)
+        assert len(set(boxes)) == len(boxes)
+        for box, letter in zip(boxes, word.letters):
             assert box.i == letter
+            assert d.contains_box(box.a, box.i)
             assert box.i < d.lambda_bar[box.a]  # never the top box of its column
-            assert cmap.position_of(box) == pos
-
-
-class TestHalfTwist:
-    def test_k2(self):
-        assert half_twist(2).letters == (1,)
-
-    def test_k3(self):
-        w = half_twist(3)
-        assert len(w) == 3 and w.permutation() == (3, 2, 1)
-
-    def test_k5(self):
-        w = half_twist(5)
-        assert len(w) == 10 and w.permutation() == (5, 4, 3, 2, 1)
-
-    @given(st.integers(1, 7))
-    def test_reduced(self, k):
-        w = half_twist(k)
-        assert w.permutation() == longest_element(k)
-        assert len(w) == inversions(w.permutation()) == k * (k - 1) // 2
 
 
 class TestCutBraid:
     def test_intro_cut(self, intro):
         bl, br = cut_braid(intro, 6)
         word = beta(intro)[0]
-        assert bl.concat(br).letters == word.letters
+        assert bl.letters + br.letters == word.letters
         assert bl.letters == beta(intro.cut(6)[0])[0].letters
 
     def test_cut_at_one(self, running):
@@ -76,7 +56,7 @@ class TestCutBraid:
 
     def test_cut_at_last(self, running):
         bl, br = cut_braid(running, 7)
-        word, _, columns = beta(running)
+        word, columns = beta(running)
         assert bl.letters == columns[0]
 
     @given(skew_diagrams())
@@ -84,7 +64,7 @@ class TestCutBraid:
         word = beta(d)[0]
         for a in range(1, d.n - d.k + 1):
             bl, br = cut_braid(d, a)
-            assert bl.concat(br).letters == word.letters
+            assert bl.letters + br.letters == word.letters
 
 
 class TestBraidWord:
@@ -93,5 +73,5 @@ class TestBraidWord:
             BraidWord(3, (3,))
 
     def test_render(self, intro):
-        word, _, columns = beta(intro)
-        assert render(word, columns) == "s4 s3 | s3 s2 | s3 s2 | s2 s1 | s2 s1 | s1 | s1"
+        word, columns = beta(intro)
+        assert render(columns) == "s4 s3 | s3 s2 | s3 s2 | s2 s1 | s2 s1 | s1 | s1"

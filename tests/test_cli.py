@@ -91,6 +91,11 @@ class TestSplice:
         assert code == 1
         assert err == "point not in the column-5 chart: minor at [5, 6, 10, 11, 12] vanishes\n"
 
+    def test_column_out_of_range(self, capsys):
+        code, out, err = run(capsys, "splice", "--diagram", INTRO, "--column", "99")
+        assert code == 2 and out == ""
+        assert err == "input error: cut column 99 out of range 1..7\n"
+
     def test_point_diagram_mismatch(self, capsys, tmp_path):
         out = tmp_path / "p.json"
         run(capsys, "sample", "--diagram", RUNNING, "--seed", "3", "--out", str(out))
@@ -167,6 +172,13 @@ class TestVerify:
         repro = doc["failures"][0]
         assert {"trial", "diagram", "seed", "check"} <= set(repro)
 
+    def test_column_out_of_range_is_a_crash_record(self, capsys):
+        code, out, _ = run(capsys, "verify", "--diagram", INTRO, "--only", "splice", "--column", "99")
+        assert code == 1
+        [crash] = json.loads(out)["failures"]
+        assert crash["check"] == "crash" and crash["column"] == 99
+        assert crash["detail"] == "ValueError: cut column 99 out of range 1..7"
+
     def test_crashing_trial_is_reported_and_run_continues(self, capsys, monkeypatch):
         import skewpos.cli as cli
 
@@ -212,10 +224,24 @@ class TestInputErrors:
         (["splice", "--diagram", INTRO, "--column", "6", "--point",
           '{"diagram": %s, "matrix": [["1/0"]]}' % INTRO],
          "point key 'matrix' has an entry with denominator 0"),
-    ], ids=["diagram-without-k", "lambda-not-a-list", "point-without-matrix", "zero-denominator"])
+        (["inspect", "--diagram", "[1, 2]"], "--diagram must be a JSON object, not list"),
+    ], ids=["diagram-without-k", "lambda-not-a-list", "point-without-matrix", "zero-denominator",
+            "diagram-not-an-object"])
     def test_malformed_json(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--diagram", RUNNING, "--bound", "0"],
+        ["sample", "--diagram", RUNNING, "--bound", "-5"],
+        ["verify", "--trials", "-3"],
+        ["verify", "--diagram", INTRO, "--column", "0"],
+    ], ids=["bound-0", "bound-negative", "trials-negative", "column-0"])
+    def test_nonpositive_count(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]}" in capsys.readouterr().err
 
     def test_malformed_box(self, capsys):
         with pytest.raises(SystemExit) as exc:

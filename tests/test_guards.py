@@ -3,7 +3,9 @@
 The digests were recorded before the pipelines were restructured: the reports
 and the verify output must stay byte-identical.  The count tests pin how often
 the expensive invariants run, and a source check keeps every invariant an
-explicit raise that also runs under ``python -O``.
+explicit raise that also runs under ``python -O``.  The surface checks keep
+every public name of the package used by the package, and every parsed CLI
+option read by its subcommand.
 """
 
 import ast
@@ -18,11 +20,13 @@ import pytest
 
 import skewpos
 from skewpos import Cut, Partition, SkewDiagram, right_point, sample, splice_report
-from skewpos.cli import main
+from skewpos.cli import build_parser, main
 from skewpos.linalg import Subspace, _echelon, transversal
 from skewpos.plabic import ascii_grid, trip, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import membership
+
+from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
 INTRO_SEED16_REPORTS = {
@@ -174,3 +178,75 @@ def test_src_has_no_assert():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Public names with no caller in src/: each names an object of the paper and a test
+# checks a paper fact with it, or the benchmark reads it.
+UNCALLED_PUBLIC_NAMES = {
+    "braid.cut_braid": "beta(d) = beta(left) beta(right): test_braid::TestCutBraid",
+    "diagram.SkewDiagram.tilde_label": "the short-label recursion: test_diagram::TestRecursions",
+    "permutations.baf_to_necklace": "the necklace-permutation bijection: test_permutations::TestBijection",
+    "splicing.phi": "the splicing map lands in the product: test_splicing::TestWorkedExample",
+    "splicing.in_U_a": "read by perfbench, which samples points on every column chart",
+    "variety.necklace_of_point": "the necklace of a point is that of its diagram: test_variety::TestNecklaceOfPoint",
+}
+
+
+def test_every_public_name_has_a_caller_in_src():
+    """A public function, class or method referenced by name nowhere in src/ but __init__ is dead.
+
+    The scan goes by name, so a method shares its callers with every namesake
+    (``Subspace.contains`` with ``Partition.contains``).
+    """
+    defined, referenced = [], set()
+    for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    uncalled = {name for name in defined if name.rsplit(".", 1)[-1] not in referenced}
+    assert uncalled == set(UNCALLED_PUBLIC_NAMES)
+
+
+# one valid argv per subcommand, on a path that reaches every option it parses
+SUBCOMMAND_ARGV = {
+    "inspect": ["--diagram", RUNNING],
+    "sample": ["--diagram", RUNNING],
+    "quiver": ["--diagram", RUNNING],
+    "plabic": ["--diagram", RUNNING],
+    "splice": ["--diagram", INTRO, "--seed", "7", "--column", "6"],
+    "mutate": ["--diagram", RUNNING, "--seed", "4", "--box", "4,2"],
+    "verify": ["--trials", "1", "--only", "plabic"],
+}
+
+
+def test_every_subcommand_has_an_argv():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(commands) == set(SUBCOMMAND_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_every_parsed_option_is_read(command, capsys):
+    args = build_parser().parse_args([command] + SUBCOMMAND_ARGV[command])
+    read = set()
+
+    class Recording:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(args, name)
+
+    assert args.func(Recording()) == 0
+    capsys.readouterr()
+    assert set(vars(args)) - {"command", "func"} - read == set()

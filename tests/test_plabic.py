@@ -14,7 +14,7 @@ class TestFigureTrips:
         assert T.end == 7
         assert sorted((b.a, b.i) for b in T.boxes) == [(3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]
         assert not T.labels_mu_region
-        assert T.labeled_box_count() == 5
+        assert len(T.boxes) + T.labels_mu_region == 5
 
     def test_T5_counterclockwise(self, running):
         T = trip(running, 5)
@@ -23,7 +23,7 @@ class TestFigureTrips:
         assert sorted((b.a, b.i) for b in T.boxes) == [
             (3, 3), (4, 2), (4, 3), (5, 3), (5, 4), (6, 4), (7, 4), (7, 5)]
         assert T.labels_mu_region
-        assert T.labeled_box_count() == 9
+        assert len(T.boxes) + T.labels_mu_region == 9
 
     def test_lollipop(self, disconnected):
         T = trip(disconnected, 5)  # the empty column of the disconnected example

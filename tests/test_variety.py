@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,7 +180,7 @@ class TestOmega:
         for j, cols in enumerate(expected, start=1):
             span = L.right_flag.step(j)
             for t in cols:
-                assert span.contains_vector(V.column(t))
+                assert span.contains(Subspace.span(running.k, [V.column(t)]))
 
     def test_region_equality_running(self, running):
         V = sample(running, seed=13)
@@ -241,7 +242,7 @@ class TestOmega:
         V = sample(running, seed=16)
         for a in range(1, 8):
             mu_bar = running.mu_bar[a]
-            assert W_span(V, running.k - mu_bar).contains_vector(V.column(a + mu_bar))
+            assert W_span(V, running.k - mu_bar).contains(Subspace.span(running.k, [V.column(a + mu_bar)]))
 
 
 class TestXi:
@@ -266,9 +267,7 @@ class TestXi:
     def test_unit_torus_gives_r1_slice(self, running):
         V = sample(running, seed=22)
         L = omega(V)
-        for box, _ in L.torus:
-            L = L.with_torus(box.a, Fraction(1))
-        W = xi(L)
+        W = xi(replace(L, torus=tuple((box, Fraction(1)) for box, _ in L.torus)))
         assert membership(W.matrix, running)
         for box in running.ribbon().R1:
             assert W.delta(running.long_label(box.a, box.i)) == 1
@@ -277,7 +276,7 @@ class TestXi:
     def test_perturb_torus_column_one(self, running):
         V = sample(running, seed=25)
         L = omega(V)
-        W = xi(L.with_torus(1, Fraction(7) * L.torus_value(1)))
+        W = xi(replace(L, torus=tuple((box, 7 * c if box.a == 1 else c) for box, c in L.torus)))
         t0 = 1 + running.mu_bar[1]
         for t in range(1, 13):
             if t == t0:
@@ -289,5 +288,5 @@ class TestXi:
         V = sample(running, seed=26)
         L = omega(V)
         for box, c in L.torus:
-            W = xi(L.with_torus(box.a, 5 * c))
+            W = xi(replace(L, torus=tuple((b, 5 * x if b == box else x) for b, x in L.torus)))
             assert membership(W.matrix, running)
