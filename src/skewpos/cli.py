@@ -46,6 +46,16 @@ def load_diagram(source: str) -> SkewDiagram:
     return SkewDiagram.from_json(load_json(source, "diagram"))
 
 
+def load_point(args, d: SkewDiagram) -> PointV:
+    """The point given to --point, which must lie on d, or else a sample of d by --seed and --bound."""
+    if not args.point:
+        return sample(d, args.seed, bound=args.bound)
+    V = PointV.from_json(load_json(args.point, "point"))
+    if V.diagram != d:
+        raise ValueError("point diagram differs from --diagram")
+    return V
+
+
 def box_ref(text: str) -> BoxRef:
     """The --box value 'a,i'; argparse exits 2 on the ValueError of any other text."""
     a, i = map(int, text.split(","))
@@ -143,14 +153,7 @@ def cmd_plabic(args) -> int:
 
 
 def cmd_splice(args) -> int:
-    d = load_diagram(args.diagram)
-    if args.point:
-        V = PointV.from_json(load_json(args.point, "point"))
-        if V.diagram != d:
-            print("point diagram differs from --diagram", file=sys.stderr)
-            return 2
-    else:
-        V = sample(d, args.seed, bound=args.bound)
+    V = load_point(args, load_diagram(args.diagram))
     try:
         doc = splice_report(V, args.column)
     except OffChart as exc:
@@ -162,12 +165,7 @@ def cmd_splice(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    d = load_diagram(args.diagram)
-    if args.point:
-        V = PointV.from_json(load_json(args.point, "point"))
-    else:
-        V = sample(d, args.seed, bound=args.bound)
-    s = seed_at(V)
+    s = seed_at(load_point(args, load_diagram(args.diagram)))
     box = args.box
     try:
         new = mutate(s, box)
@@ -240,10 +238,12 @@ def cmd_verify(args) -> int:
     failures = []
     results = []
     if args.diagram:
+        if args.trials is not None:
+            raise ValueError("--trials conflicts with --diagram, which runs one trial")
         diagrams = [(0, load_diagram(args.diagram))]
     else:
         diagrams = []
-        for t in range(args.trials):
+        for t in range(args.trials or 50):
             rng = random.Random(subseed(base, "diagram", t))
             diagrams.append((t, random_diagram(rng)))
     for t, d in diagrams:
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "seed": dict(type=int, default=1),
         "bound": dict(type=positive_int, default=100),
-        "trials": dict(type=positive_int, default=50),
+        "trials": dict(type=positive_int, default=None, help="random diagrams to test (default 50); not with --diagram"),
         "point": dict(default=None, help="path to point JSON or inline JSON"),
     }
 

@@ -86,7 +86,10 @@ class Seed:
 
 
 def seed_at(V: PointV) -> Seed:
-    """Initial seed values: the ascending-order minor of each box label."""
+    """Initial seed values: the ascending-order minor of each box label.  Computed once per
+    point, membership test included, and kept on the point."""
+    if "seed" in V._memo:
+        return V._memo["seed"]
     d = V.diagram
     if not membership(V.matrix, d):
         raise ValueError("point does not lie on the variety of its diagram")
@@ -97,7 +100,8 @@ def seed_at(V: PointV) -> Seed:
         if b in q.frozen and x == 0:
             raise InvariantError(f"frozen value vanishes at {b}")
         values.append((b, x))
-    return Seed(q, tuple(values))
+    V._memo["seed"] = Seed(q, tuple(values))
+    return V._memo["seed"]
 
 
 def _mutate_quiver(q: Quiver, box: BoxRef) -> Quiver:

@@ -20,7 +20,8 @@ ONE = Fraction(1)
 
 
 def vec(entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as Fractions; entries that already are Fractions are kept as they are."""
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 def zero_vector(k: int) -> Vector:
@@ -46,7 +47,7 @@ class RatMatrix:
     rows: tuple[Vector, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(e) for e in r) for r in self.rows)
+        rows = tuple(map(vec, self.rows))
         if not rows or not rows[0]:
             raise ValueError("matrix must have positive dimensions")
         if len({len(r) for r in rows}) != 1:
@@ -55,8 +56,7 @@ class RatMatrix:
 
     @classmethod
     def from_columns(cls, columns) -> "RatMatrix":
-        cols = [vec(c) for c in columns]
-        return cls(tuple(zip(*cols)))
+        return cls(tuple(zip(*columns)))
 
     @property
     def nrows(self) -> int:
@@ -128,15 +128,18 @@ def _pivot_rows(vectors) -> list[tuple[int, list[int]]]:
     return pivots
 
 
-def _echelon(rows) -> list[list[Fraction]]:
-    """Reduced row echelon form of the span of the rows; returns the nonzero rows (pivots 1)."""
+def _reduced(rows) -> list[tuple[int, list[int]]]:
+    """(pivot column c, integer row p) pairs in pivot order; p / p[c] are the RREF rows."""
     pivots = sorted(_pivot_rows(rows))
-    out = []
     for j, (c, p) in enumerate(pivots):
         # later rows vanish left of their own pivots, so cleared columns stay zero
-        p = _reduce(pivots[j + 1:], p)
-        out.append([Fraction(x, p[c]) for x in p])
-    return out
+        pivots[j] = (c, _reduce(pivots[j + 1:], p))
+    return pivots
+
+
+def _echelon(rows) -> list[list[Fraction]]:
+    """Reduced row echelon form of the span of the rows; returns the nonzero rows (pivots 1)."""
+    return [[Fraction(x, p[c]) for x in p] for c, p in _reduced(rows)]
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

@@ -77,11 +77,23 @@ def _move(pos: Pt, direction: str) -> Pt:
     return {"W": (x - 1, y), "S": (x, y - 1), "E": (x + 1, y), "N": (x, y + 1)}[direction]
 
 
+def _trip_inputs(d: SkewDiagram):
+    """What every trip of d reads: the boundary path, I_lambda, the exit lookup by orientation
+    (clockwise trips exit at the end of a horizontal step), and the boxes."""
+    pts, vertical = _boundary_path(d)
+    exits = {True: {pts[t]: t for t in range(1, d.n + 1) if t not in vertical},
+             False: {pts[t - 1]: t for t in vertical}}
+    return pts, vertical, exits, d.boxes()
+
+
 def trip(d: SkewDiagram, i: int) -> LatticeTrip:
     """The lattice trip starting at boundary edge i."""
     if not 1 <= i <= d.n:
         raise ValueError(f"boundary edge {i} out of range 1..{d.n}")
-    pts, vertical = _boundary_path(d)
+    return _trip(d, i, *_trip_inputs(d))
+
+
+def _trip(d: SkewDiagram, i: int, pts: list[Pt], vertical: set[int], exits: dict, boxes) -> LatticeTrip:
     pos, direction = (pts[i - 1], "W") if i in vertical else (pts[i], "S")
     path = [pos]
     while _edge_allowed(d, pos, direction):  # staircase southwest
@@ -90,24 +102,21 @@ def trip(d: SkewDiagram, i: int) -> LatticeTrip:
         direction = "S" if direction == "W" else "W"
     # reflect, then run north to the end of a horizontal step or east to the start of a vertical one
     clockwise = direction == "S"
-    if clockwise:
-        run, exits = "N", {pts[t]: t for t in range(1, d.n + 1) if t not in vertical}
-    else:
-        run, exits = "E", {pts[t - 1]: t for t in vertical}
-    while pos not in exits:
+    run, exit_at = ("N" if clockwise else "E"), exits[clockwise]
+    while pos not in exit_at:
         if len(path) > 2 * d.n:
             raise RuntimeError(f"trip {i} failed to terminate; manual inspection required")
         pos = _move(pos, run)
         path.append(pos)
-    end = exits[pos]
+    end = exit_at[pos]
     # the loop closes along the boundary arc from the exit back to the entry
     arc = pts[i:end][::-1] if clockwise else pts[end:i]
-    boxes = _boxes_by_side(d, path + arc, inside=clockwise)
+    enclosed = _boxes_by_side(d, boxes, path + arc, inside=clockwise)
     orientation = "clockwise" if clockwise else "counterclockwise"
-    return LatticeTrip(i, end, orientation, tuple(path), boxes, labels_mu_region=not clockwise)
+    return LatticeTrip(i, end, orientation, tuple(path), enclosed, labels_mu_region=not clockwise)
 
 
-def _boxes_by_side(d: SkewDiagram, polygon: list[Pt], inside: bool) -> tuple[BoxRef, ...]:
+def _boxes_by_side(d: SkewDiagram, boxes, polygon: list[Pt], inside: bool) -> tuple[BoxRef, ...]:
     """Boxes inside a closed lattice polygon, or outside it; box (a, i) has its left edge at x = n-k-a."""
     crossings: dict[int, list[int]] = {}
     for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
@@ -115,12 +124,13 @@ def _boxes_by_side(d: SkewDiagram, polygon: list[Pt], inside: bool) -> tuple[Box
             for r in range(min(y1, y2) + 1, max(y1, y2) + 1):
                 crossings.setdefault(r, []).append(x1)
     w = d.n - d.k
-    return tuple(b for b in d.boxes() if sum(x > w - b.a for x in crossings.get(b.i, ())) % 2 == inside)
+    return tuple(b for b in boxes if sum(x > w - b.a for x in crossings.get(b.i, ())) % 2 == inside)
 
 
 def trips(d: SkewDiagram) -> tuple[LatticeTrip, ...]:
-    """The n lattice trips, trips(d)[i - 1] = trip(d, i)."""
-    return tuple(trip(d, i) for i in range(1, d.n + 1))
+    """The n lattice trips, trips(d)[i - 1] = trip(d, i); their common inputs are built once."""
+    inputs = _trip_inputs(d)
+    return tuple(_trip(d, i, *inputs) for i in range(1, d.n + 1))
 
 
 def trip_permutation(ts: tuple[LatticeTrip, ...]) -> tuple[tuple[int, ...], dict[int, str]]:

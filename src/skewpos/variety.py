@@ -11,17 +11,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
 from .linalg import (
     FlagK,
     RatMatrix,
     Subspace,
+    ZERO,
     Vector,
-    _echelon,
     _extend,
     _primitive,
     _reduce,
+    _reduced,
     det,
     minor,
     rat_to_str,
@@ -41,13 +43,42 @@ def _cyclic_column(M: RatMatrix, t: int) -> Vector:
     return v if (q * (M.nrows - 1)) % 2 == 0 else vec_scale(Fraction(-1), v)
 
 
+def _gauge_rows(d: SkewDiagram, M: RatMatrix) -> tuple[list[list[int]], int]:
+    """(rows, D) with rows / D = B^-1 M for B the columns of M at I_mu: with those columns
+    moved first, the RREF of [B | rest] is B^-1 [B | rest] exactly when B is invertible."""
+    I_mu = d.I_mu()
+    order = list(I_mu) + [t for t in range(1, M.ncols + 1) if t not in I_mu]
+    red = _reduced([[row[t - 1] for t in order] for row in M.rows])
+    if len(red) < d.k or red[-1][0] != d.k - 1:
+        raise ValueError("columns at I_mu are dependent; not a point of the variety")
+    D = lcm(*(p[c] for c, p in red))
+    at = {t: j for j, t in enumerate(order)}
+    return [[p[at[t]] * (D // p[c]) for t in range(1, M.ncols + 1)] for c, p in red], D
+
+
+def _over(rows: list[list[int]], D: int) -> RatMatrix:
+    return RatMatrix(tuple(tuple(Fraction(x, D) for x in r) for r in rows))
+
+
+def _is_odd(perm: list[int]) -> bool:
+    """True iff the permutation of 0..len-1 with these images is odd: the parity of the swaps that sort it."""
+    perm, odd = list(perm), False
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j], odd = perm[j], j, not odd
+    return odd
+
+
 @dataclass(frozen=True)
 class PointV:
-    """Gauge-fixed point: rank-k matrix with Delta_{I_mu} = 1."""
+    """Gauge-fixed point: rank-k matrix with Delta_{I_mu} = 1.  ``_memo`` keeps what is computed
+    once per point, on first use: the chart (``delta``) and the seed (``cluster.seed_at``)."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
     seed: int | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.diagram
@@ -58,26 +89,47 @@ class PointV:
 
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
-        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i.
+        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i."""
+        return cls(d, _over(*_gauge_rows(d, M)), seed)
 
-        With the columns at I_mu moved first, the RREF of [B | rest] is B^-1 [B | rest]
-        exactly when B is invertible.
-        """
-        I_mu = d.I_mu()
-        order = list(I_mu) + [t for t in range(1, M.ncols + 1) if t not in I_mu]
-        red = _echelon([[row[t - 1] for t in order] for row in M.rows])
-        if len(red) < d.k or red[d.k - 1][d.k - 1] == 0:
-            raise ValueError("columns at I_mu are dependent; not a point of the variety")
-        cols = dict(zip(order, zip(*red)))
-        return cls(d, RatMatrix.from_columns([cols[t] for t in range(1, M.ncols + 1)]), seed)
+    def _chart(self) -> tuple[list[list[int]], int, dict[int, int]]:
+        """(rows, D, row of R at each 0-based column at I_mu) of the chart R = B^-1 M = rows / D."""
+        if "chart" not in self._memo:
+            row_of = {t - 1: j for j, t in enumerate(self.diagram.I_mu())}
+            self._memo["chart"] = (*_gauge_rows(self.diagram, self.matrix), row_of)
+        return self._memo["chart"]
 
     def column(self, t: int) -> Vector:
         """Column t with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
         return _cyclic_column(self.matrix, t)
 
     def delta(self, J) -> Fraction:
-        """Signed minor in the listed column order (cyclic indices allowed)."""
-        return det([self.column(t) for t in J])
+        """Signed minor in the listed column order (cyclic indices allowed).
+
+        Read off the chart R: det B = Delta_{I_mu} = 1, so Delta_J(M) = Delta_J(R), and
+        the column of R at the j-th element of I_mu is e_j.  Laplace expansion along
+        the columns of J at I_mu leaves the minor of R on the other rows and the
+        other columns of J; two columns of J at one column of I_mu give 0.
+        """
+        rows, D, row_of = self._chart()
+        k, n = len(rows), self.matrix.ncols
+        if len(J) != k:
+            raise ValueError(f"need {k} column indices, got {len(J)}")
+        perm, rest, shifts = [None] * k, [], 0  # perm: position in J -> row of R
+        for p, t in enumerate(J):
+            q, r = divmod(t - 1, n)
+            shifts += q
+            if r in row_of:
+                perm[p] = row_of[r]
+            else:
+                rest.append((p, r))
+        others = sorted(set(range(k)).difference(perm))
+        if len(others) != len(rest):
+            return ZERO
+        for (p, _), j in zip(rest, others):
+            perm[p] = j
+        value = det([[rows[j][r] for _, r in rest] for j in others]) / D ** len(rest)
+        return -value if ((k - 1) * shifts) % 2 != _is_odd(perm) else value
 
     def subspace(self, a: int, i: int) -> Subspace:
         """V(a, i) = span of the short-label columns of box (a, i)."""
@@ -89,8 +141,8 @@ class PointV:
         return Subspace.span(d.k, [self.column(d.b(t)) for t in range(1, j + 1)])
 
     def regauged(self) -> "PointV":
-        """Representative with v_{b_i} = e_i."""
-        return PointV.from_matrix(self.diagram, self.matrix, self.seed)
+        """Representative with v_{b_i} = e_i: the chart B^-1 M."""
+        return PointV(self.diagram, _over(*self._chart()[:2]), self.seed)
 
     def to_json(self) -> dict:
         return {

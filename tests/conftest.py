@@ -256,6 +256,16 @@ def right_point_oracle(V, a: int):
     return PointV(right, M, V.seed)
 
 
+# -- oracle: the k x k determinant the chart-block minors replaced ------------------------
+
+
+def delta_oracle(V, J) -> Fraction:
+    """Signed minor of the cyclic columns v_t, t in J, in the listed order, by one k x k determinant."""
+    from skewpos.linalg import det
+
+    return det([V.column(t) for t in J])
+
+
 # -- oracle: the step-dict polygon and Fraction ray casting the row-parity enclosure replaced --
 
 

@@ -101,7 +101,7 @@ class TestSplice:
         run(capsys, "sample", "--diagram", RUNNING, "--seed", "3", "--out", str(out))
         code, _, err = run(capsys, "splice", "--diagram", INTRO, "--point", str(out),
                            "--column", "6")
-        assert code == 2
+        assert code == 2 and err == "input error: point diagram differs from --diagram\n"
 
 
 class TestQuiverPlabic:
@@ -136,8 +136,22 @@ class TestMutate:
                            "--box", "1,1")
         assert code == 2 and "frozen" in err
 
+    def test_point_diagram_mismatch(self, capsys, tmp_path):
+        """A point of the intro diagram is no point of the running one: exit 2, as for splice."""
+        out = tmp_path / "p.json"
+        run(capsys, "sample", "--diagram", INTRO, "--seed", "3", "--out", str(out))
+        code, stdout, err = run(capsys, "mutate", "--diagram", RUNNING, "--point", str(out),
+                                "--box", "4,2")
+        assert code == 2 and stdout == ""
+        assert err == "input error: point diagram differs from --diagram\n"
+
 
 class TestVerify:
+    def test_trials_with_diagram_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--diagram", INTRO, "--trials", "7")
+        assert code == 2 and out == ""
+        assert err == "input error: --trials conflicts with --diagram, which runs one trial\n"
+
     def test_default_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--trials", "6", "--seed", "5")
         assert code == 0

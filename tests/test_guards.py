@@ -21,8 +21,8 @@ import pytest
 import skewpos
 from skewpos import Cut, Partition, SkewDiagram, right_point, sample, splice_report
 from skewpos.cli import build_parser, main
-from skewpos.linalg import Subspace, _echelon, transversal
-from skewpos.plabic import ascii_grid, trip, trips_json, verify_trips
+from skewpos.linalg import Subspace, _echelon, det, transversal
+from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import membership
 
@@ -37,6 +37,31 @@ INTRO_SEED16_REPORTS = {
     5: "10dbe7fae7693b25e9a2101c345e9cb1bf6549b7256b71a531c96a5c22772d55",
     6: "f5585bb6c2f05550aa81f6dd427104795aa9ee271c5309700a666d0570b8e120",
     7: "6728f001e74173a1a0926d3e0049c16878f140a00a84a511f51668c9dab33a27",
+}
+
+# sha256 of json.dumps(splice_report(sample(staircase(32), seed=1), a), sort_keys=True), recorded
+# while every minor was a k x k determinant of the point's columns
+STAIRCASE32_SEED1_REPORTS = {
+    1: "d595c4b573cd1f3ce5e769ee5dff62ff6163c474a7d23135b6985d47eedaf56a",
+    2: "4a7b3802152c11fc6058a715a09f3e6e6d5fb817a887e2499ef210d61a6f2a8b",
+    3: "b692dd50e22827b1114830db18908926b3751583b47e637b24eb458257630cf7",
+    4: "227a45560fc7efd395483a508ca1edd2ea67a054eb4f969348b31ee21c7a1de4",
+    5: "0a5cb236179dba481e9c0a1c52756a8db13251b11e8447cf9c6909958abb9944",
+    6: "80b008d50b74640bdfcf2906b1cc3895e6244cdf85503907599987e5eee6e08f",
+    7: "92287b9c7112aae317b73f58c6cfc4fe0d43203b61a3612ebf29911e3be53cc5",
+    8: "424443987ef174740e5793b007e6c3d26c3a2684862d8288f103faaa9579aea2",
+    9: "296a3562d26093c90d6c183a8aceddb0bcd33a2227fbda77405eeba31636a8a5",
+    10: "d2d23d43f7b6dc40a9884c1bd632fe87e12c2b0b9fb2adb756982f2d187abbfd",
+    11: "b18f2ae0dfcf8b9f6ead6694ec9a79d833c7699064066e13411fa1896dbb6907",
+    12: "ec4a2f4b3c090e0059728f52bdbcc8ab601d7c9a05fa81067bff4d0c93144fe6",
+    13: "b63a822f8c4fe75681320fc443b8260acd85f6810df775516e0aff0e93ad81f1",
+    14: "49cd9b0779a28ce58f4f270c02fd611332d49244ec8533a2e43c8818043b0183",
+    15: "1f33012a01d0d73058f52cc026f1be396d6abc3d7a102f81692365d81f1383bd",
+    16: "fd146c2c10479a5b45be631458d2d80ae132d7ccf53e6db80e0cf5f47215b7c9",
+    17: "c1f87d256e998791420625923fc317af5b333754cff7e5a58d9c458d485bc307",
+    18: "2cb86fa4da17539ad2fd2db4025b7d7babf04492851bfb942d75851c231275d4",
+    19: "85325f81f02761f50750208f00ed68a6aa020cfaa03f927377546431b2aae120",
+    20: "12a3f0f5b6ce0c6dc90285a8249d08a4557b316efb3e3eebb579321d54af56d9",
 }
 
 # sha256 of the standard output of `skewpos verify --trials 5 --seed 1`
@@ -66,6 +91,14 @@ def test_splice_reports_byte_identical(intro):
     V = sample(intro, seed=16)
     for a in range(1, intro.n - intro.k + 1):
         assert sha256(json.dumps(splice_report(V, a), sort_keys=True)) == INTRO_SEED16_REPORTS[a]
+
+
+def test_staircase_reports_byte_identical():
+    d = staircase(32)
+    V = sample(d, seed=1)
+    assert d.n - d.k == len(STAIRCASE32_SEED1_REPORTS)
+    for a, want in STAIRCASE32_SEED1_REPORTS.items():
+        assert sha256(json.dumps(splice_report(V, a), sort_keys=True)) == want
 
 
 def test_verify_output_byte_identical(capsys):
@@ -112,25 +145,50 @@ def counted(monkeypatch):
 
 
 def test_one_membership_per_matrix(counted, intro):
-    V = sample(intro, seed=16)
-    cuts = {a: Cut.at(V, a) for a in range(1, intro.n - intro.k + 1)}
+    """Over all cuts of one point, V's membership runs once (its seed is kept on the
+    point) and each factor's runs once."""
+    W = sample(intro, seed=16)
+    columns = range(1, intro.n - intro.k + 1)
+    factors = [P for a in columns for P in (Cut.at(W, a).left, Cut.at(W, a).right)]
+    V = sample(intro, seed=16)  # equal to W, with nothing computed yet
     calls = counted(membership)
-    for a, c in cuts.items():
-        calls.clear()
+    for a in columns:
         splice_report(V, a)
-        checked = [(V.matrix, intro), (c.left.matrix, c.left.diagram), (c.right.matrix, c.right.diagram)]
-        assert Counter(calls) == Counter(checked)
+    assert Counter(calls) == Counter([(V.matrix, intro)] + [(P.matrix, P.diagram) for P in factors])
+
+
+def test_delta_minors_are_at_most_2x2_on_the_staircase(monkeypatch):
+    """Every box label of the staircase family differs from I_mu in at most two columns,
+    so each minor ``PointV.delta`` takes off the chart is 1 x 1 or 2 x 2."""
+    d = staircase(32)
+    sizes = []
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(skewpos.variety, "det", recording)
+    for a in range(1, d.n - d.k + 1):
+        sizes.clear()
+        splice_report(sample(d, seed=1), a)  # a fresh point, so V's seed minors count too
+        assert sizes and max(sizes) <= 2
 
 
 @pytest.mark.parametrize("fixture", ["running", "disconnected", "intro"])
 def test_one_trip_per_boundary_edge(counted, fixture, request):
     d = request.getfixturevalue(fixture)
-    calls = counted(trip)
+    calls = counted(_trip)
     verify_trips(d)
-    assert sorted(i for _, i in calls) == list(range(1, d.n + 1))
+    assert sorted(c[1] for c in calls) == list(range(1, d.n + 1))
     calls.clear()
     trips_json(d)
-    assert sorted(i for _, i in calls) == list(range(1, d.n + 1))
+    assert sorted(c[1] for c in calls) == list(range(1, d.n + 1))
+
+
+def test_one_boundary_path_per_trips(counted, intro):
+    calls = counted(_boundary_path)
+    trips(intro)
+    assert calls == [(intro,)]
 
 
 def staircase(n: int) -> SkewDiagram:
@@ -186,8 +244,10 @@ UNCALLED_PUBLIC_NAMES = {
     "braid.cut_braid": "beta(d) = beta(left) beta(right): test_braid::TestCutBraid",
     "diagram.SkewDiagram.tilde_label": "the short-label recursion: test_diagram::TestRecursions",
     "permutations.baf_to_necklace": "the necklace-permutation bijection: test_permutations::TestBijection",
+    "plabic.trip": "one trip of the figures: test_plabic::TestFigureTrips",
     "splicing.phi": "the splicing map lands in the product: test_splicing::TestWorkedExample",
     "splicing.in_U_a": "read by perfbench, which samples points on every column chart",
+    "variety.PointV.from_matrix": "re-gauges any representative: test_variety::TestPointV::test_regauge",
     "variety.necklace_of_point": "the necklace of a point is that of its diagram: test_variety::TestNecklaceOfPoint",
 }
 

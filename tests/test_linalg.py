@@ -144,3 +144,24 @@ class TestSerialization:
     def test_integer_form(self):
         assert rat_to_str(Fraction(6, 2)) == "3"
         assert rat_to_str(Fraction(-1, 2)) == "-1/2"
+
+
+class TestRatMatrixEntries:
+    WANT = ((Fraction(1), Fraction(-2, 3)), (Fraction(0), Fraction(5)))
+
+    @pytest.mark.parametrize("rows", [
+        ((1, "-2/3"), (0, 5)),
+        (("1", "-4/6"), ("0", "5")),
+        ((Fraction(1), Fraction(-2, 3)), (Fraction(0), Fraction(5))),
+        ((True, Fraction(-2, 3)), ("0/7", 5)),
+    ], ids=["int-str", "str", "fraction", "mixed"])
+    def test_int_str_and_fraction_entries_agree(self, rows):
+        for M in (RatMatrix(rows), RatMatrix.from_columns(zip(*rows))):
+            assert M == RatMatrix(self.WANT) and M.rows == self.WANT
+            assert all(type(e) is Fraction for r in M.rows for e in r)
+
+    def test_fraction_entries_are_kept(self):
+        x = Fraction(-2, 3)
+        assert RatMatrix(((x,),)).rows[0][0] is x
+        assert RatMatrix.from_columns([(x,)]).rows[0][0] is x
+        assert vec((x, 2))[0] is x

@@ -37,6 +37,7 @@ from skewpos.variety import PointV
 
 from conftest import (
     W_span,
+    delta_oracle,
     flag_W,
     from_matrix_oracle,
     intro_off_chart_point,
@@ -399,3 +400,58 @@ class TestRightFactorOracle:
                 assert got == (True, "cut flag not transversal to the opposite boundary flag")
             else:
                 assert isinstance(got, RatMatrix)
+
+
+def cyclic_labels(d):
+    """k column indices in -n+1..3n, unsorted and possibly repeated; about half lie at I_mu mod n."""
+    column = st.one_of(st.sampled_from(d.I_mu()), st.integers(1, d.n))
+    shifted = st.tuples(column, st.integers(-1, 2)).map(lambda c: c[0] + c[1] * d.n)
+    return st.lists(shifted, min_size=d.k, max_size=d.k)
+
+
+def box_labels(d):
+    """The long label of every box, sorted and reversed."""
+    for b in d.boxes():
+        J = d.long_label(b.a, b.i)
+        yield from (tuple(sorted(J)), tuple(sorted(J, reverse=True)))
+
+
+class TestDeltaOracle:
+    """PointV.delta, read off the I_mu chart, against the k x k determinant of the columns."""
+
+    @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cyclic_unsorted_and_repeated_labels(self, d, seed, data):
+        V = sample(d, seed=seed)
+        for J in [data.draw(cyclic_labels(d)) for _ in range(10)] + list(box_labels(d)):
+            assert V.delta(J) == delta_oracle(V, J)
+
+    @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_points_in_a_nonidentity_gauge(self, d, seed, data):
+        V = sample(d, seed=seed)
+        g = data.draw(det_one_matrices(d.k))
+        assume(any(g[i][j] != (i == j) for i in range(d.k) for j in range(d.k)))
+        W = gauged(V, g)  # columns at I_mu are g e_j, not unit vectors
+        c = data.draw(GAUGE_ENTRIES.filter(lambda x: x not in (0, 1)))
+        P = PointV.from_matrix(d, RatMatrix((tuple(c * x for x in W.matrix.rows[0]),) + W.matrix.rows[1:]))
+        for J in [data.draw(cyclic_labels(d)) for _ in range(10)] + list(box_labels(d)):
+            assert W.delta(J) == delta_oracle(W, J) == V.delta(J)
+            assert P.delta(J) == delta_oracle(P, J) == V.delta(J)
+
+    @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cut_factors(self, d, seed, data):
+        V = gauged(sample(d, seed=seed), data.draw(det_one_matrices(d.k)))
+        for a in range(1, d.n - d.k + 1):
+            if not in_U_a(V, a):
+                continue
+            c = Cut.at(V, a)
+            for P in (c.left, c.right):
+                for J in [data.draw(cyclic_labels(P.diagram)) for _ in range(3)] + list(box_labels(P.diagram)):
+                    assert P.delta(J) == delta_oracle(P, J)
+
+    def test_label_of_the_wrong_length_is_rejected(self, intro):
+        V = sample(intro, seed=16)
+        with pytest.raises(ValueError):
+            V.delta(intro.I_mu()[1:])

@@ -163,6 +163,16 @@ class TestPointV:
         with pytest.raises(ValueError, match="re-gauge"):
             PointV(running, scaled)
 
+    def test_memo_is_not_part_of_the_value(self, running):
+        """The chart and the seed kept on a point stay out of its eq, hash and repr."""
+        V, W = sample(running, seed=2), sample(running, seed=2)
+        h, r = hash(V), repr(V)
+        skewpos.seed_at(V)
+        assert V.delta(running.I_lambda()) != 0
+        assert set(V._memo) == {"chart", "seed"} and W._memo == {}
+        assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == r
+        assert "_memo" not in r and replace(V, seed=3)._memo == {}
+
     def test_json_roundtrip(self, running):
         V = sample(running, seed=2)
         assert PointV.from_json(V.to_json()).matrix == V.matrix
