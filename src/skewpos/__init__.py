@@ -1,7 +1,7 @@
 """Skew shaped positroid varieties: combinatorics, exact points, splicing."""
 
 from .braid import BraidWord, beta, cut_braid
-from .cluster import Quiver, Seed, exchange_products, exchange_ratio, mutate, quiver, seed_at
+from .cluster import Quiver, Seed, exchange_products, mutate, quiver, seed_at
 from .diagram import BoxRef, InvariantError, Partition, RibbonDecomposition, SkewDiagram, conjugate
 from .linalg import FlagK, RatMatrix, Subspace, minor, transversal
 from .permutations import (
@@ -22,7 +22,6 @@ from .splicing import (
     Cut,
     OffChart,
     chart_is_everything,
-    flag_at_cut,
     in_U_a,
     left_point,
     phi,
@@ -44,13 +43,13 @@ from .variety import (
 
 __all__ = [
     "BraidWord", "beta", "cut_braid",
-    "Quiver", "Seed", "exchange_products", "exchange_ratio", "mutate", "quiver", "seed_at",
+    "Quiver", "Seed", "exchange_products", "mutate", "quiver", "seed_at",
     "BoxRef", "InvariantError", "Partition", "RibbonDecomposition", "SkewDiagram", "conjugate",
     "FlagK", "RatMatrix", "Subspace", "minor", "transversal",
     "BoundedAffinePermutation", "GrassmannNecklace", "PermWord", "baf", "baf_to_necklace", "necklace",
     "necklace_to_baf", "verify_f_factorization", "w_grassmannian", "w_skew",
     "LatticeTrip", "source_labels", "trip", "trip_permutation", "trips",
-    "A_factor", "Cut", "OffChart", "chart_is_everything", "flag_at_cut", "in_U_a", "left_point", "phi",
+    "A_factor", "Cut", "OffChart", "chart_is_everything", "in_U_a", "left_point", "phi",
     "right_point", "splice_report", "verify_exchange_ratios", "verify_minor_scaling",
     "BraidLabeling", "PointV", "f_of_point", "membership", "necklace_of_point", "omega", "sample", "xi",
 ]

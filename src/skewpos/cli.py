@@ -15,9 +15,9 @@ import random
 import sys
 
 from .braid import beta, render
-from .cluster import exchange_ratio, mutate, quiver_dot, quiver_json, seed_at
+from .cluster import exchange_products, mutate, quiver_dot, quiver_json, seed_at
 from .diagram import BoxRef, Partition, SkewDiagram
-from .linalg import rat_to_str
+from .linalg import rat_to_str, ratio_to_str
 from .permutations import baf, necklace, necklace_to_baf, verify_f_factorization, w_skew
 from .plabic import ascii_grid, trips_json, verify_trips
 from .splicing import OffChart, chart_is_everything, splice_report
@@ -167,18 +167,13 @@ def cmd_splice(args) -> int:
 def cmd_mutate(args) -> int:
     s = seed_at(load_point(args, load_diagram(args.diagram)))
     box = args.box
-    try:
-        new = mutate(s, box)
-        ratio = exchange_ratio(s, box)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    new = mutate(s, box)
     emit(
         {
             "box": [box.a, box.i],
             "old_value": rat_to_str(s.value(box)),
             "new_value": rat_to_str(new.value(box)),
-            "exchange_ratio": rat_to_str(ratio),
+            "exchange_ratio": ratio_to_str(*exchange_products(s, box)),
             "values": {f"a{b.a}i{b.i}": rat_to_str(x) for b, x in new.values},
         },
         args.out,

@@ -160,14 +160,6 @@ def exchange_products(s: Seed, box: BoxRef) -> tuple[Fraction, Fraction]:
     return num, den
 
 
-def exchange_ratio(s: Seed, box: BoxRef) -> Fraction:
-    """Ratio of in-arrow to out-arrow value products at a mutable vertex."""
-    num, den = exchange_products(s, box)
-    if den == 0:
-        raise ZeroDivisionError(f"out-product vanishes at {box}")
-    return num / den
-
-
 def quiver_dot(d: SkewDiagram) -> str:
     """DOT rendering: ids a{a}i{i}, frozen drawn as boxes, labels the sorted box subsets."""
     q = quiver(d)

@@ -267,3 +267,7 @@ def rat_to_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
+
+def ratio_to_str(num: Fraction, den: Fraction) -> str:
+    """Serialize num / den, or "(num)/0" when den vanishes."""
+    return rat_to_str(num / den) if den else f"({rat_to_str(num)})/0"

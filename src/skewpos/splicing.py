@@ -2,10 +2,11 @@
 
 On the open chart where the column-a minors are nonzero, a point V maps to a
 pair (V_left, V_right) of points on the two diagrams obtained by cutting along
-column a.  The left factor reuses columns of V; the right factor reads the
-intersections of the flag at the cut with the opposite flag of the boundary
-basis off one echelon form and is triangular over V with explicit rational
-scaling factors, which is what the verification suite checks exactly.
+column a.  The left factor reuses columns of V; the right factor reads each
+boundary column off ratios of minors of V (Cramer's rule on the flag at the
+cut against the opposite flag of the boundary basis) and is triangular over V
+with explicit rational scaling factors, which is what the verification suite
+checks exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .cluster import Seed, exchange_products, seed_at
 from .diagram import BoxRef, InvariantError, SkewDiagram
-from .linalg import FlagK, RatMatrix, Subspace
+from .linalg import RatMatrix, ratio_to_str, vec_add, vec_scale
 from .variety import PointV, membership  # noqa: F401 - perfbench/tests reads this binding
 
 
@@ -48,25 +49,6 @@ def chart_is_everything(d: SkewDiagram, a: int) -> bool:
     )
 
 
-def flag_at_cut(V: PointV, a: int) -> FlagK:
-    """The complete flag on the interface of the two column groups."""
-    d = V.diagram
-    steps: list[Subspace] = []
-    for i in range(1, d.mu_bar[a] + 1):
-        steps.append(V.W_op(i))
-    for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1):
-        steps.append(V.subspace(a, i))
-    for i in range(d.lambda_bar[a] + 1, d.k + 1):
-        # level of the rightmost box in row i; rows with lambda_i = mu_i have no
-        # such skew box and the label formula degenerates to a boundary prefix
-        cols = [V.column(min(d.d(i) + j - 1, d.b(j))) for j in range(1, i + 1)]
-        steps.append(Subspace.span(d.k, cols))
-    try:
-        return FlagK(tuple(steps))
-    except ValueError as exc:
-        raise ValueError(f"cut flag at column {a} is not a complete flag: {exc}") from exc
-
-
 def left_point(V: PointV, a: int) -> PointV:
     """Left factor: boundary columns first, then the columns of V shifted by a-1.
 
@@ -82,30 +64,36 @@ def left_point(V: PointV, a: int) -> PointV:
 def right_point(V: PointV, a: int) -> PointV:
     """Right factor, expressed in the frame of V (same frame as the scaling identities).
 
-    In the frame v_{b_j} = e_j of ``V.regauged()`` the opposite boundary flag is
-    W_j = span(e_{k-j+1}, .., e_k), so the cut flag F is transversal to it iff each
-    RREF basis of F_i has its pivots at 1..i.  The last row z then spans
-    F_i ^ W_{k-i+1} with z_i = 1, and the boundary column at level i is
-    sum_{j>=i} z_j v_{b_j}.  Interior columns are copied from V.  V must lie on
-    the column-a chart; ``Cut.at`` checks that and the factor's membership.
+    At level i the flag at the cut is spanned by the first i columns of
+    J_i = (min(c+j-1, b_j) for j <= i) + (b_{i+1}, .., b_k), c = max(a, d_i); for
+    i <= lambda_bar_a, J_i is the long label I'(a, i).  The flag is transversal to the
+    opposite boundary flag at level i iff Delta_{J_i} != 0, and then Cramer's rule gives
+    the boundary column at level i, the vector of that step with v_{b_i}-coefficient 1
+    in span(v_{b_i}, .., v_{b_k}): v_{b_i} - sum_{r>i} Delta_{J_i[b_r->b_i]} / Delta_{J_i} v_{b_r}.
+    Interior columns are copied from V.  V must lie on the column-a chart; ``Cut.at``
+    checks that and the factor's membership.
     """
     d = V.diagram
     k = d.k
     right = d.cut(a)[1]
     mu_bar = d.mu_bar[a]
-    I_mu_right = tuple(d.b(i) for i in range(1, mu_bar + 1)) + tuple(
-        a + i - 1 for i in range(mu_bar + 1, k + 1)
-    )
+    B = d.I_mu()
+    I_mu_right = B[:mu_bar] + tuple(a + i - 1 for i in range(mu_bar + 1, k + 1))
     if right.I_mu() != I_mu_right:
         raise InvariantError("cut boundary labels disagree with the right diagram")
-    F = flag_at_cut(V.regauged(), a)
-    B = [V.column(d.b(j)) for j in range(1, k + 1)]
     cols: dict[int, tuple] = {}
     for i in range(1, k + 1):
-        z = F.step(i).basis[-1]
-        if z[i - 1] == 0:
+        c = max(a, d.d(i))
+        J = tuple(min(c + j - 1, B[j - 1]) for j in range(1, i + 1)) + B[i:]
+        D = V.delta(J)
+        if D == 0:
             raise InvariantError("cut flag not transversal to the opposite boundary flag")
-        cols[I_mu_right[i - 1]] = tuple(sum(z[j] * B[j][r] for j in range(i - 1, k)) for r in range(k))
+        col = V.column(B[i - 1])
+        for r in range(i + 1, k + 1):
+            x = V.delta(J[:r - 1] + (B[i - 1],) + J[r:])
+            if x:
+                col = vec_add(col, vec_scale(-x / D, V.column(B[r - 1])))
+        cols[I_mu_right[i - 1]] = col
     for ap in range(1, a):
         t = ap + d.mu_bar[ap]
         cols[t] = V.column(t)
@@ -190,10 +178,6 @@ def verify_minor_scaling(c: Cut) -> list[dict]:
     return violations
 
 
-def _ratio_str(num: Fraction, den: Fraction) -> str:
-    return str(num / den) if den else f"({num})/0"
-
-
 def verify_exchange_ratios(c: Cut) -> list[dict]:
     """Exchange ratios of both factors against the full seed; returns violations.
 
@@ -208,7 +192,7 @@ def verify_exchange_ratios(c: Cut) -> list[dict]:
                 want = exchange_products(c.seed, BoxRef(box.a + shift, box.i))
                 if got[0] * want[1] != want[0] * got[1]:
                     violations.append({"side": side, "box": [box.a, box.i],
-                                       "ratio": _ratio_str(*got), "expected": _ratio_str(*want)})
+                                       "ratio": ratio_to_str(*got), "expected": ratio_to_str(*want)})
     return violations
 
 

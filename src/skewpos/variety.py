@@ -56,10 +56,6 @@ def _gauge_rows(d: SkewDiagram, M: RatMatrix) -> tuple[list[list[int]], int]:
     return [[p[at[t]] * (D // p[c]) for t in range(1, M.ncols + 1)] for c, p in red], D
 
 
-def _over(rows: list[list[int]], D: int) -> RatMatrix:
-    return RatMatrix(tuple(tuple(Fraction(x, D) for x in r) for r in rows))
-
-
 def _is_odd(perm: list[int]) -> bool:
     """True iff the permutation of 0..len-1 with these images is odd: the parity of the swaps that sort it."""
     perm, odd = list(perm), False
@@ -90,7 +86,8 @@ class PointV:
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
         """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i."""
-        return cls(d, _over(*_gauge_rows(d, M)), seed)
+        rows, D = _gauge_rows(d, M)
+        return cls(d, RatMatrix(tuple(tuple(Fraction(x, D) for x in r) for r in rows)), seed)
 
     def _chart(self) -> tuple[list[list[int]], int, dict[int, int]]:
         """(rows, D, row of R at each 0-based column at I_mu) of the chart R = B^-1 M = rows / D."""
@@ -134,15 +131,6 @@ class PointV:
     def subspace(self, a: int, i: int) -> Subspace:
         """V(a, i) = span of the short-label columns of box (a, i)."""
         return Subspace.span(self.diagram.k, [self.column(t) for t in self.diagram.short_label(a, i)])
-
-    def W_op(self, j: int) -> Subspace:
-        """W^op_j = span(v_{b_1}, ..., v_{b_j})."""
-        d = self.diagram
-        return Subspace.span(d.k, [self.column(d.b(t)) for t in range(1, j + 1)])
-
-    def regauged(self) -> "PointV":
-        """Representative with v_{b_i} = e_i: the chart B^-1 M."""
-        return PointV(self.diagram, _over(*self._chart()[:2]), self.seed)
 
     def to_json(self) -> dict:
         return {

@@ -200,7 +200,7 @@ def f_of_point_oracle(M) -> tuple[int, ...]:
     return tuple(window)
 
 
-# -- oracles: the flag, intersection and solve pipeline the echelon read-off replaced ----
+# -- oracles: the flag, intersection and solve pipeline the minor ratios replaced -------
 
 
 def from_matrix_oracle(d, M, seed=None):
@@ -220,11 +220,31 @@ def from_matrix_oracle(d, M, seed=None):
     return PointV(d, RatMatrix(tuple(new_rows)), seed)
 
 
+def flag_at_cut(V, a: int):
+    """The complete flag on the interface of the two column groups, one span per step."""
+    from skewpos.linalg import FlagK, Subspace
+
+    d = V.diagram
+    steps = []
+    for i in range(1, d.mu_bar[a] + 1):
+        steps.append(Subspace.span(d.k, [V.column(d.b(t)) for t in range(1, i + 1)]))
+    for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1):
+        steps.append(V.subspace(a, i))
+    for i in range(d.lambda_bar[a] + 1, d.k + 1):
+        # level of the rightmost box in row i; rows with lambda_i = mu_i have no
+        # such skew box and the label formula degenerates to a boundary prefix
+        cols = [V.column(min(d.d(i) + j - 1, d.b(j))) for j in range(1, i + 1)]
+        steps.append(Subspace.span(d.k, cols))
+    try:
+        return FlagK(tuple(steps))
+    except ValueError as exc:
+        raise ValueError(f"cut flag at column {a} is not a complete flag: {exc}") from exc
+
+
 def right_point_oracle(V, a: int):
     """Right factor from the cut flag: a transversality test against the opposite boundary
     flag, then F_i ^ W_{k-i+1} by intersection, normalised by solving for its v_{b_i} part."""
     from skewpos.linalg import RatMatrix, transversal, vec_scale
-    from skewpos.splicing import flag_at_cut
     from skewpos.variety import PointV
 
     d = V.diagram

@@ -134,7 +134,17 @@ class TestMutate:
     def test_frozen_rejected(self, capsys):
         code, _, err = run(capsys, "mutate", "--diagram", RUNNING, "--seed", "4",
                            "--box", "1,1")
-        assert code == 2 and "frozen" in err
+        assert code == 2 and err.startswith("input error: ") and "frozen" in err
+
+    def test_vanishing_out_product(self, capsys):
+        """The mutation is defined; the exchange ratio is printed as splice reports print it."""
+        code, out, err = run(capsys, "mutate", "--diagram",
+                             '{"n": 11, "k": 8, "lambda": [3, 3, 2, 2], "mu": []}',
+                             "--seed", "10640475118567261418", "--box", "2,1")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["exchange_ratio"] == "(1301810)/0" and doc["values"]["a3i1"] == "0"
+        assert doc["old_value"] == "67" and doc["new_value"] == "19430"
 
     def test_point_diagram_mismatch(self, capsys, tmp_path):
         """A point of the intro diagram is no point of the running one: exit 2, as for splice."""

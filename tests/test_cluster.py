@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from skewpos import Partition, SkewDiagram, exchange_ratio, mutate, quiver, sample, seed_at
+from skewpos import Partition, SkewDiagram, exchange_products, mutate, quiver, sample, seed_at
 from skewpos.cluster import Quiver, Seed, quiver_dot, quiver_json
 from skewpos.diagram import BoxRef
 
@@ -204,9 +204,11 @@ class TestMatrixMutationOracle:
 
 
 class TestExchangeRatio:
+    """The exchange ratio as the pair (in-product, out-product) of ``exchange_products``."""
+
     def test_toy(self):
         s, b1, b2 = toy_seed()
-        assert exchange_ratio(s, b2) == s.value(b1)
+        assert exchange_products(s, b2) == (s.value(b1), 1)
 
     def test_running_box(self, running):
         V = sample(running, seed=10)
@@ -218,12 +220,12 @@ class TestExchangeRatio:
         den = Fraction(1)
         for dst, m in s.quiver.arrows_out(box):
             den *= s.value(dst) ** m
-        assert exchange_ratio(s, box) == num / den
+        assert exchange_products(s, box) == (num, den)
 
     def test_frozen_rejected(self, running):
         s = seed_at(sample(running, seed=10))
         with pytest.raises(ValueError, match="mutable"):
-            exchange_ratio(s, next(iter(s.quiver.frozen)))
+            exchange_products(s, next(iter(s.quiver.frozen)))
 
 
 class TestRendering:

@@ -26,6 +26,7 @@ from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json,
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import membership
 
+from conftest import W_span
 from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -219,10 +220,11 @@ def test_verify_evaluates_each_chart_once(counted):
 def test_right_point_runs_no_intersection(counted, intro):
     V = sample(intro, seed=16)
     intersections, tests = counted(Subspace.intersect), counted(transversal)
+    echelons, spans = counted(_echelon), counted(Subspace.span)
     right_point(V, 6)
-    assert intersections == [] and tests == []
-    V.W_op(1).intersect(V.W_op(2))  # the wrapper does see a call
-    assert len(intersections) == 1
+    assert intersections == [] and tests == [] and echelons == [] and spans == []
+    W_span(V, 1).intersect(W_span(V, 2))  # the wrappers do see a call
+    assert len(intersections) == 1 and len(spans) == 2 and echelons
 
 
 def test_src_has_no_assert():

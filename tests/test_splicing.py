@@ -17,8 +17,6 @@ from skewpos import (
     beta,
     chart_is_everything,
     exchange_products,
-    exchange_ratio,
-    flag_at_cut,
     in_U_a,
     left_point,
     membership,
@@ -32,12 +30,14 @@ from skewpos import (
     verify_minor_scaling,
 )
 from skewpos.cli import random_diagram, subseed
-from skewpos.linalg import RatMatrix, Subspace, det, vec_add, vec_scale
+from skewpos.linalg import RatMatrix, Subspace, det, ratio_to_str, vec_add, vec_scale
 from skewpos.variety import PointV
 
 from conftest import (
     W_span,
+    all_skew_diagrams,
     delta_oracle,
+    flag_at_cut,
     flag_W,
     from_matrix_oracle,
     intro_off_chart_point,
@@ -259,8 +259,7 @@ class TestVerification:
         c = Cut.at(V, 1)
         box = BoxRef(2, 1)  # mutable in the left factor; at a = 1 it is also box (2, 1) of V
         assert exchange_products(c.left_seed, box)[1] == exchange_products(c.seed, box)[1] == 0
-        with pytest.raises(ZeroDivisionError):
-            exchange_ratio(c.seed, box)
+        assert ratio_to_str(*exchange_products(c.seed, box)).endswith(")/0")
         assert verify_exchange_ratios(c) == []
 
     def test_trivial_window_boxes_equal_on_the_nose(self, intro):
@@ -386,6 +385,17 @@ class TestRightFactorOracle:
         assert outcome(PointV.from_matrix, intro, M) == outcome(from_matrix_oracle, intro, M)
         with pytest.raises(ValueError, match="dependent"):
             PointV.from_matrix(intro, M)
+
+    def test_every_cut_up_to_n6(self):
+        """Every cut of every skew diagram with n <= 6, one sampled point each: the degenerate
+        rows lambda_i = mu_i above lambda_bar_a included."""
+        cuts = 0
+        for d in all_skew_diagrams(6):
+            V = sample(d, seed=1)
+            for a in range(1, d.n - d.k + 1):
+                assert outcome(right_point, V, a) == outcome(right_point_oracle, V, a), (d, a)
+                cuts += 1
+        assert cuts == 1707
 
     @pytest.mark.parametrize("g", [None, [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, -1],
                                           [0, 0, 1, Fraction(1, 2), 0], [3, 0, 0, 0, 1]]])
