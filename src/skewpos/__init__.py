@@ -32,6 +32,7 @@ from .splicing import (
 )
 from .variety import (
     BraidLabeling,
+    OffVariety,
     PointV,
     f_of_point,
     membership,
@@ -51,5 +52,6 @@ __all__ = [
     "LatticeTrip", "source_labels", "trip", "trip_permutation", "trips",
     "A_factor", "Cut", "OffChart", "chart_is_everything", "in_U_a", "left_point", "phi",
     "right_point", "splice_report", "verify_exchange_ratios", "verify_minor_scaling",
-    "BraidLabeling", "PointV", "f_of_point", "membership", "necklace_of_point", "omega", "sample", "xi",
+    "BraidLabeling", "OffVariety", "PointV", "f_of_point", "membership", "necklace_of_point", "omega",
+    "sample", "xi",
 ]

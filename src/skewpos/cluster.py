@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import BoxRef, InvariantError, SkewDiagram
-from .variety import PointV, membership
+from .variety import PointV
 
 Arrow = tuple[BoxRef, BoxRef]
 
@@ -86,17 +86,15 @@ class Seed:
 
 
 def seed_at(V: PointV) -> Seed:
-    """Initial seed values: the ascending-order minor of each box label.  Computed once per
-    point, membership test included, and kept on the point."""
+    """Initial seed values: the minor of each box at its long label, which is ascending.
+    Computed once per point and kept on the point; V lies on its variety by construction."""
     if "seed" in V._memo:
         return V._memo["seed"]
     d = V.diagram
-    if not membership(V.matrix, d):
-        raise ValueError("point does not lie on the variety of its diagram")
     q = quiver(d)
     values = []
     for b in q.vertices:
-        x = V.delta(tuple(sorted(d.long_label(b.a, b.i))))
+        x = V.delta(d.long_label(b.a, b.i))
         if b in q.frozen and x == 0:
             raise InvariantError(f"frozen value vanishes at {b}")
         values.append((b, x))

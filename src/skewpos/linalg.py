@@ -75,9 +75,6 @@ class RatMatrix:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(1, self.ncols + 1)]
 
-    def rank(self) -> int:
-        return len(_pivot_rows(self.rows))
-
 
 def _cleared(v) -> tuple[list[int], int]:
     """(den * v, den) for the least common denominator den of the entries of v."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cluster import Seed, exchange_products, seed_at
 from .diagram import BoxRef, InvariantError, SkewDiagram
 from .linalg import RatMatrix, ratio_to_str, vec_add, vec_scale
-from .variety import PointV, membership  # noqa: F401 - perfbench/tests reads this binding
+from .variety import OffVariety, PointV, membership  # noqa: F401 - perfbench/tests reads this binding
 
 
 class OffChart(ValueError):
@@ -29,12 +29,13 @@ class OffChart(ValueError):
 
 
 def _vanishing_chart_label(V: PointV, a: int) -> tuple[int, ...] | None:
-    """The first long label I'(a, i), i going up column a, whose minor vanishes; None on the chart."""
+    """The first long label I'(a, i), i going up column a, whose seed value vanishes; None on the chart."""
     d = V.diagram
     if not 1 <= a <= d.n - d.k:
         raise ValueError(f"cut column {a} out of range 1..{d.n - d.k}")
-    labels = (d.long_label(a, i) for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1))
-    return next((J for J in labels if V.delta(J) == 0), None)
+    seed = seed_at(V)
+    rows = range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1)
+    return next((d.long_label(a, i) for i in rows if seed.value(BoxRef(a, i)) == 0), None)
 
 
 def in_U_a(V: PointV, a: int) -> bool:
@@ -52,7 +53,7 @@ def chart_is_everything(d: SkewDiagram, a: int) -> bool:
 def left_point(V: PointV, a: int) -> PointV:
     """Left factor: boundary columns first, then the columns of V shifted by a-1.
 
-    V must lie on the column-a chart; ``Cut.at`` checks that and the factor's membership.
+    V must lie on the column-a chart, which ``Cut.at`` checks.
     """
     d = V.diagram
     mu_bar = d.mu_bar[a]
@@ -70,8 +71,8 @@ def right_point(V: PointV, a: int) -> PointV:
     opposite boundary flag at level i iff Delta_{J_i} != 0, and then Cramer's rule gives
     the boundary column at level i, the vector of that step with v_{b_i}-coefficient 1
     in span(v_{b_i}, .., v_{b_k}): v_{b_i} - sum_{r>i} Delta_{J_i[b_r->b_i]} / Delta_{J_i} v_{b_r}.
-    Interior columns are copied from V.  V must lie on the column-a chart; ``Cut.at``
-    checks that and the factor's membership.
+    Interior columns are copied from V.  V must lie on the column-a chart, which
+    ``Cut.at`` checks.
     """
     d = V.diagram
     k = d.k
@@ -102,19 +103,19 @@ def right_point(V: PointV, a: int) -> PointV:
 
 
 def A_factor(V: PointV, a: int, t: int) -> Fraction:
-    """Triangular rescaling factor of column t induced by the cut at column a."""
+    """Rescaling of column t by the cut at a: seed(a, i) / seed(a, i+1), i = t - a; seed(a, mu_bar_a) = 1."""
     d = V.diagram
     if not a + d.mu_bar[a] <= t <= a + d.lambda_bar[a] - 1:
         return Fraction(1)
-    i = t - a
-    upper = d.I_mu() if i == d.mu_bar[a] else d.long_label(a, i)
-    return V.delta(upper) / V.delta(d.long_label(a, i + 1))
+    i, seed = t - a, seed_at(V)
+    upper = 1 if i == d.mu_bar[a] else seed.value(BoxRef(a, i))
+    return upper / seed.value(BoxRef(a, i + 1))
 
 
-def _factor_seed(side: str, W: PointV) -> Seed:
+def _factor(side: str, build, V: PointV, a: int) -> PointV:
     try:
-        return seed_at(W)
-    except ValueError as exc:
+        return build(V, a)
+    except OffVariety as exc:
         raise InvariantError(f"{side} factor fails membership") from exc
 
 
@@ -139,15 +140,14 @@ class Cut:
 
     @classmethod
     def at(cls, V: PointV, a: int) -> "Cut":
-        """Checks the chart once (raising OffChart) and membership once per matrix (in ``seed_at``)."""
+        """Checks the chart once (raising OffChart); building each factor runs its membership."""
         d = V.diagram
         label = _vanishing_chart_label(V, a)
         if label is not None:
             raise OffChart(a, label)
-        seed = seed_at(V)
-        left, right = left_point(V, a), right_point(V, a)
+        left, right = _factor("left", left_point, V, a), _factor("right", right_point, V, a)
         A = {t: A_factor(V, a, t) for t in range(a + d.mu_bar[a], a + d.lambda_bar[a])}
-        return cls(V, a, left, right, A, seed, _factor_seed("left", left), _factor_seed("right", right))
+        return cls(V, a, left, right, A, seed_at(V), seed_at(left), seed_at(right))
 
 
 def phi(V: PointV, a: int) -> tuple[PointV, PointV]:
@@ -165,12 +165,11 @@ def _A_product(c: Cut, ap: int, i: int) -> Fraction:
 
 
 def verify_minor_scaling(c: Cut) -> list[dict]:
-    """Check every right-diagram minor against the scaled minor of V; returns violations."""
-    d, right = c.V.diagram, c.right.diagram
+    """Check each seed value of the right factor against V's, scaled by the A-factors; returns violations."""
     violations = []
-    for box in right.boxes():
-        lhs = c.right.delta(right.long_label(box.a, box.i))
-        rhs = c.V.delta(d.long_label(box.a, box.i)) * _A_product(c, box.a, box.i)
+    for box in c.right.diagram.boxes():
+        lhs = c.right_seed.value(box)
+        rhs = c.seed.value(box) * _A_product(c, box.a, box.i)
         if lhs != rhs:
             violations.append(
                 {"box": [box.a, box.i], "right_minor": str(lhs), "scaled_minor": str(rhs)}

@@ -1,6 +1,6 @@
 """Exact rational points of skew shaped positroid varieties and the braid-variety dictionary.
 
-A point is a k x n matrix of rank k over Q with the gauge Delta_{I_mu} = 1.
+A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.
 The maps here translate a point into a labeling of the braid diagram of the
 associated positive braid (region subspaces, boundary framing, right flag,
 torus coordinates) and back, exactly.
@@ -33,7 +33,7 @@ from .linalg import (
     vec_scale,
     zero_vector,
 )
-from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf
+from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
 
 
 def _cyclic_column(M: RatMatrix, t: int) -> Vector:
@@ -66,9 +66,14 @@ def _is_odd(perm: list[int]) -> bool:
     return odd
 
 
+class OffVariety(ValueError):
+    """The matrix is not a point of the variety of its diagram; the counterpart of ``OffChart``."""
+
+
 @dataclass(frozen=True)
 class PointV:
-    """Gauge-fixed point: rank-k matrix with Delta_{I_mu} = 1.  ``_memo`` keeps what is computed
+    """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction runs
+    ``membership`` and raises OffVariety off the variety.  ``_memo`` keeps what is computed
     once per point, on first use: the chart (``delta``) and the seed (``cluster.seed_at``)."""
 
     diagram: SkewDiagram
@@ -82,6 +87,8 @@ class PointV:
             raise ValueError("matrix shape does not match the diagram")
         if minor(self.matrix, d.I_mu()) != 1:
             raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
+        if not membership(self.matrix, d):
+            raise OffVariety("point does not lie on the variety of its diagram")
 
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
@@ -148,10 +155,10 @@ class PointV:
             M = RatMatrix(tuple(map(tuple, rows)))
         except ZeroDivisionError:
             raise ValueError("point key 'matrix' has an entry with denominator 0") from None
-        p = cls(d, M, obj.get("seed"))
-        if not membership(M, d):
-            raise ValueError("deserialized point fails membership")
-        return p
+        seed = obj.get("seed")
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"point key 'seed' must be an integer or null, got {seed!r}")
+        return cls(d, M, seed)
 
 
 def _rational_rows(x) -> bool:
@@ -168,10 +175,9 @@ def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
     For each i the columns v_{i+1}, v_{i+2}, .. join the pivot rows one at a
     time, and v_i's residual is reduced against each new row only.  The sign of
     v_{t+n} = (-1)^{k-1} v_t changes no span, so the columns are used unsigned.
+    f(i) > n iff v_i is not in span(v_{i+1}, .., v_n), so the number of such i is the rank.
     """
     k, n = M.nrows, M.ncols
-    if M.rank() != k:
-        raise ValueError("rank-deficient matrix")
     cols = [_primitive(c) for c in M.columns()]
     window = []
     for i in range(1, n + 1):
@@ -184,6 +190,8 @@ def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
                 residual = _reduce(pivots[-1:], residual)
             j += 1
         window.append(j)
+    if sum(j > n for j in window) < k:
+        raise ValueError("rank-deficient matrix")
     return BoundedAffinePermutation(n, k, tuple(window))
 
 
@@ -198,45 +206,28 @@ def membership(M: RatMatrix, d: SkewDiagram) -> bool:
     return f.window == baf(d).window
 
 
-def _gale_descending(i: int, n: int):
-    """Ground set in decreasing <_{i+1} order: i, i-1, ..., i+1 (cyclically)."""
-    return (((i - t - 1) % n) + 1 for t in range(n))
-
-
 def necklace_of_point(M: RatMatrix) -> GrassmannNecklace:
-    """Gale-maximal nonvanishing k-subsets, by greedy matroid selection."""
-    k, n = M.nrows, M.ncols
-    if M.rank() != k:
-        raise ValueError("rank-deficient matrix")
-    cols = [_primitive(c) for c in M.columns()]
-    entries = []
-    for i in range(1, n + 1):
-        pivots: list = []
-        chosen: list[int] = []
-        for t in _gale_descending(i, n):
-            if _extend(pivots, cols[t - 1]):
-                chosen.append(t)
-                if len(chosen) == k:
-                    break
-        entries.append(tuple(sorted(chosen)))
-    return GrassmannNecklace(n, k, tuple(entries))
+    """Gale-maximal nonvanishing k-subsets, read off f by the necklace-permutation bijection."""
+    return baf_to_necklace(f_of_point(M))
 
 
 # -- sampling -------------------------------------------------------------------------
 
 
-def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = False,
-           max_retries: int = 32) -> PointV:
+_SAMPLE_ATTEMPTS = 32
+
+
+def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = False) -> PointV:
     """Random exact rational point of the variety, gauge v_{b_i} = e_i.
 
     Columns b_i are set to e_i; each remaining column a+mu_bar_a is a random
     integer combination of the columns strictly to its right within its
-    dependency window, redrawn (whole matrix) until membership holds.
+    dependency window, redrawn (whole matrix) until it builds a PointV.
     """
     rng = random.Random(seed)
     n, k = d.n, d.k
-    target = baf(d).window
-    for _ in range(max_retries):
+    off = None
+    for _ in range(_SAMPLE_ATTEMPTS):
         cols: dict[int, Vector] = {d.b(j): unit_vector(k, j) for j in range(1, k + 1)}
         for a in range(n - k, 0, -1):
             t0 = a + d.mu_bar[a]
@@ -247,13 +238,13 @@ def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = Fal
             for t in range(t0 + 1, a + d.lambda_bar[a] + 1):
                 v = vec_add(v, vec_scale(Fraction(rng.randint(-bound, bound)), cols[t]))
             cols[t0] = v
-        M = RatMatrix.from_columns([cols[t] for t in range(1, n + 1)])
-        if M.rank() == k and f_of_point(M).window == target:
-            point = PointV(d, M, seed)
-            if normalize_r1:
-                point = _normalize_r1(point)
-            return point
-    raise RuntimeError(f"sampler failed after {max_retries} attempts (bound={bound})")
+        try:
+            point = PointV(d, RatMatrix.from_columns([cols[t] for t in range(1, n + 1)]), seed)
+        except OffVariety as exc:
+            off = exc
+            continue
+        return _normalize_r1(point) if normalize_r1 else point
+    raise RuntimeError(f"sampler failed after {_SAMPLE_ATTEMPTS} attempts (bound={bound})") from off
 
 
 def _normalize_r1(V: PointV) -> PointV:
@@ -311,8 +302,6 @@ class BraidLabeling:
 def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram by the region subspaces, framing, right flag and torus scalars."""
     d = V.diagram
-    if not membership(V.matrix, d):
-        raise ValueError("point does not lie on the variety of its diagram")
     regions = tuple((box, V.subspace(box.a, box.i)) for box in d.boxes())
     boundary = tuple(V.column(d.b(j)) for j in range(1, d.k + 1))
     right = FlagK.from_columns([V.column(t) for t in d.I_lambda()])

@@ -53,7 +53,7 @@ class TestSample:
         from skewpos import PointV
 
         V = PointV.from_json(json.loads(out.read_text()))
-        assert V.seed == 3
+        assert V.seed == 3 and hash(V) == hash(PointV.from_json(json.loads(out.read_text())))
 
     def test_seed_recorded(self, capsys):
         code, out, _ = run(capsys, "sample", "--diagram", RUNNING, "--seed", "77")
@@ -90,6 +90,18 @@ class TestSplice:
                            "--column", "5")
         assert code == 1
         assert err == "point not in the column-5 chart: minor at [5, 6, 10, 11, 12] vanishes\n"
+
+    def test_point_off_the_variety(self, capsys, tmp_path):
+        """A sample whose first column was edited keeps the gauge but leaves the variety."""
+        doc = json.loads(run(capsys, "sample", "--diagram", INTRO, "--seed", "7")[1])
+        for row in doc["matrix"]:
+            row[0] = "1"
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "splice", "--diagram", INTRO, "--point", str(pfile),
+                             "--column", "6")
+        assert code == 2 and out == ""
+        assert err == "input error: point does not lie on the variety of its diagram\n"
 
     def test_column_out_of_range(self, capsys):
         code, out, err = run(capsys, "splice", "--diagram", INTRO, "--column", "99")
@@ -249,8 +261,17 @@ class TestInputErrors:
           '{"diagram": %s, "matrix": [["1/0"]]}' % INTRO],
          "point key 'matrix' has an entry with denominator 0"),
         (["inspect", "--diagram", "[1, 2]"], "--diagram must be a JSON object, not list"),
+        (["splice", "--diagram", INTRO, "--column", "6", "--point",
+          '{"diagram": %s, "matrix": [[1]], "seed": [1, 2]}' % INTRO],
+         "point key 'seed' must be an integer or null, got [1, 2]"),
+        (["splice", "--diagram", INTRO, "--column", "6", "--point",
+          '{"diagram": %s, "matrix": [[1]], "seed": "7"}' % INTRO],
+         "point key 'seed' must be an integer or null, got '7'"),
+        (["splice", "--diagram", INTRO, "--column", "6", "--point",
+          '{"diagram": %s, "matrix": [[1]], "seed": true}' % INTRO],
+         "point key 'seed' must be an integer or null, got True"),
     ], ids=["diagram-without-k", "lambda-not-a-list", "point-without-matrix", "zero-denominator",
-            "diagram-not-an-object"])
+            "diagram-not-an-object", "seed-a-list", "seed-a-string", "seed-a-boolean"])
     def test_malformed_json(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err == f"input error: {message}\n"

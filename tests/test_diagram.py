@@ -3,7 +3,7 @@ from hypothesis import given
 
 from skewpos import Partition, SkewDiagram, conjugate
 
-from conftest import skew_diagrams
+from conftest import all_skew_diagrams, skew_diagrams
 
 
 def brute_conjugate(parts):
@@ -143,6 +143,13 @@ class TestLongLabel:
         for box in running.boxes():
             assert len(running.long_label(box.a, box.i)) == running.k
             assert len(running.short_label(box.a, box.i)) == box.i
+
+    def test_strictly_ascending_up_to_n8(self):
+        """min(a+j-1, b_j) and b_j both grow with j, so the seed reads minors unsorted."""
+        for d in all_skew_diagrams(8):
+            for box in d.boxes():
+                J = d.long_label(box.a, box.i)
+                assert all(s < t for s, t in zip(J, J[1:])), (d, box)
 
 
 class TestTildeLabel:

@@ -9,10 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewpos import f_of_point
+from skewpos import f_of_point, necklace_of_point
 from skewpos.linalg import RatMatrix, Subspace, det, minor
 
 from conftest import (
@@ -21,6 +21,7 @@ from conftest import (
     echelon_oracle,
     f_of_point_oracle,
     intersect_oracle,
+    necklace_entry_exhaustive,
 )
 
 INTEGERS = st.integers(-9, 9).map(Fraction)
@@ -62,12 +63,6 @@ def matrices(draw, max_k=5, max_n=9, square=False):
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
-def test_rank_matches_oracle(M):
-    assert M.rank() == len(echelon_oracle(M.rows))
-
-
-@given(matrices())
-@settings(max_examples=100, deadline=None)
 def test_f_of_point_matches_oracle(M):
     try:
         want = f_of_point_oracle(M)
@@ -79,6 +74,15 @@ def test_f_of_point_matches_oracle(M):
         assert f_of_point(M).window == want
 
 
+@given(matrices(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_necklace_of_point_matches_exhaustive(M):
+    """The necklace read off f by the bijection is the Gale-maximal nonvanishing subsets."""
+    assume(len(echelon_oracle(M.rows)) == M.nrows)
+    N = necklace_of_point(M)
+    assert N.entries == tuple(necklace_entry_exhaustive(M, i) for i in range(1, M.ncols + 1))
+
+
 @pytest.mark.parametrize("k", [2, 4])
 def test_f_of_point_even_k(k):
     """Even k: the cyclic columns change sign, which the kernel ignores and the oracle keeps."""
@@ -86,7 +90,7 @@ def test_f_of_point_even_k(k):
     for _ in range(20):
         cols = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(k + 4)]
         M = RatMatrix.from_columns(cols)
-        if M.rank() == k:
+        if len(echelon_oracle(M.rows)) == k:
             assert f_of_point(M).window == f_of_point_oracle(M)
 
 

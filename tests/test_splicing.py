@@ -31,6 +31,7 @@ from skewpos import (
 )
 from skewpos.cli import random_diagram, subseed
 from skewpos.linalg import RatMatrix, Subspace, det, ratio_to_str, vec_add, vec_scale
+from skewpos.splicing import _vanishing_chart_label
 from skewpos.variety import PointV
 
 from conftest import (
@@ -410,6 +411,35 @@ class TestRightFactorOracle:
                 assert got == (True, "cut flag not transversal to the opposite boundary flag")
             else:
                 assert isinstance(got, RatMatrix)
+
+
+class TestSeedReads:
+    """The cut reads box minors off the seeds of V and of the right factor."""
+
+    def test_every_cut_up_to_n6(self):
+        """Chart label, A-factors and both sides of the minor scaling equal the minors they read."""
+        on_chart = 0
+        for d in all_skew_diagrams(6):
+            V = sample(d, seed=1)
+            for a in range(1, d.n - d.k + 1):
+                labels = [d.long_label(a, i) for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1)]
+                label = next((J for J in labels if V.delta(J) == 0), None)
+                assert _vanishing_chart_label(V, a) == label, (d, a)
+                if label is not None:
+                    continue
+                c = Cut.at(V, a)
+                for t in range(a + d.mu_bar[a], a + d.lambda_bar[a]):
+                    i = t - a
+                    upper = d.I_mu() if i == d.mu_bar[a] else d.long_label(a, i)
+                    want = V.delta(upper) / V.delta(d.long_label(a, i + 1))
+                    assert A_factor(V, a, t) == c.A[t] == want, (d, a, t)
+                R = c.right.diagram
+                for box in R.boxes():
+                    assert c.right_seed.value(box) == c.right.delta(R.long_label(box.a, box.i))
+                    assert c.seed.value(box) == V.delta(d.long_label(box.a, box.i))
+                assert verify_minor_scaling(c) == []
+                on_chart += 1
+        assert on_chart == 1707  # seed 1 puts every cut on its chart
 
 
 def cyclic_labels(d):

@@ -25,9 +25,9 @@ from skewpos import (
 )
 from skewpos.linalg import RatMatrix, unit_vector, vec_scale, zero_vector
 from skewpos.linalg import Subspace
-from skewpos.variety import BraidLabeling, PointV, _normalize_r1, check_labeling
+from skewpos.variety import BraidLabeling, OffVariety, PointV, _normalize_r1, check_labeling
 
-from conftest import W_span, necklace_entry_exhaustive, skew_diagrams
+from conftest import W_span, echelon_oracle, necklace_entry_exhaustive, skew_diagrams
 
 
 def identity_block(k, n):
@@ -70,7 +70,7 @@ class TestNecklaceOfPoint:
             k, n = rng.randint(1, 3), rng.randint(4, 7)
             M = RatMatrix(tuple(tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))
                                 for _ in range(k)))
-            if M.rank() < k:
+            if len(echelon_oracle(M.rows)) < k:
                 continue
             N = necklace_of_point(M)
             for i in range(1, n + 1):
@@ -133,6 +133,12 @@ class TestSample:
     def test_determinism(self, running):
         assert sample(running, seed=42).matrix == sample(running, seed=42).matrix
 
+    def test_exhausted_sampler_chains_the_last_rejection(self, running, monkeypatch):
+        monkeypatch.setattr(skewpos.variety, "membership", lambda M, d: False)
+        with pytest.raises(RuntimeError, match=r"^sampler failed after 32 attempts \(bound=100\)$") as info:
+            sample(running, seed=1)
+        assert isinstance(info.value.__cause__, OffVariety)
+
     def test_normalize_r1(self, running):
         V = sample(running, seed=6, normalize_r1=True)
         for box in running.ribbon().R1:
@@ -162,6 +168,19 @@ class TestPointV:
         scaled = RatMatrix(tuple(tuple(3 * e for e in row) for row in V.matrix.rows))
         with pytest.raises(ValueError, match="re-gauge"):
             PointV(running, scaled)
+
+    def test_off_variety_rejected(self, running):
+        """A rank-k matrix in the gauge but off the variety, and a dense one re-gauged."""
+        cols = sample(running, seed=9).matrix.columns()
+        cols[0] = zero_vector(5)
+        M = RatMatrix.from_columns(cols)
+        assert len(echelon_oracle(M.rows)) == 5 and M.column(running.b(1)) == unit_vector(5, 1)
+        with pytest.raises(OffVariety, match="^point does not lie on the variety of its diagram$"):
+            PointV(running, M)
+        rng = random.Random(3)
+        dense = RatMatrix(tuple(tuple(Fraction(rng.randint(1, 50)) for _ in range(12)) for _ in range(5)))
+        with pytest.raises(OffVariety):
+            PointV.from_matrix(running, dense)
 
     def test_memo_is_not_part_of_the_value(self, running):
         """The chart and the seed kept on a point stay out of its eq, hash and repr."""
