@@ -23,6 +23,7 @@ class Quiver:
     vertices: tuple[BoxRef, ...]
     frozen: frozenset[BoxRef]
     arrows: tuple[tuple[Arrow, int], ...]  # ((src, dst), multiplicity), multiplicity >= 1
+    _arrows_at: dict = field(init=False, repr=False, compare=False)  # box -> (arrows into, arrows out)
 
     def __post_init__(self):
         vs = set(self.vertices)
@@ -41,15 +42,20 @@ class Quiver:
             seen.add((src, dst))
         object.__setattr__(self, "arrows", tuple(sorted(
             self.arrows, key=lambda e: (e[0][0].a, e[0][0].i, e[0][1].a, e[0][1].i))))
+        at = {v: ([], []) for v in self.vertices}
+        for (src, dst), m in self.arrows:
+            at[dst][0].append((src, m))
+            at[src][1].append((dst, m))
+        object.__setattr__(self, "_arrows_at", at)
 
     def is_mutable(self, box: BoxRef) -> bool:
-        return box in self.vertices and box not in self.frozen
+        return box in self._arrows_at and box not in self.frozen
 
     def arrows_into(self, box: BoxRef) -> list[tuple[BoxRef, int]]:
-        return [(src, m) for (src, dst), m in self.arrows if dst == box]
+        return list(self._arrows_at[box][0]) if box in self._arrows_at else []
 
     def arrows_out(self, box: BoxRef) -> list[tuple[BoxRef, int]]:
-        return [(dst, m) for (src, dst), m in self.arrows if src == box]
+        return list(self._arrows_at[box][1]) if box in self._arrows_at else []
 
 
 def quiver(d: SkewDiagram) -> Quiver:
@@ -163,7 +169,7 @@ def quiver_dot(d: SkewDiagram) -> str:
     q = quiver(d)
     lines = ["digraph quiver {"]
     for b in q.vertices:
-        label = ",".join(str(x) for x in sorted(d.long_label(b.a, b.i)))
+        label = ",".join(map(str, d.long_label(b.a, b.i)))
         shape = "box" if b in q.frozen else "ellipse"
         lines.append(f'  a{b.a}i{b.i} [shape={shape}, label="{label}"];')
     for (src, dst), m in q.arrows:
@@ -181,7 +187,7 @@ def quiver_json(d: SkewDiagram) -> dict:
                 "a": b.a,
                 "i": b.i,
                 "frozen": b in q.frozen,
-                "label": sorted(d.long_label(b.a, b.i)),
+                "label": list(d.long_label(b.a, b.i)),
             }
             for b in q.vertices
         ],

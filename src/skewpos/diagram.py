@@ -98,6 +98,7 @@ class SkewDiagram:
     mu: Partition
     mu_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     lambda_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _I_mu: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n, k = self.n, self.k
@@ -121,6 +122,7 @@ class SkewDiagram:
         object.__setattr__(
             self, "mu_bar", (0,) + tuple(mu_t.part(n - k + 1 - a) for a in range(1, n - k + 1))
         )
+        object.__setattr__(self, "_I_mu", tuple(n - k - self.mu.part(j) + j for j in range(1, k + 1)))
 
     # -- box geometry -------------------------------------------------------
 
@@ -155,7 +157,7 @@ class SkewDiagram:
 
     def b(self, j: int) -> int:
         """The j-th element b_j = n - k - mu_j + j of I_mu, for 1 <= j <= k."""
-        return self.n - self.k - self.mu.part(j) + j
+        return self._I_mu[j - 1]
 
     def d(self, i: int) -> int:
         """Column (from the right) of the rightmost box in row i of lambda: d_i = n-k+1-lambda_i."""
@@ -163,7 +165,7 @@ class SkewDiagram:
 
     def I_mu(self) -> tuple[int, ...]:
         """Labels of the vertical steps of the boundary path of mu."""
-        return tuple(self.b(j) for j in range(1, self.k + 1))
+        return self._I_mu
 
     def I_lambda(self) -> tuple[int, ...]:
         """Labels of the vertical steps of the boundary path of lambda: d_i + i - 1."""
@@ -176,18 +178,17 @@ class SkewDiagram:
     def short_label(self, a: int, i: int) -> tuple[int, ...]:
         """J(a, i): labels of the vertical steps of the short path of box (a, i)."""
         self._require_box(a, i)
-        return tuple(min(a + j - 1, self.b(j)) for j in range(1, i + 1))
+        return tuple(min(t, b) for t, b in enumerate(self._I_mu[:i], a))
 
     def long_label(self, a: int, i: int) -> tuple[int, ...]:
         """I'(a, i) = J(a, i) together with the last k - i elements of I_mu."""
-        self._require_box(a, i)
-        return self.short_label(a, i) + tuple(self.b(j) for j in range(i + 1, self.k + 1))
+        return self.short_label(a, i) + self._I_mu[i:]
 
     def tilde_label(self, a: int, i: int) -> tuple[int, ...]:
         """J-hat(a, i) = {b_1, ..., b_i}, defined when (a, i) is in mu and (a-1, i) in lambda/mu."""
         if not (self.in_mu(a, i) and self.contains_box(a - 1, i)):
             raise ValueError(f"tilde label undefined at ({a},{i})")
-        return tuple(self.b(j) for j in range(1, i + 1))
+        return self._I_mu[:i]
 
     # -- boundary ribbon ------------------------------------------------------
 

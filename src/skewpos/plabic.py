@@ -18,12 +18,14 @@ odd number of the loop's vertical edges crossing row i lie east of its left edge
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .diagram import BoxRef, InvariantError, SkewDiagram
 from .permutations import baf
 
 Pt = tuple[int, int]
+_STEP = {"W": (-1, 0), "S": (0, -1), "E": (1, 0), "N": (0, 1)}
 
 
 def _boundary_path(d: SkewDiagram) -> tuple[list[Pt], set[int]]:
@@ -73,8 +75,8 @@ def _edge_allowed(d: SkewDiagram, pos: Pt, direction: str) -> bool:
 
 
 def _move(pos: Pt, direction: str) -> Pt:
-    x, y = pos
-    return {"W": (x - 1, y), "S": (x, y - 1), "E": (x + 1, y), "N": (x, y + 1)}[direction]
+    dx, dy = _STEP[direction]
+    return pos[0] + dx, pos[1] + dy
 
 
 def _trip_inputs(d: SkewDiagram):
@@ -123,8 +125,9 @@ def _boxes_by_side(d: SkewDiagram, boxes, polygon: list[Pt], inside: bool) -> tu
         if x1 == x2:
             for r in range(min(y1, y2) + 1, max(y1, y2) + 1):
                 crossings.setdefault(r, []).append(x1)
+    rows = {r: sorted(xs) for r, xs in crossings.items()}
     w = d.n - d.k
-    return tuple(b for b in boxes if sum(x > w - b.a for x in crossings.get(b.i, ())) % 2 == inside)
+    return tuple(b for b in boxes if (len(xs := rows.get(b.i, ())) - bisect_right(xs, w - b.a)) % 2 == inside)
 
 
 def trips(d: SkewDiagram) -> tuple[LatticeTrip, ...]:
@@ -201,9 +204,10 @@ def verify_trips(d: SkewDiagram) -> None:
     """Cross-check the lattice model against the diagram combinatorics; raises InvariantError."""
     ts = trips(d)
     perm, decorations = trip_permutation(ts)
-    if perm != baf(d).mod_n():
+    f = baf(d)
+    if perm != f.mod_n():
         raise InvariantError("trip permutation differs from the affine permutation")
-    if decorations != baf(d).fixed_point_decorations():
+    if decorations != f.fixed_point_decorations():
         raise InvariantError("trip loop orientations differ from the fixed-point decorations")
     I_mu = set(d.I_mu())
     for T in ts:
@@ -212,7 +216,7 @@ def verify_trips(d: SkewDiagram) -> None:
     for b, v in source_labels(d, ts).items():
         if len(v) != d.k:
             raise InvariantError(f"box {b} received {len(v)} labels")
-        if v != tuple(sorted(d.long_label(b.a, b.i))):
+        if v != d.long_label(b.a, b.i):
             raise InvariantError(f"trip labels of box {b} differ from its long label")
     if mu_region_label(ts) != d.I_mu():
         raise InvariantError("mu-region label differs from I_mu")

@@ -1,9 +1,13 @@
 import json
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skewpos.cli import main, random_diagram, subseed
+from skewpos.cli import _json_text, main, random_diagram, subseed
 
 RUNNING = '{"n": 12, "k": 5, "lambda": [7, 7, 5, 3, 1], "mu": [3, 3, 2]}'
 INTRO = '{"n": 12, "k": 5, "lambda": [7, 7, 5, 3, 1], "mu": [3, 1]}'
@@ -198,15 +202,14 @@ class TestVerify:
     def test_injected_fault_reproducer(self, capsys, monkeypatch):
         import skewpos.cli as cli
 
-        real = cli.membership
-        monkeypatch.setattr(cli, "membership", lambda M, d: not real(M, d))
+        monkeypatch.setattr(cli, "xi", lambda W: SimpleNamespace(matrix=None))  # a lossy round trip
         code, out, _ = run(capsys, "verify", "--trials", "2", "--seed", "5",
-                           "--only", "membership")
+                           "--only", "roundtrip")
         assert code == 1
         doc = json.loads(out)
         assert doc["status"] == "fail"
         repro = doc["failures"][0]
-        assert {"trial", "diagram", "seed", "check"} <= set(repro)
+        assert {"trial", "diagram", "seed", "check"} <= set(repro) and repro["check"] == "roundtrip"
 
     def test_column_out_of_range_is_a_crash_record(self, capsys):
         code, out, _ = run(capsys, "verify", "--diagram", INTRO, "--only", "splice", "--column", "99")
@@ -302,3 +305,44 @@ class TestRandomDiagram:
             d2 = random_diagram(random.Random(subseed(1, t)))
             assert d1 == d2
             assert 0 < d1.k < d1.n <= 12
+
+
+# quotes, backslashes, control and non-ASCII characters (lone surrogates too) next to the rest
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600\ud800'),
+                         st.characters(blacklist_categories=())))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), st.floats(), TEXT)
+NOT_JSON = st.one_of(
+    st.sampled_from([1, -1]).map(lambda sign: sign * 10**5000),  # too long for str()
+    st.sampled_from([Fraction(1, 2), {1}]),
+)
+
+
+def documents(leaves, keys):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.lists(st.integers()), st.tuples(st.integers()),
+        st.dictionaries(keys, inner),
+    ), max_leaves=30)
+
+
+def outcome(write, doc):
+    try:
+        return write(doc)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestJsonText:
+    """The writer of every command's JSON output against json.dumps(sort_keys=True, indent=2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents(SCALARS, TEXT))
+    @example({"b": [[1, -2], [], {}], "a": ({"\u00e9\"": None, "x": [True, 10**30]},)})
+    def test_matches_indented_json_dumps(self, doc):
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents(st.one_of(SCALARS, NOT_JSON), st.one_of(TEXT, st.tuples(st.integers()))))
+    def test_raises_where_json_dumps_raises(self, doc):
+        """Where json.dumps raises (an int too long for str(), a value or key of no JSON type),
+        the writer raises the same exception type."""
+        assert outcome(_json_text, doc) == outcome(lambda x: json.dumps(x, sort_keys=True, indent=2), doc)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 
 from skewpos import Partition, SkewDiagram, exchange_products, mutate, quiver, sample, seed_at
-from skewpos.cluster import Quiver, Seed, quiver_dot, quiver_json
+from skewpos.cluster import Quiver, Seed, _mutate_quiver, quiver_dot, quiver_json
 from skewpos.diagram import BoxRef
 
-from conftest import skew_diagrams
+from conftest import all_skew_diagrams, skew_diagrams
 
 RUNNING_MUTABLE = {(2, 1), (3, 1), (4, 1), (4, 2)}
 
@@ -52,6 +52,19 @@ class TestQuiver:
         d = SkewDiagram(8, 3, Partition((4, 2)), Partition((4, 2)))
         q = quiver(d)
         assert q.vertices == () and q.arrows == ()
+
+    def test_adjacency_matches_arrow_scan_up_to_n7(self):
+        """The lookups a quiver builds list each vertex's arrows as a scan of ``arrows`` does,
+        in its order, on every initial quiver with n <= 7 and after each single mutation."""
+        def scan(q, box):
+            return ([(src, m) for (src, dst), m in q.arrows if dst == box],
+                    [(dst, m) for (src, dst), m in q.arrows if src == box])
+
+        for d in all_skew_diagrams(7):
+            q = quiver(d)
+            for p in [q] + [_mutate_quiver(q, b) for b in q.vertices if q.is_mutable(b)]:
+                for b in p.vertices:
+                    assert (p.arrows_into(b), p.arrows_out(b)) == scan(p, b)
 
     @given(skew_diagrams())
     def test_arrow_types(self, d):

@@ -84,6 +84,48 @@ PLABIC_OUTPUT = {
 }
 
 
+# sha256 of the standard output of `skewpos COMMAND --diagram D ARGS`, recorded while every
+# JSON document was written by json.dumps(doc, sort_keys=True, indent=2); the n = 64 staircase
+# is staircase(64)
+CLI_OUTPUT = {
+    "running": {
+        "inspect": "e66738f5d1552a919e94c9f6ee77c9462c90d95c8b7ddbb79371a258fe4e93b9",
+        "plabic json": "ff44926d7263cbf1ada700394908b74ab041bbb6875274ed8fb3edd3dee2093c",
+        "plabic text": "a38781435c33c6befbd52180b08cf42623d07b66dbacc71dfbe9fcb850df8f1a",
+        "quiver json": "8ff48522283441f055808cf65ad0622bea73094a6946d74adfe367217ada73de",
+        "quiver dot": "a4484fa484797ae46950f6993e43036eee35a7b6063aa03ca2948f42c050f012",
+        "sample": "792ff6600db4cfc84088cf8bf903d402e518f2495ffdff6588983a745754fa04",
+        "splice": "b9be5fd2b5c52aea561b760140ef408b2e0f5dac2f67098a79d5df1a9d0743d2",
+        "mutate": "515888fdf1ad8a7e81d970e07cdd3f279d65cc699327da93d82357a036a6dca6",
+        "verify plabic": "b4d462c502b9b9144b67232b0db0dd28b6b578758e780d1885b8d1faafb86b3e",
+    },
+    "intro": {
+        "inspect": "7ac8f546c991f8c8d61ba6e89ce55aba98b377ee16eb3ff9715a4ebaef8da2d2",
+        "plabic json": "3464265fc351ead9e921dca2662e0df02f0adeb5cf9b03aef22e9931a3e66287",
+        "plabic text": "d9210db677d4e01596b5485682bec6c549155a59572c90cbae77f8025ceffa6d",
+        "quiver json": "67ea1108607bc35c7645d44321aacb474e99d337b847e3f4b1c2f5102d04f948",
+        "quiver dot": "3b4f1b55a8c3e63022b39b7066ecf35c613804649d5a004856834d9bb83eab3c",
+        "sample": "e9dd49d08209f603e95b90c6f028715db6ae4d80d9ff3ce3d37376c0accd47c9",
+        "splice": "85102780193bfe60b6245bd6e3e5fd92b63ee8b7dd133e487ef7ddf1b39dd825",
+        "mutate": "714621f1fdb6ac76a63bde8eee697ebdd2d051f82b214c1fc647e1f57bca80b0",
+        "verify plabic": "b4d462c502b9b9144b67232b0db0dd28b6b578758e780d1885b8d1faafb86b3e",
+    },
+    "staircase": {
+        "inspect": "494cfbfa182897f7785828c74a3ea900ecbe5968f6878a1884abe850317608cd",
+        "plabic json": "1d0fbf3f46a2d8285fb8c2b0100f86ab50729cf138ac81bc90a5c2c9b9eee351",
+        "plabic text": "a03297795df14c1cdf2993692b1177f0657501eecf30b91ba3566bb061bf3869",
+        "quiver json": "3688e9862f720e75f94d56eaf8b6c1f3bee891faf6b02b612e9f98b4c74f998b",
+        "quiver dot": "675e6dcebef7fb1061391a532dd1aa4889ecb15e24153d51e927ba1f8b6f7738",
+        "sample": "6f9a00c1f8013cb2044a7e9a3bcfdf42f621aacf803847bf120b2e1c8e77bb5b",
+        "splice": "95e8d1f39741cd668f525554b443a199e5a6b908d3344418262faca73c02bd7c",
+        "mutate": "c4a243cd7f1548ebcdeebfa31c16d6641417927fc4cef90c0ec01a960194dbdd",
+        "verify plabic": "b4d462c502b9b9144b67232b0db0dd28b6b578758e780d1885b8d1faafb86b3e",
+    },
+}
+# the splice column and mutate box of each diagram of CLI_OUTPUT
+CLI_COLUMN_AND_BOX = {"running": ("3", "4,1"), "intro": ("3", "5,2"), "staircase": ("20", "15,12")}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -107,9 +149,13 @@ def test_verify_output_byte_identical(capsys):
     assert sha256(capsys.readouterr().out) == VERIFY_TRIALS5_SEED1
 
 
-def test_verify_fingerprint_byte_identical(capsys):
+def test_verify_fingerprint_byte_identical(capsys, counted):
+    """Also pins membership to once per sampled point: verify's "membership" check reads the
+    sampler's result and runs none of its own."""
+    calls = counted(membership)
     assert main(["verify", "--trials", "30", "--seed", "1"]) == 0
     assert sha256(capsys.readouterr().out) == VERIFY_TRIALS30_SEED1
+    assert len(calls) == 288
 
 
 @pytest.mark.parametrize("name", sorted(PLABIC_OUTPUT))
@@ -117,6 +163,37 @@ def test_plabic_output_byte_identical(name, request):
     d = staircase(64) if name == "staircase" else request.getfixturevalue(name)
     digests = (sha256(json.dumps(trips_json(d), sort_keys=True)), sha256(ascii_grid(d)))
     assert digests == PLABIC_OUTPUT[name]
+
+
+@pytest.mark.parametrize("name,case", [(name, case) for name in CLI_OUTPUT for case in CLI_OUTPUT[name]])
+def test_cli_output_byte_identical(name, case, capsys):
+    diagram = {"running": RUNNING, "intro": INTRO}.get(name) or json.dumps(staircase(64).to_json())
+    column, box = CLI_COLUMN_AND_BOX[name]
+    argv = {
+        "inspect": ["inspect"],
+        "plabic json": ["plabic", "--format", "json"],
+        "plabic text": ["plabic", "--format", "text"],
+        "quiver json": ["quiver", "--format", "json"],
+        "quiver dot": ["quiver", "--format", "dot"],
+        "sample": ["sample", "--seed", "3"],
+        "splice": ["splice", "--seed", "7", "--column", column],
+        "mutate": ["mutate", "--seed", "4", "--box", box],
+        "verify plabic": ["verify", "--only", "plabic"],
+    }[case]
+    assert main(argv[:1] + ["--diagram", diagram] + argv[1:]) == 0
+    assert sha256(capsys.readouterr().out) == CLI_OUTPUT[name][case]
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    """The parser is built once per process; what one call parses does not reach the next."""
+    assert build_parser() is build_parser()
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--trials", "2", "--seed", "1", "--only", "plabic", "--out", str(out)]) == 0
+    # a --trials kept from the first call would conflict with --diagram and exit 2
+    assert main(["verify", "--diagram", RUNNING]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["trials"] == 1 and second["checks"] > 1  # every check, not --only plabic
+    assert json.loads(out.read_text()) == {"checks": 2, "failures": [], "status": "pass", "trials": 2}
 
 
 @pytest.fixture
