@@ -73,16 +73,33 @@ def positive_int(text: str) -> int:
 
 
 def _json_text(doc, pad: str = "\n") -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` byte for byte, for documents with string keys."""
-    inner = pad + "  "
-    if isinstance(doc, dict):
-        items = (encode_basestring_ascii(key) + ": " + _json_text(doc[key], inner) for key in sorted(doc))
-    elif isinstance(doc, (list, tuple)):  # a list of plain ints, the most common, in one join
-        items = map(str, doc) if all(type(x) is int for x in doc) else (_json_text(x, inner) for x in doc)
+    """``json.dumps(doc, sort_keys=True, indent=2)`` byte for byte, for documents with string keys.
+    Containers match by exact type.  Their int, str, bool and None items and their non-empty lists
+    of plain ints are written in place; the rest (floats, subclasses, non-JSON) goes to json."""
+    kind, inner = type(doc), pad + "  "
+    if kind is dict:  # a generator, so each key is encoded before its value: json raises on a bad key first
+        items = ((encode_basestring_ascii(key) + ": ", doc[key]) for key in sorted(doc))
+    elif kind is list or kind is tuple:
+        if all(type(x) is int for x in doc):
+            return "[" + inner + ("," + inner).join(map(str, doc)) + pad + "]" if doc else "[]"
+        items = (("", x) for x in doc)
     else:
-        return encode_basestring_ascii(doc) if isinstance(doc, str) else json.dumps(doc)
-    start, end = "{}" if isinstance(doc, dict) else "[]"
-    return start + inner + ("," + inner).join(items) + pad + end if doc else start + end
+        return json.dumps(doc, sort_keys=True, indent=2).replace("\n", pad)
+    deeper, texts = inner + "  ", []
+    for prefix, x in items:
+        of = type(x)
+        if of is int:
+            texts.append(prefix + str(x))
+        elif of is str:
+            texts.append(prefix + encode_basestring_ascii(x))
+        elif of is bool or x is None:
+            texts.append(prefix + ("null" if x is None else "true" if x else "false"))
+        elif of is list and x and all(type(y) is int for y in x):
+            texts.append(prefix + "[" + deeper + ("," + deeper).join(map(str, x)) + inner + "]")
+        else:
+            texts.append(prefix + _json_text(x, inner))
+    start, end = "{}" if kind is dict else "[]"
+    return start + inner + ("," + inner).join(texts) + pad + end if texts else start + end
 
 
 def emit(doc, out: str | None) -> None:

@@ -40,8 +40,7 @@ class Quiver:
             if m < 1:
                 raise ValueError("nonpositive multiplicity")
             seen.add((src, dst))
-        object.__setattr__(self, "arrows", tuple(sorted(
-            self.arrows, key=lambda e: (e[0][0].a, e[0][0].i, e[0][1].a, e[0][1].i))))
+        object.__setattr__(self, "arrows", tuple(sorted(self.arrows, key=lambda e: e[0])))
         at = {v: ([], []) for v in self.vertices}
         for (src, dst), m in self.arrows:
             at[dst][0].append((src, m))
@@ -61,15 +60,14 @@ class Quiver:
 def quiver(d: SkewDiagram) -> Quiver:
     """Initial quiver: three arrow types, kept only when an endpoint is mutable."""
     boxes = d.boxes()
-    present = {(b.a, b.i) for b in boxes}
+    present = set(boxes)
     frozen = frozenset(b for b in boxes if d.is_frozen(b.a, b.i))
     arrows: list[tuple[Arrow, int]] = []
     for b in boxes:
-        for (ta, ti) in ((b.a + 1, b.i), (b.a, b.i - 1), (b.a - 1, b.i + 1)):
-            if (ta, ti) in present:
-                dst = BoxRef(ta, ti)
-                if b not in frozen or dst not in frozen:
-                    arrows.append(((b, dst), 1))
+        a, i = b
+        for dst in (BoxRef(a + 1, i), BoxRef(a, i - 1), BoxRef(a - 1, i + 1)):
+            if dst in present and (b not in frozen or dst not in frozen):
+                arrows.append(((b, dst), 1))
     return Quiver(tuple(boxes), frozen, tuple(arrows))
 
 

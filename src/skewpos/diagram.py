@@ -13,6 +13,7 @@ Conventions (used everywhere in this package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class InvariantError(AssertionError):
@@ -76,9 +77,8 @@ def conjugate(p: Partition) -> Partition:
     return Partition(tuple(sum(1 for q in p.parts if q >= j) for j in range(1, p.parts[0] + 1)))
 
 
-@dataclass(frozen=True)
-class BoxRef:
-    """Box (a, i): a-th column from the right, i-th row from the bottom."""
+class BoxRef(NamedTuple):
+    """Box (a, i): a-th column from the right, i-th row from the bottom; equal to the tuple (a, i)."""
 
     a: int
     i: int
@@ -178,7 +178,7 @@ class SkewDiagram:
     def short_label(self, a: int, i: int) -> tuple[int, ...]:
         """J(a, i): labels of the vertical steps of the short path of box (a, i)."""
         self._require_box(a, i)
-        return tuple(min(t, b) for t, b in enumerate(self._I_mu[:i], a))
+        return tuple(map(min, range(a, a + i), self._I_mu[:i]))
 
     def long_label(self, a: int, i: int) -> tuple[int, ...]:
         """I'(a, i) = J(a, i) together with the last k - i elements of I_mu."""

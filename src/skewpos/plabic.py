@@ -18,8 +18,9 @@ odd number of the loop's vertical edges crossing row i lie east of its left edge
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_, xor
 
 from .diagram import BoxRef, InvariantError, SkewDiagram
 from .permutations import baf
@@ -81,11 +82,20 @@ def _move(pos: Pt, direction: str) -> Pt:
 
 def _trip_inputs(d: SkewDiagram):
     """What every trip of d reads: the boundary path, I_lambda, the exit lookup by orientation
-    (clockwise trips exit at the end of a horizontal step), and the boxes."""
+    (clockwise trips exit at the end of a horizontal step), the boxes and two masks, box j being
+    bit j: ``east[r][x]``, the boxes of row r west of x, which a vertical edge at x across row r
+    moves to the other side of a loop, and ``arc[t]``, ``east`` XORed over the boundary's
+    vertical steps 1..t."""
     pts, vertical = _boundary_path(d)
     exits = {True: {pts[t]: t for t in range(1, d.n + 1) if t not in vertical},
              False: {pts[t - 1]: t for t in vertical}}
-    return pts, vertical, exits, d.boxes()
+    boxes = d.boxes()
+    rows = [[0] * (d.n - d.k + 1) for _ in range(d.k + 1)]
+    for j, (a, i) in enumerate(boxes):
+        rows[i][d.n - d.k + 1 - a] = 1 << j  # box (a, i) has its left edge at x = n - k - a
+    east = [list(accumulate(row, or_)) for row in rows]
+    steps = (east[y + 1][x] if t in vertical else 0 for t, (x, y) in enumerate(pts[:-1], 1))
+    return pts, vertical, exits, boxes, east, list(accumulate(steps, xor, initial=0))
 
 
 def trip(d: SkewDiagram, i: int) -> LatticeTrip:
@@ -95,7 +105,7 @@ def trip(d: SkewDiagram, i: int) -> LatticeTrip:
     return _trip(d, i, *_trip_inputs(d))
 
 
-def _trip(d: SkewDiagram, i: int, pts: list[Pt], vertical: set[int], exits: dict, boxes) -> LatticeTrip:
+def _trip(d: SkewDiagram, i: int, pts: list[Pt], vertical: set[int], exits: dict, boxes, east, arc) -> LatticeTrip:
     pos, direction = (pts[i - 1], "W") if i in vertical else (pts[i], "S")
     path = [pos]
     while _edge_allowed(d, pos, direction):  # staircase southwest
@@ -111,23 +121,20 @@ def _trip(d: SkewDiagram, i: int, pts: list[Pt], vertical: set[int], exits: dict
         pos = _move(pos, run)
         path.append(pos)
     end = exit_at[pos]
-    # the loop closes along the boundary arc from the exit back to the entry
-    arc = pts[i:end][::-1] if clockwise else pts[end:i]
-    enclosed = _boxes_by_side(d, boxes, path + arc, inside=clockwise)
+    # the loop closes along the boundary arc from the exit back to the entry, whose vertical
+    # steps are those t with i <= t < end (clockwise) or end <= t < i (counterclockwise)
+    inside = arc[end - 1] ^ arc[i - 1]
+    for (x, y1), (x2, y2) in zip(path, path[1:]):
+        if x == x2:
+            inside ^= east[max(y1, y2)][x]
+    side = inside if clockwise else inside ^ (1 << len(boxes)) - 1
+    enclosed = []
+    while side:  # the set bits, lowest first, so the boxes keep the order of d.boxes()
+        low = side & -side
+        enclosed.append(boxes[low.bit_length() - 1])
+        side ^= low
     orientation = "clockwise" if clockwise else "counterclockwise"
-    return LatticeTrip(i, end, orientation, tuple(path), enclosed, labels_mu_region=not clockwise)
-
-
-def _boxes_by_side(d: SkewDiagram, boxes, polygon: list[Pt], inside: bool) -> tuple[BoxRef, ...]:
-    """Boxes inside a closed lattice polygon, or outside it; box (a, i) has its left edge at x = n-k-a."""
-    crossings: dict[int, list[int]] = {}
-    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
-        if x1 == x2:
-            for r in range(min(y1, y2) + 1, max(y1, y2) + 1):
-                crossings.setdefault(r, []).append(x1)
-    rows = {r: sorted(xs) for r, xs in crossings.items()}
-    w = d.n - d.k
-    return tuple(b for b in boxes if (len(xs := rows.get(b.i, ())) - bisect_right(xs, w - b.a)) % 2 == inside)
+    return LatticeTrip(i, end, orientation, tuple(path), tuple(enclosed), labels_mu_region=not clockwise)
 
 
 def trips(d: SkewDiagram) -> tuple[LatticeTrip, ...]:

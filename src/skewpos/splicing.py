@@ -180,8 +180,9 @@ def verify_minor_scaling(c: Cut) -> list[dict]:
 def verify_exchange_ratios(c: Cut) -> list[dict]:
     """Exchange ratios of both factors against the full seed; returns violations.
 
-    Ratios are compared cross-multiplied, so the check also holds at points off
-    the cluster torus, where an out-product vanishes.
+    Ratios are compared cross-multiplied, so the check runs at points off the
+    cluster torus, where an out-product vanishes.  Where both out-products vanish
+    it reads 0 == 0 and certifies nothing about that box.
     """
     violations = []
     for side, s, shift in (("right", c.right_seed, 0), ("left", c.left_seed, c.a - 1)):

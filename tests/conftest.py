@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -323,6 +324,36 @@ def enclosed_boxes_oracle(d, start: int, end: int, path, orientation: str):
         if crossings % 2 == 1:
             out.append(b)
     return tuple(out)
+
+
+# -- oracle: the per-box bisection the bit-mask enclosure replaced --------------------------
+
+
+def boxes_by_side_oracle(d, polygon, inside: bool):
+    """Boxes inside a closed lattice polygon, or outside it, tested one by one: box (a, i) is
+    inside iff an odd number of the sorted crossings of row i lie east of its left edge x = n-k-a."""
+    crossings: dict[int, list[int]] = {}
+    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
+        if x1 == x2:
+            for r in range(min(y1, y2) + 1, max(y1, y2) + 1):
+                crossings.setdefault(r, []).append(x1)
+    rows = {r: sorted(xs) for r, xs in crossings.items()}
+    w = d.n - d.k
+    return tuple(b for b in d.boxes() if (len(xs := rows.get(b.i, ())) - bisect_right(xs, w - b.a)) % 2 == inside)
+
+
+def staircase(n: int) -> SkewDiagram:
+    """k = (3n + 7) // 8 and, with w = n - k, lambda_j = max(w - j, 1), mu_j = max(w - j - 3, 0)."""
+    k = (3 * n + 7) // 8
+    w = n - k
+    lam = tuple(max(w - j, 1) for j in range(1, k + 1))
+    return SkewDiagram(n, k, Partition(lam), Partition(tuple(max(w - j - 3, 0) for j in range(1, k + 1))))
+
+
+def random_band(rng, n: int, k: int) -> SkewDiagram:
+    """k rows of lambda drawn from 1..n-k and mu_j = max(lambda_j - 3, 0): about 3k boxes."""
+    lam = sorted((rng.randint(1, n - k) for _ in range(k)), reverse=True)
+    return SkewDiagram(n, k, Partition(tuple(lam)), Partition(tuple(max(p - 3, 0) for p in lam)))
 
 
 def all_skew_diagrams(max_n: int):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from skewpos import Partition, SkewDiagram, conjugate
+from skewpos import BoxRef, Partition, SkewDiagram, conjugate, quiver, sample, seed_at, source_labels, trips
 
 from conftest import all_skew_diagrams, skew_diagrams
 
@@ -266,3 +266,21 @@ class TestBoxMembership:
         for a in range(1, d.n - d.k + 1):
             for i in range(1, d.k + 1):
                 assert ((a, i) in boxes) == (d.mu_bar[a] < i <= d.lambda_bar[a])
+
+
+class TestBoxRef:
+    def test_a_tuple_of_its_coordinates(self):
+        """A box equals and hashes as the pair (a, i), and keeps its fields, index and repr."""
+        b = BoxRef(1, 2)
+        assert b == (1, 2) and hash(b) == hash((1, 2))
+        assert (b.a, b.i, b.index()) == (1, 2, 2)
+        assert repr(b) == str(b) == "BoxRef(a=1, i=2)"
+
+    def test_box_keyed_containers_hold_boxes(self, intro):
+        """A plain pair finds a box in a dict or set, but the JSON writers read .a and .i, so every
+        box-keyed container the package builds holds BoxRefs only."""
+        q = quiver(intro)
+        boxes = [*q.vertices, *q.frozen, *q._arrows_at, *(b for (e, _) in q.arrows for b in e)]
+        boxes += [*source_labels(intro, trips(intro)), *(b for T in trips(intro) for b in T.boxes)]
+        boxes += [b for b, _ in seed_at(sample(intro, seed=1)).values]
+        assert {type(b) for b in boxes} == {BoxRef}

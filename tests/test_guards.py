@@ -19,14 +19,14 @@ from pathlib import Path
 import pytest
 
 import skewpos
-from skewpos import Cut, Partition, SkewDiagram, right_point, sample, splice_report
+from skewpos import Cut, right_point, sample, splice_report
 from skewpos.cli import build_parser, main
 from skewpos.linalg import Subspace, _echelon, det, transversal
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import membership
 
-from conftest import W_span
+from conftest import W_span, staircase
 from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -267,14 +267,6 @@ def test_one_boundary_path_per_trips(counted, intro):
     calls = counted(_boundary_path)
     trips(intro)
     assert calls == [(intro,)]
-
-
-def staircase(n: int) -> SkewDiagram:
-    """k = (3n + 7) // 8 and, with w = n - k, lambda_j = max(w - j, 1), mu_j = max(w - j - 3, 0)."""
-    k = (3 * n + 7) // 8
-    w = n - k
-    lam = tuple(max(w - j, 1) for j in range(1, k + 1))
-    return SkewDiagram(n, k, Partition(lam), Partition(tuple(max(w - j - 3, 0) for j in range(1, k + 1))))
 
 
 def test_membership_runs_no_echelon(counted):

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from skewpos import Partition, SkewDiagram, baf, source_labels, trip, trip_permutation, trips
-from skewpos.plabic import ascii_grid, mu_region_label, trips_json, verify_trips
+from skewpos import BoxRef, Partition, SkewDiagram, baf, plabic, source_labels, trip, trip_permutation, trips
+from skewpos.diagram import InvariantError
+from skewpos.plabic import _boundary_path, ascii_grid, mu_region_label, trips_json, verify_trips
 
-from conftest import all_skew_diagrams, enclosed_boxes_oracle, skew_diagrams
+from conftest import (all_skew_diagrams, boxes_by_side_oracle, enclosed_boxes_oracle, random_band,
+                      skew_diagrams, staircase)
 
 
 class TestFigureTrips:
@@ -123,6 +127,41 @@ class TestEnclosureOracle:
     @settings(max_examples=100, deadline=None)
     def test_random_diagrams(self, d):
         self.check(d)
+
+
+class TestEnclosureAtBenchmarkSize:
+    """The bit-mask enclosure against the per-box bisection it replaced, at the sizes of the
+    benchmark's ``inspect`` diagrams: the staircase and random 3-box-wide bands."""
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_staircase_and_bands(self, n):
+        k = (3 * n + 7) // 8
+        rng = random.Random(n)
+        for d in [staircase(n)] + [random_band(rng, n, k) for _ in range(4)]:
+            pts = _boundary_path(d)[0]
+            for T in trips(d):
+                clockwise = T.orientation == "clockwise"
+                arc = pts[T.start:T.end][::-1] if clockwise else pts[T.end:T.start]
+                assert T.boxes == boxes_by_side_oracle(d, list(T.path) + arc, clockwise), (d, T.start)
+
+
+class TestFailureMessages:
+    """A failed trip check names its box by the BoxRef repr."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v: v[1:], "box BoxRef(a=4, i=2) received 4 labels"),
+        (lambda v: (v[0] + 1,) + v[1:], "trip labels of box BoxRef(a=4, i=2) differ from its long label"),
+    ])
+    def test_names_the_box(self, running, monkeypatch, edit, message):
+        def edited(d, ts):
+            labels = source_labels(d, ts)
+            labels[BoxRef(4, 2)] = edit(labels[BoxRef(4, 2)])
+            return labels
+
+        monkeypatch.setattr(plabic, "source_labels", edited)
+        with pytest.raises(InvariantError) as exc:
+            verify_trips(running)
+        assert str(exc.value) == message
 
 
 class TestRendering:
