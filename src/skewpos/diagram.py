@@ -197,11 +197,11 @@ class SkewDiagram:
         return self.in_lambda(a, i) and not self.in_lambda(a - 1, i + 1)
 
     def ribbon(self) -> "RibbonDecomposition":
+        """Column a's ribbon boxes are its boxes of lambda at or above the height of column a-1."""
         R, Rbar, R1 = [], [], []
         for a in range(1, self.n - self.k + 1):
-            for i in range(1, self.lambda_bar[a] + 1):
-                if self.in_ribbon_lambda(a, i):
-                    (R if i > self.mu_bar[a] else Rbar).append(BoxRef(a, i))
+            for i in range(max(self.lambda_bar[a - 1], 1), self.lambda_bar[a] + 1):
+                (R if i > self.mu_bar[a] else Rbar).append(BoxRef(a, i))
             if self.mu_bar[a] < self.lambda_bar[a]:
                 R1.append(BoxRef(a, self.lambda_bar[a]))
         return RibbonDecomposition(tuple(R), tuple(Rbar), tuple(R1))

@@ -1,10 +1,10 @@
-"""Exact rational vectors, matrices, signed minors, subspaces and flags.
+"""Exact rational matrices, signed minors, subspaces and flags.
 
-All arithmetic is exact; there are no tolerances anywhere.  Vectors are tuples
-of Fractions, matrices are row-major tuples of row tuples.  Eliminations run
-on primitive integer vectors (``_reduce``) and determinants by Bareiss's
-fraction-free elimination.  Column indices are 1-based in the public
-operations, matching the labeling of diagram boxes by matrix columns.
+All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows
+over one denominator; Fractions appear only in ``RatMatrix.rows``, minors and the
+echelon bases of ``Subspace``.  Eliminations run on primitive integer vectors
+(``_reduce``) and determinants by Bareiss's fraction-free elimination.  Column indices
+are 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -13,78 +13,65 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-Vector = tuple[Fraction, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def vec(entries) -> Vector:
-    """The entries as Fractions; entries that already are Fractions are kept as they are."""
-    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
-
-
-def zero_vector(k: int) -> Vector:
-    return (ZERO,) * k
-
-
-def unit_vector(k: int, i: int) -> Vector:
-    """Standard basis vector e_i (1-based) in dimension k."""
-    return tuple(ONE if j == i else ZERO for j in range(1, k + 1))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable k x m matrix of Fractions, row-major."""
+    """Immutable k x m rational matrix ``num / den``: integer rows over one positive denominator,
+    in lowest terms (the gcd of ``den`` and every entry is 1), so equality and hash are exact."""
 
-    rows: tuple[Vector, ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        rows = tuple(map(vec, self.rows))
-        if not rows or not rows[0]:
+        num = tuple(map(tuple, self.num))
+        if not num or not num[0]:
             raise ValueError("matrix must have positive dimensions")
-        if len({len(r) for r in rows}) != 1:
+        if len({len(r) for r in num}) != 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
+        if self.den < 1:
+            raise ValueError(f"denominator must be positive, got {self.den}")
+        g = gcd(self.den, *(x for r in num for x in r))
+        if g > 1:
+            num = tuple(tuple(x // g for x in r) for r in num)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", self.den // g)
 
     @classmethod
-    def from_columns(cls, columns) -> "RatMatrix":
-        return cls(tuple(zip(*columns)))
+    def from_rationals(cls, rows) -> "RatMatrix":
+        """The matrix of rows of ints, Fractions or their text, over the lcm of the denominators."""
+        rows = [[Fraction(x) for x in r] for r in rows]
+        den = lcm(*(x.denominator for r in rows for x in r))
+        return cls(tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows), den)
+
+    @classmethod
+    def from_columns(cls, columns, den: int = 1) -> "RatMatrix":
+        """The matrix of integer columns over den."""
+        return cls(tuple(zip(*columns)), den)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions."""
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self.num[0])
 
-    def column(self, j: int) -> Vector:
-        """Column j, 1-based."""
+    def column(self, j: int) -> tuple[int, ...]:
+        """Column j of ``num``, 1-based: den times column j of the matrix."""
         if not 1 <= j <= self.ncols:
             raise IndexError(f"column {j} out of range 1..{self.ncols}")
-        return tuple(r[j - 1] for r in self.rows)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(1, self.ncols + 1)]
-
-
-def _cleared(v) -> tuple[list[int], int]:
-    """(den * v, den) for the least common denominator den of the entries of v."""
-    den = lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v], den
+        return tuple(r[j - 1] for r in self.num)
 
 
 def _primitive(v) -> list[int]:
-    """v scaled to a primitive integer vector (coprime entries); the span is unchanged."""
-    ints = _cleared(v)[0]
+    """v, of ints or Fractions, scaled to a primitive integer vector (coprime entries); the span is unchanged."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -139,21 +126,16 @@ def _echelon(rows) -> list[list[Fraction]]:
     return [[Fraction(x, p[c]) for x in p] for c, p in _reduced(rows)]
 
 
-def det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by Bareiss's fraction-free elimination, after clearing each row's denominators."""
-    n = len(rows)
-    m, scale = [], 1
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("determinant of a non-square matrix")
-        ints, den = _cleared(r)
-        m.append(ints)
-        scale *= den
+def det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free elimination."""
+    n, m = len(rows), [list(r) for r in rows]
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
     sign, prev = 1, 1
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
-            return ZERO
+            return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
@@ -162,18 +144,24 @@ def det(rows: list[list[Fraction]]) -> Fraction:
             row, f = m[r], m[r][c]
             row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], top)]
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
 def minor(M: RatMatrix, J) -> Fraction:
     """Signed maximal minor of the columns listed in J (1-based, in the given order).
 
-    Alternating in the order of J: swapping two entries negates the value.
+    Alternating in the order of J: swapping two entries negates the value.  Each column is made
+    primitive first: over a common denominator it can carry a large factor through every step.
     """
     J = tuple(J)
     if len(J) != M.nrows:
         raise ValueError(f"need {M.nrows} column indices, got {len(J)}")
-    return det([M.column(j) for j in J])  # the transpose has the same determinant
+    cols, scale = [], 1
+    for v in map(M.column, J):
+        g = gcd(*v)
+        cols.append([x // g for x in v] if g > 1 else v)
+        scale *= g or 1
+    return Fraction(scale * det(cols), M.den ** len(J))  # det of the transpose
 
 
 @dataclass(frozen=True)
@@ -181,11 +169,11 @@ class Subspace:
     """Subspace of Q^k in canonical (reduced echelon) form; equality is decidable."""
 
     ambient: int
-    basis: tuple[Vector, ...]  # canonical: RREF rows of the generators
+    basis: tuple[tuple[Fraction, ...], ...]  # canonical: RREF rows of the generators
 
     @classmethod
     def span(cls, ambient: int, vectors) -> "Subspace":
-        vectors = [vec(v) for v in vectors]
+        vectors = list(vectors)  # of ints or Fractions
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector of wrong ambient dimension")
@@ -216,7 +204,7 @@ class Subspace:
         """
         self._check(other)
         k = self.ambient
-        pivots = _pivot_rows([a + a for a in self.basis] + [b + (ZERO,) * k for b in other.basis])
+        pivots = _pivot_rows([a + a for a in self.basis] + [b + (0,) * k for b in other.basis])
         return Subspace(k, tuple(map(tuple, _echelon(p[k:] for c, p in pivots if c >= k))))
 
 
@@ -237,7 +225,7 @@ class FlagK:
                 raise ValueError(f"flag step {i} does not contain step {i - 1}")
 
     @classmethod
-    def from_columns(cls, columns: list[Vector]) -> "FlagK":
+    def from_columns(cls, columns) -> "FlagK":
         k = len(columns)
         return cls(tuple(Subspace.span(k, columns[:i]) for i in range(1, k + 1)))
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cluster import Seed, exchange_products, seed_at
 from .diagram import BoxRef, InvariantError, SkewDiagram
-from .linalg import RatMatrix, ratio_to_str, vec_add, vec_scale
+from .linalg import RatMatrix, ratio_to_str
 from .variety import OffVariety, PointV, membership  # noqa: F401 - perfbench/tests reads this binding
 
 
@@ -59,7 +60,7 @@ def left_point(V: PointV, a: int) -> PointV:
     mu_bar = d.mu_bar[a]
     cols = [V.column(d.b(j)) for j in range(1, mu_bar + 1)]
     cols += [V.column(j + a - 1) for j in range(mu_bar + 1, d.n - a + 2)]
-    return PointV(d.cut(a)[0], RatMatrix.from_columns(cols), V.seed)
+    return PointV(d.cut(a)[0], RatMatrix.from_columns(cols, V.matrix.den), V.seed)
 
 
 def right_point(V: PointV, a: int) -> PointV:
@@ -72,7 +73,8 @@ def right_point(V: PointV, a: int) -> PointV:
     the boundary column at level i, the vector of that step with v_{b_i}-coefficient 1
     in span(v_{b_i}, .., v_{b_k}): v_{b_i} - sum_{r>i} Delta_{J_i[b_r->b_i]} / Delta_{J_i} v_{b_r}.
     Interior columns are copied from V.  V must lie on the column-a chart, which
-    ``Cut.at`` checks.
+    ``Cut.at`` checks.  With the coefficients (Delta_{J_i}, -Delta_{J_i[b_r->b_i]}) cleared to
+    integers c by their lcm L, the column is sum_r c_r V.num[b_r] / (Delta_{J_i} L V.den).
     """
     d = V.diagram
     k = d.k
@@ -82,23 +84,23 @@ def right_point(V: PointV, a: int) -> PointV:
     I_mu_right = B[:mu_bar] + tuple(a + i - 1 for i in range(mu_bar + 1, k + 1))
     if right.I_mu() != I_mu_right:
         raise InvariantError("cut boundary labels disagree with the right diagram")
-    cols: dict[int, tuple] = {}
+    cols: dict[int, tuple[tuple[int, ...], int]] = {}  # t -> (integer column, its denominator / V.den)
     for i in range(1, k + 1):
         c = max(a, d.d(i))
         J = tuple(min(c + j - 1, B[j - 1]) for j in range(1, i + 1)) + B[i:]
         D = V.delta(J)
         if D == 0:
             raise InvariantError("cut flag not transversal to the opposite boundary flag")
-        col = V.column(B[i - 1])
-        for r in range(i + 1, k + 1):
-            x = V.delta(J[:r - 1] + (B[i - 1],) + J[r:])
-            if x:
-                col = vec_add(col, vec_scale(-x / D, V.column(B[r - 1])))
-        cols[I_mu_right[i - 1]] = col
+        coeffs = [D] + [-V.delta(J[:r - 1] + (B[i - 1],) + J[r:]) for r in range(i + 1, k + 1)]
+        L = lcm(*(x.denominator for x in coeffs))
+        terms = [(x.numerator * (L // x.denominator), V.column(b)) for x, b in zip(coeffs, B[i - 1:]) if x]
+        cols[I_mu_right[i - 1]] = tuple(sum(x * v[s] for x, v in terms) for s in range(k)), terms[0][0]
     for ap in range(1, a):
         t = ap + d.mu_bar[ap]
-        cols[t] = V.column(t)
-    M = RatMatrix.from_columns([cols[t] for t in range(1, k + a)])
+        cols[t] = V.column(t), 1
+    den = lcm(*(q for _, q in cols.values()))
+    M = RatMatrix.from_columns([[x * (den // q) for x in v] for v, q in map(cols.get, range(1, k + a))],
+                               den * V.matrix.den)
     return PointV(right, M, V.seed)
 
 

@@ -9,6 +9,7 @@ torus coordinates) and back, exactly.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -18,8 +19,6 @@ from .linalg import (
     FlagK,
     RatMatrix,
     Subspace,
-    ZERO,
-    Vector,
     _extend,
     _primitive,
     _reduce,
@@ -28,19 +27,15 @@ from .linalg import (
     minor,
     rat_to_str,
     transversal,
-    unit_vector,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
 
 
-def _cyclic_column(M: RatMatrix, t: int) -> Vector:
-    """Column t of a k x n matrix, any integer t, with v_{t+n} = (-1)^{k-1} v_t."""
+def _cyclic_column(M: RatMatrix, t: int) -> tuple[int, ...]:
+    """Column t of ``M.num``, any integer t, with v_{t+n} = (-1)^{k-1} v_t."""
     q, r = divmod(t - 1, M.ncols)
     v = M.column(r + 1)
-    return v if (q * (M.nrows - 1)) % 2 == 0 else vec_scale(Fraction(-1), v)
+    return v if (q * (M.nrows - 1)) % 2 == 0 else tuple(-x for x in v)
 
 
 def _gauge_rows(d: SkewDiagram, M: RatMatrix) -> tuple[list[list[int]], int]:
@@ -48,7 +43,7 @@ def _gauge_rows(d: SkewDiagram, M: RatMatrix) -> tuple[list[list[int]], int]:
     moved first, the RREF of [B | rest] is B^-1 [B | rest] exactly when B is invertible."""
     I_mu = d.I_mu()
     order = list(I_mu) + [t for t in range(1, M.ncols + 1) if t not in I_mu]
-    red = _reduced([[row[t - 1] for t in order] for row in M.rows])
+    red = _reduced([[row[t - 1] for t in order] for row in M.num])
     if len(red) < d.k or red[-1][0] != d.k - 1:
         raise ValueError("columns at I_mu are dependent; not a point of the variety")
     D = lcm(*(p[c] for c, p in red))
@@ -93,8 +88,7 @@ class PointV:
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
         """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i."""
-        rows, D = _gauge_rows(d, M)
-        return cls(d, RatMatrix(tuple(tuple(Fraction(x, D) for x in r) for r in rows)), seed)
+        return cls(d, RatMatrix(*_gauge_rows(d, M)), seed)
 
     def _chart(self) -> tuple[list[list[int]], int, dict[int, int]]:
         """(rows, D, row of R at each 0-based column at I_mu) of the chart R = B^-1 M = rows / D."""
@@ -103,8 +97,8 @@ class PointV:
             self._memo["chart"] = (*_gauge_rows(self.diagram, self.matrix), row_of)
         return self._memo["chart"]
 
-    def column(self, t: int) -> Vector:
-        """Column t with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
+    def column(self, t: int) -> tuple[int, ...]:
+        """Column t of ``matrix.num`` with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
         return _cyclic_column(self.matrix, t)
 
     def delta(self, J) -> Fraction:
@@ -129,10 +123,10 @@ class PointV:
                 rest.append((p, r))
         others = sorted(set(range(k)).difference(perm))
         if len(others) != len(rest):
-            return ZERO
+            return Fraction(0)
         for (p, _), j in zip(rest, others):
             perm[p] = j
-        value = det([[rows[j][r] for _, r in rest] for j in others]) / D ** len(rest)
+        value = Fraction(det([[rows[j][r] for _, r in rest] for j in others]), D ** len(rest))
         return -value if ((k - 1) * shifts) % 2 != _is_odd(perm) else value
 
     def subspace(self, a: int, i: int) -> Subspace:
@@ -151,8 +145,12 @@ class PointV:
         diagram = json_key(obj, "point", "diagram", lambda x: isinstance(x, dict), "an object")
         d = SkewDiagram.from_json(diagram)
         rows = json_key(obj, "point", "matrix", _rational_rows, "a list of rows of integers or strings")
+        # only the text rat_to_str writes: Fraction(str) also takes spaces, decimals and exponents
+        bad = next((e for r in rows for e in r if type(e) is str and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", e)), None)
+        if bad is not None:
+            raise ValueError(f"point key 'matrix' has an entry {bad!r} that is not an integer or 'p/q' text")
         try:
-            M = RatMatrix(tuple(map(tuple, rows)))
+            M = RatMatrix.from_rationals(rows)
         except ZeroDivisionError:
             raise ValueError("point key 'matrix' has an entry with denominator 0") from None
         seed = obj.get("seed")
@@ -178,7 +176,7 @@ def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
     f(i) > n iff v_i is not in span(v_{i+1}, .., v_n), so the number of such i is the rank.
     """
     k, n = M.nrows, M.ncols
-    cols = [_primitive(c) for c in M.columns()]
+    cols = [_primitive(c) for c in zip(*M.num)]
     window = []
     for i in range(1, n + 1):
         pivots: list = []
@@ -228,16 +226,11 @@ def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = Fal
     n, k = d.n, d.k
     off = None
     for _ in range(_SAMPLE_ATTEMPTS):
-        cols: dict[int, Vector] = {d.b(j): unit_vector(k, j) for j in range(1, k + 1)}
+        cols = {d.b(j): tuple(int(i == j) for i in range(1, k + 1)) for j in range(1, k + 1)}
         for a in range(n - k, 0, -1):
-            t0 = a + d.mu_bar[a]
-            if d.mu_bar[a] == d.lambda_bar[a]:
-                cols[t0] = zero_vector(k)
-                continue
-            v = zero_vector(k)
-            for t in range(t0 + 1, a + d.lambda_bar[a] + 1):
-                v = vec_add(v, vec_scale(Fraction(rng.randint(-bound, bound)), cols[t]))
-            cols[t0] = v
+            window = [(rng.randint(-bound, bound), cols[t])
+                      for t in range(a + d.mu_bar[a] + 1, a + d.lambda_bar[a] + 1)]
+            cols[a + d.mu_bar[a]] = tuple(sum(c * v[r] for c, v in window) for r in range(k))
         try:
             point = PointV(d, RatMatrix.from_columns([cols[t] for t in range(1, n + 1)]), seed)
         except OffVariety as exc:
@@ -248,17 +241,20 @@ def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = Fal
 
 
 def _normalize_r1(V: PointV) -> PointV:
-    """Rescale the free columns so that Delta_{I'(a, lambda_bar_a)} = 1 on R^1 boxes."""
-    d = V.diagram
-    cols = {t: V.matrix.column(t) for t in range(1, d.n + 1)}
+    """Rescale the free columns so that Delta_{I'(a, lambda_bar_a)} = 1 on R^1 boxes.
+    Column t becomes scale[t] times column t of V, so a minor is V's times the scales of its columns."""
+    d, M = V.diagram, V.matrix
+    scale = [Fraction(1)] * (d.n + 1)
     for a in range(d.n - d.k, 0, -1):
         if d.mu_bar[a] == d.lambda_bar[a]:
             continue
-        t0 = a + d.mu_bar[a]
         J = d.long_label(a, d.lambda_bar[a])
-        val = det([cols[t] for t in J])
-        cols[t0] = vec_scale(1 / val, cols[t0])
-    return PointV(d, RatMatrix.from_columns([cols[t] for t in range(1, d.n + 1)]), V.seed)
+        val = minor(M, J)
+        for t in J:
+            val *= scale[t]
+        scale[a + d.mu_bar[a]] /= val
+    rows = ([scale[t] * x for t, x in enumerate(r, start=1)] for r in M.rows)
+    return PointV(d, RatMatrix.from_rationals(rows), V.seed)
 
 
 # -- the braid-variety dictionary ------------------------------------------------------
@@ -276,7 +272,7 @@ class BraidLabeling:
 
     diagram: SkewDiagram
     regions: tuple[tuple[BoxRef, Subspace], ...]
-    boundary_basis: tuple[Vector, ...]
+    boundary_basis: tuple[tuple[Fraction, ...], ...]
     right_flag: FlagK
     torus: tuple[tuple[BoxRef, Fraction], ...]
     _region: dict = field(init=False, repr=False, compare=False)
@@ -303,7 +299,8 @@ def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram by the region subspaces, framing, right flag and torus scalars."""
     d = V.diagram
     regions = tuple((box, V.subspace(box.a, box.i)) for box in d.boxes())
-    boundary = tuple(V.column(d.b(j)) for j in range(1, d.k + 1))
+    rows = V.matrix.rows
+    boundary = tuple(tuple(r[d.b(j) - 1] for r in rows) for j in range(1, d.k + 1))
     right = FlagK.from_columns([V.column(t) for t in d.I_lambda()])
     torus = tuple(
         (box, V.delta(d.long_label(box.a, box.i))) for box in d.ribbon().R1
@@ -360,7 +357,7 @@ def xi(L: BraidLabeling) -> PointV:
     """Reconstruct the point from a braid labeling; exact inverse of omega."""
     d = L.diagram
     k, n = d.k, d.n
-    cols: dict[int, Vector] = {d.b(j): L.boundary_basis[j - 1] for j in range(1, k + 1)}
+    cols = {d.b(j): L.boundary_basis[j - 1] for j in range(1, k + 1)}
 
     def W(j: int) -> Subspace:
         return Subspace.span(k, [cols[d.b(t)] for t in range(k - j + 1, k + 1)])
@@ -368,16 +365,17 @@ def xi(L: BraidLabeling) -> PointV:
     for a in range(n - k, 0, -1):
         t0 = a + d.mu_bar[a]
         if d.mu_bar[a] == d.lambda_bar[a]:
-            cols[t0] = zero_vector(k)
+            cols[t0] = (0,) * k
             continue
         line = L.region(a, d.mu_bar[a] + 1).intersect(W(k - d.mu_bar[a]))
         if line.dim != 1:
             raise ValueError(f"intersection at column {a} is {line.dim}-dimensional")
         z = line.basis[0]
         J = d.long_label(a, d.lambda_bar[a])
-        current = det([z if t == t0 else cols[t] for t in J])
+        # the minor of the columns of J, by the rows of the transpose
+        current = minor(RatMatrix.from_rationals([z if t == t0 else cols[t] for t in J]), range(1, k + 1))
         if current == 0:
             raise ValueError(f"pinning minor vanishes at column {a}; labeling invalid")
-        cols[t0] = vec_scale(L.torus_value(a) / current, z)
-    M = RatMatrix.from_columns([cols[t] for t in range(1, n + 1)])
-    return PointV(d, M)
+        c = L.torus_value(a) / current
+        cols[t0] = tuple(c * x for x in z)
+    return PointV(d, RatMatrix.from_rationals(zip(*(cols[t] for t in range(1, n + 1)))))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from skewpos import Partition, SkewDiagram
 from skewpos.cli import random_diagram
-from skewpos.linalg import minor
+from skewpos.linalg import RatMatrix, minor
 
 
 @pytest.fixture
@@ -29,6 +29,45 @@ def disconnected():
     return SkewDiagram(9, 4, Partition((5, 5, 2, 2)), Partition((3, 3)))
 
 
+# -- exact Fraction vectors: src/ keeps a matrix as integer rows over one denominator ----------
+
+
+def vec(entries) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, entries))
+
+
+def unit_vector(k: int, i: int) -> tuple[Fraction, ...]:
+    """Standard basis vector e_i (1-based) in dimension k."""
+    return tuple(Fraction(j == i) for j in range(1, k + 1))
+
+
+def zero_vector(k: int) -> tuple[Fraction, ...]:
+    return (Fraction(0),) * k
+
+
+def vec_add(u, v) -> tuple[Fraction, ...]:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(c, v) -> tuple[Fraction, ...]:
+    return tuple(c * a for a in v)
+
+
+def qcol(P, t: int) -> tuple[Fraction, ...]:
+    """Column t of a RatMatrix, or of a point (cyclic t allowed), as exact Fractions."""
+    M = getattr(P, "matrix", P)
+    return tuple(Fraction(x, M.den) for x in P.column(t))
+
+
+def qcols(M) -> list[tuple[Fraction, ...]]:
+    return [qcol(M, j) for j in range(1, M.ncols + 1)]
+
+
+def from_qcols(columns) -> RatMatrix:
+    """The matrix of columns of rationals."""
+    return RatMatrix.from_rationals(zip(*columns))
+
+
 def intro_off_chart_point(seed_range=range(1, 40)):
     """A genuine point of the intro diagram outside the column-5 chart.
 
@@ -36,7 +75,6 @@ def intro_off_chart_point(seed_range=range(1, 40)):
     mutable minor at box (5, 2) vanishes while membership is preserved.
     """
     from skewpos import in_U_a, membership, sample
-    from skewpos.linalg import RatMatrix, vec_add, vec_scale, zero_vector
     from skewpos.variety import PointV
 
     d = SkewDiagram(12, 5, Partition((7, 7, 5, 3, 1)), Partition((3, 1)))
@@ -46,15 +84,14 @@ def intro_off_chart_point(seed_range=range(1, 40)):
         anchor7 = V.delta(tuple(7 if t == 6 else t for t in label))
         if anchor7 == 0:
             continue
-        c7, c8, c9 = solve_columns([V.column(t) for t in (7, 8, 9)], V.column(6))
+        c7, c8, c9 = solve_columns([qcol(V, t) for t in (7, 8, 9)], qcol(V, 6))
         delta8 = V.delta(tuple(8 if t == 6 else t for t in label))
         delta9 = V.delta(tuple(9 if t == 6 else t for t in label))
         new_c7 = -(c8 * delta8 + c9 * delta9) / anchor7
         v6 = zero_vector(5)
         for c, t in ((new_c7, 7), (c8, 8), (c9, 9)):
-            v6 = vec_add(v6, vec_scale(c, V.column(t)))
-        cols = [v6 if t == 6 else V.column(t) for t in range(1, 13)]
-        M = RatMatrix.from_columns(cols)
+            v6 = vec_add(v6, vec_scale(c, qcol(V, t)))
+        M = from_qcols(v6 if t == 6 else qcol(V, t) for t in range(1, 13))
         if membership(M, d):
             W = PointV(d, M)
             if not in_U_a(W, 5):
@@ -206,19 +243,18 @@ def f_of_point_oracle(M) -> tuple[int, ...]:
 
 def from_matrix_oracle(d, M, seed=None):
     """Re-gauge to v_{b_i} = e_i by inverting B = M[:, I_mu] and multiplying out B^-1 M."""
-    from skewpos.linalg import RatMatrix, unit_vector
     from skewpos.variety import PointV
 
     if minor(M, d.I_mu()) == 0:
         raise ValueError("columns at I_mu are dependent; not a point of the variety")
-    aug = [list(row) + [unit_vector(d.k, r + 1)[c] for c in range(d.k)]
-           for r, row in enumerate(zip(*(M.column(b) for b in d.I_mu())))]
+    aug = [list(row) + list(unit_vector(d.k, r + 1))
+           for r, row in enumerate(zip(*(qcol(M, b) for b in d.I_mu())))]
     inv_rows = [r[d.k:] for r in echelon_oracle(aug)]
     new_rows = [
         tuple(sum(inv_rows[r][s] * M.rows[s][c] for s in range(d.k)) for c in range(M.ncols))
         for r in range(d.k)
     ]
-    return PointV(d, RatMatrix(tuple(new_rows)), seed)
+    return PointV(d, RatMatrix.from_rationals(new_rows), seed)
 
 
 def flag_at_cut(V, a: int):
@@ -245,7 +281,7 @@ def flag_at_cut(V, a: int):
 def right_point_oracle(V, a: int):
     """Right factor from the cut flag: a transversality test against the opposite boundary
     flag, then F_i ^ W_{k-i+1} by intersection, normalised by solving for its v_{b_i} part."""
-    from skewpos.linalg import RatMatrix, transversal, vec_scale
+    from skewpos.linalg import transversal
     from skewpos.variety import PointV
 
     d = V.diagram
@@ -266,15 +302,14 @@ def right_point_oracle(V, a: int):
         if line.dim != 1:
             raise AssertionError(f"cut intersection at level {i} is {line.dim}-dimensional")
         z = line.basis[0]
-        coeffs = solve_columns([V.column(d.b(j)) for j in range(i, k + 1)], z)
+        coeffs = solve_columns([qcol(V, d.b(j)) for j in range(i, k + 1)], z)
         if coeffs[0] == 0:
             raise AssertionError(f"cut vector at level {i} has no leading boundary component")
         cols[I_mu_right[i - 1]] = vec_scale(1 / coeffs[0], z)
     for ap in range(1, a):
         t = ap + d.mu_bar[ap]
-        cols[t] = V.column(t)
-    M = RatMatrix.from_columns([cols[t] for t in range(1, k + a)])
-    return PointV(right, M, V.seed)
+        cols[t] = qcol(V, t)
+    return PointV(right, from_qcols(cols[t] for t in range(1, k + a)), V.seed)
 
 
 # -- oracle: the k x k determinant the chart-block minors replaced ------------------------
@@ -282,9 +317,7 @@ def right_point_oracle(V, a: int):
 
 def delta_oracle(V, J) -> Fraction:
     """Signed minor of the cyclic columns v_t, t in J, in the listed order, by one k x k determinant."""
-    from skewpos.linalg import det
-
-    return det([V.column(t) for t in J])
+    return det_oracle([qcol(V, t) for t in J])
 
 
 # -- oracle: the step-dict polygon and Fraction ray casting the row-parity enclosure replaced --
@@ -340,6 +373,21 @@ def boxes_by_side_oracle(d, polygon, inside: bool):
     rows = {r: sorted(xs) for r, xs in crossings.items()}
     w = d.n - d.k
     return tuple(b for b in d.boxes() if (len(xs := rows.get(b.i, ())) - bisect_right(xs, w - b.a)) % 2 == inside)
+
+
+# -- oracle: the per-box scan the ribbon's column ranges replaced ------------------------------
+
+
+def ribbon_oracle(d):
+    """(R, Rbar) by testing every box of lambda for a northeast neighbour outside lambda."""
+    from skewpos.diagram import BoxRef
+
+    R, Rbar = [], []
+    for a in range(1, d.n - d.k + 1):
+        for i in range(1, d.lambda_bar[a] + 1):
+            if d.in_ribbon_lambda(a, i):
+                (R if i > d.mu_bar[a] else Rbar).append(BoxRef(a, i))
+    return tuple(R), tuple(Rbar)
 
 
 def staircase(n: int) -> SkewDiagram:

@@ -273,8 +273,16 @@ class TestInputErrors:
         (["splice", "--diagram", INTRO, "--column", "6", "--point",
           '{"diagram": %s, "matrix": [[1]], "seed": true}' % INTRO],
          "point key 'seed' must be an integer or null, got True"),
+    ] + [
+        (["splice", "--diagram", INTRO, "--column", "6", "--point",
+          '{"diagram": %s, "matrix": [[1, "1/2", %s]]}' % (INTRO, json.dumps(entry))],
+         f"point key 'matrix' has an entry {entry!r} that is not an integer or 'p/q' text")
+        for entry in ["1.5", " 3/4 ", "x", "1e3000000", "1_000", "+3", "3/-4", "1/2/3", "\u0663", ""]
     ], ids=["diagram-without-k", "lambda-not-a-list", "point-without-matrix", "zero-denominator",
-            "diagram-not-an-object", "seed-a-list", "seed-a-string", "seed-a-boolean"])
+            "diagram-not-an-object", "seed-a-list", "seed-a-string", "seed-a-boolean",
+            "entry-decimal", "entry-padded", "entry-not-a-number", "entry-exponent", "entry-underscore",
+            "entry-plus-sign", "entry-negative-denominator", "entry-two-slashes", "entry-non-ascii-digit",
+            "entry-empty"])
     def test_malformed_json(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err == f"input error: {message}\n"

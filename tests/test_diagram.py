@@ -3,7 +3,7 @@ from hypothesis import given
 
 from skewpos import BoxRef, Partition, SkewDiagram, conjugate, quiver, sample, seed_at, source_labels, trips
 
-from conftest import all_skew_diagrams, skew_diagrams
+from conftest import all_skew_diagrams, ribbon_oracle, skew_diagrams
 
 
 def brute_conjugate(parts):
@@ -221,6 +221,12 @@ class TestRibbon:
         d = SkewDiagram(7, 3, Partition((4, 2, 1)), Partition((4, 2, 1)))
         rib = d.ribbon()
         assert rib.R == () and len(rib.Rbar) > 0
+
+    def test_column_ranges_match_the_per_box_scan(self):
+        """Every diagram with n <= 7: column a's ribbon boxes are lambda_bar[a-1] (at least 1) .. lambda_bar[a]."""
+        for d in all_skew_diagrams(7):
+            rib = d.ribbon()
+            assert (rib.R, rib.Rbar) == ribbon_oracle(d), d
 
     @given(skew_diagrams())
     def test_ribbon_size(self, d):

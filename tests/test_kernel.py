@@ -20,8 +20,10 @@ from conftest import (
     det_oracle,
     echelon_oracle,
     f_of_point_oracle,
+    from_qcols,
     intersect_oracle,
     necklace_entry_exhaustive,
+    qcols,
 )
 
 INTEGERS = st.integers(-9, 9).map(Fraction)
@@ -58,7 +60,7 @@ def matrices(draw, max_k=5, max_n=9, square=False):
         coeffs = draw(column_lists(r, n, INTEGERS))
         cols = [tuple(sum((c[j] * left[j][t] for j in range(r)), Fraction(0)) for t in range(k))
                 for c in coeffs]
-    return RatMatrix.from_columns(cols)
+    return from_qcols(cols)
 
 
 @given(matrices())
@@ -89,7 +91,7 @@ def test_f_of_point_even_k(k):
     rng = random.Random(k)
     for _ in range(20):
         cols = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(k + 4)]
-        M = RatMatrix.from_columns(cols)
+        M = from_qcols(cols)
         if len(echelon_oracle(M.rows)) == k:
             assert f_of_point(M).window == f_of_point_oracle(M)
 
@@ -97,9 +99,8 @@ def test_f_of_point_even_k(k):
 @given(matrices(square=True))
 @settings(max_examples=150, deadline=None)
 def test_det_matches_oracle(M):
-    rows = [list(r) for r in M.rows]
-    assert det(rows) == det_oracle(rows)
-    assert minor(M, range(1, M.ncols + 1)) == det_oracle(rows)
+    assert det([list(r) for r in M.num]) == det_oracle(M.num)
+    assert minor(M, range(1, M.ncols + 1)) == det_oracle(M.rows)
 
 
 @pytest.mark.parametrize("rows, value", [
@@ -110,7 +111,9 @@ def test_det_matches_oracle(M):
     ([[0, 1], [1, 0]], -1),
 ])
 def test_det_small_and_singular(rows, value):
-    assert det(rows) == det_oracle(rows) == value
+    """det of the integer rows over den ** k, and minor, which reads them so."""
+    M = RatMatrix.from_rationals(rows)
+    assert Fraction(det(M.num), M.den ** M.nrows) == minor(M, range(1, M.ncols + 1)) == det_oracle(rows) == value
 
 
 def test_det_rejects_a_non_square_matrix():
@@ -121,14 +124,14 @@ def test_det_rejects_a_non_square_matrix():
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_span_is_the_oracle_echelon_form(M):
-    S = Subspace.span(M.nrows, M.columns())
-    assert [list(b) for b in S.basis] == echelon_oracle(M.columns())
+    S = Subspace.span(M.nrows, qcols(M))
+    assert [list(b) for b in S.basis] == echelon_oracle(qcols(M))
 
 
 @given(matrices(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_contains_vector_matches_oracle(M, data):
-    cols = M.columns()
+    cols = qcols(M)
     S = Subspace.span(M.nrows, cols[:-1])
     v = data.draw(st.sampled_from([cols[-1], cols[0], (Fraction(0),) * M.nrows]))
     assert S.contains(Subspace.span(M.nrows, [v])) == contains_vector_oracle(cols[:-1], v)
@@ -137,7 +140,7 @@ def test_contains_vector_matches_oracle(M, data):
 @given(matrices(), st.integers(0, 9))
 @settings(max_examples=100, deadline=None)
 def test_add_and_intersect_match_oracle(M, split):
-    k, cols = M.nrows, M.columns()
+    k, cols = M.nrows, qcols(M)
     A, B = cols[:split], cols[split:]
     SA, SB = Subspace.span(k, A), Subspace.span(k, B)
     assert [list(b) for b in Subspace.span(k, SA.basis + SB.basis).basis] == echelon_oracle(cols)

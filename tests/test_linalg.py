@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,20 +13,18 @@ from skewpos.linalg import (
     minor,
     rat_to_str,
     transversal,
-    unit_vector,
-    vec,
 )
 
-from conftest import solve_columns
+from conftest import from_qcols, qcol, qcols, solve_columns, unit_vector, vec
 
 
 def random_matrix(rng, k, m, lo=-9, hi=9):
-    return RatMatrix(tuple(tuple(Fraction(rng.randint(lo, hi)) for _ in range(m)) for _ in range(k)))
+    return RatMatrix(tuple(tuple(rng.randint(lo, hi) for _ in range(m)) for _ in range(k)))
 
 
 class TestMinor:
     def test_identity(self):
-        M = RatMatrix.from_columns([unit_vector(4, i) for i in range(1, 5)])
+        M = from_qcols([unit_vector(4, i) for i in range(1, 5)])
         assert minor(M, (1, 2, 3, 4)) == 1
 
     def test_swap_negates(self):
@@ -96,8 +95,8 @@ class TestFlags:
 
 class TestCramer:
     def test_basis_vector(self):
-        M = RatMatrix.from_columns([vec((1, 0)), vec((1, 1))])
-        assert solve_columns([M.column(j) for j in (1, 2)], M.column(1)) == [1, 0]
+        M = from_qcols([vec((1, 0)), vec((1, 1))])
+        assert solve_columns([qcol(M, j) for j in (1, 2)], qcol(M, 1)) == [1, 0]
 
     def test_quotient_of_minors(self):
         rng = random.Random(6)
@@ -106,8 +105,8 @@ class TestCramer:
             basis = (1, 3, 5, 7)
             if minor(M, basis) == 0:
                 continue
-            target = M.column(9)
-            coeffs = solve_columns([M.column(j) for j in basis], target)
+            target = qcol(M, 9)
+            coeffs = solve_columns([qcol(M, j) for j in basis], target)
             for j, pos in enumerate(basis):
                 replaced = tuple(9 if b == pos else b for b in basis)
                 assert coeffs[j] == minor(M, replaced) / minor(M, basis)
@@ -122,17 +121,17 @@ class TestCramer:
             target = tuple(
                 sum(M.rows[r][c] * x[c] for c in range(4)) for r in range(4)
             )
-            assert solve_columns(M.columns(), target) == list(x)
+            assert solve_columns(qcols(M), target) == list(x)
 
     def test_target_not_in_span(self):
-        M = RatMatrix.from_columns([vec((1, 0, 0)), vec((0, 1, 0))])
+        M = from_qcols([vec((1, 0, 0)), vec((0, 1, 0))])
         with pytest.raises(ValueError, match="span"):
-            solve_columns([M.column(j) for j in (1, 2)], vec((0, 0, 1)))
+            solve_columns([qcol(M, j) for j in (1, 2)], vec((0, 0, 1)))
 
     def test_dependent_basis(self):
-        M = RatMatrix.from_columns([vec((1, 0)), vec((2, 0)), vec((0, 1))])
+        M = from_qcols([vec((1, 0)), vec((2, 0)), vec((0, 1))])
         with pytest.raises(ValueError, match="dependent"):
-            solve_columns([M.column(j) for j in (1, 2)], vec((1, 0)))
+            solve_columns([qcol(M, j) for j in (1, 2)], vec((1, 0)))
 
 
 class TestSerialization:
@@ -156,12 +155,51 @@ class TestRatMatrixEntries:
         ((True, Fraction(-2, 3)), ("0/7", 5)),
     ], ids=["int-str", "str", "fraction", "mixed"])
     def test_int_str_and_fraction_entries_agree(self, rows):
-        for M in (RatMatrix(rows), RatMatrix.from_columns(zip(*rows))):
-            assert M == RatMatrix(self.WANT) and M.rows == self.WANT
+        for M in (RatMatrix.from_rationals(rows), from_qcols(zip(*rows))):
+            assert M == RatMatrix.from_rationals(self.WANT) and M.rows == self.WANT
             assert all(type(e) is Fraction for r in M.rows for e in r)
 
-    def test_fraction_entries_are_kept(self):
-        x = Fraction(-2, 3)
-        assert RatMatrix(((x,),)).rows[0][0] is x
-        assert RatMatrix.from_columns([(x,)]).rows[0][0] is x
-        assert vec((x, 2))[0] is x
+    def test_integer_rows_over_one_denominator(self):
+        """The entries are kept as ints: num = den * the matrix, and columns are columns of num."""
+        M = RatMatrix.from_rationals(self.WANT)
+        assert (M.num, M.den) == (((3, -2), (0, 15)), 3)
+        assert all(type(e) is int for r in M.num for e in r)
+        assert M.column(2) == (-2, 15) and qcol(M, 2) == (Fraction(-2, 3), Fraction(5))
+        assert RatMatrix.from_columns([(3, 0), (-2, 15)], 3) == M == RatMatrix(((6, -4), (0, 30)), 6)
+
+    @pytest.mark.parametrize("num, den", [
+        (((1, 2),), 0),
+        (((1, 2),), -3),
+        (((1, 2), (3,)), 1),
+        ((), 1),
+        (((),), 1),
+    ], ids=["den-0", "den-negative", "ragged", "no-rows", "no-columns"])
+    def test_invalid_shapes_and_denominators(self, num, den):
+        with pytest.raises(ValueError):
+            RatMatrix(num, den)
+
+    def test_ragged_rationals(self):
+        with pytest.raises(ValueError, match="ragged"):
+            RatMatrix.from_rationals([[1, "1/2"], [3]])
+
+
+@st.composite
+def rational_rows(draw):
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    return [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(k)]
+
+
+@given(rational_rows(), st.integers(2, 30))
+@settings(max_examples=150, deadline=None)
+def test_canonical_form(rows, c):
+    """Equal rational rows give equal num, den and hash however they are written: as text with
+    a common factor in each entry, or as integer rows over a multiple of the denominator."""
+    M = RatMatrix.from_rationals(rows)
+    texts = [[f"{x.numerator * c}/{x.denominator * c}" for x in r] for r in rows]
+    scaled = RatMatrix(tuple(tuple(c * x for x in r) for r in M.num), c * M.den)
+    for other in (RatMatrix.from_rationals(texts), scaled):
+        assert (other.num, other.den, hash(other)) == (M.num, M.den, hash(M)) and other == M
+    assert M.den >= 1 and gcd(M.den, *(x for r in M.num for x in r)) == 1
+    assert M.rows == tuple(map(tuple, rows))
+    assert RatMatrix.from_rationals(M.rows) == M

@@ -23,16 +23,25 @@ from skewpos import (
     sample,
     xi,
 )
-from skewpos.linalg import RatMatrix, unit_vector, vec_scale, zero_vector
-from skewpos.linalg import Subspace
+from skewpos.linalg import RatMatrix, Subspace
 from skewpos.variety import BraidLabeling, OffVariety, PointV, _normalize_r1, check_labeling
 
-from conftest import W_span, echelon_oracle, necklace_entry_exhaustive, skew_diagrams
+from conftest import (
+    W_span,
+    echelon_oracle,
+    from_qcols,
+    necklace_entry_exhaustive,
+    qcol,
+    qcols,
+    skew_diagrams,
+    unit_vector,
+    vec_scale,
+    zero_vector,
+)
 
 
 def identity_block(k, n):
-    cols = [unit_vector(k, i) for i in range(1, k + 1)] + [zero_vector(k)] * (n - k)
-    return RatMatrix.from_columns(cols)
+    return from_qcols([unit_vector(k, i) for i in range(1, k + 1)] + [zero_vector(k)] * (n - k))
 
 
 class TestFOfPoint:
@@ -42,7 +51,7 @@ class TestFOfPoint:
 
     def test_zero_column_fixed_point(self):
         cols = [unit_vector(2, 1), zero_vector(2), unit_vector(2, 2)]
-        f = f_of_point(RatMatrix.from_columns(cols))
+        f = f_of_point(from_qcols(cols))
         assert f(2) == 2
 
     def test_sampled_point(self, running):
@@ -50,7 +59,7 @@ class TestFOfPoint:
         assert f_of_point(V.matrix).window == baf(running).window
 
     def test_rank_deficient(self):
-        M = RatMatrix.from_columns([unit_vector(2, 1), unit_vector(2, 1), unit_vector(2, 1)])
+        M = from_qcols([unit_vector(2, 1), unit_vector(2, 1), unit_vector(2, 1)])
         with pytest.raises(ValueError, match="rank"):
             f_of_point(M)
 
@@ -68,8 +77,7 @@ class TestNecklaceOfPoint:
         rng = random.Random(12)
         for _ in range(12):
             k, n = rng.randint(1, 3), rng.randint(4, 7)
-            M = RatMatrix(tuple(tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))
-                                for _ in range(k)))
+            M = RatMatrix(tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)))
             if len(echelon_oracle(M.rows)) < k:
                 continue
             N = necklace_of_point(M)
@@ -92,16 +100,15 @@ class TestMembership:
 
     def test_dense_matrix_not_member(self, running):
         rng = random.Random(3)
-        M = RatMatrix(tuple(tuple(Fraction(rng.randint(1, 50)) for _ in range(12))
-                            for _ in range(5)))
+        M = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
         assert not membership(M, running)
 
     def test_ribbon_minor_vanishing_breaks_membership(self, running):
         V = sample(running, seed=9)
         # zero out a column that a ribbon minor needs: necklace entry changes
-        cols = V.matrix.columns()
+        cols = qcols(V.matrix)
         cols[0] = zero_vector(5)
-        assert not membership(RatMatrix.from_columns(cols), running)
+        assert not membership(from_qcols(cols), running)
 
 
 class TestSample:
@@ -109,10 +116,10 @@ class TestSample:
         d = SkewDiagram(8, 3, Partition((4, 2)), Partition((4, 2)))
         V = sample(d, seed=1)
         for j, b in enumerate(d.I_mu(), start=1):
-            assert V.matrix.column(b) == unit_vector(3, j)
+            assert qcol(V.matrix, b) == unit_vector(3, j)
         for t in range(1, 9):
             if t not in d.I_mu():
-                assert V.matrix.column(t) == zero_vector(3)
+                assert qcol(V.matrix, t) == zero_vector(3)
 
     def test_one_box_cell(self):
         d = SkewDiagram(2, 1, Partition((1,)), Partition())
@@ -157,28 +164,28 @@ class TestSample:
 class TestPointV:
     def test_regauge(self, running):
         V = sample(running, seed=2)
-        scaled = RatMatrix(tuple(tuple(3 * e for e in row) for row in V.matrix.rows))
+        scaled = RatMatrix.from_rationals(tuple(3 * e for e in row) for row in V.matrix.rows)
         W = PointV.from_matrix(running, scaled)
         assert W.delta(running.I_mu()) == 1
         for j, b in enumerate(running.I_mu(), start=1):
-            assert W.matrix.column(b) == unit_vector(5, j)
+            assert qcol(W, b) == unit_vector(5, j)
 
     def test_bad_gauge_rejected(self, running):
         V = sample(running, seed=2)
-        scaled = RatMatrix(tuple(tuple(3 * e for e in row) for row in V.matrix.rows))
+        scaled = RatMatrix.from_rationals(tuple(3 * e for e in row) for row in V.matrix.rows)
         with pytest.raises(ValueError, match="re-gauge"):
             PointV(running, scaled)
 
     def test_off_variety_rejected(self, running):
         """A rank-k matrix in the gauge but off the variety, and a dense one re-gauged."""
-        cols = sample(running, seed=9).matrix.columns()
+        cols = qcols(sample(running, seed=9).matrix)
         cols[0] = zero_vector(5)
-        M = RatMatrix.from_columns(cols)
-        assert len(echelon_oracle(M.rows)) == 5 and M.column(running.b(1)) == unit_vector(5, 1)
+        M = from_qcols(cols)
+        assert len(echelon_oracle(M.rows)) == 5 and qcol(M, running.b(1)) == unit_vector(5, 1)
         with pytest.raises(OffVariety, match="^point does not lie on the variety of its diagram$"):
             PointV(running, M)
         rng = random.Random(3)
-        dense = RatMatrix(tuple(tuple(Fraction(rng.randint(1, 50)) for _ in range(12)) for _ in range(5)))
+        dense = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
         with pytest.raises(OffVariety):
             PointV.from_matrix(running, dense)
 
@@ -309,9 +316,9 @@ class TestXi:
         t0 = 1 + running.mu_bar[1]
         for t in range(1, 13):
             if t == t0:
-                assert W.matrix.column(t) == vec_scale(Fraction(7), V.matrix.column(t))
+                assert qcol(W, t) == vec_scale(Fraction(7), qcol(V, t))
             else:
-                assert W.matrix.column(t) == V.matrix.column(t)
+                assert qcol(W, t) == qcol(V, t)
 
     def test_perturb_any_torus_keeps_membership(self, running):
         V = sample(running, seed=26)
