@@ -72,6 +72,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+_INTS = frozenset((int,))  # a list holds only plain ints iff this is a superset of its item types
+
+
 def _json_text(doc, pad: str = "\n") -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` byte for byte, for documents with string keys.
     Containers match by exact type.  Their int, str, bool and None items and their non-empty lists
@@ -80,7 +83,7 @@ def _json_text(doc, pad: str = "\n") -> str:
     if kind is dict:  # a generator, so each key is encoded before its value: json raises on a bad key first
         items = ((encode_basestring_ascii(key) + ": ", doc[key]) for key in sorted(doc))
     elif kind is list or kind is tuple:
-        if all(type(x) is int for x in doc):
+        if _INTS.issuperset(map(type, doc)):
             return "[" + inner + ("," + inner).join(map(str, doc)) + pad + "]" if doc else "[]"
         items = (("", x) for x in doc)
     else:
@@ -94,7 +97,7 @@ def _json_text(doc, pad: str = "\n") -> str:
             texts.append(prefix + encode_basestring_ascii(x))
         elif of is bool or x is None:
             texts.append(prefix + ("null" if x is None else "true" if x else "false"))
-        elif of is list and x and all(type(y) is int for y in x):
+        elif of is list and x and _INTS.issuperset(map(type, x)):
             texts.append(prefix + "[" + deeper + ("," + deeper).join(map(str, x)) + inner + "]")
         else:
             texts.append(prefix + _json_text(x, inner))

@@ -2,8 +2,9 @@
 
 All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows
 over one denominator; Fractions appear only in ``RatMatrix.rows``, minors and the
-echelon bases of ``Subspace``.  Eliminations run on primitive integer vectors
-(``_reduce``) and determinants by Bareiss's fraction-free elimination.  Column indices
+echelon bases of ``Subspace``.  Spans are reduced on primitive integer vectors
+(``_reduce``), determinants by Bareiss's fraction-free elimination, and a point's basis
+exchanges by the fraction-free Gauss-Jordan tableau (``_tableau``, ``_pivot``).  Column indices
 are 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
 """
 
@@ -95,35 +96,64 @@ def _reduce(pivots: list[tuple[int, list[int]]], v: list[int]) -> list[int]:
     return v
 
 
-def _extend(pivots: list[tuple[int, list[int]]], v: list[int]) -> bool:
-    """Add v to the span of the pivot rows; True iff the span grew."""
-    v = _reduce(pivots, v)
-    c = next((c for c, x in enumerate(v) if x), None)
-    if c is None:
-        return False
-    pivots.append((c, v))
-    return True
-
-
 def _pivot_rows(vectors) -> list[tuple[int, list[int]]]:
+    """(column, primitive integer row) pairs spanning the vectors, as ``_reduce`` takes them."""
     pivots: list = []
     for v in vectors:
-        _extend(pivots, _primitive(v))
-    return pivots
-
-
-def _reduced(rows) -> list[tuple[int, list[int]]]:
-    """(pivot column c, integer row p) pairs in pivot order; p / p[c] are the RREF rows."""
-    pivots = sorted(_pivot_rows(rows))
-    for j, (c, p) in enumerate(pivots):
-        # later rows vanish left of their own pivots, so cleared columns stay zero
-        pivots[j] = (c, _reduce(pivots[j + 1:], p))
+        v = _reduce(pivots, _primitive(v))
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            pivots.append((c, v))
     return pivots
 
 
 def _echelon(rows) -> list[list[Fraction]]:
     """Reduced row echelon form of the span of the rows; returns the nonzero rows (pivots 1)."""
-    return [[Fraction(x, p[c]) for x in p] for c, p in _reduced(rows)]
+    pivots = sorted(_pivot_rows(rows))
+    for j, (c, p) in enumerate(pivots):
+        # later rows vanish left of their own pivots, so cleared columns stay zero
+        pivots[j] = (c, _reduce(pivots[j + 1:], p))
+    return [[Fraction(x, p[c]) for x in p] for c, p in pivots]
+
+
+def _pivot(T: list[list[int]], r: int, c: int, D: int) -> int:
+    """Fraction-free exchange (Edmonds): row r of the tableau T = D B^-1 A takes column c into the
+    basis B.  Every other row becomes (p row - row[c] T[r]) / D with p = T[r][c], which divides
+    exactly; row r stays.  Returns the new D = p."""
+    p, top = T[r][c], T[r]
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            T[i] = [(p * x - f * y) // D for x, y in zip(row, top)]
+        elif not f and p != D:
+            T[i] = [p * x // D for x in row]
+    return p
+
+
+def _tableau(rows, order) -> tuple[list[list[int]], int, list[int], bool]:
+    """(T, D, basis, odd): fraction-free Gauss-Jordan on the integer rows, taking the 0-based columns
+    of ``order`` greedily while they are independent.  T keeps the pivoted rows in the order of their
+    pivot columns ``basis``, so T = D B^-1 A for B = A at the basis, and every entry of T is a minor
+    of A (up to sign, Edmonds); D = Delta_basis(A), negated iff ``odd``."""
+    T, D, col = [list(r) for r in rows], 1, [None] * len(rows)
+    for c in order:
+        r = next((r for r, row in enumerate(T) if row[c] and col[r] is None), None)
+        if r is not None:
+            D, col[r] = _pivot(T, r, c, D), c
+            if None not in col:
+                break
+    held = sorted((r for r, c in enumerate(col) if c is not None), key=col.__getitem__)
+    return [T[r] for r in held], D, [col[r] for r in held], len(held) == len(T) and _is_odd(held)
+
+
+def _is_odd(perm: list[int]) -> bool:
+    """True iff the permutation of 0..len-1 with these images is odd: the parity of the swaps that sort it."""
+    perm, odd = list(perm), False
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j], odd = perm[j], j, not odd
+    return odd
 
 
 def det(rows: list[list[int]]) -> int:
@@ -251,6 +281,12 @@ def transversal(F1: FlagK, F2: FlagK) -> bool:
 def rat_to_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def quotient_to_str(p: int, q: int) -> str:
+    """``rat_to_str(Fraction(p, q))`` for q > 0, with one gcd and no Fraction."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def ratio_to_str(num: Fraction, den: Fraction) -> str:

@@ -1,8 +1,12 @@
 """Exact rational points of skew shaped positroid varieties and the braid-variety dictionary.
 
 A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.
-The maps here translate a point into a labeling of the braid diagram of the
-associated positive braid (region subspaces, boundary framing, right flag,
+Building one runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken
+greedily from column n down to 1; on the variety that basis is I_mu.  The tableau
+T = D B^-1 M gives the gauge (D), the chart that minors are read off (``PointV.delta``) and,
+walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f
+that decides membership.  The maps here translate a point into a labeling of the braid
+diagram of the associated positive braid (region subspaces, boundary framing, right flag,
 torus coordinates) and back, exactly.
 """
 
@@ -12,20 +16,20 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
 from .linalg import (
     FlagK,
     RatMatrix,
     Subspace,
-    _extend,
-    _primitive,
-    _reduce,
-    _reduced,
+    _is_odd,
+    _pivot,
+    _tableau,
     det,
     minor,
-    rat_to_str,
+    quotient_to_str,
     transversal,
 )
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
@@ -38,38 +42,16 @@ def _cyclic_column(M: RatMatrix, t: int) -> tuple[int, ...]:
     return v if (q * (M.nrows - 1)) % 2 == 0 else tuple(-x for x in v)
 
 
-def _gauge_rows(d: SkewDiagram, M: RatMatrix) -> tuple[list[list[int]], int]:
-    """(rows, D) with rows / D = B^-1 M for B the columns of M at I_mu: with those columns
-    moved first, the RREF of [B | rest] is B^-1 [B | rest] exactly when B is invertible."""
-    I_mu = d.I_mu()
-    order = list(I_mu) + [t for t in range(1, M.ncols + 1) if t not in I_mu]
-    red = _reduced([[row[t - 1] for t in order] for row in M.num])
-    if len(red) < d.k or red[-1][0] != d.k - 1:
-        raise ValueError("columns at I_mu are dependent; not a point of the variety")
-    D = lcm(*(p[c] for c, p in red))
-    at = {t: j for j, t in enumerate(order)}
-    return [[p[at[t]] * (D // p[c]) for t in range(1, M.ncols + 1)] for c, p in red], D
-
-
-def _is_odd(perm: list[int]) -> bool:
-    """True iff the permutation of 0..len-1 with these images is odd: the parity of the swaps that sort it."""
-    perm, odd = list(perm), False
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j], odd = perm[j], j, not odd
-    return odd
-
-
 class OffVariety(ValueError):
     """The matrix is not a point of the variety of its diagram; the counterpart of ``OffChart``."""
 
 
 @dataclass(frozen=True)
 class PointV:
-    """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction runs
-    ``membership`` and raises OffVariety off the variety.  ``_memo`` keeps what is computed
-    once per point, on first use: the chart (``delta``) and the seed (``cluster.seed_at``)."""
+    """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction builds
+    the greedy tableau, reads the gauge off it, walks it for f (raising OffVariety off the
+    variety) and keeps it as the chart that ``delta`` reads.  ``_memo`` keeps what is computed
+    once per point: the chart, and the seed (``cluster.seed_at``) on first use."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
@@ -77,25 +59,30 @@ class PointV:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.diagram
-        if (self.matrix.nrows, self.matrix.ncols) != (d.k, d.n):
+        d, M = self.diagram, self.matrix
+        if (M.nrows, M.ncols) != (d.k, d.n):
             raise ValueError("matrix shape does not match the diagram")
-        if minor(self.matrix, d.I_mu()) != 1:
+        T, D, basis, odd, g = _necklace_tableau(M)
+        I_mu = d.I_mu()
+        if basis == [b - 1 for b in I_mu]:  # the greedy basis of every point of the variety
+            gauged = (-D if odd else D) * prod(g[b - 1] for b in I_mu) == M.den ** d.k
+            on_variety = gauged and _walk(T, D, basis, d.n) == baf(d).window
+        else:
+            gauged, on_variety = minor(M, I_mu) == 1, False
+        if not gauged:
             raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
-        if not membership(self.matrix, d):
+        if not on_variety:
             raise OffVariety("point does not lie on the variety of its diagram")
+        self._memo["chart"] = T, D, {c: j for j, c in enumerate(basis)}, g
 
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
-        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i."""
-        return cls(d, RatMatrix(*_gauge_rows(d, M)), seed)
-
-    def _chart(self) -> tuple[list[list[int]], int, dict[int, int]]:
-        """(rows, D, row of R at each 0-based column at I_mu) of the chart R = B^-1 M = rows / D."""
-        if "chart" not in self._memo:
-            row_of = {t - 1: j for j, t in enumerate(self.diagram.I_mu())}
-            self._memo["chart"] = (*_gauge_rows(self.diagram, self.matrix), row_of)
-        return self._memo["chart"]
+        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i: B^-1 M = T / D
+        for the tableau pivoted at I_mu."""
+        T, D, basis, _ = _tableau(M.num, [b - 1 for b in d.I_mu()])
+        if len(basis) < M.nrows:
+            raise ValueError("columns at I_mu are dependent; not a point of the variety")
+        return cls(d, RatMatrix(T, D) if D > 0 else RatMatrix([[-x for x in r] for r in T], -D), seed)
 
     def column(self, t: int) -> tuple[int, ...]:
         """Column t of ``matrix.num`` with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
@@ -104,12 +91,13 @@ class PointV:
     def delta(self, J) -> Fraction:
         """Signed minor in the listed column order (cyclic indices allowed).
 
-        Read off the chart R: det B = Delta_{I_mu} = 1, so Delta_J(M) = Delta_J(R), and
-        the column of R at the j-th element of I_mu is e_j.  Laplace expansion along
+        Read off the chart R = B^-1 M: det B = Delta_{I_mu} = 1, so Delta_J(M) = Delta_J(R), and
+        the column of R at the j-th element b_j of I_mu is e_j.  Laplace expansion along
         the columns of J at I_mu leaves the minor of R on the other rows and the
-        other columns of J; two columns of J at one column of I_mu give 0.
+        other columns of J; two columns of J at one column of I_mu give 0.  With the
+        tableau T of the primitive columns and their contents g, R_jt = T_jt g_t / (D g_{b_j}).
         """
-        rows, D, row_of = self._chart()
+        rows, D, row_of, g = self._memo["chart"]
         k, n = len(rows), self.matrix.ncols
         if len(J) != k:
             raise ValueError(f"need {k} column indices, got {len(J)}")
@@ -126,7 +114,9 @@ class PointV:
             return Fraction(0)
         for (p, _), j in zip(rest, others):
             perm[p] = j
-        value = Fraction(det([[rows[j][r] for _, r in rest] for j in others]), D ** len(rest))
+        I_mu = self.diagram.I_mu()
+        value = Fraction(det([[rows[j][r] for _, r in rest] for j in others]) * prod(g[r] for _, r in rest),
+                         D ** len(rest) * prod(g[I_mu[j] - 1] for j in others))
         return -value if ((k - 1) * shifts) % 2 != _is_odd(perm) else value
 
     def subspace(self, a: int, i: int) -> Subspace:
@@ -137,7 +127,7 @@ class PointV:
         return {
             "diagram": self.diagram.to_json(),
             "seed": self.seed,
-            "matrix": [[rat_to_str(e) for e in row] for row in self.matrix.rows],
+            "matrix": [[quotient_to_str(x, self.matrix.den) for x in row] for row in self.matrix.num],
         }
 
     @classmethod
@@ -167,41 +157,54 @@ def _rational_rows(x) -> bool:
 # -- point invariants ---------------------------------------------------------------
 
 
-def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
-    """f(i) = min{ j >= i : v_i in span(v_{i+1}, .., v_j) }, cyclic columns.
+def _necklace_tableau(M: RatMatrix) -> tuple[list[list[int]], int, list[int], bool, list[int]]:
+    """``_tableau`` of M's columns made primitive, taken greedily from column n down to 1, and the
+    contents g_t of the columns (0 for a zero column): without them a common factor of a column
+    would run through every minor of the tableau."""
+    g = [gcd(*c) for c in zip(*M.num)]
+    return (*_tableau([[x // (h or 1) for x, h in zip(r, g)] for r in M.num], range(M.ncols - 1, -1, -1)), g)
 
-    For each i the columns v_{i+1}, v_{i+2}, .. join the pivot rows one at a
-    time, and v_i's residual is reduced against each new row only.  The sign of
-    v_{t+n} = (-1)^{k-1} v_t changes no span, so the columns are used unsigned.
-    f(i) > n iff v_i is not in span(v_{i+1}, .., v_n), so the number of such i is the rank.
+
+def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ...]:
+    """Window of f by the Grassmann-necklace exchange, from the greedy tableau of rank k.
+
+    Column i lies in the basis taken greedily in the order i, i-1, .., 1, n, .., i+1 unless
+    v_i = 0 (f(i) = i).  Going down from i = n, the first column j of that order after i with a
+    nonzero entry in the row of i enters the basis in its place, and f(j) = i (+ n if j > i); if
+    there is none, v_i is a coloop and f(i) = i + n.  Each exchange is one integer ``_pivot``
+    on a copy of T, so the entries stay maximal minors.
     """
-    k, n = M.nrows, M.ncols
-    cols = [_primitive(c) for c in zip(*M.num)]
-    window = []
-    for i in range(1, n + 1):
-        pivots: list = []
-        residual, j = cols[i - 1], i
-        while any(residual):
-            if j == i + n:  # pragma: no cover - at full rank the n columns span Q^k
-                raise InvariantError("cyclic span never captured the column")
-            if _extend(pivots, cols[j % n]):
-                residual = _reduce(pivots[-1:], residual)
-            j += 1
-        window.append(j)
-    if sum(j > n for j in window) < k:
+    T, row_of, window = list(T), {c: j for j, c in enumerate(basis)}, [0] * n
+    for i in range(n - 1, -1, -1):
+        r = row_of.pop(i, None)
+        if r is None:
+            window[i] = i + 1
+            continue
+        row = T[r]
+        j = next((j for j in chain(range(i - 1, -1, -1), range(n - 1, i, -1)) if row[j]), i)
+        if j == i:
+            window[i], row_of[i] = i + 1 + n, r
+            continue
+        window[j] = i + 1 + n * (j > i)
+        D, row_of[j] = _pivot(T, r, j, D), r
+    return tuple(window)
+
+
+def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
+    """f(i) = min{ j >= i : v_i in span(v_{i+1}, .., v_j) }, cyclic columns, by ``_walk``.
+    The sign of v_{t+n} = (-1)^{k-1} v_t changes no span, so the columns are used unsigned."""
+    T, D, basis, _, _ = _necklace_tableau(M)
+    if len(basis) < M.nrows:
         raise ValueError("rank-deficient matrix")
-    return BoundedAffinePermutation(n, k, tuple(window))
+    return BoundedAffinePermutation(M.ncols, M.nrows, _walk(T, D, basis, M.ncols))
 
 
 def membership(M: RatMatrix, d: SkewDiagram) -> bool:
     """True iff the matrix represents a point of the skew shaped positroid of d."""
     if (M.nrows, M.ncols) != (d.k, d.n):
         return False
-    try:
-        f = f_of_point(M)
-    except ValueError:  # rank-deficient
-        return False
-    return f.window == baf(d).window
+    T, D, basis, _, _ = _necklace_tableau(M)
+    return len(basis) == d.k and _walk(T, D, basis, d.n) == baf(d).window
 
 
 def necklace_of_point(M: RatMatrix) -> GrassmannNecklace:

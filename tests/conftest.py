@@ -238,6 +238,43 @@ def f_of_point_oracle(M) -> tuple[int, ...]:
     return tuple(window)
 
 
+def f_of_point_incremental_oracle(M) -> tuple[int, ...]:
+    """Window of f by n incremental eliminations (the kernel's loop before the necklace walk).
+
+    For each i the columns v_{i+1}, v_{i+2}, .. join the pivot rows one at a time, and v_i's
+    residual is reduced against each new row only; the columns are used unsigned.
+    """
+    from skewpos.linalg import _primitive, _reduce
+
+    k, n = M.nrows, M.ncols
+    cols = [_primitive(c) for c in zip(*M.num)]
+    window = []
+    for i in range(1, n + 1):
+        pivots: list = []
+        residual, j = cols[i - 1], i
+        while any(residual):
+            v = _reduce(pivots, cols[j % n])
+            c = next((c for c, x in enumerate(v) if x), None)
+            if c is not None:  # the span grew: reduce the residual against the new row only
+                pivots.append((c, v))
+                residual = _reduce(pivots[-1:], residual)
+            j += 1
+        window.append(j)
+    if sum(j > n for j in window) < k:
+        raise ValueError("rank-deficient matrix")
+    return tuple(window)
+
+
+def membership_oracle(M, d) -> bool:
+    """f of the matrix, by re-echelonning, is the bounded affine permutation of d."""
+    from skewpos import baf
+
+    try:
+        return f_of_point_oracle(M) == baf(d).window
+    except ValueError:  # rank-deficient
+        return False
+
+
 # -- oracles: the flag, intersection and solve pipeline the minor ratios replaced -------
 
 

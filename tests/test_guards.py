@@ -14,17 +14,18 @@ import inspect
 import json
 import sys
 from collections import Counter
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 
 import skewpos
-from skewpos import Cut, right_point, sample, splice_report
+from skewpos import Cut, SkewDiagram, right_point, sample, splice_report
 from skewpos.cli import build_parser, main
 from skewpos.linalg import Subspace, _echelon, det, transversal
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
-from skewpos.variety import membership
+from skewpos.variety import _walk, membership
 
 from conftest import W_span, staircase
 from test_cli import INTRO, RUNNING
@@ -150,9 +151,9 @@ def test_verify_output_byte_identical(capsys):
 
 
 def test_verify_fingerprint_byte_identical(capsys, counted):
-    """Also pins membership to once per sampled point: verify's "membership" check reads the
-    sampler's result and runs none of its own."""
-    calls = counted(membership)
+    """Also pins membership (the necklace walk) to once per built point: verify's "membership"
+    check reads the sampler's result and runs none of its own."""
+    calls = counted(_walk)
     assert main(["verify", "--trials", "30", "--seed", "1"]) == 0
     assert sha256(capsys.readouterr().out) == VERIFY_TRIALS30_SEED1
     assert len(calls) == 288
@@ -223,16 +224,44 @@ def counted(monkeypatch):
 
 
 def test_one_membership_per_matrix(counted, intro):
-    """Membership runs where a point is built: over all cuts of a sampled point, once per
-    factor and never again on V."""
+    """Membership (the necklace walk) runs where a point is built, on the tableau the point keeps
+    as its chart: over all cuts of a sampled point, once per factor and never again on V."""
     W = sample(intro, seed=16)
     columns = range(1, intro.n - intro.k + 1)
     factors = [P for a in columns for P in (Cut.at(W, a).left, Cut.at(W, a).right)]
     V = sample(intro, seed=16)  # equal to W, with nothing computed yet
-    calls = counted(membership)
+    calls, direct = counted(_walk), counted(membership)
     for a in columns:
         splice_report(V, a)
-    assert Counter(calls) == Counter([(P.matrix, P.diagram) for P in factors])
+    charts = [P._memo["chart"] for P in factors]
+    assert [(T, D, n) for T, D, _, n in calls] == [(T, D, P.diagram.n) for (T, D, _, _), P in zip(charts, factors)]
+    assert [sorted(basis) for _, _, basis, _ in calls] == [sorted(row_of) for _, _, row_of, _ in charts]
+    assert direct == []
+
+
+def test_cut_diagrams_built_once_per_column(monkeypatch, intro):
+    """``left_point`` and ``right_point`` share the two diagrams of one ``d.cut(a)``, and a
+    second report at the same column builds none."""
+    V = sample(intro, seed=16)
+    built, post_init = [], SkewDiagram.__post_init__
+    monkeypatch.setattr(SkewDiagram, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for a in range(1, intro.n - intro.k + 1):
+        c = Cut.at(V, a)
+        splice_report(V, a)
+        assert [id(D) for D in built] == [id(c.left.diagram), id(c.right.diagram)]
+        built.clear()
+
+
+def test_tableau_is_built_from_primitive_columns():
+    """On the right factors of the n = 64 staircase, whose columns carry large common factors,
+    the chart's D = Delta_{I_mu} of the primitive columns stays within their Hadamard bound."""
+    V = sample(staircase(64), seed=1)
+    for a in range(1, 11):
+        P = right_point(V, a)
+        D, columns = P._memo["chart"][1], [P.column(t) for t in P.diagram.I_mu()]
+        contents = [gcd(*v) for v in columns]
+        primitive = [[x // h for x in v] for v, h in zip(columns, contents)]
+        assert max(contents) > 1 and D * D <= prod(sum(x * x for x in v) for v in primitive)
 
 
 def test_delta_minors_are_at_most_2x2_on_the_staircase(monkeypatch):

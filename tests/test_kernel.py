@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from skewpos import f_of_point, necklace_of_point
 from skewpos.linalg import RatMatrix, Subspace, det, minor
+from skewpos.variety import _necklace_tableau, _walk
 
 from conftest import (
     contains_vector_oracle,
     det_oracle,
     echelon_oracle,
+    f_of_point_incremental_oracle,
     f_of_point_oracle,
     from_qcols,
     intersect_oracle,
@@ -74,6 +76,28 @@ def test_f_of_point_matches_oracle(M):
             f_of_point(M)
     else:
         assert f_of_point(M).window == want
+
+
+@given(matrices(max_k=6, max_n=11))
+@settings(max_examples=300, deadline=None)
+def test_necklace_walk_matches_both_oracles(M):
+    """The walk on the greedy tableau, against the incremental eliminations it replaced and the
+    re-echelonning oracle: full rank, rank-deficient, zero and repeated columns."""
+    T, D, basis, odd, g = _necklace_tableau(M)
+    assert len(basis) == len(echelon_oracle(M.rows))
+    try:
+        want = f_of_point_oracle(M)
+    except ValueError:
+        with pytest.raises(ValueError, match="rank-deficient matrix"):
+            f_of_point_incremental_oracle(M)
+        return
+    assert f_of_point_incremental_oracle(M) == want
+    assert _walk(T, D, basis, M.ncols) == want
+    # T = D B^-1 A for A the primitive columns, D = Delta_basis(A) up to the sign odd
+    A = [[x // (h or 1) for x, h in zip(r, g)] for r in M.num]
+    assert (-D if odd else D) == det_oracle([[row[c] for row in A] for c in basis])
+    for t in range(M.ncols):  # A_basis T_t = D A_t
+        assert [sum(r[c] * row[t] for c, row in zip(basis, T)) for r in A] == [D * r[t] for r in A]
 
 
 @given(matrices(max_n=8))

@@ -491,6 +491,25 @@ class TestDeltaOracle:
                 for J in [data.draw(cyclic_labels(P.diagram)) for _ in range(3)] + list(box_labels(P.diagram)):
                     assert P.delta(J) == delta_oracle(P, J)
 
+    def test_every_cut_factor_up_to_n6(self):
+        """Both factors of every cut of every diagram with n <= 6: every k-subset, in increasing order
+        and rotated by one with its first column shifted by n, and every seed value."""
+        factors = 0
+        for d in all_skew_diagrams(6):
+            V = sample(d, seed=1)
+            for a in range(1, d.n - d.k + 1):
+                c = Cut.at(V, a)
+                for P in (c.left, c.right):
+                    n = P.diagram.n
+                    for J in combinations(range(1, n + 1), P.diagram.k):
+                        for L in (J, J[1:] + (J[0] + n,)):
+                            assert P.delta(L) == delta_oracle(P, L), (d, a, L)
+                    seed = seed_at(P)
+                    for b in P.diagram.boxes():
+                        assert seed.value(b) == delta_oracle(P, P.diagram.long_label(b.a, b.i)), (d, a, b)
+                    factors += 1
+        assert factors == 2 * 1707
+
     def test_label_of_the_wrong_length_is_rejected(self, intro):
         V = sample(intro, seed=16)
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import skewpos
 from skewpos import (
@@ -24,12 +25,14 @@ from skewpos import (
     xi,
 )
 from skewpos.linalg import RatMatrix, Subspace
-from skewpos.variety import BraidLabeling, OffVariety, PointV, _normalize_r1, check_labeling
+from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, _normalize_r1, check_labeling
 
 from conftest import (
     W_span,
+    all_skew_diagrams,
     echelon_oracle,
     from_qcols,
+    membership_oracle,
     necklace_entry_exhaustive,
     qcol,
     qcols,
@@ -110,6 +113,37 @@ class TestMembership:
         cols[0] = zero_vector(5)
         assert not membership(from_qcols(cols), running)
 
+    @given(skew_diagrams(), st.integers(1, 200), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_perturbed_entries_against_oracle(self, d, seed, data):
+        """1-3 entries of a sampled point changed outside I_mu (set to 0 or shifted): membership and
+        the construction of a point agree with the re-echelonning oracle.  The gauge is untouched."""
+        V = sample(d, seed=seed)
+        free = [t for t in range(1, d.n + 1) if t not in d.I_mu()]
+        assume(free)
+        num = [list(r) for r in V.matrix.num]
+        for _ in range(data.draw(st.integers(1, 3))):
+            r, t = data.draw(st.integers(0, d.k - 1)), data.draw(st.sampled_from(free))
+            num[r][t - 1] = data.draw(st.sampled_from([0, num[r][t - 1] + data.draw(st.integers(-3, 3))]))
+        M = RatMatrix(tuple(map(tuple, num)), V.matrix.den)
+        want = membership_oracle(M, d)
+        assert membership(M, d) == want
+        if want:
+            assert PointV(d, M).matrix == M
+        else:
+            with pytest.raises(OffVariety):
+                PointV(d, M)
+
+    def test_greedy_basis_is_I_mu_on_every_diagram_up_to_n7(self):
+        """The basis taken greedily from column n down to 1 is I_mu at a point of every diagram, so
+        ``PointV`` reads the gauge and the chart off the tableau its membership walks."""
+        count = 0
+        for d in all_skew_diagrams(7):
+            V = sample(d, seed=count)
+            assert _necklace_tableau(V.matrix)[2] == [b - 1 for b in d.I_mu()]
+            count += 1
+        assert count == 2040
+
 
 class TestSample:
     def test_empty_skew(self):
@@ -141,7 +175,7 @@ class TestSample:
         assert sample(running, seed=42).matrix == sample(running, seed=42).matrix
 
     def test_exhausted_sampler_chains_the_last_rejection(self, running, monkeypatch):
-        monkeypatch.setattr(skewpos.variety, "membership", lambda M, d: False)
+        monkeypatch.setattr(skewpos.variety, "_walk", lambda T, D, basis, n: ())
         with pytest.raises(RuntimeError, match=r"^sampler failed after 32 attempts \(bound=100\)$") as info:
             sample(running, seed=1)
         assert isinstance(info.value.__cause__, OffVariety)
@@ -176,6 +210,20 @@ class TestPointV:
         with pytest.raises(ValueError, match="re-gauge"):
             PointV(running, scaled)
 
+    def test_gauge_is_checked_before_the_variety(self, running):
+        """Off the variety and off the gauge, the gauge message wins, whichever basis the
+        greedy tableau takes."""
+        rng = random.Random(3)
+        dense = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
+        assert _necklace_tableau(dense)[2] != [b - 1 for b in running.I_mu()]
+        cols = qcols(sample(running, seed=9).matrix)
+        cols[0] = zero_vector(5)
+        off = RatMatrix.from_rationals(tuple(2 * e for e in row) for row in from_qcols(cols).rows)
+        assert _necklace_tableau(off)[2] == [b - 1 for b in running.I_mu()]
+        for M in (dense, off):
+            with pytest.raises(ValueError, match=r"^Delta_\{I_mu\} != 1; use PointV.from_matrix to re-gauge$"):
+                PointV(running, M)
+
     def test_off_variety_rejected(self, running):
         """A rank-k matrix in the gauge but off the variety, and a dense one re-gauged."""
         cols = qcols(sample(running, seed=9).matrix)
@@ -190,14 +238,14 @@ class TestPointV:
             PointV.from_matrix(running, dense)
 
     def test_memo_is_not_part_of_the_value(self, running):
-        """The chart and the seed kept on a point stay out of its eq, hash and repr."""
+        """The chart (built with the point) and the seed (on first use) stay out of its eq, hash and repr."""
         V, W = sample(running, seed=2), sample(running, seed=2)
         h, r = hash(V), repr(V)
         skewpos.seed_at(V)
         assert V.delta(running.I_lambda()) != 0
-        assert set(V._memo) == {"chart", "seed"} and W._memo == {}
+        assert set(V._memo) == {"chart", "seed"} and set(W._memo) == {"chart"}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == r
-        assert "_memo" not in r and replace(V, seed=3)._memo == {}
+        assert "_memo" not in r and set(replace(V, seed=3)._memo) == {"chart"}
 
     def test_json_roundtrip(self, running):
         V = sample(running, seed=2)
