@@ -2,9 +2,9 @@
 
 All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows
 over one denominator; Fractions appear only in ``RatMatrix.rows``, minors and the
-echelon bases of ``Subspace``.  Spans are reduced on primitive integer vectors
-(``_reduce``), determinants by Bareiss's fraction-free elimination, and a point's basis
-exchanges by the fraction-free Gauss-Jordan tableau (``_tableau``, ``_pivot``).  Column indices
+echelon bases of ``Subspace``.  Determinants are Bareiss's fraction-free elimination; spans,
+intersections and a point's basis exchanges all run one fraction-free Gauss-Jordan tableau
+(``_tableau``, one exchange per ``_pivot``) on primitive integer rows.  Column indices
 are 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
 """
 
@@ -77,43 +77,10 @@ def _primitive(v) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _reduce(pivots: list[tuple[int, list[int]]], v: list[int]) -> list[int]:
-    """v with each pivot column cleared in turn by its row, kept primitive.
-
-    ``pivots`` holds (column, primitive integer row) pairs, each row nonzero at its column
-    and every later row zero there; the result is zero iff v lies in the rows' span.
-    """
-    for c, p in pivots:
-        b = v[c]
-        if b:
-            a = p[c]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            v = [a * x - b * y for x, y in zip(v, p)]
-            g = gcd(*v)
-            if g > 1:
-                v = [x // g for x in v]
-    return v
-
-
-def _pivot_rows(vectors) -> list[tuple[int, list[int]]]:
-    """(column, primitive integer row) pairs spanning the vectors, as ``_reduce`` takes them."""
-    pivots: list = []
-    for v in vectors:
-        v = _reduce(pivots, _primitive(v))
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is not None:
-            pivots.append((c, v))
-    return pivots
-
-
-def _echelon(rows) -> list[list[Fraction]]:
-    """Reduced row echelon form of the span of the rows; returns the nonzero rows (pivots 1)."""
-    pivots = sorted(_pivot_rows(rows))
-    for j, (c, p) in enumerate(pivots):
-        # later rows vanish left of their own pivots, so cleared columns stay zero
-        pivots[j] = (c, _reduce(pivots[j + 1:], p))
-    return [[Fraction(x, p[c]) for x in p] for c, p in pivots]
+def _echelon(rows, ncols: int) -> tuple[list[list[int]], int, list[int]]:
+    """(T, D, pivot columns) of the rows, of ints or Fractions, each made primitive first: the
+    fraction-free reduced row echelon form, whose nonzero rows are T / D with pivots 1."""
+    return _tableau([_primitive(r) for r in rows], range(ncols))[:3]
 
 
 def _pivot(T: list[list[int]], r: int, c: int, D: int) -> int:
@@ -207,7 +174,8 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector of wrong ambient dimension")
-        return cls(ambient, tuple(map(tuple, _echelon(vectors))))
+        T, D, _ = _echelon(vectors, ambient)
+        return cls(ambient, tuple(tuple(Fraction(x, D) for x in r) for r in T))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -219,8 +187,7 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        pivots = _pivot_rows(self.basis)
-        return not any(any(_reduce(pivots, _primitive(v))) for v in other.basis)
+        return len(_echelon(self.basis + other.basis, self.ambient)[2]) == self.dim
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -229,13 +196,14 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection by Zassenhaus's algorithm.
 
-        Of the pivot rows of (a | a), a in self, and (b | 0), b in other, those
-        with a zero left half are (0 | x) for x in a basis of the intersection.
+        The rows of the reduced echelon form of (a | a), a in self, and (b | 0), b in other,
+        that pivot in the right half are (0 | x), and their x are the reduced echelon basis of
+        the intersection.
         """
         self._check(other)
         k = self.ambient
-        pivots = _pivot_rows([a + a for a in self.basis] + [b + (0,) * k for b in other.basis])
-        return Subspace(k, tuple(map(tuple, _echelon(p[k:] for c, p in pivots if c >= k))))
+        T, D, cols = _echelon([a + a for a in self.basis] + [b + (0,) * k for b in other.basis], 2 * k)
+        return Subspace(k, tuple(tuple(Fraction(x, D) for x in r[k:]) for r, c in zip(T, cols) if c >= k))
 
 
 @dataclass(frozen=True)
@@ -280,11 +248,11 @@ def transversal(F1: FlagK, F2: FlagK) -> bool:
 
 def rat_to_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return quotient_to_str(x.numerator, x.denominator)
 
 
 def quotient_to_str(p: int, q: int) -> str:
-    """``rat_to_str(Fraction(p, q))`` for q > 0, with one gcd and no Fraction."""
+    """p / q, for q > 0, in lowest terms as "p/q", or "p" when that denominator is 1."""
     g = gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 

@@ -64,7 +64,11 @@ class PointV:
             raise ValueError("matrix shape does not match the diagram")
         T, D, basis, odd, g = _necklace_tableau(M)
         I_mu = d.I_mu()
-        if basis == [b - 1 for b in I_mu]:  # the greedy basis of every point of the variety
+        # Taken greedily from n down, the basis is the Gale-largest basis of the point's matroid.
+        # On the variety that matroid is the skew shaped positroid, a lattice path matroid whose
+        # bases are the k-sets Gale-between I_lambda and I_mu (Bonin, de Mier and Noy, JCTA 104
+        # (2003)), so the greedy basis is I_mu; any other basis puts the point off the variety.
+        if basis == [b - 1 for b in I_mu]:
             gauged = (-D if odd else D) * prod(g[b - 1] for b in I_mu) == M.den ** d.k
             on_variety = gauged and _walk(T, D, basis, d.n) == baf(d).window
         else:

@@ -1,6 +1,7 @@
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -106,13 +107,12 @@ def solve_columns(columns, target) -> list[Fraction]:
     k = len(target)
     m = len(columns)
     aug = [[columns[j][r] for j in range(m)] + [target[r]] for r in range(k)]
-    red = _echelon(aug)
-    pivots = [next(c for c, x in enumerate(r) if x) for r in red]
+    T, D, pivots = _echelon(aug, m + 1)
     if m in pivots:
         raise ValueError("target not in the span of the given columns")
     if len(pivots) < m:
         raise ValueError("given columns are linearly dependent")
-    return [r[m] for r in red]  # the pivots are the columns 0..m-1, in order
+    return [Fraction(r[m], D) for r in T]  # the pivots are the columns 0..m-1, in order
 
 
 def W_span(V, j: int):
@@ -244,7 +244,19 @@ def f_of_point_incremental_oracle(M) -> tuple[int, ...]:
     For each i the columns v_{i+1}, v_{i+2}, .. join the pivot rows one at a time, and v_i's
     residual is reduced against each new row only; the columns are used unsigned.
     """
-    from skewpos.linalg import _primitive, _reduce
+    from skewpos.linalg import _primitive
+
+    def _reduce(pivots, v):
+        """v with each pivot column cleared in turn by its primitive row, kept primitive."""
+        for c, p in pivots:
+            if v[c]:
+                g = gcd(p[c], v[c])
+                a, b = p[c] // g, v[c] // g
+                v = [a * x - b * y for x, y in zip(v, p)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        return v
 
     k, n = M.nrows, M.ncols
     cols = [_primitive(c) for c in zip(*M.num)]

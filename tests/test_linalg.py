@@ -148,8 +148,9 @@ class TestSerialization:
     @given(st.integers(-(2**90), 2**90), st.one_of(st.integers(1, 12), st.integers(1, 2**70)))
     @settings(max_examples=200)
     def test_quotient_text_is_the_fraction_text(self, p, q):
-        """``PointV.to_json`` writes an entry num / den without building its Fraction."""
-        assert quotient_to_str(p, q) == rat_to_str(Fraction(p, q))
+        """``PointV.to_json`` writes an entry num / den without building its Fraction; the text is
+        the one ``str`` gives the Fraction."""
+        assert quotient_to_str(p, q) == rat_to_str(Fraction(p, q)) == str(Fraction(p, q))
         assert quotient_to_str(p * q, q) == str(p) and quotient_to_str(0, q) == "0"
 
 
