@@ -48,10 +48,18 @@ def load_diagram(source: str) -> SkewDiagram:
     return SkewDiagram.from_json(load_json(source, "diagram"))
 
 
+def sample_input(d: SkewDiagram, args, normalize_r1: bool = False) -> PointV:
+    """``sample`` of d by --seed and --bound; a sampler out of attempts is an input error (exit 2)."""
+    try:
+        return sample(d, args.seed, bound=args.bound, normalize_r1=normalize_r1)
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def load_point(args, d: SkewDiagram) -> PointV:
     """The point given to --point, which must lie on d, or else a sample of d by --seed and --bound."""
     if not args.point:
-        return sample(d, args.seed, bound=args.bound)
+        return sample_input(d, args)
     V = PointV.from_json(load_json(args.point, "point"))
     if V.diagram != d:
         raise ValueError("point diagram differs from --diagram")
@@ -164,7 +172,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_sample(args) -> int:
     d = load_diagram(args.diagram)
-    V = sample(d, args.seed, bound=args.bound, normalize_r1=args.normalize_r1)
+    V = sample_input(d, args, args.normalize_r1)
     emit(V.to_json(), args.out)
     return 0
 
@@ -241,8 +249,8 @@ def _trial_checks(d: SkewDiagram, seed: int, only: str | None, column: int | Non
             ok = xi(omega(V)).matrix == V.matrix
             yield "roundtrip", ok, None
         if want("splice"):
-            columns = [column] if column is not None else list(range(1, d.n - d.k + 1))
-            for a in columns:
+            # --column c runs splice@c alone, and no splice check on a diagram with fewer columns
+            for a in [t for t in range(1, d.n - d.k + 1) if column in (None, t)]:
                 try:
                     rep = splice_report(V, a)
                 except OffChart:
@@ -269,7 +277,10 @@ def cmd_verify(args) -> int:
     if args.diagram:
         if args.trials is not None:
             raise ValueError("--trials conflicts with --diagram, which runs one trial")
-        diagrams = [(0, load_diagram(args.diagram))]
+        d = load_diagram(args.diagram)
+        if args.column is not None and args.column > d.n - d.k:
+            raise ValueError(f"cut column {args.column} out of range 1..{d.n - d.k}")
+        diagrams = [(0, d)]
     else:
         diagrams = []
         for t in range(args.trials or 50):

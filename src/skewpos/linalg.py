@@ -1,11 +1,11 @@
 """Exact rational matrices, signed minors, subspaces and flags.
 
-All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows
-over one denominator; Fractions appear only in ``RatMatrix.rows``, minors and the
-echelon bases of ``Subspace``.  Determinants are Bareiss's fraction-free elimination; spans,
-intersections and a point's basis exchanges all run one fraction-free Gauss-Jordan tableau
-(``_tableau``, one exchange per ``_pivot``) on primitive integer rows.  Column indices
-are 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
+All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one
+denominator, a subspace its reduced echelon rows as primitive integer rows; Fractions appear
+only in ``RatMatrix.rows`` and minors.  Determinants are Bareiss's fraction-free elimination;
+spans, intersections and a point's basis exchanges all run one fraction-free Gauss-Jordan
+tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.  Column indices are 1-based
+in the public operations, matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -77,10 +77,12 @@ def _primitive(v) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _echelon(rows, ncols: int) -> tuple[list[list[int]], int, list[int]]:
-    """(T, D, pivot columns) of the rows, of ints or Fractions, each made primitive first: the
-    fraction-free reduced row echelon form, whose nonzero rows are T / D with pivots 1."""
-    return _tableau([_primitive(r) for r in rows], range(ncols))[:3]
+def _echelon(rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(rows, pivot columns) of the integer rows' reduced row echelon form, each row scaled to
+    coprime integers with a positive pivot entry: the canonical form of their span."""
+    T, D, cols, _ = _tableau(rows, range(ncols))
+    g = [gcd(*r) if D > 0 else -gcd(*r) for r in T]  # every row of T has the entry D at its pivot
+    return [tuple(x // h for x in r) for r, h in zip(T, g)], cols
 
 
 def _pivot(T: list[list[int]], r: int, c: int, D: int) -> int:
@@ -163,19 +165,19 @@ def minor(M: RatMatrix, J) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^k in canonical (reduced echelon) form; equality is decidable."""
+    """Subspace of Q^k in canonical form: the reduced echelon rows, each scaled to coprime
+    integers with a positive pivot entry (``_echelon``), so equality and hash are exact."""
 
     ambient: int
-    basis: tuple[tuple[Fraction, ...], ...]  # canonical: RREF rows of the generators
+    basis: tuple[tuple[int, ...], ...]
 
     @classmethod
     def span(cls, ambient: int, vectors) -> "Subspace":
-        vectors = list(vectors)  # of ints or Fractions
+        vectors = [_primitive(v) for v in vectors]  # of ints or Fractions
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector of wrong ambient dimension")
-        T, D, _ = _echelon(vectors, ambient)
-        return cls(ambient, tuple(tuple(Fraction(x, D) for x in r) for r in T))
+        return cls(ambient, tuple(_echelon(vectors, ambient)[0]))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -187,7 +189,7 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return len(_echelon(self.basis + other.basis, self.ambient)[2]) == self.dim
+        return len(_tableau(self.basis + other.basis, range(self.ambient))[2]) == self.dim
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -198,12 +200,12 @@ class Subspace:
 
         The rows of the reduced echelon form of (a | a), a in self, and (b | 0), b in other,
         that pivot in the right half are (0 | x), and their x are the reduced echelon basis of
-        the intersection.
+        the intersection, already in canonical form.
         """
         self._check(other)
         k = self.ambient
-        T, D, cols = _echelon([a + a for a in self.basis] + [b + (0,) * k for b in other.basis], 2 * k)
-        return Subspace(k, tuple(tuple(Fraction(x, D) for x in r[k:]) for r, c in zip(T, cols) if c >= k))
+        rows, cols = _echelon([a + a for a in self.basis] + [b + (0,) * k for b in other.basis], 2 * k)
+        return Subspace(k, tuple(r[k:] for r, c in zip(rows, cols) if c >= k))
 
 
 @dataclass(frozen=True)

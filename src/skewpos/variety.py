@@ -250,17 +250,17 @@ def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = Fal
 def _normalize_r1(V: PointV) -> PointV:
     """Rescale the free columns so that Delta_{I'(a, lambda_bar_a)} = 1 on R^1 boxes.
     Column t becomes scale[t] times column t of V, so a minor is V's times the scales of its columns."""
-    d, M = V.diagram, V.matrix
+    d = V.diagram
     scale = [Fraction(1)] * (d.n + 1)
     for a in range(d.n - d.k, 0, -1):
         if d.mu_bar[a] == d.lambda_bar[a]:
             continue
         J = d.long_label(a, d.lambda_bar[a])
-        val = minor(M, J)
+        val = V.delta(J)
         for t in J:
             val *= scale[t]
         scale[a + d.mu_bar[a]] /= val
-    rows = ([scale[t] * x for t, x in enumerate(r, start=1)] for r in M.rows)
+    rows = ([scale[t] * x for t, x in enumerate(r, start=1)] for r in V.matrix.rows)
     return PointV(d, RatMatrix.from_rationals(rows), V.seed)
 
 
@@ -306,8 +306,7 @@ def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram by the region subspaces, framing, right flag and torus scalars."""
     d = V.diagram
     regions = tuple((box, V.subspace(box.a, box.i)) for box in d.boxes())
-    rows = V.matrix.rows
-    boundary = tuple(tuple(r[d.b(j) - 1] for r in rows) for j in range(1, d.k + 1))
+    boundary = tuple(tuple(Fraction(x, V.matrix.den) for x in V.column(b)) for b in d.I_mu())
     right = FlagK.from_columns([V.column(t) for t in d.I_lambda()])
     torus = tuple(
         (box, V.delta(d.long_label(box.a, box.i))) for box in d.ribbon().R1

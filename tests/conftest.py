@@ -102,17 +102,17 @@ def intro_off_chart_point(seed_range=range(1, 40)):
 
 def solve_columns(columns, target) -> list[Fraction]:
     """Coefficients c with target = sum c_j * columns[j]; raises if unsolvable or dependent."""
-    from skewpos.linalg import _echelon
+    from skewpos.linalg import _echelon, _primitive
 
     k = len(target)
     m = len(columns)
-    aug = [[columns[j][r] for j in range(m)] + [target[r]] for r in range(k)]
-    T, D, pivots = _echelon(aug, m + 1)
+    aug = [_primitive([columns[j][r] for j in range(m)] + [target[r]]) for r in range(k)]
+    rows, pivots = _echelon(aug, m + 1)
     if m in pivots:
         raise ValueError("target not in the span of the given columns")
     if len(pivots) < m:
         raise ValueError("given columns are linearly dependent")
-    return [Fraction(r[m], D) for r in T]  # the pivots are the columns 0..m-1, in order
+    return [Fraction(r[m], r[j]) for j, r in enumerate(rows)]  # the pivots are the columns 0..m-1, in order
 
 
 def W_span(V, j: int):

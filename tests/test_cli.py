@@ -211,12 +211,31 @@ class TestVerify:
         repro = doc["failures"][0]
         assert {"trial", "diagram", "seed", "check"} <= set(repro) and repro["check"] == "roundtrip"
 
-    def test_column_out_of_range_is_a_crash_record(self, capsys):
-        code, out, _ = run(capsys, "verify", "--diagram", INTRO, "--only", "splice", "--column", "99")
+    def test_column_out_of_range_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--diagram", INTRO, "--only", "splice", "--column", "99")
+        assert code == 2 and out == "" and err == "input error: cut column 99 out of range 1..7\n"
+
+    def test_column_beyond_a_random_diagram_runs_no_splice_check(self, capsys):
+        """Random diagrams with fewer than c columns run no splice@c check instead of crashing."""
+        code, out, _ = run(capsys, "verify", "--trials", "10", "--seed", "1", "--column", "3", "--only", "splice")
+        doc = json.loads(out)
+        diagrams = [random_diagram(random.Random(subseed(1, "diagram", t))) for t in range(10)]
+        wide = sum(d.n - d.k >= 3 for d in diagrams)
+        assert code == 0 and doc["failures"] == [] and 0 < wide < 10 and doc["checks"] == wide
+
+    def test_sampler_exhaustion_is_a_crash_record(self, capsys, monkeypatch):
+        """Inside verify an exhausted sampler fails its trial, unlike the input error of sample."""
+        import skewpos.cli as cli
+
+        def exhausted(d, seed):
+            raise RuntimeError("sampler failed after 32 attempts (bound=100)")
+
+        monkeypatch.setattr(cli, "sample", exhausted)
+        code, out, _ = run(capsys, "verify", "--diagram", INTRO, "--only", "roundtrip")
         assert code == 1
         [crash] = json.loads(out)["failures"]
-        assert crash["check"] == "crash" and crash["column"] == 99
-        assert crash["detail"] == "ValueError: cut column 99 out of range 1..7"
+        assert crash["check"] == "crash"
+        assert crash["detail"] == "RuntimeError: sampler failed after 32 attempts (bound=100)"
 
     def test_crashing_trial_is_reported_and_run_continues(self, capsys, monkeypatch):
         import skewpos.cli as cli
@@ -298,6 +317,13 @@ class TestInputErrors:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["sample"], ["splice", "--column", "1"], ["mutate", "--box", "1,1"]])
+    def test_sampler_exhaustion(self, capsys, command):
+        """A --bound too small for the diagram exhausts the sampler: an input error, not a traceback."""
+        diagram = '{"n": 12, "k": 5, "lambda": [7, 6, 5, 4, 3], "mu": [4, 3, 2, 1]}'
+        code, out, err = run(capsys, command[0], "--diagram", diagram, "--bound", "1", "--seed", "2", *command[1:])
+        assert code == 2 and out == "" and err == "input error: sampler failed after 32 attempts (bound=1)\n"
 
     def test_malformed_box(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,7 @@ import pytest
 import skewpos
 from skewpos import Cut, SkewDiagram, right_point, sample, splice_report
 from skewpos.cli import build_parser, main
-from skewpos.linalg import Subspace, _echelon, det, transversal
+from skewpos.linalg import FlagK, Subspace, _echelon, det, transversal
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import _walk, membership
@@ -323,6 +323,24 @@ def test_right_point_runs_no_intersection(counted, intro):
     assert intersections == [] and tests == [] and echelons == [] and spans == []
     W_span(V, 1).intersect(W_span(V, 2))  # the wrappers do see a call
     assert len(intersections) == 1 and len(spans) == 2 and echelons
+
+
+def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
+    """Spans, containment, intersections and flags of integer columns stay in integer rows."""
+    V = sample(intro, seed=16)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(skewpos.linalg, "Fraction", no_fraction)
+    k = intro.k
+    F = FlagK.from_columns([V.column(t) for t in intro.I_lambda()])
+    for a, i in ((1, 1), (2, 2), (4, 3)):
+        S = Subspace.span(k, [V.column(t) for t in intro.short_label(a, i)])
+        assert S.contains(Subspace.span(k, [V.column(intro.short_label(a, i)[0])]))
+        assert S.intersect(F.step(k)) == S
+        for T in (S, S.intersect(F.step(k - i))):
+            assert all(type(x) is int for row in T.basis for x in row)
 
 
 def test_src_has_no_assert():

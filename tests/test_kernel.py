@@ -7,6 +7,7 @@ span, intersections and the cyclic rank function f of a point.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -145,11 +146,34 @@ def test_det_rejects_a_non_square_matrix():
         det([[1, 2]])
 
 
+def monic(basis) -> list[list[Fraction]]:
+    """Each canonical basis row divided by its pivot (first nonzero) entry: the oracle's RREF rows."""
+    return [[Fraction(x, p) for x in r] for r in basis for p in [next(x for x in r if x)]]
+
+
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_span_is_the_oracle_echelon_form(M):
     S = Subspace.span(M.nrows, qcols(M))
-    assert [list(b) for b in S.basis] == echelon_oracle(qcols(M))
+    assert monic(S.basis) == echelon_oracle(qcols(M))
+
+
+@given(matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_span_is_canonical(M, data):
+    """The span of rescaled, reordered generators padded with integer combinations of them is the
+    same Subspace, hash included; each basis row is primitive with a positive pivot entry."""
+    k, cols = M.nrows, qcols(M)
+    S = Subspace.span(k, cols)
+    nonzero = st.integers(-5, 5).filter(bool).map(Fraction)
+    rescaled = [tuple(c * x for x in v) for v in cols for c in [data.draw(nonzero)]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+        rescaled.append(tuple(sum((c * v[t] for c, v in zip(coeffs, cols)), Fraction(0)) for t in range(k)))
+    T = Subspace.span(k, data.draw(st.permutations(rescaled)))
+    assert T == S and hash(T) == hash(S)
+    for row in S.basis:
+        assert all(type(x) is int for x in row) and gcd(*row) == 1 and next(x for x in row if x) > 0
 
 
 @given(matrices(), st.data())
@@ -167,5 +191,5 @@ def test_add_and_intersect_match_oracle(M, split):
     k, cols = M.nrows, qcols(M)
     A, B = cols[:split], cols[split:]
     SA, SB = Subspace.span(k, A), Subspace.span(k, B)
-    assert [list(b) for b in Subspace.span(k, SA.basis + SB.basis).basis] == echelon_oracle(cols)
-    assert [list(b) for b in SA.intersect(SB).basis] == intersect_oracle(k, A, B)
+    assert monic(Subspace.span(k, SA.basis + SB.basis).basis) == echelon_oracle(cols)
+    assert monic(SA.intersect(SB).basis) == intersect_oracle(k, A, B)
