@@ -1,11 +1,12 @@
-"""Exact rational matrices, signed minors, subspaces and flags.
+"""Exact rational matrices, determinants, subspaces and flags.
 
 All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one
 denominator, a subspace its reduced echelon rows as primitive integer rows; Fractions appear
-only in ``RatMatrix.rows`` and minors.  Determinants are Bareiss's fraction-free elimination;
-spans, intersections and a point's basis exchanges all run one fraction-free Gauss-Jordan
-tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.  Column indices are 1-based
-in the public operations, matching the labeling of diagram boxes by matrix columns.
+only as scalars and where ``RatMatrix.from_rationals`` reads a point's JSON rows.  Determinants
+are Bareiss's fraction-free elimination; spans, intersections and a point's basis exchanges all
+run one fraction-free Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on
+integer rows.  Column indices are 1-based in the public operations, matching the labeling of
+diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ class RatMatrix:
     def from_columns(cls, columns, den: int = 1) -> "RatMatrix":
         """The matrix of integer columns over den."""
         return cls(tuple(zip(*columns)), den)
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions."""
-        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
 
     @property
     def nrows(self) -> int:
@@ -144,23 +140,6 @@ def det(rows: list[list[int]]) -> int:
             row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], top)]
         prev = p
     return sign * prev
-
-
-def minor(M: RatMatrix, J) -> Fraction:
-    """Signed maximal minor of the columns listed in J (1-based, in the given order).
-
-    Alternating in the order of J: swapping two entries negates the value.  Each column is made
-    primitive first: over a common denominator it can carry a large factor through every step.
-    """
-    J = tuple(J)
-    if len(J) != M.nrows:
-        raise ValueError(f"need {M.nrows} column indices, got {len(J)}")
-    cols, scale = [], 1
-    for v in map(M.column, J):
-        g = gcd(*v)
-        cols.append([x // g for x in v] if g > 1 else v)
-        scale *= g or 1
-    return Fraction(scale * det(cols), M.den ** len(J))  # det of the transpose
 
 
 @dataclass(frozen=True)

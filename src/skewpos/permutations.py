@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import InvariantError, Partition, SkewDiagram
+from .diagram import InvariantError, Partition, SkewDiagram, conjugate
 
 
 # -- plain symmetric-group helpers -----------------------------------------------
@@ -205,8 +205,6 @@ def w_grassmannian(p: Partition, n: int, k: int) -> PermWord:
     """
     if len(p) > k or p.part(1) > n - k:
         raise ValueError("partition does not fit in the k x (n-k) box")
-    from .diagram import conjugate
-
     pt = conjugate(p)
     one_line = tuple(n - k - p.part(i) + i for i in range(1, k + 1)) + tuple(
         a + pt.part(n - k + 1 - a) for a in range(1, n - k + 1)

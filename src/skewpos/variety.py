@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
 from .linalg import (
@@ -28,7 +28,6 @@ from .linalg import (
     _pivot,
     _tableau,
     det,
-    minor,
     quotient_to_str,
     transversal,
 )
@@ -72,7 +71,7 @@ class PointV:
             gauged = (-D if odd else D) * prod(g[b - 1] for b in I_mu) == M.den ** d.k
             on_variety = gauged and _walk(T, D, basis, d.n) == baf(d).window
         else:
-            gauged, on_variety = minor(M, I_mu) == 1, False
+            gauged, on_variety = det([M.column(b) for b in I_mu]) == M.den ** d.k, False
         if not gauged:
             raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
         if not on_variety:
@@ -260,8 +259,15 @@ def _normalize_r1(V: PointV) -> PointV:
         for t in J:
             val *= scale[t]
         scale[a + d.mu_bar[a]] /= val
-    rows = ([scale[t] * x for t, x in enumerate(r, start=1)] for r in V.matrix.rows)
-    return PointV(d, RatMatrix.from_rationals(rows), V.seed)
+    return PointV(d, _scaled_columns([V.column(t) for t in range(1, d.n + 1)], scale[1:], V.matrix.den), V.seed)
+
+
+def _scaled_columns(columns, scales, den: int) -> RatMatrix:
+    """The matrix whose j-th column is scales[j] times the integer column columns[j] over den,
+    over den times the lcm of the scales' denominators."""
+    m = lcm(*(c.denominator for c in scales))
+    return RatMatrix.from_columns(
+        [[x * (c.numerator * (m // c.denominator)) for x in v] for v, c in zip(columns, scales)], den * m)
 
 
 # -- the braid-variety dictionary ------------------------------------------------------
@@ -273,13 +279,14 @@ class BraidLabeling:
 
     regions: subspace right of the crossing of each box (all skew boxes carried,
     so that reconstruction can read the flag of every column); boundary_basis:
-    the framing vectors of the left flag; right_flag: the flag on the right
-    boundary; torus: one nonzero scalar per top-of-column box.
+    the k x k matrix whose columns frame the left flag (the point's columns at
+    I_mu); right_flag: the flag on the right boundary; torus: one nonzero scalar
+    per top-of-column box.
     """
 
     diagram: SkewDiagram
     regions: tuple[tuple[BoxRef, Subspace], ...]
-    boundary_basis: tuple[tuple[Fraction, ...], ...]
+    boundary_basis: RatMatrix
     right_flag: FlagK
     torus: tuple[tuple[BoxRef, Fraction], ...]
     _region: dict = field(init=False, repr=False, compare=False)
@@ -306,7 +313,7 @@ def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram by the region subspaces, framing, right flag and torus scalars."""
     d = V.diagram
     regions = tuple((box, V.subspace(box.a, box.i)) for box in d.boxes())
-    boundary = tuple(tuple(Fraction(x, V.matrix.den) for x in V.column(b)) for b in d.I_mu())
+    boundary = RatMatrix.from_columns([V.column(b) for b in d.I_mu()], V.matrix.den)
     right = FlagK.from_columns([V.column(t) for t in d.I_lambda()])
     torus = tuple(
         (box, V.delta(d.long_label(box.a, box.i))) for box in d.ribbon().R1
@@ -336,10 +343,11 @@ def check_labeling(L: BraidLabeling) -> None:
             if (a, i) not in ribbon and S == region[(a + 1, i)]:
                 raise InvariantError(f"non-ribbon inequality fails at ({a},{i})")
     k = d.k
-    boundary = L.boundary_basis
-    if len(boundary) != k:
-        raise InvariantError(f"boundary framing has {len(boundary)} vectors, not {k}")
-    w_op = [Subspace.span(k, boundary[:j]) for j in range(k + 1)]
+    F = L.boundary_basis
+    if (F.nrows, F.ncols) != (k, k):
+        raise InvariantError(f"boundary framing is {F.nrows} x {F.ncols}, not {k} x {k}")
+    framing = [F.column(j) for j in range(1, k + 1)]
+    w_op = [Subspace.span(k, framing[:j]) for j in range(k + 1)]
     if w_op[k].dim != k:
         raise InvariantError("boundary framing is not a basis")
     for a in range(1, d.n - d.k + 1):
@@ -351,7 +359,7 @@ def check_labeling(L: BraidLabeling) -> None:
                     raise InvariantError(f"W^op_{i} not in V({a-1},{i+1})")
                 if w_op[i] == region[(a - 1, i)]:
                     raise InvariantError(f"W^op_{i} = V({a-1},{i})")
-    flag_w = FlagK.from_columns(list(reversed(boundary)))
+    flag_w = FlagK.from_columns(framing[::-1])
     if not transversal(L.right_flag, flag_w):
         raise InvariantError("right flag not transversal to F^W")
     for box, c in L.torus:
@@ -360,10 +368,15 @@ def check_labeling(L: BraidLabeling) -> None:
 
 
 def xi(L: BraidLabeling) -> PointV:
-    """Reconstruct the point from a braid labeling; exact inverse of omega."""
-    d = L.diagram
+    """Reconstruct the point from a braid labeling; exact inverse of omega.
+
+    Column t of the point is scale[t] times the integer vector cols[t] over the framing's
+    denominator: a framing column with scale 1, or the integer basis vector of a line, scaled
+    so that the pinning minor is the torus value."""
+    d, F = L.diagram, L.boundary_basis
     k, n = d.k, d.n
-    cols = {d.b(j): L.boundary_basis[j - 1] for j in range(1, k + 1)}
+    cols = {d.b(j): F.column(j) for j in range(1, k + 1)}
+    scale = [Fraction(1)] * (n + 1)
 
     def W(j: int) -> Subspace:
         return Subspace.span(k, [cols[d.b(t)] for t in range(k - j + 1, k + 1)])
@@ -376,12 +389,11 @@ def xi(L: BraidLabeling) -> PointV:
         line = L.region(a, d.mu_bar[a] + 1).intersect(W(k - d.mu_bar[a]))
         if line.dim != 1:
             raise ValueError(f"intersection at column {a} is {line.dim}-dimensional")
-        z = line.basis[0]
+        cols[t0] = line.basis[0]
         J = d.long_label(a, d.lambda_bar[a])
-        # the minor of the columns of J, by the rows of the transpose
-        current = minor(RatMatrix.from_rationals([z if t == t0 else cols[t] for t in J]), range(1, k + 1))
+        # den^k times the minor of the columns of J with scale[t0] still 1, by the rows of the transpose
+        current = det([cols[t] for t in J]) * prod(scale[t] for t in J)
         if current == 0:
             raise ValueError(f"pinning minor vanishes at column {a}; labeling invalid")
-        c = L.torus_value(a) / current
-        cols[t0] = tuple(c * x for x in z)
-    return PointV(d, RatMatrix.from_rationals(zip(*(cols[t] for t in range(1, n + 1)))))
+        scale[t0] = L.torus_value(a) * F.den ** k / current
+    return PointV(d, _scaled_columns([cols[t] for t in range(1, n + 1)], scale[1:], F.den))

@@ -1,7 +1,7 @@
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from skewpos import Partition, SkewDiagram
 from skewpos.cli import random_diagram
-from skewpos.linalg import RatMatrix, minor
+from skewpos.linalg import RatMatrix, det
 
 
 @pytest.fixture
@@ -64,9 +64,39 @@ def qcols(M) -> list[tuple[Fraction, ...]]:
     return [qcol(M, j) for j in range(1, M.ncols + 1)]
 
 
+def qrows(M) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of a RatMatrix as exact Fractions."""
+    return tuple(tuple(Fraction(x, M.den) for x in r) for r in M.num)
+
+
 def from_qcols(columns) -> RatMatrix:
     """The matrix of columns of rationals."""
     return RatMatrix.from_rationals(zip(*columns))
+
+
+def det_one_matrix(rng, k: int) -> list[list[Fraction]]:
+    """L D U: unit lower and upper triangular L, U and a diagonal D of determinant 1, with
+    entries p/q drawn from |p| <= 3, 1 <= q <= 4."""
+
+    def entry(nonzero=False):
+        return Fraction(rng.choice([p for p in range(-3, 4) if p or not nonzero]), rng.randint(1, 4))
+
+    L = [[entry() if j < i else Fraction(i == j) for j in range(k)] for i in range(k)]
+    U = [[entry() if j > i else Fraction(i == j) for j in range(k)] for i in range(k)]
+    D = [entry(nonzero=True) for _ in range(k - 1)]
+    D.append(1 / prod(D, start=Fraction(1)))
+    return [[sum(L[i][s] * D[s] * U[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
+
+
+def gauged(V, g):
+    """The point g V: the same point of the variety, with v_{b_j} = g e_j instead of e_j."""
+    from skewpos.variety import PointV
+
+    rows = qrows(V.matrix)
+    k = len(rows)
+    return PointV(V.diagram, RatMatrix.from_rationals(
+        [sum(g[i][s] * rows[s][c] for s in range(k)) for c in range(len(rows[0]))] for i in range(k)
+    ))
 
 
 def intro_off_chart_point(seed_range=range(1, 40)):
@@ -146,6 +176,26 @@ def necklace_entry_exhaustive(M, i: int) -> tuple[int, ...]:
     return tuple(sorted((p + start - 1) % n + 1 for p in best))
 
 
+# -- oracle: the k x k minor of a matrix's columns, which the chart and the integer columns replaced --
+
+
+def minor(M: RatMatrix, J) -> Fraction:
+    """Signed maximal minor of the columns listed in J (1-based, in the given order).
+
+    Alternating in the order of J: swapping two entries negates the value.  Each column is made
+    primitive first: over a common denominator it can carry a large factor through every step.
+    """
+    J = tuple(J)
+    if len(J) != M.nrows:
+        raise ValueError(f"need {M.nrows} column indices, got {len(J)}")
+    cols, scale = [], 1
+    for v in map(M.column, J):
+        g = gcd(*v)
+        cols.append([x // g for x in v] if g > 1 else v)
+        scale *= g or 1
+    return Fraction(scale * det(cols), M.den ** len(J))  # det of the transpose
+
+
 # -- oracles: the from-scratch Fraction eliminations the integer kernel replaced ---------
 
 
@@ -220,7 +270,7 @@ def f_of_point_oracle(M) -> tuple[int, ...]:
     Uses the signed cyclic columns v_{t+n} = (-1)^{k-1} v_t.
     """
     k, n = M.nrows, M.ncols
-    if len(echelon_oracle(M.rows)) != k:
+    if len(echelon_oracle(qrows(M))) != k:
         raise ValueError("rank-deficient matrix")
 
     def column(t):
@@ -298,9 +348,9 @@ def from_matrix_oracle(d, M, seed=None):
         raise ValueError("columns at I_mu are dependent; not a point of the variety")
     aug = [list(row) + list(unit_vector(d.k, r + 1))
            for r, row in enumerate(zip(*(qcol(M, b) for b in d.I_mu())))]
-    inv_rows = [r[d.k:] for r in echelon_oracle(aug)]
+    inv_rows, rows = [r[d.k:] for r in echelon_oracle(aug)], qrows(M)
     new_rows = [
-        tuple(sum(inv_rows[r][s] * M.rows[s][c] for s in range(d.k)) for c in range(M.ncols))
+        tuple(sum(inv_rows[r][s] * rows[s][c] for s in range(d.k)) for c in range(M.ncols))
         for r in range(d.k)
     ]
     return PointV(d, RatMatrix.from_rationals(new_rows), seed)

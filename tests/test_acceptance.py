@@ -35,7 +35,7 @@ from skewpos import (
 from skewpos.cli import random_diagram, subseed
 from skewpos.linalg import Subspace
 
-from conftest import det_oracle, necklace_entry_exhaustive, qcol, vec_add, vec_scale
+from conftest import det_oracle, necklace_entry_exhaustive, qcol, qrows, vec_add, vec_scale
 
 
 def criterion(num, text):
@@ -291,12 +291,13 @@ def test_criterion_12():
     signs = set()
     for idx, d in enumerate(diagrams):
         V = sample(d, seed=idx + 1, normalize_r1=True)
+        rows = qrows(V.matrix)
         _, columns = beta(d)
         # letter s_i of the j-th run is the braid box (n-k+1-j, i)
         boxes = [BoxRef(d.n - d.k + 1 - j, i) for j, run in enumerate(columns, start=1) for i in run]
         for box in boxes:
             J = d.short_label(box.a, box.i)
-            principal = det_oracle([[V.matrix.rows[r][c - 1] for c in J] for r in range(box.i)])
+            principal = det_oracle([[rows[r][c - 1] for c in J] for r in range(box.i)])
             delta = V.delta(d.long_label(box.a, box.i))
             assert abs(principal) == abs(delta) != 0
             signs.add(1 if principal == delta else -1)

@@ -20,12 +20,12 @@ from pathlib import Path
 import pytest
 
 import skewpos
-from skewpos import Cut, SkewDiagram, right_point, sample, splice_report
+from skewpos import Cut, SkewDiagram, omega, right_point, sample, splice_report, xi
 from skewpos.cli import build_parser, main
-from skewpos.linalg import FlagK, Subspace, _echelon, det, transversal
+from skewpos.linalg import FlagK, RatMatrix, Subspace, _echelon, det, transversal
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
-from skewpos.variety import _walk, membership
+from skewpos.variety import PointV, _walk, membership
 
 from conftest import W_span, staircase
 from test_cli import INTRO, RUNNING
@@ -86,8 +86,8 @@ PLABIC_OUTPUT = {
 
 
 # sha256 of the standard output of `skewpos COMMAND --diagram D ARGS`, recorded while every
-# JSON document was written by json.dumps(doc, sort_keys=True, indent=2); the n = 64 staircase
-# is staircase(64)
+# JSON document was written by json.dumps(doc, sort_keys=True, indent=2), and "sample r1" while
+# the R^1 normalization rescaled Fraction rows; the n = 64 staircase is staircase(64)
 CLI_OUTPUT = {
     "running": {
         "inspect": "e66738f5d1552a919e94c9f6ee77c9462c90d95c8b7ddbb79371a258fe4e93b9",
@@ -96,6 +96,7 @@ CLI_OUTPUT = {
         "quiver json": "8ff48522283441f055808cf65ad0622bea73094a6946d74adfe367217ada73de",
         "quiver dot": "a4484fa484797ae46950f6993e43036eee35a7b6063aa03ca2948f42c050f012",
         "sample": "792ff6600db4cfc84088cf8bf903d402e518f2495ffdff6588983a745754fa04",
+        "sample r1": "5bafbabb8748fc9c3b8e32485b2d4fe8bf22ea8744d6742cc7532ec2b9a5be4c",
         "splice": "b9be5fd2b5c52aea561b760140ef408b2e0f5dac2f67098a79d5df1a9d0743d2",
         "mutate": "515888fdf1ad8a7e81d970e07cdd3f279d65cc699327da93d82357a036a6dca6",
         "verify plabic": "b4d462c502b9b9144b67232b0db0dd28b6b578758e780d1885b8d1faafb86b3e",
@@ -107,6 +108,7 @@ CLI_OUTPUT = {
         "quiver json": "67ea1108607bc35c7645d44321aacb474e99d337b847e3f4b1c2f5102d04f948",
         "quiver dot": "3b4f1b55a8c3e63022b39b7066ecf35c613804649d5a004856834d9bb83eab3c",
         "sample": "e9dd49d08209f603e95b90c6f028715db6ae4d80d9ff3ce3d37376c0accd47c9",
+        "sample r1": "0144fea79547ee0c8b257cf59b8e6c8048ba133be713a4540657d53e9e1f5a61",
         "splice": "85102780193bfe60b6245bd6e3e5fd92b63ee8b7dd133e487ef7ddf1b39dd825",
         "mutate": "714621f1fdb6ac76a63bde8eee697ebdd2d051f82b214c1fc647e1f57bca80b0",
         "verify plabic": "b4d462c502b9b9144b67232b0db0dd28b6b578758e780d1885b8d1faafb86b3e",
@@ -118,6 +120,7 @@ CLI_OUTPUT = {
         "quiver json": "3688e9862f720e75f94d56eaf8b6c1f3bee891faf6b02b612e9f98b4c74f998b",
         "quiver dot": "675e6dcebef7fb1061391a532dd1aa4889ecb15e24153d51e927ba1f8b6f7738",
         "sample": "6f9a00c1f8013cb2044a7e9a3bcfdf42f621aacf803847bf120b2e1c8e77bb5b",
+        "sample r1": "5231314912796b2a7a7455e1a23115ebc77d5a89159f6a1e9f753193761a8dfb",
         "splice": "95e8d1f39741cd668f525554b443a199e5a6b908d3344418262faca73c02bd7c",
         "mutate": "c4a243cd7f1548ebcdeebfa31c16d6641417927fc4cef90c0ec01a960194dbdd",
         "verify plabic": "b4d462c502b9b9144b67232b0db0dd28b6b578758e780d1885b8d1faafb86b3e",
@@ -177,6 +180,7 @@ def test_cli_output_byte_identical(name, case, capsys):
         "quiver json": ["quiver", "--format", "json"],
         "quiver dot": ["quiver", "--format", "dot"],
         "sample": ["sample", "--seed", "3"],
+        "sample r1": ["sample", "--seed", "3", "--normalize-r1"],
         "splice": ["splice", "--seed", "7", "--column", column],
         "mutate": ["mutate", "--seed", "4", "--box", box],
         "verify plabic": ["verify", "--only", "plabic"],
@@ -341,6 +345,22 @@ def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
         assert S.intersect(F.step(k)) == S
         for T in (S, S.intersect(F.step(k - i))):
             assert all(type(x) is int for row in T.basis for x in row)
+
+
+def test_braid_dictionary_runs_on_integer_columns(counted):
+    """omega, xi and the R^1 normalization move the point's integer columns: no Fraction matrix
+    is read in, the package keeps no second minor routine, and the framing is an integer matrix."""
+    d = staircase(20)
+    V = sample(d, seed=1)
+    parsed = counted(RatMatrix.from_rationals)
+    L = omega(V)
+    assert xi(L).matrix == V.matrix and sample(d, seed=1, normalize_r1=True).delta(d.I_mu()) == 1
+    assert parsed == []
+    assert [name for name, m in sys.modules.items() if name.startswith("skewpos") and hasattr(m, "minor")] == []
+    F = L.boundary_basis
+    assert isinstance(F, RatMatrix) and type(F.den) is int and all(type(x) is int for r in F.num for x in r)
+    PointV.from_json(V.to_json())  # the wrapper does see a call: reading a point's JSON
+    assert len(parsed) == 1
 
 
 def test_src_has_no_assert():

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewpos import f_of_point, necklace_of_point
-from skewpos.linalg import RatMatrix, Subspace, det, minor
+from skewpos.linalg import RatMatrix, Subspace, det
 from skewpos.variety import _necklace_tableau, _walk
 
 from conftest import (
@@ -25,8 +25,10 @@ from conftest import (
     f_of_point_oracle,
     from_qcols,
     intersect_oracle,
+    minor,
     necklace_entry_exhaustive,
     qcols,
+    qrows,
 )
 
 INTEGERS = st.integers(-9, 9).map(Fraction)
@@ -85,7 +87,7 @@ def test_necklace_walk_matches_both_oracles(M):
     """The walk on the greedy tableau, against the incremental eliminations it replaced and the
     re-echelonning oracle: full rank, rank-deficient, zero and repeated columns."""
     T, D, basis, odd, g = _necklace_tableau(M)
-    assert len(basis) == len(echelon_oracle(M.rows))
+    assert len(basis) == len(echelon_oracle(qrows(M)))
     try:
         want = f_of_point_oracle(M)
     except ValueError:
@@ -105,7 +107,7 @@ def test_necklace_walk_matches_both_oracles(M):
 @settings(max_examples=60, deadline=None)
 def test_necklace_of_point_matches_exhaustive(M):
     """The necklace read off f by the bijection is the Gale-maximal nonvanishing subsets."""
-    assume(len(echelon_oracle(M.rows)) == M.nrows)
+    assume(len(echelon_oracle(qrows(M))) == M.nrows)
     N = necklace_of_point(M)
     assert N.entries == tuple(necklace_entry_exhaustive(M, i) for i in range(1, M.ncols + 1))
 
@@ -117,7 +119,7 @@ def test_f_of_point_even_k(k):
     for _ in range(20):
         cols = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(k + 4)]
         M = from_qcols(cols)
-        if len(echelon_oracle(M.rows)) == k:
+        if len(echelon_oracle(qrows(M))) == k:
             assert f_of_point(M).window == f_of_point_oracle(M)
 
 
@@ -125,7 +127,7 @@ def test_f_of_point_even_k(k):
 @settings(max_examples=150, deadline=None)
 def test_det_matches_oracle(M):
     assert det([list(r) for r in M.num]) == det_oracle(M.num)
-    assert minor(M, range(1, M.ncols + 1)) == det_oracle(M.rows)
+    assert minor(M, range(1, M.ncols + 1)) == det_oracle(qrows(M))
 
 
 @pytest.mark.parametrize("rows, value", [

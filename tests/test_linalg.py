@@ -10,13 +10,12 @@ from skewpos.linalg import (
     FlagK,
     RatMatrix,
     Subspace,
-    minor,
     quotient_to_str,
     rat_to_str,
     transversal,
 )
 
-from conftest import from_qcols, qcol, qcols, solve_columns, unit_vector, vec
+from conftest import from_qcols, minor, qcol, qcols, qrows, solve_columns, unit_vector, vec
 
 
 def random_matrix(rng, k, m, lo=-9, hi=9):
@@ -118,9 +117,9 @@ class TestCramer:
             M = random_matrix(rng, 4, 4)
             if minor(M, (1, 2, 3, 4)) == 0:
                 continue
-            x = vec([rng.randint(-5, 5) for _ in range(4)])
+            x, rows = vec([rng.randint(-5, 5) for _ in range(4)]), qrows(M)
             target = tuple(
-                sum(M.rows[r][c] * x[c] for c in range(4)) for r in range(4)
+                sum(rows[r][c] * x[c] for c in range(4)) for r in range(4)
             )
             assert solve_columns(qcols(M), target) == list(x)
 
@@ -165,8 +164,8 @@ class TestRatMatrixEntries:
     ], ids=["int-str", "str", "fraction", "mixed"])
     def test_int_str_and_fraction_entries_agree(self, rows):
         for M in (RatMatrix.from_rationals(rows), from_qcols(zip(*rows))):
-            assert M == RatMatrix.from_rationals(self.WANT) and M.rows == self.WANT
-            assert all(type(e) is Fraction for r in M.rows for e in r)
+            assert M == RatMatrix.from_rationals(self.WANT) and qrows(M) == self.WANT
+            assert all(type(e) is Fraction for r in qrows(M) for e in r)
 
     def test_integer_rows_over_one_denominator(self):
         """The entries are kept as ints: num = den * the matrix, and columns are columns of num."""
@@ -210,5 +209,5 @@ def test_canonical_form(rows, c):
     for other in (RatMatrix.from_rationals(texts), scaled):
         assert (other.num, other.den, hash(other)) == (M.num, M.den, hash(M)) and other == M
     assert M.den >= 1 and gcd(M.den, *(x for r in M.num for x in r)) == 1
-    assert M.rows == tuple(map(tuple, rows))
-    assert RatMatrix.from_rationals(M.rows) == M
+    assert qrows(M) == tuple(map(tuple, rows))
+    assert RatMatrix.from_rationals(qrows(M)) == M

@@ -42,8 +42,10 @@ from conftest import (
     flag_at_cut,
     flag_W,
     from_matrix_oracle,
+    gauged,
     intro_off_chart_point,
     qcol,
+    qrows,
     right_point_oracle,
     skew_diagrams,
     vec_add,
@@ -345,15 +347,6 @@ def det_one_matrices(draw, k):
     return [[sum(L[i][s] * D[s] * U[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
 
 
-def gauged(V, g) -> PointV:
-    """The point g V: the same point of the variety, with v_{b_j} = g e_j instead of e_j."""
-    rows = V.matrix.rows
-    k = len(rows)
-    return PointV(V.diagram, RatMatrix.from_rationals(
-        [sum(g[i][s] * rows[s][c] for s in range(k)) for c in range(len(rows[0]))] for i in range(k)
-    ))
-
-
 def outcome(f, *args):
     """The matrix f returns, or (is an AssertionError, message) for what it raises."""
     try:
@@ -374,7 +367,8 @@ class TestRightFactorOracle:
         W = gauged(V, g)
         assert PointV.from_matrix(d, W.matrix) == from_matrix_oracle(d, W.matrix)
         assert PointV.from_matrix(d, W.matrix).matrix == V.matrix
-        scaled = RatMatrix.from_rationals((tuple(3 * x for x in W.matrix.rows[0]),) + W.matrix.rows[1:])
+        rows = qrows(W.matrix)
+        scaled = RatMatrix.from_rationals((tuple(3 * x for x in rows[0]),) + rows[1:])
         assert PointV.from_matrix(d, scaled) == from_matrix_oracle(d, scaled)
         for a in range(1, d.n - d.k + 1):
             assert outcome(right_point, W, a) == outcome(right_point_oracle, W, a)
@@ -474,7 +468,8 @@ class TestDeltaOracle:
         assume(any(g[i][j] != (i == j) for i in range(d.k) for j in range(d.k)))
         W = gauged(V, g)  # columns at I_mu are g e_j, not unit vectors
         c = data.draw(GAUGE_ENTRIES.filter(lambda x: x not in (0, 1)))
-        P = PointV.from_matrix(d, RatMatrix.from_rationals((tuple(c * x for x in W.matrix.rows[0]),) + W.matrix.rows[1:]))
+        rows = qrows(W.matrix)
+        P = PointV.from_matrix(d, RatMatrix.from_rationals((tuple(c * x for x in rows[0]),) + rows[1:]))
         for J in [data.draw(cyclic_labels(d)) for _ in range(10)] + list(box_labels(d)):
             assert W.delta(J) == delta_oracle(W, J) == V.delta(J)
             assert P.delta(J) == delta_oracle(P, J) == V.delta(J)

@@ -30,13 +30,17 @@ from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau
 from conftest import (
     W_span,
     all_skew_diagrams,
+    det_one_matrix,
     echelon_oracle,
     from_qcols,
+    gauged,
     membership_oracle,
     necklace_entry_exhaustive,
     qcol,
     qcols,
+    qrows,
     skew_diagrams,
+    staircase,
     unit_vector,
     vec_scale,
     zero_vector,
@@ -81,7 +85,7 @@ class TestNecklaceOfPoint:
         for _ in range(12):
             k, n = rng.randint(1, 3), rng.randint(4, 7)
             M = RatMatrix(tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)))
-            if len(echelon_oracle(M.rows)) < k:
+            if len(echelon_oracle(qrows(M))) < k:
                 continue
             N = necklace_of_point(M)
             for i in range(1, n + 1):
@@ -158,8 +162,8 @@ class TestSample:
     def test_one_box_cell(self):
         d = SkewDiagram(2, 1, Partition((1,)), Partition())
         V = sample(d, seed=4)
-        c = V.matrix.rows[0][0]
-        assert c != 0 and V.matrix.rows[0][1] == 1
+        c = qrows(V.matrix)[0][0]
+        assert c != 0 and qrows(V.matrix)[0][1] == 1
 
     def test_all_necklace_minors_nonzero(self, running):
         V = sample(running, seed=1, bound=100)
@@ -198,7 +202,7 @@ class TestSample:
 class TestPointV:
     def test_regauge(self, running):
         V = sample(running, seed=2)
-        scaled = RatMatrix.from_rationals(tuple(3 * e for e in row) for row in V.matrix.rows)
+        scaled = RatMatrix.from_rationals(tuple(3 * e for e in row) for row in qrows(V.matrix))
         W = PointV.from_matrix(running, scaled)
         assert W.delta(running.I_mu()) == 1
         for j, b in enumerate(running.I_mu(), start=1):
@@ -206,7 +210,7 @@ class TestPointV:
 
     def test_bad_gauge_rejected(self, running):
         V = sample(running, seed=2)
-        scaled = RatMatrix.from_rationals(tuple(3 * e for e in row) for row in V.matrix.rows)
+        scaled = RatMatrix.from_rationals(tuple(3 * e for e in row) for row in qrows(V.matrix))
         with pytest.raises(ValueError, match="re-gauge"):
             PointV(running, scaled)
 
@@ -218,7 +222,7 @@ class TestPointV:
         assert _necklace_tableau(dense)[2] != [b - 1 for b in running.I_mu()]
         cols = qcols(sample(running, seed=9).matrix)
         cols[0] = zero_vector(5)
-        off = RatMatrix.from_rationals(tuple(2 * e for e in row) for row in from_qcols(cols).rows)
+        off = RatMatrix.from_rationals(tuple(2 * e for e in row) for row in qrows(from_qcols(cols)))
         assert _necklace_tableau(off)[2] == [b - 1 for b in running.I_mu()]
         for M in (dense, off):
             with pytest.raises(ValueError, match=r"^Delta_\{I_mu\} != 1; use PointV.from_matrix to re-gauge$"):
@@ -229,7 +233,7 @@ class TestPointV:
         cols = qcols(sample(running, seed=9).matrix)
         cols[0] = zero_vector(5)
         M = from_qcols(cols)
-        assert len(echelon_oracle(M.rows)) == 5 and qcol(M, running.b(1)) == unit_vector(5, 1)
+        assert len(echelon_oracle(qrows(M))) == 5 and qcol(M, running.b(1)) == unit_vector(5, 1)
         with pytest.raises(OffVariety, match="^point does not lie on the variety of its diagram$"):
             PointV(running, M)
         rng = random.Random(3)
@@ -339,6 +343,18 @@ class TestXi:
     def test_roundtrip_random(self, d):
         V = sample(d, seed=31)
         assert xi(omega(V)).matrix == V.matrix
+
+    @pytest.mark.parametrize("n", [20, 32])
+    def test_roundtrip_in_a_nonidentity_gauge(self, n):
+        """W = g V with det g = 1: the framing is g, not the identity, and W has a denominator;
+        both directions hold on W and on W with its R^1 minors normalized."""
+        d = staircase(n)
+        W = gauged(sample(d, seed=1), det_one_matrix(random.Random(n), d.k))
+        assert W.matrix.den > 1 and any(qcol(W, b) != unit_vector(d.k, j) for j, b in enumerate(d.I_mu(), start=1))
+        for P in (W, _normalize_r1(W)):
+            L = omega(P)
+            assert xi(L).matrix == P.matrix
+            assert omega(xi(L)) == L
 
     def test_omega_after_xi(self, running):
         L = omega(sample(running, seed=24))
