@@ -2,11 +2,11 @@
 
 On the open chart where the column-a minors are nonzero, a point V maps to a
 pair (V_left, V_right) of points on the two diagrams obtained by cutting along
-column a.  The left factor reuses columns of V; the right factor reads each
-boundary column off ratios of minors of V (Cramer's rule on the flag at the
-cut against the opposite flag of the boundary basis) and is triangular over V
-with explicit rational scaling factors, which is what the verification suite
-checks exactly.
+column a.  The left factor reuses columns of V; the right factor solves for each
+boundary column on V's chart (Cramer's rule on the flag at the cut against the
+opposite flag of the boundary basis, one small integer block per level, since the
+flag's columns at I_mu are unit columns of the chart) and is triangular over V with
+explicit rational scaling factors, which is what the verification suite checks exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import lcm
 
 from .cluster import Seed, exchange_products, seed_at
 from .diagram import BoxRef, InvariantError, SkewDiagram
-from .linalg import RatMatrix, ratio_to_str
+from .linalg import RatMatrix, det, ratio_to_str
 from .variety import OffVariety, PointV, membership  # noqa: F401 - perfbench/tests reads this binding
 
 
@@ -66,15 +66,18 @@ def left_point(V: PointV, a: int) -> PointV:
 def right_point(V: PointV, a: int) -> PointV:
     """Right factor, expressed in the frame of V (same frame as the scaling identities).
 
-    At level i the flag at the cut is spanned by the first i columns of
-    J_i = (min(c+j-1, b_j) for j <= i) + (b_{i+1}, .., b_k), c = max(a, d_i); for
-    i <= lambda_bar_a, J_i is the long label I'(a, i).  The flag is transversal to the
-    opposite boundary flag at level i iff Delta_{J_i} != 0, and then Cramer's rule gives
-    the boundary column at level i, the vector of that step with v_{b_i}-coefficient 1
-    in span(v_{b_i}, .., v_{b_k}): v_{b_i} - sum_{r>i} Delta_{J_i[b_r->b_i]} / Delta_{J_i} v_{b_r}.
-    Interior columns are copied from V.  V must lie on the column-a chart, which
-    ``Cut.at`` checks.  With the coefficients (Delta_{J_i}, -Delta_{J_i[b_r->b_i]}) cleared to
-    integers c by their lcm L, the column is sum_r c_r V.num[b_r] / (Delta_{J_i} L V.den).
+    At level i the flag at the cut is spanned by t_j = min(c+j-1, b_j), j <= i, c = max(a, d_i);
+    with b_{i+1}, .., b_k they make J_i (for i <= lambda_bar_a the long label I'(a, i)).  The
+    boundary column at level i is the vector of that step in v_{b_i} + span(v_{b_r}, r > i),
+    which exists iff Delta_{J_i} != 0 (the flag is transversal to the opposite boundary flag).
+    It is solved for on V's chart T = D B^-1 P (P the primitive columns, contents g): a t_j in
+    I_mu is a unit column at a row <= i (t_j = b_j sits at row j; t_j = c+j-1 = b_{j'} forces
+    j' < j).  With U the rows <= i no unit column covers and F the other t_j, Delta_{J_i} != 0
+    iff no row is covered twice and A = T[U][F] is square and invertible.  Cramer's rule gives
+    z_q = det(A with column q replaced by g_{b_i} e_i); the column is (det A v_{b_i} +
+    sum_{r>i} w_r v_{b_r} / g_{b_r}) / det A, w_r = sum_q z_q T[r][F_q], or v_{b_i} when row i
+    is covered.  Interior columns are copied from V.  V must lie on the column-a chart
+    (``Cut.at`` checks it).
     """
     d = V.diagram
     k = d.k
@@ -84,17 +87,27 @@ def right_point(V: PointV, a: int) -> PointV:
     I_mu_right = B[:mu_bar] + tuple(a + i - 1 for i in range(mu_bar + 1, k + 1))
     if right.I_mu() != I_mu_right:
         raise InvariantError("cut boundary labels disagree with the right diagram")
+    T, _, row_of, g = V._memo["chart"]
+    frame = [V.column(b) for b in B]
+    primitive = [[x // g[b - 1] for x in v] for v, b in zip(frame, B)]  # v_{b_r} / g_{b_r}
     cols: dict[int, tuple[tuple[int, ...], int]] = {}  # t -> (integer column, its denominator / V.den)
     for i in range(1, k + 1):
         c = max(a, d.d(i))
-        J = tuple(min(c + j - 1, B[j - 1]) for j in range(1, i + 1)) + B[i:]
-        D = V.delta(J)
-        if D == 0:
+        J = [min(c + j - 1, B[j - 1]) - 1 for j in range(1, i + 1)]
+        U = sorted(set(range(i)).difference(row_of[t] for t in J if t in row_of))
+        F = [t for t in J if t not in row_of]
+        A = [[T[u][t] for t in F] for u in U]
+        if len(U) != len(F) or (det_A := det(A)) == 0:
             raise InvariantError("cut flag not transversal to the opposite boundary flag")
-        coeffs = [D] + [-V.delta(J[:r - 1] + (B[i - 1],) + J[r:]) for r in range(i + 1, k + 1)]
-        L = lcm(*(x.denominator for x in coeffs))
-        terms = [(x.numerator * (L // x.denominator), V.column(b)) for x, b in zip(coeffs, B[i - 1:]) if x]
-        cols[I_mu_right[i - 1]] = tuple(sum(x * v[s] for x, v in terms) for s in range(k)), terms[0][0]
+        v = [det_A * x for x in frame[i - 1]]
+        if U and U[-1] == i - 1:
+            h, m = g[B[i - 1] - 1], len(F)  # z_q: g_{b_i} times the cofactor of A at (row i, q)
+            z = [(-1) ** (m - 1 + q) * h * det([r[:q] + r[q + 1:] for r in A[:-1]]) for q in range(m)]
+            for r in range(i, k):
+                w = sum(x * T[r][t] for x, t in zip(z, F))
+                if w:
+                    v = [x + w * y for x, y in zip(v, primitive[r])]
+        cols[I_mu_right[i - 1]] = (tuple(v), det_A) if det_A > 0 else (tuple(-x for x in v), -det_A)
     for ap in range(1, a):
         t = ap + d.mu_bar[ap]
         cols[t] = V.column(t), 1

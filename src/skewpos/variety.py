@@ -281,7 +281,7 @@ class BraidLabeling:
     so that reconstruction can read the flag of every column); boundary_basis:
     the k x k matrix whose columns frame the left flag (the point's columns at
     I_mu); right_flag: the flag on the right boundary; torus: one nonzero scalar
-    per top-of-column box.
+    per top-of-column box; seed: the point's seed, so that xi(omega(V)) == V.
     """
 
     diagram: SkewDiagram
@@ -289,6 +289,7 @@ class BraidLabeling:
     boundary_basis: RatMatrix
     right_flag: FlagK
     torus: tuple[tuple[BoxRef, Fraction], ...]
+    seed: int | None = None
     _region: dict = field(init=False, repr=False, compare=False)
     _torus: dict = field(init=False, repr=False, compare=False)
 
@@ -318,7 +319,7 @@ def omega(V: PointV) -> BraidLabeling:
     torus = tuple(
         (box, V.delta(d.long_label(box.a, box.i))) for box in d.ribbon().R1
     )
-    labeling = BraidLabeling(d, regions, boundary, right, torus)
+    labeling = BraidLabeling(d, regions, boundary, right, torus, V.seed)
     check_labeling(labeling)
     return labeling
 
@@ -396,4 +397,4 @@ def xi(L: BraidLabeling) -> PointV:
         if current == 0:
             raise ValueError(f"pinning minor vanishes at column {a}; labeling invalid")
         scale[t0] = L.torus_value(a) * F.den ** k / current
-    return PointV(d, _scaled_columns([cols[t] for t in range(1, n + 1)], scale[1:], F.den))
+    return PointV(d, _scaled_columns([cols[t] for t in range(1, n + 1)], scale[1:], F.den), L.seed)

@@ -337,7 +337,7 @@ def membership_oracle(M, d) -> bool:
         return False
 
 
-# -- oracles: the flag, intersection and solve pipeline the minor ratios replaced -------
+# -- oracles: the augmented-inverse from_matrix, the cut flag and the two right-factor pipelines ---
 
 
 def from_matrix_oracle(d, M, seed=None):
@@ -409,6 +409,42 @@ def right_point_oracle(V, a: int):
         t = ap + d.mu_bar[ap]
         cols[t] = qcol(V, t)
     return PointV(right, from_qcols(cols[t] for t in range(1, k + a)), V.seed)
+
+
+def right_point_minor_oracle(V, a: int):
+    """Right factor by Cramer's rule as ratios of minors: v_{b_i} - sum_{r>i} Delta_{J_i[b_r->b_i]} /
+    Delta_{J_i} v_{b_r}, each minor a ``PointV.delta`` (k - i + 1 of them at level i)."""
+    from math import lcm
+
+    from skewpos.diagram import InvariantError
+    from skewpos.variety import PointV
+
+    d = V.diagram
+    k = d.k
+    right = d.cut(a)[1]
+    mu_bar = d.mu_bar[a]
+    B = d.I_mu()
+    I_mu_right = B[:mu_bar] + tuple(a + i - 1 for i in range(mu_bar + 1, k + 1))
+    if right.I_mu() != I_mu_right:
+        raise InvariantError("cut boundary labels disagree with the right diagram")
+    cols: dict[int, tuple[tuple[int, ...], int]] = {}  # t -> (integer column, its denominator / V.den)
+    for i in range(1, k + 1):
+        c = max(a, d.d(i))
+        J = tuple(min(c + j - 1, B[j - 1]) for j in range(1, i + 1)) + B[i:]
+        D = V.delta(J)
+        if D == 0:
+            raise InvariantError("cut flag not transversal to the opposite boundary flag")
+        coeffs = [D] + [-V.delta(J[:r - 1] + (B[i - 1],) + J[r:]) for r in range(i + 1, k + 1)]
+        L = lcm(*(x.denominator for x in coeffs))
+        terms = [(x.numerator * (L // x.denominator), V.column(b)) for x, b in zip(coeffs, B[i - 1:]) if x]
+        cols[I_mu_right[i - 1]] = tuple(sum(x * v[s] for x, v in terms) for s in range(k)), terms[0][0]
+    for ap in range(1, a):
+        t = ap + d.mu_bar[ap]
+        cols[t] = V.column(t), 1
+    den = lcm(*(q for _, q in cols.values()))
+    M = RatMatrix.from_columns([[x * (den // q) for x in v] for v, q in map(cols.get, range(1, k + a))],
+                               den * V.matrix.den)
+    return PointV(right, M, V.seed)
 
 
 # -- oracle: the k x k determinant the chart-block minors replaced ------------------------

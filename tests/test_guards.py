@@ -27,7 +27,7 @@ from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json,
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import PointV, _walk, membership
 
-from conftest import W_span, staircase
+from conftest import W_span, right_point_minor_oracle, staircase
 from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -329,6 +329,24 @@ def test_right_point_runs_no_intersection(counted, intro):
     assert len(intersections) == 1 and len(spans) == 2 and echelons
 
 
+@pytest.mark.parametrize("n", [12, 20, 32])
+def test_right_point_reads_no_minor(monkeypatch, n):
+    """On the staircases of the splice benchmark, every on-chart cut solves its levels on V's
+    chart: no ``PointV.delta`` call and no Fraction."""
+    d = staircase(n)
+    V = sample(d, seed=1)
+    columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
+    want = {a: right_point_minor_oracle(V, a) for a in columns}
+
+    def forbidden(*args):
+        raise AssertionError("right_point read a minor or built a Fraction")
+
+    monkeypatch.setattr(PointV, "delta", forbidden)
+    for module in (skewpos.splicing, skewpos.variety, skewpos.linalg):
+        monkeypatch.setattr(module, "Fraction", forbidden)
+    assert columns and all(right_point(V, a) == P for a, P in want.items())
+
+
 def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
     """Spans, containment, intersections and flags of integer columns stay in integer rows."""
     V = sample(intro, seed=16)
@@ -354,7 +372,7 @@ def test_braid_dictionary_runs_on_integer_columns(counted):
     V = sample(d, seed=1)
     parsed = counted(RatMatrix.from_rationals)
     L = omega(V)
-    assert xi(L).matrix == V.matrix and sample(d, seed=1, normalize_r1=True).delta(d.I_mu()) == 1
+    assert xi(L) == V and sample(d, seed=1, normalize_r1=True).delta(d.I_mu()) == 1
     assert parsed == []
     assert [name for name, m in sys.modules.items() if name.startswith("skewpos") and hasattr(m, "minor")] == []
     F = L.boundary_basis

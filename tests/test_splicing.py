@@ -38,6 +38,7 @@ from conftest import (
     W_span,
     all_skew_diagrams,
     delta_oracle,
+    det_one_matrix,
     det_oracle,
     flag_at_cut,
     flag_W,
@@ -46,8 +47,10 @@ from conftest import (
     intro_off_chart_point,
     qcol,
     qrows,
+    right_point_minor_oracle,
     right_point_oracle,
     skew_diagrams,
+    staircase,
     vec_add,
     vec_scale,
 )
@@ -371,7 +374,8 @@ class TestRightFactorOracle:
         scaled = RatMatrix.from_rationals((tuple(3 * x for x in rows[0]),) + rows[1:])
         assert PointV.from_matrix(d, scaled) == from_matrix_oracle(d, scaled)
         for a in range(1, d.n - d.k + 1):
-            assert outcome(right_point, W, a) == outcome(right_point_oracle, W, a)
+            got = outcome(right_point, W, a)
+            assert got == outcome(right_point_oracle, W, a) == outcome(right_point_minor_oracle, W, a)
 
     def test_dependent_gauge_columns_rejected_by_both(self, intro):
         V = sample(intro, seed=3)
@@ -388,9 +392,25 @@ class TestRightFactorOracle:
         for d in all_skew_diagrams(6):
             V = sample(d, seed=1)
             for a in range(1, d.n - d.k + 1):
-                assert outcome(right_point, V, a) == outcome(right_point_oracle, V, a), (d, a)
+                got = outcome(right_point, V, a)
+                assert got == outcome(right_point_oracle, V, a), (d, a)
+                assert got == outcome(right_point_minor_oracle, V, a), (d, a)
                 cuts += 1
         assert cuts == 1707
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_staircase_matches_minor_oracle(self, n):
+        """Every on-chart column of the staircase, at the sampled point and at a copy in a gauge
+        whose columns at I_mu carry contents g_{b_i} != 1, against the minor ratios."""
+        d = staircase(n)
+        V = sample(d, seed=1)
+        W = gauged(V, det_one_matrix(random.Random(n), d.k))
+        assert any(h != 1 for h in (W._memo["chart"][3][b - 1] for b in d.I_mu()))
+        for P in (V, W):
+            columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(P, a)]
+            assert columns
+            for a in columns:
+                assert right_point(P, a) == right_point_minor_oracle(P, a), (n, a)
 
     @pytest.mark.parametrize("g", [None, [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, -1],
                                           [0, 0, 1, Fraction(1, 2), 0], [3, 0, 0, 0, 1]]])
@@ -400,7 +420,7 @@ class TestRightFactorOracle:
             W = gauged(W, g)
         for a in range(1, 8):
             got = outcome(right_point, W, a)
-            assert got == outcome(right_point_oracle, W, a)
+            assert got == outcome(right_point_oracle, W, a) == outcome(right_point_minor_oracle, W, a)
             if a == 5:
                 assert got == (True, "cut flag not transversal to the opposite boundary flag")
             else:
