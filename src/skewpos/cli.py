@@ -281,12 +281,12 @@ def cmd_verify(args) -> int:
         if args.column is not None and args.column > d.n - d.k:
             raise ValueError(f"cut column {args.column} out of range 1..{d.n - d.k}")
         diagrams = [(0, d)]
-    else:
-        diagrams = []
-        for t in range(args.trials or 50):
-            rng = random.Random(subseed(base, "diagram", t))
-            diagrams.append((t, random_diagram(rng)))
+    else:  # drawn one per trial, so a diagram and the cuts and quivers it keeps are freed after it
+        diagrams = ((t, random_diagram(random.Random(subseed(base, "diagram", t))))
+                    for t in range(args.trials or 50))
+    trials = 0
     for t, d in diagrams:
+        trials += 1
         for name, ok, detail in _guarded(_trial_checks(d, subseed(base, "point", t), args.only, args.column)):
             results.append({"trial": t, "diagram": d.to_json(), "check": name, "ok": ok})
             if not ok:
@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
                      "check": name, "column": args.column, "detail": detail}
                 )
     doc = {
-        "trials": len(diagrams),
+        "trials": trials,
         "checks": len(results),
         "failures": failures,
         "status": "pass" if not failures else "fail",

@@ -2,13 +2,15 @@
 
 Quiver vertices are the diagram boxes; the frozen ones are exactly the boundary
 ribbon boxes.  Seeds are value-level: each vertex carries the rational value of
-its Pluecker coordinate at a fixed point, not a symbolic variable.
+its Pluecker coordinate at a fixed point, read off the point's chart, not a symbolic
+variable.  The quiver is built once per diagram, and exchange products are integer pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram
 from .variety import PointV
@@ -58,17 +60,20 @@ class Quiver:
 
 
 def quiver(d: SkewDiagram) -> Quiver:
-    """Initial quiver: three arrow types, kept only when an endpoint is mutable."""
-    boxes = d.boxes()
-    present = set(boxes)
-    frozen = frozenset(b for b in boxes if d.is_frozen(b.a, b.i))
-    arrows: list[tuple[Arrow, int]] = []
-    for b in boxes:
-        a, i = b
-        for dst in (BoxRef(a + 1, i), BoxRef(a, i - 1), BoxRef(a - 1, i + 1)):
-            if dst in present and (b not in frozen or dst not in frozen):
-                arrows.append(((b, dst), 1))
-    return Quiver(tuple(boxes), frozen, tuple(arrows))
+    """Initial quiver: three arrow types, kept only when an endpoint is mutable.  Built once per
+    diagram and kept on it: a Quiver is immutable, so every seed on d shares it."""
+    if "quiver" not in d._memo:
+        boxes = d.boxes()
+        present = set(boxes)
+        frozen = frozenset(b for b in boxes if d.is_frozen(b.a, b.i))
+        arrows: list[tuple[Arrow, int]] = []
+        for b in boxes:
+            a, i = b
+            for dst in (BoxRef(a + 1, i), BoxRef(a, i - 1), BoxRef(a - 1, i + 1)):
+                if dst in present and (b not in frozen or dst not in frozen):
+                    arrows.append(((b, dst), 1))
+        d._memo["quiver"] = Quiver(tuple(boxes), frozen, tuple(arrows))
+    return d._memo["quiver"]
 
 
 @dataclass(frozen=True)
@@ -90,15 +95,15 @@ class Seed:
 
 
 def seed_at(V: PointV) -> Seed:
-    """Initial seed values: the minor of each box at its long label, which is ascending.
-    Computed once per point and kept on the point; V lies on its variety by construction."""
+    """Initial seed values: the minor of each box (a, i) at its long label, off V's chart block of the
+    prefix J(a, i) (``PointV._prefix_block``, c = a); computed once per point and kept on the point."""
     if "seed" in V._memo:
         return V._memo["seed"]
     d = V.diagram
     q = quiver(d)
     values = []
     for b in q.vertices:
-        x = V.delta(d.long_label(b.a, b.i))
+        x = V._minor(V._prefix_block(b.a, b.i))
         if b in q.frozen and x == 0:
             raise InvariantError(f"frozen value vanishes at {b}")
         values.append((b, x))
@@ -150,16 +155,15 @@ def mutate(s: Seed, box: BoxRef) -> Seed:
 
 def exchange_products(s: Seed, box: BoxRef) -> tuple[Fraction, Fraction]:
     """(product over in-arrows, product over out-arrows) of the neighbour values at a mutable vertex."""
-    q = s.quiver
-    if not q.is_mutable(box):
+    return tuple(Fraction(*p) for p in _products(s, box))
+
+
+def _products(s: Seed, box: BoxRef) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``exchange_products`` as integer pairs (numerator, denominator > 0), not reduced."""
+    if not s.quiver.is_mutable(box):
         raise ValueError(f"exchange ratio is defined at mutable vertices only: {box}")
-    num = Fraction(1)
-    for src, m in q.arrows_into(box):
-        num *= s.value(src) ** m
-    den = Fraction(1)
-    for dst, m in q.arrows_out(box):
-        den *= s.value(dst) ** m
-    return num, den
+    return tuple((prod(s.value(b).numerator ** m for b, m in arrows),
+                  prod(s.value(b).denominator ** m for b, m in arrows)) for arrows in s.quiver._arrows_at[box])
 
 
 def quiver_dot(d: SkewDiagram) -> str:

@@ -99,7 +99,7 @@ class SkewDiagram:
     mu_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     lambda_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _I_mu: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _cuts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # cuts, quiver
 
     def __post_init__(self):
         n, k = self.n, self.k
@@ -216,8 +216,8 @@ class SkewDiagram:
 
     def cut(self, a: int) -> tuple["SkewDiagram", "SkewDiagram"]:
         """Split along the left edge of column a: (columns a..n-k, columns 1..a-1); built once per a."""
-        if a in self._cuts:
-            return self._cuts[a]
+        if ("cut", a) in self._memo:
+            return self._memo["cut", a]
         if not 1 <= a <= self.n - self.k:
             raise ValueError(f"cut column {a} out of range 1..{self.n - self.k}")
         w = self.n - self.k - a + 1  # width kept on the left
@@ -233,7 +233,7 @@ class SkewDiagram:
             Partition(tuple(max(self.lam.part(j) - w, 0) for j in range(1, self.k + 1))),
             Partition(tuple(max(self.mu.part(j) - w, 0) for j in range(1, self.k + 1))),
         )
-        self._cuts[a] = left, right
+        self._memo["cut", a] = left, right
         return left, right
 
     # -- serialization ----------------------------------------------------------

@@ -128,9 +128,11 @@ def det(rows: list[list[int]]) -> int:
         raise ValueError("determinant of a non-square matrix")
     sign, prev = 1, 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return 0
+        piv = c  # a loop, not a generator: most blocks are 1 x 1 or 2 x 2
+        while not m[piv][c]:
+            piv += 1
+            if piv == n:
+                return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign

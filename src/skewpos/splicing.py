@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cluster import Seed, exchange_products, seed_at
+from .cluster import Seed, _products, exchange_products, seed_at
 from .diagram import BoxRef, InvariantError, SkewDiagram
 from .linalg import RatMatrix, det, ratio_to_str
 from .variety import OffVariety, PointV, membership  # noqa: F401 - perfbench/tests reads this binding
@@ -70,14 +70,12 @@ def right_point(V: PointV, a: int) -> PointV:
     with b_{i+1}, .., b_k they make J_i (for i <= lambda_bar_a the long label I'(a, i)).  The
     boundary column at level i is the vector of that step in v_{b_i} + span(v_{b_r}, r > i),
     which exists iff Delta_{J_i} != 0 (the flag is transversal to the opposite boundary flag).
-    It is solved for on V's chart T = D B^-1 P (P the primitive columns, contents g): a t_j in
-    I_mu is a unit column at a row <= i (t_j = b_j sits at row j; t_j = c+j-1 = b_{j'} forces
-    j' < j).  With U the rows <= i no unit column covers and F the other t_j, Delta_{J_i} != 0
-    iff no row is covered twice and A = T[U][F] is square and invertible.  Cramer's rule gives
-    z_q = det(A with column q replaced by g_{b_i} e_i); the column is (det A v_{b_i} +
-    sum_{r>i} w_r v_{b_r} / g_{b_r}) / det A, w_r = sum_q z_q T[r][F_q], or v_{b_i} when row i
-    is covered.  Interior columns are copied from V.  V must lie on the column-a chart
-    (``Cut.at`` checks it).
+    It is solved for on V's chart T = D B^-1 P (P the primitive columns, contents g): with U the
+    rows <= i no t_j in I_mu covers and F the other t_j (``PointV._prefix_block``), Delta_{J_i} != 0
+    iff A = T[U][F] is square and invertible.  Cramer's rule gives z_q = det(A with column q
+    replaced by g_{b_i} e_i); the column is (det A v_{b_i} + sum_{r>i} w_r v_{b_r} / g_{b_r}) / det A,
+    w_r = sum_q z_q T[r][F_q], or v_{b_i} when row i is covered.  Interior columns are copied from
+    V.  V must lie on the column-a chart (``Cut.at`` checks it).
     """
     d = V.diagram
     k = d.k
@@ -87,17 +85,13 @@ def right_point(V: PointV, a: int) -> PointV:
     I_mu_right = B[:mu_bar] + tuple(a + i - 1 for i in range(mu_bar + 1, k + 1))
     if right.I_mu() != I_mu_right:
         raise InvariantError("cut boundary labels disagree with the right diagram")
-    T, _, row_of, g = V._memo["chart"]
+    T, _, _, g = V._memo["chart"]
     frame = [V.column(b) for b in B]
     primitive = [[x // g[b - 1] for x in v] for v, b in zip(frame, B)]  # v_{b_r} / g_{b_r}
     cols: dict[int, tuple[tuple[int, ...], int]] = {}  # t -> (integer column, its denominator / V.den)
     for i in range(1, k + 1):
-        c = max(a, d.d(i))
-        J = [min(c + j - 1, B[j - 1]) - 1 for j in range(1, i + 1)]
-        U = sorted(set(range(i)).difference(row_of[t] for t in J if t in row_of))
-        F = [t for t in J if t not in row_of]
-        A = [[T[u][t] for t in F] for u in U]
-        if len(U) != len(F) or (det_A := det(A)) == 0:
+        _, U, F, A, det_A = V._prefix_block(max(a, d.d(i)), i)
+        if det_A == 0:
             raise InvariantError("cut flag not transversal to the opposite boundary flag")
         v = [det_A * x for x in frame[i - 1]]
         if U and U[-1] == i - 1:
@@ -197,17 +191,20 @@ def verify_exchange_ratios(c: Cut) -> list[dict]:
 
     Ratios are compared cross-multiplied, so the check runs at points off the
     cluster torus, where an out-product vanishes.  Where both out-products vanish
-    it reads 0 == 0 and certifies nothing about that box.
+    it reads 0 == 0 and certifies nothing about that box.  The denominators are positive, so
+    the integer pairs of ``_products`` are compared with them cleared.
     """
     violations = []
     for side, s, shift in (("right", c.right_seed, 0), ("left", c.left_seed, c.a - 1)):
         for box in s.quiver.vertices:
             if s.quiver.is_mutable(box):
-                got = exchange_products(s, box)
-                want = exchange_products(c.seed, BoxRef(box.a + shift, box.i))
-                if got[0] * want[1] != want[0] * got[1]:
+                full = BoxRef(box.a + shift, box.i)
+                (got_in, got_in_den), (got_out, got_out_den) = _products(s, box)
+                (want_in, want_in_den), (want_out, want_out_den) = _products(c.seed, full)
+                if got_in * want_out * want_in_den * got_out_den != want_in * got_out * got_in_den * want_out_den:
                     violations.append({"side": side, "box": [box.a, box.i],
-                                       "ratio": ratio_to_str(*got), "expected": ratio_to_str(*want)})
+                                       "ratio": ratio_to_str(*exchange_products(s, box)),
+                                       "expected": ratio_to_str(*exchange_products(c.seed, full))})
     return violations
 
 

@@ -97,30 +97,42 @@ class PointV:
         Read off the chart R = B^-1 M: det B = Delta_{I_mu} = 1, so Delta_J(M) = Delta_J(R), and
         the column of R at the j-th element b_j of I_mu is e_j.  Laplace expansion along
         the columns of J at I_mu leaves the minor of R on the other rows and the
-        other columns of J; two columns of J at one column of I_mu give 0.  With the
-        tableau T of the primitive columns and their contents g, R_jt = T_jt g_t / (D g_{b_j}).
+        other columns of J (``_block``); two columns of J at one column of I_mu give 0.
         """
-        rows, D, row_of, g = self._memo["chart"]
-        k, n = len(rows), self.matrix.ncols
+        k, n = self.diagram.k, self.matrix.ncols
         if len(J) != k:
             raise ValueError(f"need {k} column indices, got {len(J)}")
-        perm, rest, shifts = [None] * k, [], 0  # perm: position in J -> row of R
-        for p, t in enumerate(J):
-            q, r = divmod(t - 1, n)
-            shifts += q
-            if r in row_of:
-                perm[p] = row_of[r]
-            else:
-                rest.append((p, r))
-        others = sorted(set(range(k)).difference(perm))
-        if len(others) != len(rest):
-            return Fraction(0)
-        for (p, _), j in zip(rest, others):
-            perm[p] = j
-        I_mu = self.diagram.I_mu()
-        value = Fraction(det([[rows[j][r] for _, r in rest] for j in others]) * prod(g[r] for _, r in rest),
-                         D ** len(rest) * prod(g[I_mu[j] - 1] for j in others))
-        return -value if ((k - 1) * shifts) % 2 != _is_odd(perm) else value
+        value = self._minor(self._block([(t - 1) % n for t in J]))
+        return -value if (k - 1) * sum((t - 1) // n for t in J) % 2 else value
+
+    def _block(self, J: list[int]) -> tuple[list, list[int], list[int], list[list[int]], int]:
+        """Chart block of the 0-based columns J, then b_{m+1}, .., b_k (m = len(J), unit columns at the
+        rows >= m): the row each column of J covers (None off I_mu); U, the rows < m none covers; F,
+        the columns of J off I_mu; A = T[U][F]; and det A, 0 unless A is square."""
+        T, _, row_of, _ = self._memo["chart"]
+        rows = [row_of.get(t) for t in J]
+        U = sorted(set(range(len(J))).difference(rows))
+        F = [t for t, r in zip(J, rows) if r is None]
+        A = [[T[u][t] for t in F] for u in U]
+        return rows, U, F, A, det(A) if len(U) == len(F) else 0
+
+    def _prefix_block(self, c: int, i: int) -> tuple[list, list[int], list[int], list[list[int]], int]:
+        """``_block`` of t_j = min(c+j-1, b_j), j <= i: a t_j in I_mu covers a row < i, since
+        t_j = b_j sits at row j and t_j = c+j-1 = b_{j'} forces j' < j."""
+        B = self.diagram.I_mu()
+        return self._block([min(c + j, B[j]) - 1 for j in range(i)])
+
+    def _minor(self, block) -> Fraction:
+        """The minor of a ``_block``, +-det A prod_F g_t / (D^|F| prod_U g_{b_u}): the chart is
+        R_jt = T_jt g_t / (D g_{b_j}) for the tableau T of the primitive columns and their contents g.
+        The sign is the parity of the map of positions to rows that sends F to U in order."""
+        rows, U, F, _, det_A = block
+        _, D, _, g = self._memo["chart"]
+        B = self.diagram.I_mu()
+        free = iter(U)
+        if det_A and _is_odd([next(free) if r is None else r for r in rows]):
+            det_A = -det_A
+        return Fraction(det_A * prod(g[t] for t in F), D ** len(F) * prod(g[B[u] - 1] for u in U))
 
     def subspace(self, a: int, i: int) -> Subspace:
         """V(a, i) = span of the short-label columns of box (a, i)."""

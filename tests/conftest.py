@@ -455,6 +455,57 @@ def delta_oracle(V, J) -> Fraction:
     return det_oracle([qcol(V, t) for t in J])
 
 
+# -- oracles: the seed by one minor per box and the exchange check on Fractions, which the chart
+# -- blocks of the label prefixes and the integer products replaced ------------------------------
+
+
+def seed_at_delta_oracle(V):
+    """Initial seed values: the minor of each box at its long label, which is ascending.
+    One ``PointV.delta`` per box; nothing is kept on the point, and the quiver is built on a fresh
+    copy of the diagram, so it is not the one ``cluster.quiver`` keeps on ``V.diagram``."""
+    from skewpos.cluster import Seed, quiver
+    from skewpos.diagram import InvariantError
+
+    d = V.diagram
+    q = quiver(SkewDiagram(d.n, d.k, d.lam, d.mu))
+    values = []
+    for b in q.vertices:
+        x = V.delta(d.long_label(b.a, b.i))
+        if b in q.frozen and x == 0:
+            raise InvariantError(f"frozen value vanishes at {b}")
+        values.append((b, x))
+    return Seed(q, tuple(values))
+
+
+def exchange_products_oracle(s, box) -> tuple[Fraction, Fraction]:
+    """(product over in-arrows, product over out-arrows) of the neighbour values, as Fractions."""
+    num = Fraction(1)
+    for src, m in s.quiver.arrows_into(box):
+        num *= s.value(src) ** m
+    den = Fraction(1)
+    for dst, m in s.quiver.arrows_out(box):
+        den *= s.value(dst) ** m
+    return num, den
+
+
+def verify_exchange_ratios_oracle(c) -> list[dict]:
+    """Exchange ratios of both factors against the full seed, as products of Fractions compared
+    cross-multiplied; returns violations."""
+    from skewpos.diagram import BoxRef
+    from skewpos.linalg import ratio_to_str
+
+    violations = []
+    for side, s, shift in (("right", c.right_seed, 0), ("left", c.left_seed, c.a - 1)):
+        for box in s.quiver.vertices:
+            if s.quiver.is_mutable(box):
+                got = exchange_products_oracle(s, box)
+                want = exchange_products_oracle(c.seed, BoxRef(box.a + shift, box.i))
+                if got[0] * want[1] != want[0] * got[1]:
+                    violations.append({"side": side, "box": [box.a, box.i],
+                                       "ratio": ratio_to_str(*got), "expected": ratio_to_str(*want)})
+    return violations
+
+
 # -- oracle: the step-dict polygon and Fraction ray casting the row-parity enclosure replaced --
 
 

@@ -347,6 +347,30 @@ def test_right_point_reads_no_minor(monkeypatch, n):
     assert columns and all(right_point(V, a) == P for a, P in want.items())
 
 
+@pytest.mark.parametrize("n", [12, 20, 32])
+def test_splice_report_reads_no_minor_and_keeps_the_quivers(monkeypatch, n):
+    """On a fresh point of the splice benchmark's staircases, every seed of every on-chart report
+    is read off a chart with no ``PointV.delta`` call; the quivers are kept on the diagrams, so a
+    second report at the same cut builds none."""
+    d = staircase(n)
+    columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(sample(d, seed=1), a)]
+    V = sample(d, seed=1)
+    built, post_init = [], skewpos.cluster.Quiver.__post_init__
+
+    def forbidden(*args):
+        raise AssertionError("a splice report read a minor")
+
+    monkeypatch.setattr(PointV, "delta", forbidden)
+    monkeypatch.setattr(skewpos.cluster.Quiver, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for a in columns:
+        splice_report(V, a)
+    assert columns and built
+    built.clear()
+    for a in columns:
+        splice_report(V, a)
+    assert built == []
+
+
 def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
     """Spans, containment, intersections and flags of integer columns stay in integer rows."""
     V = sample(intro, seed=16)

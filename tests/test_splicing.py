@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import skewpos
 from skewpos import (
     A_factor,
     BoxRef,
     Cut,
     OffChart,
     Partition,
+    Seed,
     SkewDiagram,
     beta,
     chart_is_everything,
@@ -21,6 +23,7 @@ from skewpos import (
     left_point,
     membership,
     phi,
+    quiver,
     right_point,
     sample,
     seed_at,
@@ -43,16 +46,20 @@ from conftest import (
     flag_at_cut,
     flag_W,
     from_matrix_oracle,
+    from_qcols,
     gauged,
     intro_off_chart_point,
+    minor,
     qcol,
     qrows,
     right_point_minor_oracle,
     right_point_oracle,
+    seed_at_delta_oracle,
     skew_diagrams,
     staircase,
     vec_add,
     vec_scale,
+    verify_exchange_ratios_oracle,
 )
 
 
@@ -454,6 +461,103 @@ class TestSeedReads:
                 assert verify_minor_scaling(c) == []
                 on_chart += 1
         assert on_chart == 1707  # seed 1 puts every cut on its chart
+
+
+def box_minors(P, minor_of) -> tuple:
+    """(box, minor at its long label) for every box of P's diagram, in the quiver's vertex order."""
+    d = P.diagram
+    return tuple((b, minor_of(d.long_label(b.a, b.i))) for b in d.boxes())
+
+
+class TestSeedOracle:
+    """``seed_at``, read off the chart block of each label prefix, against one ``PointV.delta`` per
+    box, whose quiver is built on a fresh copy of the diagram.  ``delta`` reads the same chart
+    blocks, so the values are also compared with k x k determinants of the point's columns."""
+
+    def test_every_cut_up_to_n6(self):
+        """V and both factors of every cut of every skew diagram with n <= 6: values and quiver."""
+        factors = 0
+        for d in all_skew_diagrams(6):
+            V = sample(d, seed=1)
+            assert seed_at(V) == seed_at_delta_oracle(V), d
+            for a in range(1, d.n - d.k + 1):
+                c = Cut.at(V, a)
+                for P in (c.left, c.right):
+                    assert seed_at(P) == seed_at_delta_oracle(P), (d, a)
+                    assert seed_at(P).values == box_minors(P, lambda J: delta_oracle(P, J)), (d, a)
+                    factors += 1
+        assert factors == 2 * 1707
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_staircase_in_two_gauges(self, n):
+        """V, a copy in a gauge whose columns at I_mu carry contents g_{b_i} != 1, and both factors
+        of every on-chart cut of each."""
+        d = staircase(n)
+        V = sample(d, seed=1)
+        W = gauged(V, det_one_matrix(random.Random(n), d.k))
+        assert any(h != 1 for h in (W._memo["chart"][3][b - 1] for b in d.I_mu()))
+        assert seed_at(V).values == box_minors(V, lambda J: minor(V.matrix, J))
+        for P in (V, W):
+            assert seed_at(P) == seed_at_delta_oracle(P)
+            assert seed_at(P).values == seed_at(V).values  # det g = 1: the same minors
+            columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(P, a)]
+            assert columns
+            for a in columns:
+                c = Cut.at(P, a)
+                for F in (c.left, c.right):
+                    assert seed_at(F) == seed_at_delta_oracle(F), (n, a)
+
+    def test_off_the_cluster_torus(self):
+        """The n = 11 point of ``test_exchange_ratios_off_the_cluster_torus``, where values vanish."""
+        V = sample(SkewDiagram(11, 8, Partition((3, 3, 2, 2)), Partition(())), subseed(276030479, "point", 0))
+        c = Cut.at(V, 1)
+        seeds = [seed_at(P) for P in (V, c.left, c.right)]
+        assert seeds == [seed_at_delta_oracle(P) for P in (V, c.left, c.right)]
+        assert [s.values for s in seeds] == [box_minors(P, lambda J: delta_oracle(P, J)) for P in (V, c.left, c.right)]
+        assert seeds[0].value(BoxRef(3, 1)) == 0
+
+
+class TestExchangeRatioOracle:
+    """``verify_exchange_ratios`` on integer products against the Fraction version."""
+
+    def test_mutant_cut(self, monkeypatch, intro):
+        """One right-factor seed value scaled by 2: the same violations, texts included."""
+        V, a, box = sample(intro, seed=16), 6, BoxRef(4, 1)
+        right, real = intro.cut(a)[1], skewpos.splicing.seed_at
+        assert quiver(right).is_mutable(box)
+
+        def scaled(P):
+            s = real(P)
+            if P.diagram is not right:
+                return s
+            return Seed(s.quiver, tuple((b, 2 * x if b == box else x) for b, x in s.values))
+
+        monkeypatch.setattr(skewpos.splicing, "seed_at", scaled)
+        c = Cut.at(V, a)
+        got = verify_exchange_ratios(c)
+        assert got and got == verify_exchange_ratios_oracle(c)
+        assert [(v["side"], v["box"]) for v in got] == [("right", [3, 1]), ("right", [4, 2])]  # box's neighbours
+
+    def test_off_the_cluster_torus(self):
+        V = sample(SkewDiagram(11, 8, Partition((3, 3, 2, 2)), Partition(())), subseed(276030479, "point", 0))
+        c = Cut.at(V, 1)
+        assert verify_exchange_ratios(c) == verify_exchange_ratios_oracle(c) == []
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_rational_seeds(self, n):
+        """Every on-chart cut of a staircase point whose columns off I_mu carry random rational
+        scales, so that every denominator of the products takes part."""
+        d, rng = staircase(n), random.Random(n)
+        U = sample(d, seed=1)
+        scales = [1 if t in d.I_mu() else Fraction(rng.choice([-3, -2, 1, 2, 5]), rng.randint(1, 7))
+                  for t in range(1, d.n + 1)]
+        V = PointV(d, from_qcols(vec_scale(x, qcol(U, t)) for t, x in zip(range(1, d.n + 1), scales)))
+        assert any(x.denominator > 1 for _, x in seed_at(V).values)
+        columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
+        assert columns
+        for a in columns:
+            c = Cut.at(V, a)
+            assert verify_exchange_ratios(c) == verify_exchange_ratios_oracle(c) == [], a
 
 
 def cyclic_labels(d):
