@@ -14,7 +14,9 @@ import hashlib
 import json
 import random
 import sys
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .braid import beta, render
 from .cluster import exchange_products, mutate, quiver_dot, quiver_json, seed_at
@@ -80,37 +82,66 @@ def positive_int(text: str) -> int:
     return value
 
 
-_INTS = frozenset((int,))  # a list holds only plain ints iff this is a superset of its item types
+_INTS, _ROWS = frozenset((int,)), frozenset((list, tuple))  # supersets of the item types of a batch
+# the text of a plain int, str, bool or None, by exact type: bool and int subclasses differ from int
+_SCALARS = {int: str, str: encode_basestring_ascii, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
 
-def _json_text(doc, pad: str = "\n") -> str:
+def _json_text(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` byte for byte, for documents with string keys.
-    Containers match by exact type.  Their int, str, bool and None items and their non-empty lists
-    of plain ints are written in place; the rest (floats, subclasses, non-JSON) goes to json."""
+    A run of like values is written as one batch (``_batch``): plain scalars of one type, int rows of
+    one width by one template, records of one key set column by column, and lists whose items batch
+    together.  A batch visits values out of document order, so where the writer raises (a key that is
+    not a string, an int too long for str(), a value of no JSON type), json.dumps runs on the whole
+    document to raise what it raises first."""
+    try:
+        return _text(doc, "\n")
+    except (TypeError, ValueError):
+        json.dumps(doc, sort_keys=True, indent=2)
+        raise
+
+
+def _text(doc, pad: str) -> str:
+    """The text of doc at indent pad; non-empty containers match by exact type, the rest goes to json."""
     kind, inner = type(doc), pad + "  "
-    if kind is dict:  # a generator, so each key is encoded before its value: json raises on a bad key first
-        items = ((encode_basestring_ascii(key) + ": ", doc[key]) for key in sorted(doc))
-    elif kind is list or kind is tuple:
-        if _INTS.issuperset(map(type, doc)):
-            return "[" + inner + ("," + inner).join(map(str, doc)) + pad + "]" if doc else "[]"
-        items = (("", x) for x in doc)
-    else:
-        return json.dumps(doc, sort_keys=True, indent=2).replace("\n", pad)
-    deeper, texts = inner + "  ", []
-    for prefix, x in items:
-        of = type(x)
-        if of is int:
-            texts.append(prefix + str(x))
-        elif of is str:
-            texts.append(prefix + encode_basestring_ascii(x))
-        elif of is bool or x is None:
-            texts.append(prefix + ("null" if x is None else "true" if x else "false"))
-        elif of is list and x and _INTS.issuperset(map(type, x)):
-            texts.append(prefix + "[" + deeper + ("," + deeper).join(map(str, x)) + inner + "]")
-        else:
-            texts.append(prefix + _json_text(x, inner))
-    start, end = "{}" if kind is dict else "[]"
-    return start + inner + ("," + inner).join(texts) + pad + end if texts else start + end
+    if kind is dict and doc:
+        keys = sorted(doc)
+        texts = map("{}: {}".format, map(encode_basestring_ascii, keys), _items(list(map(doc.get, keys)), inner))
+        return "{" + inner + ("," + inner).join(texts) + pad + "}"
+    if (kind is list or kind is tuple) and doc:
+        return "[" + inner + ("," + inner).join(_items(doc, inner)) + pad + "]"
+    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", pad)
+
+
+def _items(values, pad: str) -> list[str]:
+    """The texts of non-empty values, each at indent pad: as one batch, or else one by one."""
+    return _batch(values, pad) or [_SCALARS[type(x)](x) if type(x) in _SCALARS else _text(x, pad) for x in values]
+
+
+def _batch(values, pad: str) -> list[str] | None:
+    """The texts of non-empty values at indent pad when all are of one kind, else None: plain ints,
+    strs, bools or Nones by one map; lists or tuples of one width of plain ints by one str.format
+    template; other lists whose items batch, cut back into lists; dicts of one key set by column."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and next(iter(kinds)) in _SCALARS:
+        return list(map(_SCALARS[kinds.pop()], values))
+    inner = pad + "  "
+    if _ROWS.issuperset(kinds):
+        flat = list(chain.from_iterable(values))
+        if len(set(map(len, values))) == 1 and _INTS.issuperset(map(type, flat)):
+            template = "[" + inner + ("," + inner).join(["{}"] * len(values[0])) + pad + "]" if values[0] else "[]"
+            return list(starmap(template.format, values))
+        texts = _batch(flat, inner)
+        if texts is not None:
+            texts, sep = iter(texts), "," + inner
+            return ["[" + inner + sep.join(islice(texts, len(x))) + pad + "]" if x else "[]" for x in values]
+    elif kinds == {dict}:
+        keys = sorted(values[0])
+        if keys and all(map(values[0].keys().__eq__, map(dict.keys, values))):
+            fields = (encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys)
+            template = "{{" + inner + ("," + inner).join(fields) + pad + "}}"
+            return list(map(template.format, *(_items(list(map(itemgetter(key), values)), inner) for key in keys)))
+    return None
 
 
 def emit(doc, out: str | None) -> None:

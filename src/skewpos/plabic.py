@@ -19,7 +19,7 @@ odd number of the loop's vertical edges crossing row i lie east of its left edge
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import or_, xor
 
 from .diagram import BoxRef, InvariantError, SkewDiagram
@@ -27,6 +27,7 @@ from .permutations import baf
 
 Pt = tuple[int, int]
 _STEP = {"W": (-1, 0), "S": (0, -1), "E": (1, 0), "N": (0, 1)}
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _boundary_path(d: SkewDiagram) -> tuple[list[Pt], set[int]]:
@@ -128,11 +129,8 @@ def _trip(d: SkewDiagram, i: int, pts: list[Pt], vertical: set[int], exits: dict
         if x == x2:
             inside ^= east[max(y1, y2)][x]
     side = inside if clockwise else inside ^ (1 << len(boxes)) - 1
-    enclosed = []
-    while side:  # the set bits, lowest first, so the boxes keep the order of d.boxes()
-        low = side & -side
-        enclosed.append(boxes[low.bit_length() - 1])
-        side ^= low
+    # side's binary digits, lowest first, as 0/1 bytes pick the boxes in the order of d.boxes()
+    enclosed = compress(boxes, bin(side)[:1:-1].encode().translate(_BITS))
     orientation = "clockwise" if clockwise else "counterclockwise"
     return LatticeTrip(i, end, orientation, tuple(path), tuple(enclosed), labels_mu_region=not clockwise)
 
