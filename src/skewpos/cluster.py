@@ -65,7 +65,7 @@ def quiver(d: SkewDiagram) -> Quiver:
     if "quiver" not in d._memo:
         boxes = d.boxes()
         present = set(boxes)
-        frozen = frozenset(b for b in boxes if d.is_frozen(b.a, b.i))
+        frozen = frozenset(d.ribbon().R)  # the skew boxes on the ribbon of lambda, as in d.is_frozen
         arrows: list[tuple[Arrow, int]] = []
         for b in boxes:
             a, i = b

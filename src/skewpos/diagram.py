@@ -13,6 +13,7 @@ Conventions (used everywhere in this package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 
@@ -77,6 +78,15 @@ def conjugate(p: Partition) -> Partition:
     return Partition(tuple(sum(1 for q in p.parts if q >= j) for j in range(1, p.parts[0] + 1)))
 
 
+def _heights(parts: tuple[int, ...], w: int) -> tuple[int, ...]:
+    """(0, h_1, .., h_w): h_a counts the parts >= w + 1 - a, the height of column a from the right,
+    in one pass: a part p starts counting at column w + 1 - p, and a running sum adds them up."""
+    starts = [0] * (w + 1)
+    for p in parts:
+        starts[w + 1 - p] += 1
+    return tuple(accumulate(starts))
+
+
 class BoxRef(NamedTuple):
     """Box (a, i): a-th column from the right, i-th row from the bottom; equal to the tuple (a, i)."""
 
@@ -99,7 +109,7 @@ class SkewDiagram:
     mu_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     lambda_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _I_mu: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # cuts, quiver
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # cuts, labels, ribbon, quiver
 
     def __post_init__(self):
         n, k = self.n, self.k
@@ -114,16 +124,10 @@ class SkewDiagram:
         if not self.lam.contains(self.mu):
             bad = next(j for j in range(1, len(self.mu) + 1) if self.mu.part(j) > self.lam.part(j))
             raise ValueError(f"mu not contained in lambda at row {bad}")
-        lam_t = conjugate(self.lam)
-        mu_t = conjugate(self.mu)
-        # heights indexed a = 1..n-k from the right; index 0 unused
-        object.__setattr__(
-            self, "lambda_bar", (0,) + tuple(lam_t.part(n - k + 1 - a) for a in range(1, n - k + 1))
-        )
-        object.__setattr__(
-            self, "mu_bar", (0,) + tuple(mu_t.part(n - k + 1 - a) for a in range(1, n - k + 1))
-        )
-        object.__setattr__(self, "_I_mu", tuple(n - k - self.mu.part(j) + j for j in range(1, k + 1)))
+        w = n - k  # heights indexed a = 1..n-k from the right; index 0 unused
+        object.__setattr__(self, "lambda_bar", _heights(self.lam.parts, w))
+        object.__setattr__(self, "mu_bar", _heights(self.mu.parts, w))
+        object.__setattr__(self, "_I_mu", tuple(w - self.mu.part(j) + j for j in range(1, k + 1)))
 
     # -- box geometry -------------------------------------------------------
 
@@ -132,11 +136,6 @@ class SkewDiagram:
         if not (1 <= a <= self.n - self.k and 1 <= i <= self.k):
             return False
         return self.mu_bar[a] < i <= self.lambda_bar[a]
-
-    def in_lambda(self, a: int, i: int) -> bool:
-        if not (1 <= a <= self.n - self.k and 1 <= i <= self.k):
-            return False
-        return i <= self.lambda_bar[a]
 
     def in_mu(self, a: int, i: int) -> bool:
         if not (1 <= a <= self.n - self.k and 1 <= i <= self.k):
@@ -172,18 +171,29 @@ class SkewDiagram:
         """Labels of the vertical steps of the boundary path of lambda: d_i + i - 1."""
         return tuple(self.d(i) + i - 1 for i in range(1, self.k + 1))
 
-    def _require_box(self, a: int, i: int):
-        if not self.contains_box(a, i):
-            raise ValueError(f"box ({a},{i}) is not in lambda/mu")
-
     def short_label(self, a: int, i: int) -> tuple[int, ...]:
         """J(a, i): labels of the vertical steps of the short path of box (a, i)."""
-        self._require_box(a, i)
-        return tuple(map(min, range(a, a + i), self._I_mu[:i]))
+        return self.long_label(a, i)[:i]
 
     def long_label(self, a: int, i: int) -> tuple[int, ...]:
-        """I'(a, i) = J(a, i) together with the last k - i elements of I_mu."""
-        return self.short_label(a, i) + self._I_mu[i:]
+        """I'(a, i) = J(a, i) together with the last k - i elements of I_mu, read off the label table."""
+        if "labels" not in self._memo:
+            self._memo["labels"] = self._label_table()
+        label = self._memo["labels"].get((a, i))
+        if label is None:
+            raise ValueError(f"box ({a},{i}) is not in lambda/mu")
+        return label
+
+    def _label_table(self) -> dict[BoxRef, tuple[int, ...]]:
+        """I'(a, i) of every box, built column by column: J(a, i) is J(a, i - 1) and min(a + i - 1, b_i)."""
+        I, table = self._I_mu, {}
+        for a in range(1, self.n - self.k + 1):
+            m = self.mu_bar[a]
+            J = tuple(map(min, range(a, a + m), I[:m]))
+            for i in range(m + 1, self.lambda_bar[a] + 1):
+                J += (min(a + i - 1, I[i - 1]),)
+                table[BoxRef(a, i)] = J + I[i:]
+        return table
 
     def tilde_label(self, a: int, i: int) -> tuple[int, ...]:
         """J-hat(a, i) = {b_1, ..., b_i}, defined when (a, i) is in mu and (a-1, i) in lambda/mu."""
@@ -193,24 +203,23 @@ class SkewDiagram:
 
     # -- boundary ribbon ------------------------------------------------------
 
-    def in_ribbon_lambda(self, a: int, i: int) -> bool:
-        """Box of lambda whose northeast neighbor (a-1, i+1) falls outside lambda."""
-        return self.in_lambda(a, i) and not self.in_lambda(a - 1, i + 1)
-
     def ribbon(self) -> "RibbonDecomposition":
-        """Column a's ribbon boxes are its boxes of lambda at or above the height of column a-1."""
-        R, Rbar, R1 = [], [], []
-        for a in range(1, self.n - self.k + 1):
-            for i in range(max(self.lambda_bar[a - 1], 1), self.lambda_bar[a] + 1):
-                (R if i > self.mu_bar[a] else Rbar).append(BoxRef(a, i))
-            if self.mu_bar[a] < self.lambda_bar[a]:
-                R1.append(BoxRef(a, self.lambda_bar[a]))
-        return RibbonDecomposition(tuple(R), tuple(Rbar), tuple(R1))
+        """Column a's ribbon boxes are its boxes of lambda at or above the height of column a-1; built once."""
+        if "ribbon" not in self._memo:
+            R, Rbar, R1 = [], [], []
+            for a in range(1, self.n - self.k + 1):
+                for i in range(max(self.lambda_bar[a - 1], 1), self.lambda_bar[a] + 1):
+                    (R if i > self.mu_bar[a] else Rbar).append(BoxRef(a, i))
+                if self.mu_bar[a] < self.lambda_bar[a]:
+                    R1.append(BoxRef(a, self.lambda_bar[a]))
+            self._memo["ribbon"] = RibbonDecomposition(tuple(R), tuple(Rbar), tuple(R1))
+        return self._memo["ribbon"]
 
     def is_frozen(self, a: int, i: int) -> bool:
-        """Frozen cluster variables sit exactly on the ribbon boxes of lambda/mu."""
-        self._require_box(a, i)
-        return self.in_ribbon_lambda(a, i)
+        """Frozen cluster variables sit exactly on the ribbon boxes of lambda/mu, the ribbon's R."""
+        if not self.contains_box(a, i):
+            raise ValueError(f"box ({a},{i}) is not in lambda/mu")
+        return (a, i) in self.ribbon().R
 
     # -- cutting --------------------------------------------------------------
 

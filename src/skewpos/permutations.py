@@ -85,7 +85,7 @@ class GrassmannNecklace:
         if len(entries) != self.n:
             raise ValueError(f"expected {self.n} entries, got {len(entries)}")
         for e in entries:
-            if len(e) != self.k or not all(1 <= x <= self.n for x in e):
+            if len(e) != self.k or e and not 1 <= e[0] <= e[-1] <= self.n:  # e is sorted
                 raise ValueError(f"entry {e} is not a k-subset of [n]")
         for i in range(1, self.n + 1):
             prev = set(entries[i - 2])  # I_{i-1}, cyclically (i=1 -> I_n)

@@ -26,7 +26,6 @@ from .diagram import BoxRef, InvariantError, SkewDiagram
 from .permutations import baf
 
 Pt = tuple[int, int]
-_STEP = {"W": (-1, 0), "S": (0, -1), "E": (1, 0), "N": (0, 1)}
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -61,42 +60,23 @@ class LatticeTrip:
     labels_mu_region: bool
 
 
-def _in_skew(d: SkewDiagram, c: int, r: int) -> bool:
-    """Box membership in left-column/bottom-row coordinates."""
-    return d.contains_box(d.n - d.k + 1 - c, r)
-
-
-def _edge_allowed(d: SkewDiagram, pos: Pt, direction: str) -> bool:
-    """A unit step is allowed when its edge borders at least one skew-diagram box."""
-    x, y = pos
-    if direction == "W":
-        return x - 1 >= 0 and (_in_skew(d, x, y + 1) or _in_skew(d, x, y))
-    if direction == "S":
-        return y - 1 >= 0 and (_in_skew(d, x, y) or _in_skew(d, x + 1, y))
-    raise ValueError(direction)
-
-
-def _move(pos: Pt, direction: str) -> Pt:
-    dx, dy = _STEP[direction]
-    return pos[0] + dx, pos[1] + dy
-
-
 def _trip_inputs(d: SkewDiagram):
     """What every trip of d reads: the boundary path, I_lambda, the exit lookup by orientation
-    (clockwise trips exit at the end of a horizontal step), the boxes and two masks, box j being
-    bit j: ``east[r][x]``, the boxes of row r west of x, which a vertical edge at x across row r
-    moves to the other side of a loop, and ``arc[t]``, ``east`` XORed over the boundary's
-    vertical steps 1..t."""
+    (clockwise trips exit at the end of a horizontal step), the boxes and three masks, box j being
+    bit j: ``rows[r][c]``, the box in left-column c, bottom-row r, or 0 where there is none (rows
+    0..k + 1, columns 0..n - k + 1, so a step off the rectangle meets no box); ``east[r][x]``, the
+    boxes of row r west of x, which a vertical edge at x across row r moves to the other side of a
+    loop; and ``arc[t]``, ``east`` XORed over the boundary's vertical steps 1..t."""
     pts, vertical = _boundary_path(d)
     exits = {True: {pts[t]: t for t in range(1, d.n + 1) if t not in vertical},
              False: {pts[t - 1]: t for t in vertical}}
     boxes = d.boxes()
-    rows = [[0] * (d.n - d.k + 1) for _ in range(d.k + 1)]
+    rows = [[0] * (d.n - d.k + 2) for _ in range(d.k + 2)]
     for j, (a, i) in enumerate(boxes):
         rows[i][d.n - d.k + 1 - a] = 1 << j  # box (a, i) has its left edge at x = n - k - a
     east = [list(accumulate(row, or_)) for row in rows]
     steps = (east[y + 1][x] if t in vertical else 0 for t, (x, y) in enumerate(pts[:-1], 1))
-    return pts, vertical, exits, boxes, east, list(accumulate(steps, xor, initial=0))
+    return pts, vertical, exits, boxes, rows, east, list(accumulate(steps, xor, initial=0))
 
 
 def trip(d: SkewDiagram, i: int) -> LatticeTrip:
@@ -106,28 +86,38 @@ def trip(d: SkewDiagram, i: int) -> LatticeTrip:
     return _trip(d, i, *_trip_inputs(d))
 
 
-def _trip(d: SkewDiagram, i: int, pts: list[Pt], vertical: set[int], exits: dict, boxes, east, arc) -> LatticeTrip:
-    pos, direction = (pts[i - 1], "W") if i in vertical else (pts[i], "S")
-    path = [pos]
-    while _edge_allowed(d, pos, direction):  # staircase southwest
-        pos = _move(pos, direction)
-        path.append(pos)
-        direction = "S" if direction == "W" else "W"
+def _trip(d: SkewDiagram, i: int, pts: list[Pt], vertical: set[int], exits: dict, boxes, rows, east,
+          arc) -> LatticeTrip:
+    (x, y), west = (pts[i - 1], True) if i in vertical else (pts[i], False)
+    path, inside = [(x, y)], 0  # inside: the boxes the path's vertical edges move across
+    while True:  # staircase southwest while the next edge borders a box of the skew shape
+        if west:
+            if not (rows[y + 1][x] or rows[y][x]):
+                break
+            x -= 1
+        else:
+            if not (rows[y][x] or rows[y][x + 1]):
+                break
+            inside ^= east[y][x]
+            y -= 1
+        path.append((x, y))
+        west = not west
     # reflect, then run north to the end of a horizontal step or east to the start of a vertical one
-    clockwise = direction == "S"
-    run, exit_at = ("N" if clockwise else "E"), exits[clockwise]
-    while pos not in exit_at:
-        if len(path) > 2 * d.n:
-            raise RuntimeError(f"trip {i} failed to terminate; manual inspection required")
-        pos = _move(pos, run)
-        path.append(pos)
-    end = exit_at[pos]
+    clockwise = not west
+    exit_at = exits[clockwise]
+    while (x, y) not in exit_at:
+        if (y == d.k) if clockwise else (x == d.n - d.k):
+            raise InvariantError(f"trip {i} reached {(x, y)} on the edge of the rectangle with no exit on its run")
+        if clockwise:
+            y += 1
+            inside ^= east[y][x]
+        else:
+            x += 1
+        path.append((x, y))
+    end = exit_at[x, y]
     # the loop closes along the boundary arc from the exit back to the entry, whose vertical
     # steps are those t with i <= t < end (clockwise) or end <= t < i (counterclockwise)
-    inside = arc[end - 1] ^ arc[i - 1]
-    for (x, y1), (x2, y2) in zip(path, path[1:]):
-        if x == x2:
-            inside ^= east[max(y1, y2)][x]
+    inside ^= arc[end - 1] ^ arc[i - 1]
     side = inside if clockwise else inside ^ (1 << len(boxes)) - 1
     # side's binary digits, lowest first, as 0/1 bytes pick the boxes in the order of d.boxes()
     enclosed = compress(boxes, bin(side)[:1:-1].encode().translate(_BITS))

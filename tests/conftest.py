@@ -564,6 +564,17 @@ def boxes_by_side_oracle(d, polygon, inside: bool):
 # -- oracle: the per-box scan the ribbon's column ranges replaced ------------------------------
 
 
+def in_lambda_oracle(d, a: int, i: int) -> bool:
+    if not (1 <= a <= d.n - d.k and 1 <= i <= d.k):
+        return False
+    return i <= d.lambda_bar[a]
+
+
+def in_ribbon_lambda_oracle(d, a: int, i: int) -> bool:
+    """Box of lambda whose northeast neighbor (a-1, i+1) falls outside lambda: the per-box frozen test."""
+    return in_lambda_oracle(d, a, i) and not in_lambda_oracle(d, a - 1, i + 1)
+
+
 def ribbon_oracle(d):
     """(R, Rbar) by testing every box of lambda for a northeast neighbour outside lambda."""
     from skewpos.diagram import BoxRef
@@ -571,9 +582,67 @@ def ribbon_oracle(d):
     R, Rbar = [], []
     for a in range(1, d.n - d.k + 1):
         for i in range(1, d.lambda_bar[a] + 1):
-            if d.in_ribbon_lambda(a, i):
+            if in_ribbon_lambda_oracle(d, a, i):
                 (R if i > d.mu_bar[a] else Rbar).append(BoxRef(a, i))
     return tuple(R), tuple(Rbar)
+
+
+# -- oracle: the per-box label formula the kept label table replaced ---------------------------
+
+
+def long_label_oracle(d, a: int, i: int) -> tuple[int, ...]:
+    """I'(a, i) = (min(a, b_1), .., min(a + i - 1, b_i)) followed by b_{i+1}, .., b_k."""
+    I_mu = d.I_mu()
+    return tuple(map(min, range(a, a + i), I_mu[:i])) + I_mu[i:]
+
+
+# -- oracle: the step-by-step walk the row-mask staircase replaced ------------------------------
+
+_STEP = {"W": (-1, 0), "S": (0, -1), "E": (1, 0), "N": (0, 1)}
+
+
+def _in_skew(d, c: int, r: int) -> bool:
+    """Box membership in left-column/bottom-row coordinates."""
+    return d.contains_box(d.n - d.k + 1 - c, r)
+
+
+def _edge_allowed(d, pos, direction: str) -> bool:
+    """A unit step is allowed when its edge borders at least one skew-diagram box."""
+    x, y = pos
+    if direction == "W":
+        return x - 1 >= 0 and (_in_skew(d, x, y + 1) or _in_skew(d, x, y))
+    if direction == "S":
+        return y - 1 >= 0 and (_in_skew(d, x, y) or _in_skew(d, x + 1, y))
+    raise ValueError(direction)
+
+
+def _move(pos, direction: str):
+    dx, dy = _STEP[direction]
+    return pos[0] + dx, pos[1] + dy
+
+
+def trip_walk_oracle(d, i: int):
+    """(path, end, orientation) of trip i: a staircase southwest, one membership test per step,
+    then a straight run north (clockwise) or east (counterclockwise) to its exit on the boundary."""
+    from skewpos.plabic import _boundary_path
+
+    pts, vertical = _boundary_path(d)
+    exits = {True: {pts[t]: t for t in range(1, d.n + 1) if t not in vertical},
+             False: {pts[t - 1]: t for t in vertical}}
+    pos, direction = (pts[i - 1], "W") if i in vertical else (pts[i], "S")
+    path = [pos]
+    while _edge_allowed(d, pos, direction):  # staircase southwest
+        pos = _move(pos, direction)
+        path.append(pos)
+        direction = "S" if direction == "W" else "W"
+    clockwise = direction == "S"
+    run, exit_at = ("N" if clockwise else "E"), exits[clockwise]
+    while pos not in exit_at:
+        if len(path) > 2 * d.n:
+            raise RuntimeError(f"trip {i} failed to terminate; manual inspection required")
+        pos = _move(pos, run)
+        path.append(pos)
+    return tuple(path), exit_at[pos], "clockwise" if clockwise else "counterclockwise"
 
 
 def staircase(n: int) -> SkewDiagram:

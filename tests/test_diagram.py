@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from skewpos import BoxRef, Partition, SkewDiagram, conjugate, quiver, sample, seed_at, source_labels, trips
 
-from conftest import all_skew_diagrams, ribbon_oracle, skew_diagrams
+from conftest import (all_skew_diagrams, in_ribbon_lambda_oracle, long_label_oracle, ribbon_oracle,
+                      skew_diagrams)
 
 
 def brute_conjugate(parts):
@@ -42,7 +44,30 @@ class TestPartitionValidation:
             SkewDiagram(6, 2, Partition((2, 1)), Partition((2, 2)))
 
 
+@st.composite
+def boxed_diagrams(draw):
+    """mu <= lambda in a k x w box, k <= 8 and w <= 8, each part drawn under its cap."""
+    k, w = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    lam = sorted((draw(st.integers(0, w)) for _ in range(k)), reverse=True)
+    mu, cap = [], w
+    for p in lam:
+        cap = draw(st.integers(0, min(p, cap)))
+        mu.append(cap)
+    return SkewDiagram(k + w, k, Partition(tuple(lam)), Partition(tuple(mu)))
+
+
 class TestColumnHeights:
+    @given(boxed_diagrams())
+    @example(SkewDiagram(7, 3, Partition(), Partition()))
+    @example(SkewDiagram(3, 3, Partition(), Partition()))
+    @example(SkewDiagram(7, 3, Partition((4, 4, 4)), Partition()))
+    @example(SkewDiagram(7, 3, Partition((4, 4, 4)), Partition((4, 4, 4))))
+    def test_one_pass_heights_are_the_conjugates(self, d):
+        """lambda_bar and mu_bar against the conjugate partitions they were read from."""
+        w = d.n - d.k
+        for p, bar in ((d.lam, d.lambda_bar), (d.mu, d.mu_bar)):
+            assert bar == (0,) + tuple(conjugate(p).part(w + 1 - a) for a in range(1, w + 1)), d
+
     def test_running(self, running):
         mu_bar, lambda_bar = running.mu_bar[1:], running.lambda_bar[1:]
         assert lambda_bar == (2, 2, 3, 3, 4, 4, 5)
@@ -144,6 +169,13 @@ class TestLongLabel:
             assert len(running.long_label(box.a, box.i)) == running.k
             assert len(running.short_label(box.a, box.i)) == box.i
 
+    def test_table_matches_the_formula_up_to_n8(self):
+        """Every label the kept table gives, long and short, is the per-box formula's."""
+        for d in all_skew_diagrams(8):
+            for a, i in d.boxes():
+                want = long_label_oracle(d, a, i)
+                assert d.long_label(a, i) == want and d.short_label(a, i) == want[:i], (d, (a, i))
+
     def test_strictly_ascending_up_to_n8(self):
         """min(a+j-1, b_j) and b_j both grow with j, so the seed reads minors unsorted."""
         for d in all_skew_diagrams(8):
@@ -227,6 +259,13 @@ class TestRibbon:
         for d in all_skew_diagrams(7):
             rib = d.ribbon()
             assert (rib.R, rib.Rbar) == ribbon_oracle(d), d
+
+    def test_frozen_boxes_are_the_ribbon(self):
+        """Every diagram with n <= 7: the quiver's frozen set, is_frozen and the per-box ribbon test agree."""
+        for d in all_skew_diagrams(7):
+            frozen = {b for b in d.boxes() if d.is_frozen(*b)}
+            assert quiver(d).frozen == frozen, d
+            assert frozen == {b for b in d.boxes() if in_ribbon_lambda_oracle(d, *b)}, d
 
     @given(skew_diagrams())
     def test_ribbon_size(self, d):

@@ -296,6 +296,26 @@ def test_one_trip_per_boundary_edge(counted, fixture, request):
     assert sorted(c[1] for c in calls) == list(range(1, d.n + 1))
 
 
+def test_inspect_commands_build_each_invariant_once(monkeypatch, counted, capsys):
+    """The four commands of the benchmark's ``inspect`` op on staircase(64): the column heights come
+    from one pass over the parts, never from ``conjugate``, and each command that reads long labels
+    builds the label table once (``plabic`` reads none)."""
+    def forbidden(p):
+        raise RuntimeError("conjugate called")
+
+    monkeypatch.setattr(skewpos.diagram, "conjugate", forbidden)
+    builds = counted(SkewDiagram._label_table)
+    diagram = json.dumps(staircase(64).to_json())
+    got = {}
+    for argv in (["inspect"], ["plabic", "--format", "json"], ["quiver", "--format", "json"],
+                 ["verify", "--only", "plabic"]):
+        builds.clear()
+        assert main(argv[:1] + ["--diagram", diagram] + argv[1:]) == 0
+        got[" ".join(argv)] = len(builds)
+    capsys.readouterr()
+    assert got == {"inspect": 1, "plabic --format json": 0, "quiver --format json": 1, "verify --only plabic": 1}
+
+
 def test_one_boundary_path_per_trips(counted, intro):
     calls = counted(_boundary_path)
     trips(intro)

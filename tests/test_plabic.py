@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,8 +8,11 @@ from skewpos import BoxRef, Partition, SkewDiagram, baf, plabic, source_labels, 
 from skewpos.diagram import InvariantError
 from skewpos.plabic import _boundary_path, ascii_grid, mu_region_label, trips_json, verify_trips
 
+from skewpos.cli import main
+
 from conftest import (all_skew_diagrams, boxes_by_side_oracle, enclosed_boxes_oracle, random_band,
-                      skew_diagrams, staircase)
+                      skew_diagrams, staircase, trip_walk_oracle)
+from test_cli import RUNNING
 
 
 class TestFigureTrips:
@@ -145,6 +149,26 @@ class TestEnclosureAtBenchmarkSize:
                 assert T.boxes == boxes_by_side_oracle(d, list(T.path) + arc, clockwise), (d, T.start)
 
 
+class TestWalkOracle:
+    """The staircase on the row masks against the walk by one membership test per step."""
+
+    @staticmethod
+    def check(d):
+        for T in trips(d):
+            assert (T.path, T.end, T.orientation) == trip_walk_oracle(d, T.start), (d, T.start)
+
+    def test_every_diagram_up_to_n7(self):
+        for d in all_skew_diagrams(7):
+            self.check(d)
+
+    @pytest.mark.parametrize("n", range(32, 65, 8))
+    def test_staircase_and_bands(self, n):
+        k = (3 * n + 7) // 8
+        rng = random.Random(n)
+        for d in [staircase(n)] + [random_band(rng, n, k) for _ in range(4)]:
+            self.check(d)
+
+
 class TestFailureMessages:
     """A failed trip check names its box by the BoxRef repr."""
 
@@ -162,6 +186,31 @@ class TestFailureMessages:
         with pytest.raises(InvariantError) as exc:
             verify_trips(running)
         assert str(exc.value) == message
+
+
+class TestNonTerminatingTrip:
+    """A trip whose run meets no exit raises InvariantError, which verify reports as a plabic failure."""
+
+    @pytest.fixture
+    def no_exits(self, monkeypatch):
+        inputs = plabic._trip_inputs
+
+        def without_exits(d):
+            pts, vertical, _, *rest = inputs(d)
+            return (pts, vertical, {True: {}, False: {}}, *rest)
+
+        monkeypatch.setattr(plabic, "_trip_inputs", without_exits)
+
+    def test_names_the_start_and_the_point(self, running, no_exits):
+        with pytest.raises(InvariantError) as exc:
+            trips(running)
+        assert str(exc.value) == "trip 1 reached (6, 5) on the edge of the rectangle with no exit on its run"
+
+    def test_verify_reports_a_plabic_failure(self, no_exits, capsys):
+        assert main(["verify", "--diagram", RUNNING, "--only", "plabic"]) == 1
+        (failure,) = json.loads(capsys.readouterr().out)["failures"]
+        assert failure["check"] == "plabic"
+        assert failure["detail"] == "trip 1 reached (6, 5) on the edge of the rectangle with no exit on its run"
 
 
 class TestRendering:
