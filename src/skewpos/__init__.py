@@ -2,7 +2,7 @@
 
 from .braid import BraidWord, beta, cut_braid
 from .cluster import Quiver, Seed, exchange_products, mutate, quiver, seed_at
-from .diagram import BoxRef, InvariantError, Partition, RibbonDecomposition, SkewDiagram, conjugate
+from .diagram import BoxRef, InvariantError, Partition, RibbonDecomposition, SkewDiagram
 from .linalg import FlagK, RatMatrix, Subspace, transversal
 from .permutations import (
     BoundedAffinePermutation,
@@ -45,7 +45,7 @@ from .variety import (
 __all__ = [
     "BraidWord", "beta", "cut_braid",
     "Quiver", "Seed", "exchange_products", "mutate", "quiver", "seed_at",
-    "BoxRef", "InvariantError", "Partition", "RibbonDecomposition", "SkewDiagram", "conjugate",
+    "BoxRef", "InvariantError", "Partition", "RibbonDecomposition", "SkewDiagram",
     "FlagK", "RatMatrix", "Subspace", "transversal",
     "BoundedAffinePermutation", "GrassmannNecklace", "PermWord", "baf", "baf_to_necklace", "necklace",
     "necklace_to_baf", "verify_f_factorization", "w_grassmannian", "w_skew",

@@ -36,11 +36,14 @@ def subseed(seed: int, *parts) -> int:
 
 def load_json(source: str, option: str) -> dict:
     """The JSON object given to --option, inline or as the path of a JSON file."""
-    if source.lstrip().startswith(("{", "[")):
-        doc = json.loads(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    try:
+        if source.lstrip().startswith(("{", "[")):
+            doc = json.loads(source)
+        else:
+            with open(source) as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise ValueError(f"--{option} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"--{option} must be a JSON object, not {type(doc).__name__}")
     return doc

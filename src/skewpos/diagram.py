@@ -21,6 +21,9 @@ class InvariantError(AssertionError):
     """A mathematical invariant of the package failed; raised explicitly, so it also runs under -O."""
 
 
+MAX_N = 1 << 16  # the largest n a diagram read from JSON may have, so its column heights fit in memory
+
+
 def json_key(obj, what: str, key: str, valid, expected: str, default=None):
     """obj[key] of a parsed JSON object; raises ValueError naming a missing or ill-typed key."""
     if not isinstance(obj, dict) or (key not in obj and default is None):
@@ -51,14 +54,8 @@ class Partition:
             raise ValueError(f"parts not weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __len__(self):
         return len(self.parts)
-
-    def __getitem__(self, j):
-        return self.parts[j]
 
     def size(self) -> int:
         return sum(self.parts)
@@ -69,13 +66,6 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         return all(other.part(j) <= self.part(j) for j in range(1, len(other) + 1))
-
-
-def conjugate(p: Partition) -> Partition:
-    """Transpose partition: conjugate(p).part(j) counts parts of p that are >= j."""
-    if not p.parts:
-        return Partition()
-    return Partition(tuple(sum(1 for q in p.parts if q >= j) for j in range(1, p.parts[0] + 1)))
 
 
 def _heights(parts: tuple[int, ...], w: int) -> tuple[int, ...]:
@@ -252,7 +242,7 @@ class SkewDiagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SkewDiagram":
-        n = json_key(obj, "diagram", "n", lambda x: type(x) is int, "an integer")
+        n = json_key(obj, "diagram", "n", lambda x: type(x) is int and x <= MAX_N, f"an integer at most {MAX_N}")
         k = json_key(obj, "diagram", "k", lambda x: type(x) is int, "an integer")
         lam = json_key(obj, "diagram", "lambda", _int_list, "a list of integers")
         mu = json_key(obj, "diagram", "mu", _int_list, "a list of integers", default=[])

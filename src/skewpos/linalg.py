@@ -160,10 +160,6 @@ class Subspace:
                 raise ValueError("vector of wrong ambient dimension")
         return cls(ambient, tuple(_echelon(vectors, ambient)[0]))
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -217,7 +213,7 @@ class FlagK:
     def step(self, i: int) -> Subspace:
         """F_i, 1-based; F_0 is the zero subspace."""
         if i == 0:
-            return Subspace.zero(self.ambient)
+            return Subspace(self.ambient, ())
         return self.steps[i - 1]
 
 

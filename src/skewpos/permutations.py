@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import InvariantError, Partition, SkewDiagram, conjugate
+from .diagram import InvariantError, Partition, SkewDiagram, _heights
 
 
 # -- plain symmetric-group helpers -----------------------------------------------
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
 
 def compose(x, y) -> tuple[int, ...]:
     """(x y)(i) = x(y(i))."""
@@ -35,18 +31,12 @@ def inversions(w) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
-def adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
-    """s_i swapping i and i+1, for 1 <= i <= n-1."""
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def from_word(n: int, word) -> tuple[int, ...]:
-    w = identity(n)
-    for letter in word:
-        w = compose(w, adjacent_transposition(n, letter))
-    return w
+    """The product of the word: right multiplication by s_i swaps the entries at positions i and i+1."""
+    w = list(range(1, n + 1))
+    for i in word:
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
 
 
 @dataclass(frozen=True)
@@ -205,13 +195,11 @@ def w_grassmannian(p: Partition, n: int, k: int) -> PermWord:
     """
     if len(p) > k or p.part(1) > n - k:
         raise ValueError("partition does not fit in the k x (n-k) box")
-    pt = conjugate(p)
-    one_line = tuple(n - k - p.part(i) + i for i in range(1, k + 1)) + tuple(
-        a + pt.part(n - k + 1 - a) for a in range(1, n - k + 1)
-    )
+    h = _heights(p.parts, n - k)  # h[a]: height of column a from the right
+    one_line = tuple(n - k - p.part(i) + i for i in range(1, k + 1)) + tuple(a + h[a] for a in range(1, n - k + 1))
     word: list[int] = []
-    for j in range(n - k, 0, -1):  # factor j is the ascending run s_{j+height(col j from right)} .. s_{k+j-1}
-        word.extend(range(j + pt.part(n - k + 1 - j), k + j))
+    for j in range(n - k, 0, -1):  # factor j is the ascending run s_{j+h[j]} .. s_{k+j-1}
+        word.extend(range(j + h[j], k + j))
     return PermWord(one_line, tuple(word))
 
 
@@ -229,25 +217,10 @@ def w_skew(d: SkewDiagram) -> PermWord:
     return w
 
 
-def t_k_window(n: int, k: int) -> tuple[int, ...]:
-    """The affine translation [1+n, ..., k+n, k+1, ..., n]."""
-    return tuple(range(1 + n, k + n + 1)) + tuple(range(k + 1, n + 1))
-
-
 def verify_f_factorization(d: SkewDiagram) -> bool:
-    """Check baf(d) = w_lambda t_k w_mu^{-1} (affine composition)."""
+    """Check baf(d) = w_lambda t_k w_mu^{-1} (affine composition): t_k adds n to 1..k and fixes
+    k+1..n, and the n-periodic extension of w_lambda carries that n along."""
     n, k = d.n, d.k
     wl = w_grassmannian(d.lam, n, k).perm
     wm_inv = inverse(w_grassmannian(d.mu, n, k).perm)
-    tk = t_k_window(n, k)
-
-    def affine(window, i):
-        q, r = divmod(i - 1, n)
-        return window[r] + q * n
-
-    window = []
-    for i in range(1, n + 1):
-        x = wm_inv[i - 1]
-        y = affine(tk, x)
-        window.append(affine(wl, y))
-    return tuple(window) == baf(d).window
+    return tuple(wl[x - 1] + n * (x <= k) for x in wm_inv) == baf(d).window

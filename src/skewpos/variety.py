@@ -34,13 +34,6 @@ from .linalg import (
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
 
 
-def _cyclic_column(M: RatMatrix, t: int) -> tuple[int, ...]:
-    """Column t of ``M.num``, any integer t, with v_{t+n} = (-1)^{k-1} v_t."""
-    q, r = divmod(t - 1, M.ncols)
-    v = M.column(r + 1)
-    return v if (q * (M.nrows - 1)) % 2 == 0 else tuple(-x for x in v)
-
-
 class OffVariety(ValueError):
     """The matrix is not a point of the variety of its diagram; the counterpart of ``OffChart``."""
 
@@ -88,8 +81,10 @@ class PointV:
         return cls(d, RatMatrix(T, D) if D > 0 else RatMatrix([[-x for x in r] for r in T], -D), seed)
 
     def column(self, t: int) -> tuple[int, ...]:
-        """Column t of ``matrix.num`` with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
-        return _cyclic_column(self.matrix, t)
+        """Column t of ``matrix.num``, any integer t, with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
+        q, r = divmod(t - 1, self.matrix.ncols)
+        v = self.matrix.column(r + 1)
+        return v if q * (self.diagram.k - 1) % 2 == 0 else tuple(-x for x in v)
 
     def delta(self, J) -> Fraction:
         """Signed minor in the listed column order (cyclic indices allowed).

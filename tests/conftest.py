@@ -645,6 +645,57 @@ def trip_walk_oracle(d, i: int):
     return tuple(path), exit_at[pos], "clockwise" if clockwise else "counterclockwise"
 
 
+
+# -- oracles: the transpose, the per-letter word product and the translation-window
+# -- factorization that the column heights, position swaps and one-line check replaced ------------
+
+
+def conjugate(p: Partition) -> Partition:
+    """Transpose partition: conjugate(p).part(j) counts parts of p that are >= j; the heights oracle."""
+    if not p.parts:
+        return Partition()
+    return Partition(tuple(sum(1 for q in p.parts if q >= j) for j in range(1, p.parts[0] + 1)))
+
+
+def from_word_oracle(n: int, word) -> tuple[int, ...]:
+    """The word multiplied out by composing with the one-line s_i of each letter in turn."""
+    from skewpos.permutations import compose
+
+    w = tuple(range(1, n + 1))
+    for i in word:
+        s = list(range(1, n + 1))
+        s[i - 1], s[i] = s[i], s[i - 1]
+        w = compose(w, tuple(s))
+    return w
+
+
+def w_grassmannian_oracle(p: Partition, n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(one-line, column word) of the k-Grassmannian permutation, the column heights read off conjugate(p)."""
+    pt = conjugate(p)
+    one_line = tuple(n - k - p.part(i) + i for i in range(1, k + 1)) + tuple(
+        a + pt.part(n - k + 1 - a) for a in range(1, n - k + 1)
+    )
+    word: list[int] = []
+    for j in range(n - k, 0, -1):
+        word.extend(range(j + pt.part(n - k + 1 - j), k + j))
+    return one_line, tuple(word)
+
+
+def f_factorization_oracle(d) -> bool:
+    """baf(d) = w_lambda t_k w_mu^{-1}, composed affinely with the window [1+n, .., k+n, k+1, .., n] of t_k."""
+    from skewpos.permutations import baf, inverse
+
+    n, k = d.n, d.k
+    wl = w_grassmannian_oracle(d.lam, n, k)[0]
+    wm_inv = inverse(w_grassmannian_oracle(d.mu, n, k)[0])
+    tk = tuple(range(1 + n, k + n + 1)) + tuple(range(k + 1, n + 1))
+
+    def affine(window, i):
+        q, r = divmod(i - 1, n)
+        return window[r] + q * n
+
+    return tuple(affine(wl, affine(tk, wm_inv[i - 1])) for i in range(1, n + 1)) == baf(d).window
+
 def staircase(n: int) -> SkewDiagram:
     """k = (3n + 7) // 8 and, with w = n - k, lambda_j = max(w - j, 1), mu_j = max(w - j - 3, 0)."""
     k = (3 * n + 7) // 8

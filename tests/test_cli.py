@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewpos.cli import _json_text, main, random_diagram, subseed
+from skewpos.diagram import MAX_N
 
 RUNNING = '{"n": 12, "k": 5, "lambda": [7, 7, 5, 3, 1], "mu": [3, 3, 2]}'
 INTRO = '{"n": 12, "k": 5, "lambda": [7, 7, 5, 3, 1], "mu": [3, 1]}'
@@ -306,6 +307,30 @@ class TestInputErrors:
     def test_malformed_json(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("where", ["diagram-inline", "diagram-file", "inside-a-diagram-file", "point"])
+    def test_deep_nesting(self, capsys, tmp_path, where):
+        """JSON nested past the decoder's recursion limit is an input error, not a RecursionError."""
+        deep = "[" * 100000
+        f = tmp_path / "deep.json"
+        f.write_text('{"n": 12, "k": 5, "lambda": %s}' % deep if where == "inside-a-diagram-file" else deep)
+        diagram = {"diagram-inline": deep, "point": INTRO}.get(where, str(f))
+        point = ["--point", deep] if where == "point" else []
+        code, out, err = run(capsys, "splice", "--diagram", diagram, "--column", "6", *point)
+        option = "point" if point else "diagram"
+        assert code == 2 and out == "" and err == f"input error: --{option} is nested too deeply\n"
+
+    @pytest.mark.parametrize("n", [10**19, 10**17], ids=["overflows", "out-of-memory"])
+    @pytest.mark.parametrize("option", ["diagram", "point"])
+    def test_n_too_large(self, capsys, n, option):
+        """An n whose column heights could not be allocated is refused before any allocation."""
+        diagram = '{"n": %d, "k": 1, "lambda": []}' % n
+        point = '{"diagram": %s, "matrix": [[1]]}' % diagram
+        argv = ["splice", "--diagram", diagram, "--column", "6"] if option == "diagram" else \
+            ["splice", "--diagram", INTRO, "--column", "6", "--point", point]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"input error: diagram key 'n' must be an integer at most {MAX_N}, got {n}\n"
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--diagram", RUNNING, "--bound", "0"],

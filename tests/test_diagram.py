@@ -2,9 +2,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from skewpos import BoxRef, Partition, SkewDiagram, conjugate, quiver, sample, seed_at, source_labels, trips
+from skewpos import BoxRef, Partition, SkewDiagram, quiver, sample, seed_at, source_labels, trips
 
-from conftest import (all_skew_diagrams, in_ribbon_lambda_oracle, long_label_oracle, ribbon_oracle,
+from conftest import (all_skew_diagrams, conjugate, in_ribbon_lambda_oracle, long_label_oracle, ribbon_oracle,
                       skew_diagrams)
 
 

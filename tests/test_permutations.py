@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import skewpos.permutations
 from skewpos import (
     Partition,
     SkewDiagram,
@@ -17,10 +21,12 @@ from skewpos.permutations import (
     GrassmannNecklace,
     PermWord,
     compose,
+    from_word,
     inverse,
 )
 
-from conftest import skew_diagrams
+from conftest import (all_skew_diagrams, f_factorization_oracle, from_word_oracle, skew_diagrams,
+                      w_grassmannian_oracle)
 
 RUNNING_NECKLACE = (
     (1, 6, 8, 11, 12), (1, 2, 8, 11, 12), (2, 3, 8, 11, 12), (3, 4, 8, 11, 12),
@@ -132,6 +138,14 @@ class TestGrassmannianPermutations:
         w = w_grassmannian(running.lam, 12, 5).perm
         assert list(w[:5]) == sorted(w[:5]) and list(w[5:]) == sorted(w[5:])
 
+    def test_one_pass_heights_match_the_conjugate_oracle(self):
+        """One-line and column word against the heights read off conjugate(p), every partition in
+        every k x (n-k) box with n <= 8."""
+        for d in all_skew_diagrams(8):
+            if not d.mu.parts:  # each lambda once
+                w = w_grassmannian(d.lam, d.n, d.k)
+                assert (w.perm, w.word) == w_grassmannian_oracle(d.lam, d.n, d.k), d
+
 
 class TestWSkew:
     def test_running_length(self, running):
@@ -166,8 +180,35 @@ class TestFFactorization:
     def test_random(self, d):
         assert verify_f_factorization(d)
 
+    def test_matches_the_translation_window_oracle(self):
+        for d in all_skew_diagrams(8):
+            assert verify_f_factorization(d) and f_factorization_oracle(d), d
+
+    def test_swapped_window_rejected(self, monkeypatch):
+        """A baf with its first and last window entries swapped must fail the check."""
+        real = skewpos.permutations.baf
+
+        def swapped(d):
+            w = real(d).window
+            return SimpleNamespace(window=w[-1:] + w[1:-1] + w[:1])
+
+        monkeypatch.setattr(skewpos.permutations, "baf", swapped)
+        for d in all_skew_diagrams(6):
+            assert not verify_f_factorization(d), d
+
+
+@st.composite
+def words(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.lists(st.integers(1, n - 1), max_size=30) if n > 1 else st.just([]))
+
 
 class TestPermWord:
+    @given(words())
+    def test_from_word_matches_the_composing_oracle(self, nw):
+        n, word = nw
+        assert from_word(n, word) == from_word_oracle(n, word)
+
     def test_unreduced_word_rejected(self):
         with pytest.raises(ValueError):
             PermWord((1, 2, 3), (1, 1))

@@ -288,7 +288,7 @@ class TestOmega:
 
     def test_zero_regions_rejected(self, running):
         L = omega(sample(running, seed=13))
-        Z = BraidLabeling(running, tuple((box, Subspace.zero(running.k)) for box, _ in L.regions),
+        Z = BraidLabeling(running, tuple((box, Subspace(running.k, ())) for box, _ in L.regions),
                           L.boundary_basis, L.right_flag, L.torus)
         with pytest.raises(InvariantError, match="dim V"):
             check_labeling(Z)
@@ -301,7 +301,7 @@ class TestOmega:
             "from skewpos.variety import BraidLabeling, check_labeling\n"
             "d = SkewDiagram(12, 5, Partition((7, 7, 5, 3, 1)), Partition((3, 3, 2)))\n"
             "L = omega(sample(d, seed=13))\n"
-            "Z = BraidLabeling(d, tuple((b, Subspace.zero(d.k)) for b, _ in L.regions),\n"
+            "Z = BraidLabeling(d, tuple((b, Subspace(d.k, ())) for b, _ in L.regions),\n"
             "                  L.boundary_basis, L.right_flag, L.torus)\n"
             "try:\n"
             "    check_labeling(Z)\n"
