@@ -18,10 +18,8 @@ from .permutations import (
 )
 from .plabic import LatticeTrip, source_labels, trip, trip_permutation, trips
 from .splicing import (
-    A_factor,
     Cut,
     OffChart,
-    chart_is_everything,
     in_U_a,
     left_point,
     phi,
@@ -50,8 +48,8 @@ __all__ = [
     "BoundedAffinePermutation", "GrassmannNecklace", "PermWord", "baf", "baf_to_necklace", "necklace",
     "necklace_to_baf", "verify_f_factorization", "w_grassmannian", "w_skew",
     "LatticeTrip", "source_labels", "trip", "trip_permutation", "trips",
-    "A_factor", "Cut", "OffChart", "chart_is_everything", "in_U_a", "left_point", "phi",
-    "right_point", "splice_report", "verify_exchange_ratios", "verify_minor_scaling",
+    "Cut", "OffChart", "in_U_a", "left_point", "phi", "right_point", "splice_report",
+    "verify_exchange_ratios", "verify_minor_scaling",
     "BraidLabeling", "OffVariety", "PointV", "f_of_point", "membership", "necklace_of_point", "omega",
     "sample", "xi",
 ]

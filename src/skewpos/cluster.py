@@ -65,7 +65,7 @@ def quiver(d: SkewDiagram) -> Quiver:
     if "quiver" not in d._memo:
         boxes = d.boxes()
         present = set(boxes)
-        frozen = frozenset(d.ribbon().R)  # the skew boxes on the ribbon of lambda, as in d.is_frozen
+        frozen = frozenset(d.ribbon().R)  # the skew boxes on the ribbon of lambda
         arrows: list[tuple[Arrow, int]] = []
         for b in boxes:
             a, i = b
@@ -95,19 +95,17 @@ class Seed:
 
 
 def seed_at(V: PointV) -> Seed:
-    """Initial seed values: the minor of each box (a, i) at its long label, off V's chart block of the
-    prefix J(a, i) (``PointV._prefix_block``, c = a); computed once per point and kept on the point."""
+    """Initial seed values: the minor of each box (a, i) at its long label, read off V's chart
+    (``PointV.box_minor``); computed once per point and kept on the point."""
     if "seed" in V._memo:
         return V._memo["seed"]
     d = V.diagram
     q = quiver(d)
-    values = []
-    for b in q.vertices:
-        x = V._minor(V._prefix_block(b.a, b.i))
-        if b in q.frozen and x == 0:
-            raise InvariantError(f"frozen value vanishes at {b}")
-        values.append((b, x))
-    V._memo["seed"] = Seed(q, tuple(values))
+    values = tuple((b, V.box_minor(*b)) for b in q.vertices)
+    zero = next((b for b, x in values if x == 0 and b in q.frozen), None)
+    if zero is not None:
+        raise InvariantError(f"frozen value vanishes at {zero}")
+    V._memo["seed"] = Seed(q, values)
     return V._memo["seed"]
 
 

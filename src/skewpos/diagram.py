@@ -205,12 +205,6 @@ class SkewDiagram:
             self._memo["ribbon"] = RibbonDecomposition(tuple(R), tuple(Rbar), tuple(R1))
         return self._memo["ribbon"]
 
-    def is_frozen(self, a: int, i: int) -> bool:
-        """Frozen cluster variables sit exactly on the ribbon boxes of lambda/mu, the ribbon's R."""
-        if not self.contains_box(a, i):
-            raise ValueError(f"box ({a},{i}) is not in lambda/mu")
-        return (a, i) in self.ribbon().R
-
     # -- cutting --------------------------------------------------------------
 
     def cut(self, a: int) -> tuple["SkewDiagram", "SkewDiagram"]:

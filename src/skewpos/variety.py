@@ -3,7 +3,7 @@
 A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.
 Building one runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken
 greedily from column n down to 1; on the variety that basis is I_mu.  The tableau
-T = D B^-1 M gives the gauge (D), the chart that minors are read off (``PointV.delta``) and,
+T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (minors, cut columns) and,
 walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f
 that decides membership.  The maps here translate a point into a labeling of the braid
 diagram of the associated positive braid (region subspaces, boundary framing, right flag,
@@ -42,8 +42,9 @@ class OffVariety(ValueError):
 class PointV:
     """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction builds
     the greedy tableau, reads the gauge off it, walks it for f (raising OffVariety off the
-    variety) and keeps it as the chart that ``delta`` reads.  ``_memo`` keeps what is computed
-    once per point: the chart, and the seed (``cluster.seed_at``) on first use."""
+    variety) and keeps it as the chart that ``delta``, ``box_minor`` and ``cut_columns`` read, its
+    only readers.  ``_memo`` keeps what is computed once per point: the chart, and the seed
+    (``cluster.seed_at``) on first use."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
@@ -99,6 +100,45 @@ class PointV:
             raise ValueError(f"need {k} column indices, got {len(J)}")
         value = self._minor(self._block([(t - 1) % n for t in J]))
         return -value if (k - 1) * sum((t - 1) // n for t in J) % 2 else value
+
+    def box_minor(self, a: int, i: int) -> Fraction:
+        """The minor at box (a, i)'s long label I'(a, i), off the chart block of its prefix (c = a)."""
+        return self._minor(self._prefix_block(a, i))
+
+    def cut_columns(self, a: int) -> list[tuple[tuple[int, ...], int]]:
+        """The k boundary columns of the right factor of the cut at a, each as (integer column,
+        positive denominator) over ``matrix.den``.
+
+        At level i the flag at the cut is spanned by t_j = min(c+j-1, b_j), j <= i, c = max(a, d_i);
+        with b_{i+1}, .., b_k they make J_i (for i <= lambda_bar_a the long label I'(a, i)).  The
+        boundary column at level i is the vector of that step in v_{b_i} + span(v_{b_r}, r > i),
+        which exists iff Delta_{J_i} != 0 (the flag is transversal to the opposite boundary flag).
+        It is solved for on the chart T = D B^-1 P (P the primitive columns, contents g): with U the
+        rows <= i no t_j in I_mu covers and F the other t_j (``_prefix_block``), Delta_{J_i} != 0
+        iff A = T[U][F] is square and invertible.  Cramer's rule gives z_q = det(A with column q
+        replaced by g_{b_i} e_i); the column is (det A v_{b_i} + sum_{r>i} w_r v_{b_r} / g_{b_r}) / det A,
+        w_r = sum_q z_q T[r][F_q], or v_{b_i} when row i is covered.
+        """
+        d = self.diagram
+        T, _, _, g = self._memo["chart"]
+        B = d.I_mu()
+        frame = [self.column(b) for b in B]
+        primitive = [[x // g[b - 1] for x in v] for v, b in zip(frame, B)]  # v_{b_r} / g_{b_r}
+        cols = []
+        for i in range(1, d.k + 1):
+            _, U, F, A, det_A = self._prefix_block(max(a, d.d(i)), i)
+            if det_A == 0:
+                raise InvariantError("cut flag not transversal to the opposite boundary flag")
+            v = [det_A * x for x in frame[i - 1]]
+            if U and U[-1] == i - 1:
+                h, m = g[B[i - 1] - 1], len(F)  # z_q: g_{b_i} times the cofactor of A at (row i, q)
+                z = [(-1) ** (m - 1 + q) * h * det([r[:q] + r[q + 1:] for r in A[:-1]]) for q in range(m)]
+                for r in range(i, d.k):
+                    w = sum(x * T[r][t] for x, t in zip(z, F))
+                    if w:
+                        v = [x + w * y for x, y in zip(v, primitive[r])]
+            cols.append((tuple(v), det_A) if det_A > 0 else (tuple(-x for x in v), -det_A))
+        return cols
 
     def _block(self, J: list[int]) -> tuple[list, list[int], list[int], list[list[int]], int]:
         """Chart block of the 0-based columns J, then b_{m+1}, .., b_k (m = len(J), unit columns at the

@@ -377,6 +377,24 @@ def flag_at_cut(V, a: int):
         raise ValueError(f"cut flag at column {a} is not a complete flag: {exc}") from exc
 
 
+def A_factor_oracle(V, a: int, t: int) -> Fraction:
+    """Rescaling of column t by the cut at a: seed(a, i) / seed(a, i+1), i = t - a; seed(a, mu_bar_a) = 1,
+    and 1 outside the window a+mu_bar_a .. a+lambda_bar_a-1."""
+    from skewpos import BoxRef, seed_at
+
+    d = V.diagram
+    if not a + d.mu_bar[a] <= t <= a + d.lambda_bar[a] - 1:
+        return Fraction(1)
+    i, seed = t - a, seed_at(V)
+    upper = 1 if i == d.mu_bar[a] else seed.value(BoxRef(a, i))
+    return upper / seed.value(BoxRef(a, i + 1))
+
+
+def chart_is_everything(d, a: int) -> bool:
+    """Diagram predicate: the whole column a sits on the boundary ribbon, whose boxes are the frozen ones."""
+    return all((a, i) in d.ribbon().R for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1))
+
+
 def right_point_oracle(V, a: int):
     """Right factor from the cut flag: a transversality test against the opposite boundary
     flag, then F_i ^ W_{k-i+1} by intersection, normalised by solving for its v_{b_i} part."""

@@ -15,7 +15,6 @@ from skewpos import (
     SkewDiagram,
     baf,
     beta,
-    chart_is_everything,
     in_U_a,
     membership,
     necklace,
@@ -35,7 +34,7 @@ from skewpos import (
 from skewpos.cli import random_diagram, subseed
 from skewpos.linalg import Subspace
 
-from conftest import det_oracle, necklace_entry_exhaustive, qcol, qrows, vec_add, vec_scale
+from conftest import chart_is_everything, det_oracle, necklace_entry_exhaustive, qcol, qrows, vec_add, vec_scale
 
 
 def criterion(num, text):

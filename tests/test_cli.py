@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewpos.cli import _json_text, main, random_diagram, subseed
+from skewpos import cli
+from skewpos.cli import MAX_BOUND, MAX_TRIALS, _json_text, main, random_diagram, subseed
 from skewpos.diagram import MAX_N
 
 RUNNING = '{"n": 12, "k": 5, "lambda": [7, 7, 5, 3, 1], "mu": [3, 3, 2]}'
@@ -343,6 +344,23 @@ class TestInputErrors:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--trials", str(MAX_TRIALS + 1)],
+        ["verify", "--trials", "1000000000"],
+        ["sample", "--diagram", RUNNING, "--bound", str(MAX_BOUND + 1)],
+        ["splice", "--diagram", INTRO, "--column", "6", "--bound", "10" * 40],
+    ], ids=["trials-cap+1", "trials-huge", "bound-cap+1", "bound-huge"])
+    def test_count_above_its_cap(self, capsys, monkeypatch, argv):
+        """A --trials or --bound above its cap exits 2 at parse time: no diagram is drawn, no point sampled."""
+        started = []
+        monkeypatch.setattr(cli, "random_diagram", lambda *args: started.append(args))
+        monkeypatch.setattr(cli, "sample", lambda *args, **kwargs: started.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and started == []
+        cap = MAX_TRIALS if argv[-2] == "--trials" else MAX_BOUND
+        assert f"argument {argv[-2]}: must be at most {cap}, got {argv[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["sample"], ["splice", "--column", "1"], ["mutate", "--box", "1,1"]])
     def test_sampler_exhaustion(self, capsys, command):

@@ -261,9 +261,9 @@ class TestRibbon:
             assert (rib.R, rib.Rbar) == ribbon_oracle(d), d
 
     def test_frozen_boxes_are_the_ribbon(self):
-        """Every diagram with n <= 7: the quiver's frozen set, is_frozen and the per-box ribbon test agree."""
+        """Every diagram with n <= 7: the quiver's frozen set, the ribbon's R and the per-box ribbon test agree."""
         for d in all_skew_diagrams(7):
-            frozen = {b for b in d.boxes() if d.is_frozen(*b)}
+            frozen = set(d.ribbon().R)
             assert quiver(d).frozen == frozen, d
             assert frozen == {b for b in d.boxes() if in_ribbon_lambda_oracle(d, *b)}, d
 

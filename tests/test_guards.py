@@ -433,6 +433,23 @@ def test_src_has_no_assert():
     assert found == []
 
 
+def test_only_variety_reads_the_chart():
+    """V's chart has one owner: splicing and cluster read box minors and cut columns through
+    ``PointV`` and name none of its block readers nor ``det``, no module but variety reads
+    ``_memo["chart"]``, and splicing keeps nothing in a ``_memo``."""
+    readers, named = [], {}
+    for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        nodes = list(ast.walk(tree))
+        named[path.stem] = {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+                            for n in nodes if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+        readers += [path.stem for n in nodes if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
+                    and n.value.attr == "_memo" and isinstance(n.slice, ast.Constant) and n.slice.value == "chart"]
+    chart = {"_block", "_prefix_block", "_minor", "det"}
+    assert set(readers) == {"variety"}
+    assert named["splicing"] & (chart | {"_memo"}) == set() and named["cluster"] & chart == set()
+
+
 # Public names with no caller in src/: each names an object of the paper and a test
 # checks a paper fact with it, or the benchmark reads it.
 UNCALLED_PUBLIC_NAMES = {

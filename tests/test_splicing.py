@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -9,15 +10,14 @@ from hypothesis import strategies as st
 
 import skewpos
 from skewpos import (
-    A_factor,
     BoxRef,
     Cut,
+    InvariantError,
     OffChart,
     Partition,
     Seed,
     SkewDiagram,
     beta,
-    chart_is_everything,
     exchange_products,
     in_U_a,
     left_point,
@@ -38,8 +38,10 @@ from skewpos.splicing import _vanishing_chart_label
 from skewpos.variety import PointV
 
 from conftest import (
+    A_factor_oracle,
     W_span,
     all_skew_diagrams,
+    chart_is_everything,
     delta_oracle,
     det_one_matrix,
     det_oracle,
@@ -201,22 +203,22 @@ class TestWorkedExample:
 class TestAFactor:
     def test_outside_window(self, intro):
         V = sample(intro, seed=9)
-        assert A_factor(V, 6, 3) == 1
-        assert A_factor(V, 6, 12) == 1
+        assert A_factor_oracle(V, 6, 3) == 1
+        assert A_factor_oracle(V, 6, 12) == 1
 
     def test_window_start(self, intro):
         V = sample(intro, seed=9)
         a = 6
         i = intro.mu_bar[a] + 1
         t = a + intro.mu_bar[a]
-        assert A_factor(V, a, t) == 1 / V.delta(intro.long_label(a, i))
+        assert A_factor_oracle(V, a, t) == 1 / V.delta(intro.long_label(a, i))
 
     def test_brute_ratio(self, intro):
         V = sample(intro, seed=10)
         a = 6
         for i in range(intro.mu_bar[a] + 2, intro.lambda_bar[a] + 1):
             t = a + i - 1
-            assert A_factor(V, a, t) == V.delta(intro.long_label(a, i - 1)) / V.delta(
+            assert A_factor_oracle(V, a, t) == V.delta(intro.long_label(a, i - 1)) / V.delta(
                 intro.long_label(a, i)
             )
 
@@ -234,7 +236,7 @@ class TestTriangularity:
         for p in range(1, a + d.lambda_bar[a]):
             spanning = [V.column(b) for b in d.I_mu() if b < p]
             spanning += [V.column(s) for s in range(window_start, p) if s not in d.I_mu()]
-            diff = vec_add(qcol(R, p), vec_scale(-A_factor(V, a, p), qcol(V, p)))
+            diff = vec_add(qcol(R, p), vec_scale(-A_factor_oracle(V, a, p), qcol(V, p)))
             assert Subspace.span(k, spanning).contains(Subspace.span(k, [diff]))
 
     def test_wedge_identity(self, intro):
@@ -305,6 +307,45 @@ class TestVerification:
             ))
             assert L.diagram.long_label(box.a, box.i) == relabeled
             assert L.delta(relabeled) == V.delta(orig)
+
+    def test_left_mutant_fails_minor_scaling_up_to_n6(self, monkeypatch):
+        """A left factor with its first nonzero column off I_mu doubled is a torus rescaling: it stays
+        on its variety and keeps every exchange ratio, but its seed values leave V's.  Every on-chart
+        cut with n <= 6 whose left factor has such a column reports a left violation."""
+        real = skewpos.splicing.left_point
+        doubled = []
+
+        def mutant(V, a):
+            L = real(V, a)
+            d, I_mu = L.diagram, L.diagram.I_mu()
+            off = next((t for t in range(1, d.n + 1) if t not in I_mu and any(L.column(t))), None)
+            if off is None:
+                return L
+            doubled.append((V, a))
+            cols = [[2 * x for x in L.column(t)] if t == off else L.column(t) for t in range(1, d.n + 1)]
+            return PointV(d, RatMatrix.from_columns(cols, L.matrix.den), L.seed)
+
+        monkeypatch.setattr(skewpos.splicing, "left_point", mutant)
+        for d in all_skew_diagrams(6):
+            V = sample(d, seed=1)
+            for a in range(1, d.n - d.k + 1):
+                if not in_U_a(V, a):
+                    continue
+                count = len(doubled)
+                minors = splice_report(V, a)["checks"]["minor_scaling"]
+                if len(doubled) > count:
+                    assert minors != "pass" and any(v.get("side") == "left" for v in minors), (d, a)
+                else:
+                    assert minors == "pass", (d, a)
+        assert doubled
+
+    def test_left_boxes_must_be_the_tail_of_V(self, intro):
+        """The left seed is read against the tail of V's only when its boxes are V's shifted by a - 1."""
+        c = Cut.at(sample(intro, seed=15), 6)
+        assert verify_minor_scaling(c) == []
+        for wrong in (c.seed, c.right_seed):
+            with pytest.raises(InvariantError, match="left factor's boxes"):
+                verify_minor_scaling(replace(c, left_seed=wrong))
 
     def test_braid_length_bookkeeping(self, intro):
         for a in range(1, 8):
@@ -438,7 +479,8 @@ class TestSeedReads:
     """The cut reads box minors off the seeds of V and of the right factor."""
 
     def test_every_cut_up_to_n6(self):
-        """Chart label, A-factors and both sides of the minor scaling equal the minors they read."""
+        """Chart label, A-factors (``Cut.A`` against ``A_factor_oracle``) and both sides of the minor
+        scaling equal the minors they read."""
         on_chart = 0
         for d in all_skew_diagrams(6):
             V = sample(d, seed=1)
@@ -453,7 +495,10 @@ class TestSeedReads:
                     i = t - a
                     upper = d.I_mu() if i == d.mu_bar[a] else d.long_label(a, i)
                     want = V.delta(upper) / V.delta(d.long_label(a, i + 1))
-                    assert A_factor(V, a, t) == c.A[t] == want, (d, a, t)
+                    assert A_factor_oracle(V, a, t) == c.A[t] == want, (d, a, t)
+                # the table holds the window alone; the oracle's factor is 1 outside it
+                assert set(c.A) == set(range(a + d.mu_bar[a], a + d.lambda_bar[a])), (d, a)
+                assert all(A_factor_oracle(V, a, t) == 1 for t in range(0, d.n + 2) if t not in c.A), (d, a)
                 R = c.right.diagram
                 for box in R.boxes():
                     assert c.right_seed.value(box) == c.right.delta(R.long_label(box.a, box.i))
