@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram
@@ -95,13 +96,14 @@ class Seed:
 
 
 def seed_at(V: PointV) -> Seed:
-    """Initial seed values: the minor of each box (a, i) at its long label, read off V's chart
-    (``PointV.box_minor``); computed once per point and kept on the point."""
+    """Initial seed values: the minor of each box (a, i) at its long label, read off V's chart a column
+    at a time (``PointV.column_minors``, in the quiver's vertex order); kept on the point."""
     if "seed" in V._memo:
         return V._memo["seed"]
     d = V.diagram
     q = quiver(d)
-    values = tuple((b, V.box_minor(*b)) for b in q.vertices)
+    minors = chain.from_iterable(V.column_minors(a) for a in range(1, d.n - d.k + 1))
+    values = tuple(zip(q.vertices, minors, strict=True))
     zero = next((b for b, x in values if x == 0 and b in q.frozen), None)
     if zero is not None:
         raise InvariantError(f"frozen value vanishes at {zero}")

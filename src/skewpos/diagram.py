@@ -99,7 +99,7 @@ class SkewDiagram:
     mu_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     lambda_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _I_mu: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # cuts, labels, ribbon, quiver
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # cuts, labels, ribbon, quiver, baf
 
     def __post_init__(self):
         n, k = self.n, self.k

@@ -143,13 +143,15 @@ def necklace(d: SkewDiagram) -> GrassmannNecklace:
 
 
 def baf(d: SkewDiagram) -> BoundedAffinePermutation:
-    """Bounded affine permutation: f(a+mu_bar_a) = a+lambda_bar_a, f(b_i) = n-k-lambda_i+i+n."""
-    window = [0] * d.n
-    for a in range(1, d.n - d.k + 1):
-        window[a + d.mu_bar[a] - 1] = a + d.lambda_bar[a]
-    for i in range(1, d.k + 1):
-        window[d.b(i) - 1] = d.n - d.k - d.lam.part(i) + i + d.n
-    return BoundedAffinePermutation(d.n, d.k, tuple(window))
+    """Bounded affine permutation f(a+mu_bar_a) = a+lambda_bar_a, f(b_i) = n-k-lambda_i+i+n; kept on d."""
+    if "baf" not in d._memo:
+        window = [0] * d.n
+        for a in range(1, d.n - d.k + 1):
+            window[a + d.mu_bar[a] - 1] = a + d.lambda_bar[a]
+        for i in range(1, d.k + 1):
+            window[d.b(i) - 1] = d.n - d.k - d.lam.part(i) + i + d.n
+        d._memo["baf"] = BoundedAffinePermutation(d.n, d.k, tuple(window))
+    return d._memo["baf"]
 
 
 def necklace_to_baf(N: GrassmannNecklace) -> BoundedAffinePermutation:

@@ -3,11 +3,11 @@
 A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.
 Building one runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken
 greedily from column n down to 1; on the variety that basis is I_mu.  The tableau
-T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (minors, cut columns) and,
-walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f
-that decides membership.  The maps here translate a point into a labeling of the braid
-diagram of the associated positive braid (region subspaces, boundary framing, right flag,
-torus coordinates) and back, exactly.
+T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (minors, and the seed and
+cut columns in passes up a column) and, walked by n integer pivots along the Grassmann necklace,
+the bounded affine permutation f that decides membership.  The maps here translate a point into
+a labeling of the braid diagram of the associated positive braid (region subspaces, boundary
+framing, right flag, torus coordinates) and back, exactly.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class OffVariety(ValueError):
 class PointV:
     """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction builds
     the greedy tableau, reads the gauge off it, walks it for f (raising OffVariety off the
-    variety) and keeps it as the chart that ``delta``, ``box_minor`` and ``cut_columns`` read, its
-    only readers.  ``_memo`` keeps what is computed once per point: the chart, and the seed
-    (``cluster.seed_at``) on first use."""
+    variety) and keeps it as the chart that ``delta``, ``column_minors`` and ``cut_columns`` read:
+    the last two in passes up a column, the blocks of a label's prefixes in turn.  ``_memo`` keeps
+    what is computed once per point: the chart, and the seed (``cluster.seed_at``) on first use."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
@@ -101,9 +101,10 @@ class PointV:
         value = self._minor(self._block([(t - 1) % n for t in J]))
         return -value if (k - 1) * sum((t - 1) // n for t in J) % 2 else value
 
-    def box_minor(self, a: int, i: int) -> Fraction:
-        """The minor at box (a, i)'s long label I'(a, i), off the chart block of its prefix (c = a)."""
-        return self._minor(self._prefix_block(a, i))
+    def column_minors(self, a: int) -> list[Fraction]:
+        """The minors at the long labels I'(a, i) of column a's boxes, bottom up, off one pass at c = a."""
+        blocks = self._prefix_blocks(a, self.diagram.lambda_bar[a], self.diagram.mu_bar[a] + 1)
+        return [Fraction(det_A * num, den) for _, _, det_A, num, den in blocks]
 
     def cut_columns(self, a: int) -> list[tuple[tuple[int, ...], int]]:
         """The k boundary columns of the right factor of the cut at a, each as (integer column,
@@ -114,31 +115,57 @@ class PointV:
         boundary column at level i is the vector of that step in v_{b_i} + span(v_{b_r}, r > i),
         which exists iff Delta_{J_i} != 0 (the flag is transversal to the opposite boundary flag).
         It is solved for on the chart T = D B^-1 P (P the primitive columns, contents g): with U the
-        rows <= i no t_j in I_mu covers and F the other t_j (``_prefix_block``), Delta_{J_i} != 0
-        iff A = T[U][F] is square and invertible.  Cramer's rule gives z_q = det(A with column q
-        replaced by g_{b_i} e_i); the column is (det A v_{b_i} + sum_{r>i} w_r v_{b_r} / g_{b_r}) / det A,
-        w_r = sum_q z_q T[r][F_q], or v_{b_i} when row i is covered.
+        rows <= i no t_j in I_mu covers and F the other t_j (``_prefix_blocks``, at c = a up to
+        lambda_bar_a and at c = d_i above), Delta_{J_i} != 0 iff det A != 0, A = T[U][F].  Cramer's
+        rule gives z_q = det(A with column q replaced by g_{b_i} e_i); the column is (det A v_{b_i} +
+        sum_{r>i} w_r v_{b_r} / g_{b_r}) / det A, w_r = sum_q z_q T[r][F_q], or v_{b_i} if row i is covered.
         """
         d = self.diagram
         T, _, _, g = self._memo["chart"]
-        B = d.I_mu()
+        B, top = d.I_mu(), d.lambda_bar[a]
         frame = [self.column(b) for b in B]
-        primitive = [[x // g[b - 1] for x in v] for v, b in zip(frame, B)]  # v_{b_r} / g_{b_r}
+        # the nonzero entries of each v_{b_r} / g_{b_r}; in the sampled gauge v_{b_r} = e_r
+        primitive = [[(x, y // g[b - 1]) for x, y in enumerate(v) if y] for v, b in zip(frame, B)]
+        above = (next(self._prefix_blocks(d.d(i), i, i)) for i in range(top + 1, d.k + 1))
         cols = []
-        for i in range(1, d.k + 1):
-            _, U, F, A, det_A = self._prefix_block(max(a, d.d(i)), i)
+        for i, (U, F, det_A, _, _) in enumerate(chain(self._prefix_blocks(a, top), above), 1):
             if det_A == 0:
                 raise InvariantError("cut flag not transversal to the opposite boundary flag")
             v = [det_A * x for x in frame[i - 1]]
             if U and U[-1] == i - 1:
                 h, m = g[B[i - 1] - 1], len(F)  # z_q: g_{b_i} times the cofactor of A at (row i, q)
-                z = [(-1) ** (m - 1 + q) * h * det([r[:q] + r[q + 1:] for r in A[:-1]]) for q in range(m)]
+                A = [[T[u][t] for t in F] for u in U[:-1]]
+                z = [h] if m == 1 else [(-1) ** (m - 1 + q) * h * det([r[:q] + r[q + 1:] for r in A])
+                                        for q in range(m)]
                 for r in range(i, d.k):
                     w = sum(x * T[r][t] for x, t in zip(z, F))
-                    if w:
-                        v = [x + w * y for x, y in zip(v, primitive[r])]
+                    for x, y in primitive[r]:
+                        v[x] += w * y
             cols.append((tuple(v), det_A) if det_A > 0 else (tuple(-x for x in v), -det_A))
         return cols
+
+    def _prefix_blocks(self, c: int, top: int, first: int = 1):
+        """The blocks of the prefixes t_j = min(c+j-1, b_j), j <= i, for i = first..top, off one pass:
+        (U, F, det A, +-prod_F g_t, D^|F| prod_U g_{b_u}) as ``_block`` and ``_minor`` give them, with U
+        and F live lists.  The t_j increase, so a t_j in I_mu is a b_r, r <= j: row r leaves U and row j
+        joins it, which cycles the rows of U from r on, and j, over the positions of F; a t_j off I_mu
+        joins F as row j joins U.  So |U| = |F|: A = T[U][F] is square at every level."""
+        T, D, row_of, g = self._memo["chart"]
+        B = self.diagram.I_mu()
+        U, F, num, den = [], [], 1, 1
+        for j in range(top):
+            t = min(c + j, B[j]) - 1
+            r = row_of.get(t)
+            if r is None:
+                F.append(t)
+                num, den = num * g[t], den * D * g[B[j] - 1]
+            elif r < j:
+                num, den = num * (-1) ** (len(U) - U.index(r)), den // g[B[r] - 1] * g[B[j] - 1]
+                U.remove(r)
+            if r != j:
+                U.append(j)
+            if j >= first - 1:
+                yield U, F, T[U[0]][F[0]] if len(F) == 1 else det([[T[u][t] for t in F] for u in U]), num, den
 
     def _block(self, J: list[int]) -> tuple[list, list[int], list[int], list[list[int]], int]:
         """Chart block of the 0-based columns J, then b_{m+1}, .., b_k (m = len(J), unit columns at the
@@ -150,12 +177,6 @@ class PointV:
         F = [t for t, r in zip(J, rows) if r is None]
         A = [[T[u][t] for t in F] for u in U]
         return rows, U, F, A, det(A) if len(U) == len(F) else 0
-
-    def _prefix_block(self, c: int, i: int) -> tuple[list, list[int], list[int], list[list[int]], int]:
-        """``_block`` of t_j = min(c+j-1, b_j), j <= i: a t_j in I_mu covers a row < i, since
-        t_j = b_j sits at row j and t_j = c+j-1 = b_{j'} forces j' < j."""
-        B = self.diagram.I_mu()
-        return self._block([min(c + j, B[j]) - 1 for j in range(i)])
 
     def _minor(self, block) -> Fraction:
         """The minor of a ``_block``, +-det A prod_F g_t / (D^|F| prod_U g_{b_u}): the chart is

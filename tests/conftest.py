@@ -473,6 +473,16 @@ def delta_oracle(V, J) -> Fraction:
     return det_oracle([qcol(V, t) for t in J])
 
 
+# -- oracle: the per-box chart reader the column pass replaced -----------------------------------
+
+
+def box_minor_oracle(V, a: int, i: int) -> Fraction:
+    """The minor at box (a, i)'s long label I'(a, i): the ``_minor`` of the ``_block`` of its prefix
+    t_j = min(a+j-1, b_j), j <= i, built from nothing for this box alone."""
+    B = V.diagram.I_mu()
+    return V._minor(V._block([min(a + j, B[j]) - 1 for j in range(i)]))
+
+
 # -- oracles: the seed by one minor per box and the exchange check on Fractions, which the chart
 # -- blocks of the label prefixes and the integer products replaced ------------------------------
 

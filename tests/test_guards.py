@@ -23,6 +23,7 @@ import skewpos
 from skewpos import Cut, SkewDiagram, omega, right_point, sample, splice_report, xi
 from skewpos.cli import build_parser, main
 from skewpos.linalg import FlagK, RatMatrix, Subspace, _echelon, det, transversal
+from skewpos.permutations import BoundedAffinePermutation
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import PointV, _walk, membership
@@ -386,6 +387,45 @@ def test_splice_report_reads_no_minor_and_keeps_the_quivers(monkeypatch, n):
     assert built == []
 
 
+@pytest.mark.parametrize("n", [12, 20, 32])
+def test_splice_report_reads_each_column_in_one_pass(monkeypatch, n):
+    """On a fresh point of the splice benchmark's staircases, every on-chart report reads V's chart and
+    the factors' charts in passes up a column, and builds no block from nothing (``PointV._block``,
+    which only ``delta`` uses): one pass per column of each seeded point, and for the cut columns one
+    pass up column a and one per level above lambda_bar_a."""
+    d = staircase(n)
+    columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(sample(d, seed=1), a)]
+    V = sample(d, seed=1)
+    passes, prefix_blocks = [], PointV._prefix_blocks
+
+    def forbidden(*args):
+        raise AssertionError("a splice report built a chart block from nothing")
+
+    monkeypatch.setattr(PointV, "_block", forbidden)
+    monkeypatch.setattr(PointV, "_prefix_blocks", lambda P, *args: passes.append(P) or prefix_blocks(P, *args))
+    want = d.n - d.k  # V's seed, read by the first report
+    for a in columns:
+        left, right = d.cut(a)
+        want += left.n - left.k + right.n - right.k + 1 + d.k - d.lambda_bar[a]
+        splice_report(V, a)
+    assert columns and len(passes) == want
+
+
+def test_baf_built_once_per_diagram(monkeypatch):
+    """f of a diagram is kept on it: a second report at the same cut builds no bounded affine
+    permutation, though it builds and walks two fresh factors on the kept cut diagrams."""
+    d = staircase(12)
+    V = sample(d, seed=1)
+    a = next(a for a in range(1, d.n - d.k + 1) if in_U_a(V, a))
+    built, post_init = [], BoundedAffinePermutation.__post_init__
+    monkeypatch.setattr(BoundedAffinePermutation, "__post_init__", lambda self: built.append(self) or post_init(self))
+    splice_report(V, a)
+    assert len(built) == 2  # one for each cut diagram
+    built.clear()
+    splice_report(V, a)
+    assert built == []
+
+
 def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
     """Spans, containment, intersections and flags of integer columns stay in integer rows."""
     V = sample(intro, seed=16)
@@ -445,7 +485,7 @@ def test_only_variety_reads_the_chart():
                             for n in nodes if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
         readers += [path.stem for n in nodes if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
                     and n.value.attr == "_memo" and isinstance(n.slice, ast.Constant) and n.slice.value == "chart"]
-    chart = {"_block", "_prefix_block", "_minor", "det"}
+    chart = {"_block", "_prefix_blocks", "_minor", "det"}
     assert set(readers) == {"variety"}
     assert named["splicing"] & (chart | {"_memo"}) == set() and named["cluster"] & chart == set()
 

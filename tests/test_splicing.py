@@ -41,6 +41,7 @@ from conftest import (
     A_factor_oracle,
     W_span,
     all_skew_diagrams,
+    box_minor_oracle,
     chart_is_everything,
     delta_oracle,
     det_one_matrix,
@@ -560,6 +561,62 @@ class TestSeedOracle:
         assert seeds == [seed_at_delta_oracle(P) for P in (V, c.left, c.right)]
         assert [s.values for s in seeds] == [box_minors(P, lambda J: delta_oracle(P, J)) for P in (V, c.left, c.right)]
         assert seeds[0].value(BoxRef(3, 1)) == 0
+
+
+def column_reads(P) -> tuple:
+    """``PointV.column_minors`` of every column of P's diagram, against ``box_minor_oracle`` box by box."""
+    d = P.diagram
+    got = [x for a in range(1, d.n - d.k + 1) for x in P.column_minors(a)]
+    return got, [box_minor_oracle(P, b.a, b.i) for b in d.boxes()]
+
+
+class TestColumnMinorsOracle:
+    """``PointV.column_minors``, one pass up each column, against the per-box chart reader it
+    replaced, which builds the block of each label prefix from nothing."""
+
+    def test_every_cut_up_to_n6(self):
+        """V and both factors of every cut of every skew diagram with n <= 6."""
+        points = 0
+        for d in all_skew_diagrams(6):
+            V = sample(d, seed=1)
+            got, want = column_reads(V)
+            assert got == want, d
+            for a in range(1, d.n - d.k + 1):
+                c = Cut.at(V, a)
+                for P in (c.left, c.right):
+                    got, want = column_reads(P)
+                    assert got == want, (d, a)
+                    points += 1
+        assert points == 2 * 1707
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_staircase_in_two_gauges(self, n):
+        """The sampled point, a copy in a gauge whose columns at I_mu carry contents g_{b_i} != 1,
+        and both factors of every on-chart cut of each."""
+        d = staircase(n)
+        V = sample(d, seed=1)
+        W = gauged(V, det_one_matrix(random.Random(n), d.k))
+        assert any(h != 1 for h in (W._memo["chart"][3][b - 1] for b in d.I_mu()))
+        for P in (V, W):
+            got, want = column_reads(P)
+            assert got == want == [x for _, x in seed_at(V).values]
+            columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(P, a)]
+            assert columns
+            for a in columns:
+                c = Cut.at(P, a)
+                for F in (c.left, c.right):
+                    got, want = column_reads(F)
+                    assert got == want, (n, a)
+
+    def test_off_the_cluster_torus(self):
+        """The n = 11 point of ``test_exchange_ratios_off_the_cluster_torus``, where values vanish."""
+        d = SkewDiagram(11, 8, Partition((3, 3, 2, 2)), Partition(()))
+        V = sample(d, subseed(276030479, "point", 0))
+        c = Cut.at(V, 1)
+        for P in (V, c.left, c.right):
+            got, want = column_reads(P)
+            assert got == want
+        assert V.column_minors(3)[0] == box_minor_oracle(V, 3, 1) == 0
 
 
 class TestExchangeRatioOracle:
