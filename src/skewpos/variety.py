@@ -3,11 +3,11 @@
 A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.
 Building one runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken
 greedily from column n down to 1; on the variety that basis is I_mu.  The tableau
-T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (minors, and the seed and
-cut columns in passes up a column) and, walked by n integer pivots along the Grassmann necklace,
-the bounded affine permutation f that decides membership.  The maps here translate a point into
-a labeling of the braid diagram of the associated positive braid (region subspaces, boundary
-framing, right flag, torus coordinates) and back, exactly.
+T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (the minors at box
+labels and the cut columns, in passes up a column) and, walked by n integer pivots along the
+Grassmann necklace, the bounded affine permutation f that decides membership.  The maps here
+translate a point into a labeling of the braid diagram of the associated positive braid (region
+subspaces, boundary framing, right flag, torus coordinates) and back, exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .linalg import (
     FlagK,
     RatMatrix,
     Subspace,
-    _is_odd,
     _pivot,
     _tableau,
     det,
@@ -42,8 +41,8 @@ class OffVariety(ValueError):
 class PointV:
     """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction builds
     the greedy tableau, reads the gauge off it, walks it for f (raising OffVariety off the
-    variety) and keeps it as the chart that ``delta``, ``column_minors`` and ``cut_columns`` read:
-    the last two in passes up a column, the blocks of a label's prefixes in turn.  ``_memo`` keeps
+    variety) and keeps it as the chart that ``column_minors`` and ``cut_columns`` read in passes up
+    a column, the blocks of a label's prefixes in turn (``delta`` takes the columns).  ``_memo`` keeps
     what is computed once per point: the chart, and the seed (``cluster.seed_at``) on first use."""
 
     diagram: SkewDiagram
@@ -56,6 +55,8 @@ class PointV:
         if (M.nrows, M.ncols) != (d.k, d.n):
             raise ValueError("matrix shape does not match the diagram")
         T, D, basis, odd, g = _necklace_tableau(M)
+        if len(basis) < d.k:
+            raise ValueError(f"matrix has rank {len(basis)} < k = {d.k}; not a point of Gr(k, n)")
         I_mu = d.I_mu()
         # Taken greedily from n down, the basis is the Gale-largest basis of the point's matroid.
         # On the variety that matroid is the skew shaped positroid, a lattice path matroid whose
@@ -65,7 +66,7 @@ class PointV:
             gauged = (-D if odd else D) * prod(g[b - 1] for b in I_mu) == M.den ** d.k
             on_variety = gauged and _walk(T, D, basis, d.n) == baf(d).window
         else:
-            gauged, on_variety = det([M.column(b) for b in I_mu]) == M.den ** d.k, False
+            gauged, on_variety = self.delta(I_mu) == 1, False
         if not gauged:
             raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
         if not on_variety:
@@ -88,18 +89,12 @@ class PointV:
         return v if q * (self.diagram.k - 1) % 2 == 0 else tuple(-x for x in v)
 
     def delta(self, J) -> Fraction:
-        """Signed minor in the listed column order (cyclic indices allowed).
-
-        Read off the chart R = B^-1 M: det B = Delta_{I_mu} = 1, so Delta_J(M) = Delta_J(R), and
-        the column of R at the j-th element b_j of I_mu is e_j.  Laplace expansion along
-        the columns of J at I_mu leaves the minor of R on the other rows and the
-        other columns of J (``_block``); two columns of J at one column of I_mu give 0.
-        """
-        k, n = self.diagram.k, self.matrix.ncols
+        """Signed minor in the listed column order (cyclic indices allowed): one k x k ``det`` of the
+        columns, which ``column`` signs.  The chart passes read the minors at labels."""
+        k = self.diagram.k
         if len(J) != k:
             raise ValueError(f"need {k} column indices, got {len(J)}")
-        value = self._minor(self._block([(t - 1) % n for t in J]))
-        return -value if (k - 1) * sum((t - 1) // n for t in J) % 2 else value
+        return Fraction(det([self.column(t) for t in J]), self.matrix.den ** k)
 
     def column_minors(self, a: int) -> list[Fraction]:
         """The minors at the long labels I'(a, i) of column a's boxes, bottom up, off one pass at c = a."""
@@ -146,10 +141,13 @@ class PointV:
 
     def _prefix_blocks(self, c: int, top: int, first: int = 1):
         """The blocks of the prefixes t_j = min(c+j-1, b_j), j <= i, for i = first..top, off one pass:
-        (U, F, det A, +-prod_F g_t, D^|F| prod_U g_{b_u}) as ``_block`` and ``_minor`` give them, with U
-        and F live lists.  The t_j increase, so a t_j in I_mu is a b_r, r <= j: row r leaves U and row j
-        joins it, which cycles the rows of U from r on, and j, over the positions of F; a t_j off I_mu
-        joins F as row j joins U.  So |U| = |F|: A = T[U][F] is square at every level."""
+        (U, F, det A, +-prod_F g_t, D^|F| prod_U g_{b_u}), with U and F live lists, U the rows <= i no
+        t_j covers and F the t_j off I_mu.  The minor at t_1, .., t_i, b_{i+1}, .., b_k is det A times
+        the fourth over the fifth: on the chart R_jt = T_jt g_t / (D g_{b_j}) the columns at I_mu are
+        unit columns, so Laplace expansion along them leaves A = T[U][F], and its sign is kept here
+        alone.  The t_j increase, so a t_j in I_mu is a b_r, r <= j: row r leaves U and row j joins it,
+        which cycles the rows of U from r on, and j, over the positions of F; a t_j off I_mu joins F as
+        row j joins U.  So |U| = |F|: A is square at every level."""
         T, D, row_of, g = self._memo["chart"]
         B = self.diagram.I_mu()
         U, F, num, den = [], [], 1, 1
@@ -166,29 +164,6 @@ class PointV:
                 U.append(j)
             if j >= first - 1:
                 yield U, F, T[U[0]][F[0]] if len(F) == 1 else det([[T[u][t] for t in F] for u in U]), num, den
-
-    def _block(self, J: list[int]) -> tuple[list, list[int], list[int], list[list[int]], int]:
-        """Chart block of the 0-based columns J, then b_{m+1}, .., b_k (m = len(J), unit columns at the
-        rows >= m): the row each column of J covers (None off I_mu); U, the rows < m none covers; F,
-        the columns of J off I_mu; A = T[U][F]; and det A, 0 unless A is square."""
-        T, _, row_of, _ = self._memo["chart"]
-        rows = [row_of.get(t) for t in J]
-        U = sorted(set(range(len(J))).difference(rows))
-        F = [t for t, r in zip(J, rows) if r is None]
-        A = [[T[u][t] for t in F] for u in U]
-        return rows, U, F, A, det(A) if len(U) == len(F) else 0
-
-    def _minor(self, block) -> Fraction:
-        """The minor of a ``_block``, +-det A prod_F g_t / (D^|F| prod_U g_{b_u}): the chart is
-        R_jt = T_jt g_t / (D g_{b_j}) for the tableau T of the primitive columns and their contents g.
-        The sign is the parity of the map of positions to rows that sends F to U in order."""
-        rows, U, F, _, det_A = block
-        _, D, _, g = self._memo["chart"]
-        B = self.diagram.I_mu()
-        free = iter(U)
-        if det_A and _is_odd([next(free) if r is None else r for r in rows]):
-            det_A = -det_A
-        return Fraction(det_A * prod(g[t] for t in F), D ** len(F) * prod(g[B[u] - 1] for u in U))
 
     def subspace(self, a: int, i: int) -> Subspace:
         """V(a, i) = span of the short-label columns of box (a, i)."""
@@ -323,7 +298,7 @@ def _normalize_r1(V: PointV) -> PointV:
         if d.mu_bar[a] == d.lambda_bar[a]:
             continue
         J = d.long_label(a, d.lambda_bar[a])
-        val = V.delta(J)
+        val = V.column_minors(a)[-1]
         for t in J:
             val *= scale[t]
         scale[a + d.mu_bar[a]] /= val
@@ -384,9 +359,7 @@ def omega(V: PointV) -> BraidLabeling:
     regions = tuple((box, V.subspace(box.a, box.i)) for box in d.boxes())
     boundary = RatMatrix.from_columns([V.column(b) for b in d.I_mu()], V.matrix.den)
     right = FlagK.from_columns([V.column(t) for t in d.I_lambda()])
-    torus = tuple(
-        (box, V.delta(d.long_label(box.a, box.i))) for box in d.ribbon().R1
-    )
+    torus = tuple((box, V.column_minors(box.a)[-1]) for box in d.ribbon().R1)
     labeling = BraidLabeling(d, regions, boundary, right, torus, V.seed)
     check_labeling(labeling)
     return labeling

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from skewpos import Partition, SkewDiagram
 from skewpos.cli import random_diagram
-from skewpos.linalg import RatMatrix, det
+from skewpos.linalg import RatMatrix, _is_odd, det
 
 
 @pytest.fixture
@@ -431,7 +431,7 @@ def right_point_oracle(V, a: int):
 
 def right_point_minor_oracle(V, a: int):
     """Right factor by Cramer's rule as ratios of minors: v_{b_i} - sum_{r>i} Delta_{J_i[b_r->b_i]} /
-    Delta_{J_i} v_{b_r}, each minor a ``PointV.delta`` (k - i + 1 of them at level i)."""
+    Delta_{J_i} v_{b_r}, each minor a ``chart_minor_oracle`` (k - i + 1 of them at level i)."""
     from math import lcm
 
     from skewpos.diagram import InvariantError
@@ -449,10 +449,10 @@ def right_point_minor_oracle(V, a: int):
     for i in range(1, k + 1):
         c = max(a, d.d(i))
         J = tuple(min(c + j - 1, B[j - 1]) for j in range(1, i + 1)) + B[i:]
-        D = V.delta(J)
+        D = chart_minor_oracle(V, J)
         if D == 0:
             raise InvariantError("cut flag not transversal to the opposite boundary flag")
-        coeffs = [D] + [-V.delta(J[:r - 1] + (B[i - 1],) + J[r:]) for r in range(i + 1, k + 1)]
+        coeffs = [D] + [-chart_minor_oracle(V, J[:r - 1] + (B[i - 1],) + J[r:]) for r in range(i + 1, k + 1)]
         L = lcm(*(x.denominator for x in coeffs))
         terms = [(x.numerator * (L // x.denominator), V.column(b)) for x, b in zip(coeffs, B[i - 1:]) if x]
         cols[I_mu_right[i - 1]] = tuple(sum(x * v[s] for x, v in terms) for s in range(k)), terms[0][0]
@@ -465,7 +465,7 @@ def right_point_minor_oracle(V, a: int):
     return PointV(right, M, V.seed)
 
 
-# -- oracle: the k x k determinant the chart-block minors replaced ------------------------
+# -- oracle: the k x k determinant of the columns over Fraction ------------------------------------
 
 
 def delta_oracle(V, J) -> Fraction:
@@ -473,14 +473,35 @@ def delta_oracle(V, J) -> Fraction:
     return det_oracle([qcol(V, t) for t in J])
 
 
-# -- oracle: the per-box chart reader the column pass replaced -----------------------------------
+# -- oracles: the per-label chart reader the column pass replaced, and the per-box reader on it -----
+
+
+def chart_minor_oracle(V, J) -> Fraction:
+    """Signed minor of the cyclic columns t in J, in the listed order, off V's chart, the block of J
+    built from nothing.  The chart is R = B^-1 M with R_jt = T_jt g_t / (D g_{b_j}) and the column of
+    R at b_j the unit column e_j.  Laplace expansion along the columns of J at I_mu (two at one b_j
+    give 0) leaves A = T[U][F]: U the rows no column of J covers, F the columns of J off I_mu.  The
+    minor is +-det A prod_F g_t / (D^|F| prod_U g_{b_u}), the sign the parity of the map of positions
+    to rows that sends F to U in order, times (-1)^{(k-1)q} for each column t = r + qn."""
+    T, D, row_of, g = V._memo["chart"]
+    k, n, B = V.diagram.k, V.diagram.n, V.diagram.I_mu()
+    rows = [row_of.get((t - 1) % n) for t in J]
+    U = sorted(set(range(k)).difference(rows))
+    F = [(t - 1) % n for t, r in zip(J, rows) if r is None]
+    if len(U) != len(F):
+        return Fraction(0)
+    det_A = det([[T[u][t] for t in F] for u in U])
+    free = iter(U)
+    if _is_odd([next(free) if r is None else r for r in rows]) != (k - 1) * sum((t - 1) // n for t in J) % 2:
+        det_A = -det_A
+    return Fraction(det_A * prod(g[t] for t in F), D ** len(F) * prod(g[B[u] - 1] for u in U))
 
 
 def box_minor_oracle(V, a: int, i: int) -> Fraction:
-    """The minor at box (a, i)'s long label I'(a, i): the ``_minor`` of the ``_block`` of its prefix
-    t_j = min(a+j-1, b_j), j <= i, built from nothing for this box alone."""
+    """The minor at box (a, i)'s long label I'(a, i) = t_1, .., t_i, b_{i+1}, .., b_k with
+    t_j = min(a+j-1, b_j), off its own chart block, built from nothing for this box alone."""
     B = V.diagram.I_mu()
-    return V._minor(V._block([min(a + j, B[j]) - 1 for j in range(i)]))
+    return chart_minor_oracle(V, [min(a + j, B[j]) for j in range(i)] + list(B[i:]))
 
 
 # -- oracles: the seed by one minor per box and the exchange check on Fractions, which the chart
@@ -489,8 +510,8 @@ def box_minor_oracle(V, a: int, i: int) -> Fraction:
 
 def seed_at_delta_oracle(V):
     """Initial seed values: the minor of each box at its long label, which is ascending.
-    One ``PointV.delta`` per box; nothing is kept on the point, and the quiver is built on a fresh
-    copy of the diagram, so it is not the one ``cluster.quiver`` keeps on ``V.diagram``."""
+    One ``chart_minor_oracle`` per box; nothing is kept on the point, and the quiver is built on a
+    fresh copy of the diagram, so it is not the one ``cluster.quiver`` keeps on ``V.diagram``."""
     from skewpos.cluster import Seed, quiver
     from skewpos.diagram import InvariantError
 
@@ -498,7 +519,7 @@ def seed_at_delta_oracle(V):
     q = quiver(SkewDiagram(d.n, d.k, d.lam, d.mu))
     values = []
     for b in q.vertices:
-        x = V.delta(d.long_label(b.a, b.i))
+        x = chart_minor_oracle(V, d.long_label(b.a, b.i))
         if b in q.frozen and x == 0:
             raise InvariantError(f"frozen value vanishes at {b}")
         values.append((b, x))

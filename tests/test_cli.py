@@ -295,19 +295,23 @@ class TestInputErrors:
         (["splice", "--diagram", INTRO, "--column", "6", "--point",
           '{"diagram": %s, "matrix": [[1]], "seed": true}' % INTRO],
          "point key 'seed' must be an integer or null, got True"),
+        # rank < k: no re-gauge could mend it, so the gauge message would give advice that cannot work
+        (["splice", "--diagram", INTRO, "--column", "6", "--point",
+          '{"diagram": %s, "matrix": %s}' % (INTRO, json.dumps([[0] * 12] * 5))],
+         "matrix has rank 0 < k = 5; not a point of Gr(k, n)"),
     ] + [
         (["splice", "--diagram", INTRO, "--column", "6", "--point",
           '{"diagram": %s, "matrix": [[1, "1/2", %s]]}' % (INTRO, json.dumps(entry))],
          f"point key 'matrix' has an entry {entry!r} that is not an integer or 'p/q' text")
         for entry in ["1.5", " 3/4 ", "x", "1e3000000", "1_000", "+3", "3/-4", "1/2/3", "\u0663", ""]
     ], ids=["diagram-without-k", "lambda-not-a-list", "point-without-matrix", "zero-denominator",
-            "diagram-not-an-object", "seed-a-list", "seed-a-string", "seed-a-boolean",
+            "diagram-not-an-object", "seed-a-list", "seed-a-string", "seed-a-boolean", "point-rank-deficient",
             "entry-decimal", "entry-padded", "entry-not-a-number", "entry-exponent", "entry-underscore",
             "entry-plus-sign", "entry-negative-denominator", "entry-two-slashes", "entry-non-ascii-digit",
             "entry-empty"])
     def test_malformed_json(self, capsys, argv, message):
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and err == f"input error: {message}\n"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("where", ["diagram-inline", "diagram-file", "inside-a-diagram-file", "point"])
     def test_deep_nesting(self, capsys, tmp_path, where):

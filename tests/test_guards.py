@@ -270,8 +270,9 @@ def test_tableau_is_built_from_primitive_columns():
 
 
 def test_delta_minors_are_at_most_2x2_on_the_staircase(monkeypatch):
-    """Every box label of the staircase family differs from I_mu in at most two columns,
-    so each minor ``PointV.delta`` takes off the chart is 1 x 1 or 2 x 2."""
+    """Every box label of the staircase family differs from I_mu in at most two columns, so each
+    ``det`` a splice report runs in the column passes (``PointV.column_minors`` for the seeds and
+    ``PointV.cut_columns`` for the cut) is of a 1 x 1 or 2 x 2 chart block."""
     d = staircase(32)
     sizes = []
 
@@ -390,18 +391,18 @@ def test_splice_report_reads_no_minor_and_keeps_the_quivers(monkeypatch, n):
 @pytest.mark.parametrize("n", [12, 20, 32])
 def test_splice_report_reads_each_column_in_one_pass(monkeypatch, n):
     """On a fresh point of the splice benchmark's staircases, every on-chart report reads V's chart and
-    the factors' charts in passes up a column, and builds no block from nothing (``PointV._block``,
-    which only ``delta`` uses): one pass per column of each seeded point, and for the cut columns one
-    pass up column a and one per level above lambda_bar_a."""
+    the factors' charts in passes up a column, and reads no minor from nothing (``PointV.delta``):
+    one pass per column of each seeded point, and for the cut columns one pass up column a and one
+    per level above lambda_bar_a."""
     d = staircase(n)
     columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(sample(d, seed=1), a)]
     V = sample(d, seed=1)
     passes, prefix_blocks = [], PointV._prefix_blocks
 
     def forbidden(*args):
-        raise AssertionError("a splice report built a chart block from nothing")
+        raise AssertionError("a splice report read a minor from nothing")
 
-    monkeypatch.setattr(PointV, "_block", forbidden)
+    monkeypatch.setattr(PointV, "delta", forbidden)
     monkeypatch.setattr(PointV, "_prefix_blocks", lambda P, *args: passes.append(P) or prefix_blocks(P, *args))
     want = d.n - d.k  # V's seed, read by the first report
     for a in columns:
@@ -475,18 +476,26 @@ def test_src_has_no_assert():
 
 def test_only_variety_reads_the_chart():
     """V's chart has one owner: splicing and cluster read box minors and cut columns through
-    ``PointV`` and name none of its block readers nor ``det``, no module but variety reads
-    ``_memo["chart"]``, and splicing keeps nothing in a ``_memo``."""
-    readers, named = [], {}
+    ``PointV`` and name neither its column pass nor ``det``, no module but variety reads
+    ``_memo["chart"]``, splicing keeps nothing in a ``_memo``, and within variety only the column
+    pass ``_prefix_blocks`` and ``cut_columns`` load the chart (``__post_init__`` stores it)."""
+
+    def is_chart(n):
+        return (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute) and n.value.attr == "_memo"
+                and isinstance(n.slice, ast.Constant) and n.slice.value == "chart")
+
+    readers, loads, named = [], set(), {}
     for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         nodes = list(ast.walk(tree))
         named[path.stem] = {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
                             for n in nodes if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
-        readers += [path.stem for n in nodes if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
-                    and n.value.attr == "_memo" and isinstance(n.slice, ast.Constant) and n.slice.value == "chart"]
-    chart = {"_block", "_prefix_blocks", "_minor", "det"}
+        readers += [path.stem for n in nodes if is_chart(n)]
+        loads |= {(path.stem, fn.name) for fn in nodes if isinstance(fn, ast.FunctionDef)
+                  for n in ast.walk(fn) if is_chart(n) and isinstance(n.ctx, ast.Load)}
+    chart = {"_prefix_blocks", "det"}
     assert set(readers) == {"variety"}
+    assert loads == {("variety", "_prefix_blocks"), ("variety", "cut_columns")}
     assert named["splicing"] & (chart | {"_memo"}) == set() and named["cluster"] & chart == set()
 
 

@@ -43,6 +43,7 @@ from conftest import (
     all_skew_diagrams,
     box_minor_oracle,
     chart_is_everything,
+    chart_minor_oracle,
     delta_oracle,
     det_one_matrix,
     det_oracle,
@@ -516,9 +517,9 @@ def box_minors(P, minor_of) -> tuple:
 
 
 class TestSeedOracle:
-    """``seed_at``, read off the chart block of each label prefix, against one ``PointV.delta`` per
-    box, whose quiver is built on a fresh copy of the diagram.  ``delta`` reads the same chart
-    blocks, so the values are also compared with k x k determinants of the point's columns."""
+    """``seed_at``, read off the chart block of each label prefix, against one ``chart_minor_oracle``
+    per box, whose quiver is built on a fresh copy of the diagram.  That oracle reads the same chart,
+    so the values are also compared with k x k determinants of the point's columns."""
 
     def test_every_cut_up_to_n6(self):
         """V and both factors of every cut of every skew diagram with n <= 6: values and quiver."""
@@ -677,14 +678,15 @@ def box_labels(d):
 
 
 class TestDeltaOracle:
-    """PointV.delta, read off the I_mu chart, against the k x k determinant of the columns."""
+    """``PointV.delta``, one k x k ``det`` of the columns, and ``chart_minor_oracle``, the per-label
+    reader of the I_mu chart it replaced, against the k x k determinant of the columns over Fraction."""
 
     @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())
     @settings(max_examples=40, deadline=None)
     def test_cyclic_unsorted_and_repeated_labels(self, d, seed, data):
         V = sample(d, seed=seed)
         for J in [data.draw(cyclic_labels(d)) for _ in range(10)] + list(box_labels(d)):
-            assert V.delta(J) == delta_oracle(V, J)
+            assert V.delta(J) == chart_minor_oracle(V, J) == delta_oracle(V, J)
 
     @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())
     @settings(max_examples=40, deadline=None)
@@ -697,8 +699,8 @@ class TestDeltaOracle:
         rows = qrows(W.matrix)
         P = PointV.from_matrix(d, RatMatrix.from_rationals((tuple(c * x for x in rows[0]),) + rows[1:]))
         for J in [data.draw(cyclic_labels(d)) for _ in range(10)] + list(box_labels(d)):
-            assert W.delta(J) == delta_oracle(W, J) == V.delta(J)
-            assert P.delta(J) == delta_oracle(P, J) == V.delta(J)
+            assert W.delta(J) == chart_minor_oracle(W, J) == delta_oracle(W, J) == V.delta(J)
+            assert P.delta(J) == chart_minor_oracle(P, J) == delta_oracle(P, J) == V.delta(J)
 
     @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())
     @settings(max_examples=30, deadline=None)
@@ -710,7 +712,7 @@ class TestDeltaOracle:
             c = Cut.at(V, a)
             for P in (c.left, c.right):
                 for J in [data.draw(cyclic_labels(P.diagram)) for _ in range(3)] + list(box_labels(P.diagram)):
-                    assert P.delta(J) == delta_oracle(P, J)
+                    assert P.delta(J) == chart_minor_oracle(P, J) == delta_oracle(P, J)
 
     def test_every_cut_factor_up_to_n6(self):
         """Both factors of every cut of every diagram with n <= 6: every k-subset, in increasing order
@@ -724,7 +726,7 @@ class TestDeltaOracle:
                     n = P.diagram.n
                     for J in combinations(range(1, n + 1), P.diagram.k):
                         for L in (J, J[1:] + (J[0] + n,)):
-                            assert P.delta(L) == delta_oracle(P, L), (d, a, L)
+                            assert P.delta(L) == chart_minor_oracle(P, L) == delta_oracle(P, L), (d, a, L)
                     seed = seed_at(P)
                     for b in P.diagram.boxes():
                         assert seed.value(b) == delta_oracle(P, P.diagram.long_label(b.a, b.i)), (d, a, b)

@@ -214,6 +214,16 @@ class TestPointV:
         with pytest.raises(ValueError, match="re-gauge"):
             PointV(running, scaled)
 
+    def test_rank_deficient_rejected(self, running):
+        """A matrix of rank < k is refused by its rank, not by the gauge: no re-gauge can mend it."""
+        rows = qrows(sample(running, seed=9).matrix)
+        low = RatMatrix.from_rationals(rows[:3] + rows[:2])
+        for M, rank in ((RatMatrix(((0,) * 12,) * 5), 0), (low, 3)):
+            with pytest.raises(ValueError, match=rf"^matrix has rank {rank} < k = 5; not a point of Gr\(k, n\)$"):
+                PointV(running, M)
+            with pytest.raises(ValueError, match="columns at I_mu are dependent"):
+                PointV.from_matrix(running, M)
+
     def test_gauge_is_checked_before_the_variety(self, running):
         """Off the variety and off the gauge, the gauge message wins, whichever basis the
         greedy tableau takes."""
