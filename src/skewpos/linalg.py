@@ -3,16 +3,18 @@
 All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one
 denominator, a subspace its reduced echelon rows as primitive integer rows; Fractions appear
 only as scalars and where ``RatMatrix.from_rationals`` reads a point's JSON rows.  Determinants
-are Bareiss's fraction-free elimination; spans, intersections and a point's basis exchanges all
-run one fraction-free Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on
-integer rows.  Column indices are 1-based in the public operations, matching the labeling of
-diagram boxes by matrix columns.
+are Bareiss's fraction-free elimination; spans, flags (step on step, ``Subspace.extend``), rank
+tests (containment, transversality), intersections (Zassenhaus's, only for ``variety.xi``'s line)
+and a point's basis exchanges all run one fraction-free Gauss-Jordan tableau (``_tableau``, one
+exchange per ``_pivot``) on integer rows.  Column indices are 1-based in the public operations,
+matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -76,6 +78,8 @@ def _primitive(v) -> list[int]:
 def _echelon(rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """(rows, pivot columns) of the integer rows' reduced row echelon form, each row scaled to
     coprime integers with a positive pivot entry: the canonical form of their span."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("vector of wrong ambient dimension")
     T, D, cols, _ = _tableau(rows, range(ncols))
     g = [gcd(*r) if D > 0 else -gcd(*r) for r in T]  # every row of T has the entry D at its pivot
     return [tuple(x // h for x in r) for r, h in zip(T, g)], cols
@@ -155,10 +159,11 @@ class Subspace:
     @classmethod
     def span(cls, ambient: int, vectors) -> "Subspace":
         vectors = [_primitive(v) for v in vectors]  # of ints or Fractions
-        for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("vector of wrong ambient dimension")
         return cls(ambient, tuple(_echelon(vectors, ambient)[0]))
+
+    def extend(self, v) -> "Subspace":
+        """self + span(v), the flags' step builder: self's canonical rows and the primitive v in one ``_echelon``."""
+        return Subspace(self.ambient, tuple(_echelon([*self.basis, _primitive(v)], self.ambient)[0]))
 
     @property
     def dim(self) -> int:
@@ -204,7 +209,7 @@ class FlagK:
     @classmethod
     def from_columns(cls, columns) -> "FlagK":
         k = len(columns)
-        return cls(tuple(Subspace.span(k, columns[:i]) for i in range(1, k + 1)))
+        return cls(tuple(accumulate(columns, Subspace.extend, initial=Subspace(k, ())))[1:])
 
     @property
     def ambient(self) -> int:
@@ -218,11 +223,11 @@ class FlagK:
 
 
 def transversal(F1: FlagK, F2: FlagK) -> bool:
-    """True iff F1_i ^ F2_{k-i} = 0 for all i, i.e. relative position w_0."""
+    """True iff F1_i ^ F2_{k-i} = 0 for all i (relative position w_0): each pair's stacked rows have rank k."""
     if F1.ambient != F2.ambient:
         raise ValueError("flags in different ambient spaces")
     k = F1.ambient
-    return all(F1.step(i).intersect(F2.step(k - i)).dim == 0 for i in range(1, k))
+    return all(len(_tableau(F1.step(i).basis + F2.step(k - i).basis, range(k))[2]) == k for i in range(1, k))
 
 
 def rat_to_str(x: Fraction) -> str:

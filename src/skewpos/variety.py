@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
@@ -164,10 +164,6 @@ class PointV:
                 U.append(j)
             if j >= first - 1:
                 yield U, F, T[U[0]][F[0]] if len(F) == 1 else det([[T[u][t] for t in F] for u in U]), num, den
-
-    def subspace(self, a: int, i: int) -> Subspace:
-        """V(a, i) = span of the short-label columns of box (a, i)."""
-        return Subspace.span(self.diagram.k, [self.column(t) for t in self.diagram.short_label(a, i)])
 
     def to_json(self) -> dict:
         return {
@@ -356,11 +352,15 @@ class BraidLabeling:
 def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram by the region subspaces, framing, right flag and torus scalars."""
     d = V.diagram
-    regions = tuple((box, V.subspace(box.a, box.i)) for box in d.boxes())
+    regions = []
+    for box in d.boxes():
+        J = d.short_label(*box)  # J(a, i - 1) and one column more
+        S = S.extend(V.column(J[-1])) if box.i > d.mu_bar[box.a] + 1 else Subspace.span(d.k, map(V.column, J))
+        regions.append((box, S))
     boundary = RatMatrix.from_columns([V.column(b) for b in d.I_mu()], V.matrix.den)
     right = FlagK.from_columns([V.column(t) for t in d.I_lambda()])
     torus = tuple((box, V.column_minors(box.a)[-1]) for box in d.ribbon().R1)
-    labeling = BraidLabeling(d, regions, boundary, right, torus, V.seed)
+    labeling = BraidLabeling(d, tuple(regions), boundary, right, torus, V.seed)
     check_labeling(labeling)
     return labeling
 
@@ -368,9 +368,16 @@ def omega(V: PointV) -> BraidLabeling:
 def check_labeling(L: BraidLabeling) -> None:
     """Region conditions of the braid diagram; raises InvariantError on violation."""
     d = L.diagram
+    k = d.k
     region = L._region
+    if [box for box, _ in L.regions] != d.boxes():
+        raise InvariantError(f"regions do not label the {d.size()} boxes of the diagram once each, in column order")
+    if tuple(box for box, _ in L.torus) != d.ribbon().R1:
+        raise InvariantError(f"torus coordinates do not label the {len(d.ribbon().R1)} R^1 boxes once each, in order")
     ribbon = {(box.a, box.i) for box in d.ribbon().R}
     for (a, i), S in region.items():
+        if S.ambient != k:
+            raise InvariantError(f"V({a},{i}) is in Q^{S.ambient}, not Q^{k}")
         if S.dim != i:
             raise InvariantError(f"dim V({a},{i}) = {S.dim} != {i}")
     for (a, i), S in region.items():
@@ -384,12 +391,11 @@ def check_labeling(L: BraidLabeling) -> None:
                 raise InvariantError(f"ribbon equality fails at ({a},{i})")
             if (a, i) not in ribbon and S == region[(a + 1, i)]:
                 raise InvariantError(f"non-ribbon inequality fails at ({a},{i})")
-    k = d.k
     F = L.boundary_basis
     if (F.nrows, F.ncols) != (k, k):
         raise InvariantError(f"boundary framing is {F.nrows} x {F.ncols}, not {k} x {k}")
     framing = [F.column(j) for j in range(1, k + 1)]
-    w_op = [Subspace.span(k, framing[:j]) for j in range(k + 1)]
+    w_op = list(accumulate(framing, Subspace.extend, initial=Subspace(k, ())))
     if w_op[k].dim != k:
         raise InvariantError("boundary framing is not a basis")
     for a in range(1, d.n - d.k + 1):
@@ -402,6 +408,8 @@ def check_labeling(L: BraidLabeling) -> None:
                 if w_op[i] == region[(a - 1, i)]:
                     raise InvariantError(f"W^op_{i} = V({a-1},{i})")
     flag_w = FlagK.from_columns(framing[::-1])
+    if L.right_flag.ambient != k:
+        raise InvariantError(f"right flag is in Q^{L.right_flag.ambient}, not Q^{k}")
     if not transversal(L.right_flag, flag_w):
         raise InvariantError("right flag not transversal to F^W")
     for box, c in L.torus:
@@ -418,17 +426,14 @@ def xi(L: BraidLabeling) -> PointV:
     d, F = L.diagram, L.boundary_basis
     k, n = d.k, d.n
     cols = {d.b(j): F.column(j) for j in range(1, k + 1)}
+    flag_w = list(accumulate([F.column(j) for j in range(k, 0, -1)], Subspace.extend, initial=Subspace(k, ())))
     scale = [Fraction(1)] * (n + 1)
-
-    def W(j: int) -> Subspace:
-        return Subspace.span(k, [cols[d.b(t)] for t in range(k - j + 1, k + 1)])
-
     for a in range(n - k, 0, -1):
         t0 = a + d.mu_bar[a]
         if d.mu_bar[a] == d.lambda_bar[a]:
             cols[t0] = (0,) * k
             continue
-        line = L.region(a, d.mu_bar[a] + 1).intersect(W(k - d.mu_bar[a]))
+        line = L.region(a, d.mu_bar[a] + 1).intersect(flag_w[k - d.mu_bar[a]])
         if line.dim != 1:
             raise ValueError(f"intersection at column {a} is {line.dim}-dimensional")
         cols[t0] = line.basis[0]

@@ -161,6 +161,23 @@ def flag_W(V):
     return FlagK.from_columns([V.column(d.b(t)) for t in range(d.k, 0, -1)])
 
 
+def region(V, a: int, i: int):
+    """V(a, i) = span of the short-label columns of box (a, i), from nothing: the per-box oracle
+    of ``omega``'s regions, which extend each column's lowest region one column at a time."""
+    from skewpos.linalg import Subspace
+
+    return Subspace.span(V.diagram.k, [V.column(t) for t in V.diagram.short_label(a, i)])
+
+
+def transversal_oracle(F1, F2) -> bool:
+    """True iff F1_i ^ F2_{k-i} = 0 for all i, by k - 1 Zassenhaus intersections; ``transversal``
+    tests the rank of each pair's stacked rows instead."""
+    if F1.ambient != F2.ambient:
+        raise ValueError("flags in different ambient spaces")
+    k = F1.ambient
+    return all(F1.step(i).intersect(F2.step(k - i)).dim == 0 for i in range(1, k))
+
+
 def necklace_entry_exhaustive(M, i: int) -> tuple[int, ...]:
     """All-subsets oracle for one necklace entry (n <= ~12); checks necklace_of_point."""
     k, n = M.nrows, M.ncols
@@ -365,7 +382,7 @@ def flag_at_cut(V, a: int):
     for i in range(1, d.mu_bar[a] + 1):
         steps.append(Subspace.span(d.k, [V.column(d.b(t)) for t in range(1, i + 1)]))
     for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1):
-        steps.append(V.subspace(a, i))
+        steps.append(region(V, a, i))
     for i in range(d.lambda_bar[a] + 1, d.k + 1):
         # level of the rightmost box in row i; rows with lambda_i = mu_i have no
         # such skew box and the label formula degenerates to a boundary prefix

@@ -428,7 +428,8 @@ def test_baf_built_once_per_diagram(monkeypatch):
 
 
 def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
-    """Spans, containment, intersections and flags of integer columns stay in integer rows."""
+    """Spans, containment, intersections, the flags' step builder and the transversality test of
+    integer columns stay in integer rows."""
     V = sample(intro, seed=16)
 
     def no_fraction(*args):
@@ -437,12 +438,29 @@ def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
     monkeypatch.setattr(skewpos.linalg, "Fraction", no_fraction)
     k = intro.k
     F = FlagK.from_columns([V.column(t) for t in intro.I_lambda()])
+    W = FlagK.from_columns([V.column(b) for b in reversed(intro.I_mu())])
+    assert transversal(F, W) and not transversal(F, F)
     for a, i in ((1, 1), (2, 2), (4, 3)):
         S = Subspace.span(k, [V.column(t) for t in intro.short_label(a, i)])
         assert S.contains(Subspace.span(k, [V.column(intro.short_label(a, i)[0])]))
         assert S.intersect(F.step(k)) == S
-        for T in (S, S.intersect(F.step(k - i))):
+        for T in (S, S.intersect(F.step(k - i)), S.extend(V.column(a + i)), *F.steps, *W.steps):
             assert all(type(x) is int for row in T.basis for x in row)
+
+
+def test_braid_dictionary_builds_each_flag_step_on_the_one_before(counted):
+    """omega spans each column's lowest region and extends it up the column, and tests the right
+    flag's transversality by rank, so it intersects nothing and spans at most once per column with
+    boxes; xi reads each W_j off one flag built step on step, so it spans nothing."""
+    d = staircase(20)
+    V = sample(d, seed=1)
+    intersections, spans = counted(Subspace.intersect), counted(Subspace.span)
+    L = omega(V)
+    columns = sum(d.mu_bar[a] < d.lambda_bar[a] for a in range(1, d.n - d.k + 1))
+    assert intersections == [] and 0 < len(spans) <= columns
+    spans.clear()
+    assert xi(L) == V
+    assert spans == [] and len(intersections) == columns  # xi's one line per column with boxes
 
 
 def test_braid_dictionary_runs_on_integer_columns(counted):

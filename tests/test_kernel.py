@@ -2,11 +2,14 @@
 
 The oracles in conftest are the from-scratch Gauss-Jordan routines the package
 used before: reduced echelon forms, determinants, membership of a vector in a
-span, intersections and the cyclic rank function f of a point.
+span, intersections and the cyclic rank function f of a point.  The flags' step
+builder is checked against one span per prefix, and the rank test of
+transversality against k - 1 Zassenhaus intersections.
 """
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewpos import f_of_point, necklace_of_point
-from skewpos.linalg import RatMatrix, Subspace, det
+from skewpos.linalg import FlagK, RatMatrix, Subspace, det, transversal
 from skewpos.variety import _necklace_tableau, _walk
 
 from conftest import (
@@ -29,6 +32,7 @@ from conftest import (
     necklace_entry_exhaustive,
     qcols,
     qrows,
+    transversal_oracle,
 )
 
 INTEGERS = st.integers(-9, 9).map(Fraction)
@@ -196,3 +200,72 @@ def test_add_and_intersect_match_oracle(M, split):
     SA, SB = Subspace.span(k, A), Subspace.span(k, B)
     assert monic(Subspace.span(k, SA.basis + SB.basis).basis) == echelon_oracle(cols)
     assert monic(SA.intersect(SB).basis) == intersect_oracle(k, A, B)
+
+
+class TestFlagStepOracle:
+    """``Subspace.extend``, the step builder of flags, and ``FlagK.from_columns`` on it, against one
+    from-scratch ``Subspace.span`` per prefix of the columns."""
+
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_steps_are_the_prefix_spans(self, M):
+        """Integer and Fraction columns, zero and dependent ones among them: step i is the span of
+        the first i columns, in canonical form."""
+        k = M.nrows
+        for cols in (qcols(M), [M.column(j) for j in range(1, M.ncols + 1)]):
+            steps = list(accumulate(cols, Subspace.extend, initial=Subspace(k, ())))
+            assert steps == [Subspace.span(k, cols[:i]) for i in range(len(cols) + 1)]
+
+    @given(matrices(square=True))
+    @settings(max_examples=100, deadline=None)
+    def test_flag_from_columns(self, M):
+        """A basis gives the flag of its prefix spans; dependent columns raise the ValueError of the
+        first prefix whose span falls short, as when each step was spanned from nothing."""
+        k, cols = M.nrows, qcols(M)
+        spans = [Subspace.span(k, cols[:i]) for i in range(1, k + 1)]
+        short = next((i for i, S in enumerate(spans, 1) if S.dim != i), None)
+        if short is None:
+            assert FlagK.from_columns(cols).steps == tuple(spans)
+        else:
+            with pytest.raises(ValueError, match=rf"^flag step {short} has dimension {spans[short - 1].dim}$"):
+                FlagK.from_columns(cols)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Subspace.span(3, [(1, 2, 3), (1, 2)]),
+        lambda: Subspace.span(3, [(1, 0, 0)]).extend((1, 2, 3, 4)),
+        lambda: FlagK.from_columns([(1, 0), (0, 1, 0)]),
+    ], ids=["span", "extend", "from_columns"])
+    def test_vector_of_the_wrong_length_is_rejected(self, build):
+        with pytest.raises(ValueError, match="^vector of wrong ambient dimension$"):
+            build()
+
+
+@st.composite
+def bases(draw, k):
+    """k independent columns of length k, of one entry kind."""
+    entries = draw(st.sampled_from([INTEGERS, WIDE, RATIONALS]))
+    cols = draw(st.lists(st.tuples(*[entries] * k), min_size=k, max_size=k))
+    assume(Subspace.span(k, cols).dim == k)
+    return cols
+
+
+class TestTransversalOracle:
+    """``transversal``, one rank test of each pair of steps, against ``transversal_oracle``'s k - 1
+    Zassenhaus intersections."""
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(bases(k), bases(k))), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_flag_pairs(self, pair, data):
+        """F against a random flag, itself (never transversal for k > 1), its reversed basis (always
+        transversal) and a permuted basis."""
+        A, B = pair
+        F = FlagK.from_columns(A)
+        flags = [FlagK.from_columns(C) for C in (B, A, A[::-1], data.draw(st.permutations(A)))]
+        assert [transversal(F, G) for G in flags[1:3]] == [len(A) == 1, True]
+        for G in flags:
+            assert transversal(F, G) == transversal_oracle(F, G) == transversal(G, F)
+
+    def test_flags_in_different_ambient_spaces_are_rejected(self):
+        F2, F3 = (FlagK.from_columns([tuple(int(i == j) for i in range(k)) for j in range(k)]) for k in (2, 3))
+        with pytest.raises(ValueError, match="^flags in different ambient spaces$"):
+            transversal(F2, F3)

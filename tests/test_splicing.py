@@ -56,6 +56,7 @@ from conftest import (
     minor,
     qcol,
     qrows,
+    region,
     right_point_minor_oracle,
     right_point_oracle,
     seed_at_delta_oracle,
@@ -132,7 +133,7 @@ class TestFlagAtCut:
 
     def test_intersection_dimension_running(self, running):
         V = sample(running, seed=30)
-        inter = V.subspace(6, 4).intersect(W_span(V, 2))
+        inter = region(V, 6, 4).intersect(W_span(V, 2))
         assert inter.dim == 1
         assert inter.contains(Subspace.span(running.k, [V.column(9)]))
 

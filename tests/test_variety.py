@@ -24,7 +24,7 @@ from skewpos import (
     sample,
     xi,
 )
-from skewpos.linalg import RatMatrix, Subspace
+from skewpos.linalg import FlagK, RatMatrix, Subspace
 from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, _normalize_r1, check_labeling
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     qcol,
     qcols,
     qrows,
+    region,
     skew_diagrams,
     staircase,
     unit_vector,
@@ -282,7 +283,7 @@ class TestOmega:
 
     def test_region_equality_running(self, running):
         V = sample(running, seed=13)
-        assert V.subspace(5, 4) == V.subspace(6, 4)
+        assert region(V, 5, 4) == region(V, 6, 4)
 
     def test_region_conditions(self, running):
         omega(sample(running, seed=14))  # raises on any violated region condition
@@ -303,16 +304,18 @@ class TestOmega:
         with pytest.raises(InvariantError, match="dim V"):
             check_labeling(Z)
 
-    def test_zero_regions_rejected_under_optimize(self):
-        """``python -O`` strips assert statements; the region checks must still run."""
+    @staticmethod
+    def check_under_optimize(labeling: str) -> str:
+        """What ``check_labeling`` says under ``python -O`` of the labeling that the expression
+        ``labeling`` makes from L, omega's labeling of the running diagram at seed 13."""
         script = (
+            "from dataclasses import replace\n"
             "from skewpos import InvariantError, Partition, SkewDiagram, omega, sample\n"
             "from skewpos.linalg import Subspace\n"
             "from skewpos.variety import BraidLabeling, check_labeling\n"
             "d = SkewDiagram(12, 5, Partition((7, 7, 5, 3, 1)), Partition((3, 3, 2)))\n"
             "L = omega(sample(d, seed=13))\n"
-            "Z = BraidLabeling(d, tuple((b, Subspace(d.k, ())) for b, _ in L.regions),\n"
-            "                  L.boundary_basis, L.right_flag, L.torus)\n"
+            f"Z = {labeling}\n"
             "try:\n"
             "    check_labeling(Z)\n"
             "    print(__debug__, 'accepted')\n"
@@ -320,9 +323,37 @@ class TestOmega:
             "    print(__debug__, 'rejected:', exc)\n"
         )
         src = Path(skewpos.__file__).resolve().parent.parent
-        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+
+    def test_zero_regions_rejected_under_optimize(self):
+        """``python -O`` strips assert statements; the region checks must still run."""
+        out = self.check_under_optimize("BraidLabeling(d, tuple((b, Subspace(d.k, ())) for b, _ in L.regions),"
+                                        " L.boundary_basis, L.right_flag, L.torus)")
         assert out.startswith("False rejected: dim V("), out
+
+    @pytest.mark.parametrize("labeling, message", [
+        (lambda L: replace(L, regions=L.regions[:-1]), "^regions do not label the 15 boxes of the diagram"),
+        (lambda L: replace(L, torus=L.torus[1:]), "^torus coordinates do not label the 7 R\\^1 boxes"),
+        (lambda L: replace(L, regions=L.regions[::-1]), "^regions do not label the 15 boxes of the diagram"),
+        (lambda L: replace(L, regions=((L.regions[0][0], Subspace.span(6, [(1, 0, 0, 0, 0, 0)])), *L.regions[1:])),
+         "^V\\(1,1\\) is in Q\\^6, not Q\\^5$"),
+        (lambda L: replace(L, right_flag=FlagK.from_columns([[int(i == j) for i in range(6)] for j in range(6)])),
+         "^right flag is in Q\\^6, not Q\\^5$"),
+    ], ids=["last region dropped", "first torus entry dropped", "regions reversed", "region in Q^6",
+            "right flag in Q^6"])
+    def test_labeling_off_the_diagram_rejected(self, running, labeling, message):
+        """Regions exactly on the boxes of the diagram in column order, torus coordinates exactly on
+        its R^1 boxes, and every region and the right flag in Q^k, or an InvariantError."""
+        L = omega(sample(running, seed=13))
+        assert L.regions[-1][0] == (7, 5) and L.torus[0][0] == (1, 2)
+        with pytest.raises(InvariantError, match=message):
+            check_labeling(labeling(L))
+
+    def test_uncovered_box_rejected_under_optimize(self):
+        """The coverage check is an explicit raise, so it also runs under ``python -O``."""
+        out = self.check_under_optimize("replace(L, regions=L.regions[:-1])")
+        assert out == "False rejected: regions do not label the 15 boxes of the diagram once each, in column order\n"
 
     def test_lookups_stay_out_of_eq_hash_and_repr(self, running):
         L = omega(sample(running, seed=13))
@@ -341,6 +372,27 @@ class TestOmega:
         for a in range(1, 8):
             mu_bar = running.mu_bar[a]
             assert W_span(V, running.k - mu_bar).contains(Subspace.span(running.k, [V.column(a + mu_bar)]))
+
+
+class TestRegionOracle:
+    """``omega``'s regions, each column's lowest one spanned and each one above it the one below
+    extended by one column, against the from-scratch ``region`` oracle at every box."""
+
+    def test_every_diagram_up_to_n7(self):
+        diagrams = list(all_skew_diagrams(7))
+        assert len(diagrams) == 2040
+        for d in diagrams:
+            V = sample(d, seed=1)
+            assert omega(V).regions == tuple((box, region(V, *box)) for box in d.boxes()), d
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_staircase_in_a_det_one_gauge(self, n):
+        """A point in a gauge of determinant 1, whose columns at I_mu are dense rather than the
+        unit vectors of the sampled gauge."""
+        d = staircase(n)
+        V = gauged(sample(d, seed=1), det_one_matrix(random.Random(n), d.k))
+        assert V.matrix.den > 1
+        assert omega(V).regions == tuple((box, region(V, *box)) for box in d.boxes())
 
 
 class TestXi:
