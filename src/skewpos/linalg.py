@@ -2,12 +2,12 @@
 
 All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one
 denominator, a subspace its reduced echelon rows as primitive integer rows; Fractions appear
-only as scalars and where ``RatMatrix.from_rationals`` reads a point's JSON rows.  Determinants
-are Bareiss's fraction-free elimination; spans, flags (step on step, ``Subspace.extend``), rank
-tests (containment, transversality), intersections (Zassenhaus's, only for ``variety.xi``'s line)
-and a point's basis exchanges all run one fraction-free Gauss-Jordan tableau (``_tableau``, one
-exchange per ``_pivot``) on integer rows.  Column indices are 1-based in the public operations,
-matching the labeling of diagram boxes by matrix columns.
+only as scalars and where ``RatMatrix.from_rationals`` reads a point's JSON rows.  A flag is the
+ordered basis that spans it; ``flag`` gives its steps, each the one before extended by one column
+(``Subspace.extend``).  Determinants are Bareiss's fraction-free elimination; spans, flag steps,
+rank tests (containment, transversality) and a point's basis exchanges all run one fraction-free
+Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.  Column indices
+are 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -170,64 +170,24 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, other: "Subspace") -> bool:
-        self._check(other)
-        return len(_tableau(self.basis + other.basis, range(self.ambient))[2]) == self.dim
-
-    def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection by Zassenhaus's algorithm.
-
-        The rows of the reduced echelon form of (a | a), a in self, and (b | 0), b in other,
-        that pivot in the right half are (0 | x), and their x are the reduced echelon basis of
-        the intersection, already in canonical form.
-        """
-        self._check(other)
-        k = self.ambient
-        rows, cols = _echelon([a + a for a in self.basis] + [b + (0,) * k for b in other.basis], 2 * k)
-        return Subspace(k, tuple(r[k:] for r, c in zip(rows, cols) if c >= k))
+        return len(_tableau(self.basis + other.basis, range(self.ambient))[2]) == self.dim
 
 
-@dataclass(frozen=True)
-class FlagK:
-    """Complete flag F_1 c F_2 c ... c F_k = Q^k."""
-
-    steps: tuple[Subspace, ...]
-
-    def __post_init__(self):
-        k = self.steps[0].ambient if self.steps else 0
-        if len(self.steps) != k:
-            raise ValueError("a complete flag needs k subspaces")
-        for i, s in enumerate(self.steps, start=1):
-            if s.dim != i:
-                raise ValueError(f"flag step {i} has dimension {s.dim}")
-            if i > 1 and not s.contains(self.steps[i - 2]):
-                raise ValueError(f"flag step {i} does not contain step {i - 1}")
-
-    @classmethod
-    def from_columns(cls, columns) -> "FlagK":
-        k = len(columns)
-        return cls(tuple(accumulate(columns, Subspace.extend, initial=Subspace(k, ())))[1:])
-
-    @property
-    def ambient(self) -> int:
-        return len(self.steps)
-
-    def step(self, i: int) -> Subspace:
-        """F_i, 1-based; F_0 is the zero subspace."""
-        if i == 0:
-            return Subspace(self.ambient, ())
-        return self.steps[i - 1]
+def flag(k: int, columns) -> tuple[Subspace, ...]:
+    """The steps F_0 = 0, F_1, .. of the flag of the columns in Q^k, F_i the span of the first i:
+    each step is the one before extended by one column, so it contains that step by construction."""
+    return tuple(accumulate(columns, Subspace.extend, initial=Subspace(k, ())))
 
 
-def transversal(F1: FlagK, F2: FlagK) -> bool:
-    """True iff F1_i ^ F2_{k-i} = 0 for all i (relative position w_0): each pair's stacked rows have rank k."""
-    if F1.ambient != F2.ambient:
+def transversal(F1: tuple[Subspace, ...], F2: tuple[Subspace, ...]) -> bool:
+    """True iff F1_i ^ F2_{k-i} = 0 for all i (relative position w_0), for the steps F_0 .. F_k of two
+    complete flags (``flag``): each pair's stacked rows have rank k."""
+    if F1[0].ambient != F2[0].ambient:
         raise ValueError("flags in different ambient spaces")
-    k = F1.ambient
-    return all(len(_tableau(F1.step(i).basis + F2.step(k - i).basis, range(k))[2]) == k for i in range(1, k))
+    k = F1[0].ambient
+    return all(len(_tableau(F1[i].basis + F2[k - i].basis, range(k))[2]) == k for i in range(1, k))
 
 
 def rat_to_str(x: Fraction) -> str:

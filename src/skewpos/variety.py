@@ -7,7 +7,8 @@ T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (the min
 labels and the cut columns, in passes up a column) and, walked by n integer pivots along the
 Grassmann necklace, the bounded affine permutation f that decides membership.  The maps here
 translate a point into a labeling of the braid diagram of the associated positive braid (region
-subspaces, boundary framing, right flag, torus coordinates) and back, exactly.
+subspaces, the boundary framing and right flag as the k x k bases that span them, torus
+coordinates) and back, exactly, reading each column's line off one tableau.
 """
 
 from __future__ import annotations
@@ -16,20 +17,11 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from math import gcd, lcm, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
-from .linalg import (
-    FlagK,
-    RatMatrix,
-    Subspace,
-    _pivot,
-    _tableau,
-    det,
-    quotient_to_str,
-    transversal,
-)
+from .linalg import RatMatrix, Subspace, _pivot, _tableau, det, flag, quotient_to_str, transversal
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
 
 
@@ -319,14 +311,15 @@ class BraidLabeling:
     regions: subspace right of the crossing of each box (all skew boxes carried,
     so that reconstruction can read the flag of every column); boundary_basis:
     the k x k matrix whose columns frame the left flag (the point's columns at
-    I_mu); right_flag: the flag on the right boundary; torus: one nonzero scalar
-    per top-of-column box; seed: the point's seed, so that xi(omega(V)) == V.
+    I_mu); right_flag: the k x k matrix whose columns span the flag on the right
+    boundary step by step (the point's columns at I_lambda); torus: one nonzero
+    scalar per top-of-column box; seed: the point's seed, so that xi(omega(V)) == V.
     """
 
     diagram: SkewDiagram
     regions: tuple[tuple[BoxRef, Subspace], ...]
     boundary_basis: RatMatrix
-    right_flag: FlagK
+    right_flag: RatMatrix
     torus: tuple[tuple[BoxRef, Fraction], ...]
     seed: int | None = None
     _region: dict = field(init=False, repr=False, compare=False)
@@ -358,7 +351,7 @@ def omega(V: PointV) -> BraidLabeling:
         S = S.extend(V.column(J[-1])) if box.i > d.mu_bar[box.a] + 1 else Subspace.span(d.k, map(V.column, J))
         regions.append((box, S))
     boundary = RatMatrix.from_columns([V.column(b) for b in d.I_mu()], V.matrix.den)
-    right = FlagK.from_columns([V.column(t) for t in d.I_lambda()])
+    right = RatMatrix.from_columns([V.column(t) for t in d.I_lambda()], V.matrix.den)
     torus = tuple((box, V.column_minors(box.a)[-1]) for box in d.ribbon().R1)
     labeling = BraidLabeling(d, tuple(regions), boundary, right, torus, V.seed)
     check_labeling(labeling)
@@ -395,7 +388,7 @@ def check_labeling(L: BraidLabeling) -> None:
     if (F.nrows, F.ncols) != (k, k):
         raise InvariantError(f"boundary framing is {F.nrows} x {F.ncols}, not {k} x {k}")
     framing = [F.column(j) for j in range(1, k + 1)]
-    w_op = list(accumulate(framing, Subspace.extend, initial=Subspace(k, ())))
+    w_op = flag(k, framing)
     if w_op[k].dim != k:
         raise InvariantError("boundary framing is not a basis")
     for a in range(1, d.n - d.k + 1):
@@ -407,10 +400,13 @@ def check_labeling(L: BraidLabeling) -> None:
                     raise InvariantError(f"W^op_{i} not in V({a-1},{i+1})")
                 if w_op[i] == region[(a - 1, i)]:
                     raise InvariantError(f"W^op_{i} = V({a-1},{i})")
-    flag_w = FlagK.from_columns(framing[::-1])
-    if L.right_flag.ambient != k:
-        raise InvariantError(f"right flag is in Q^{L.right_flag.ambient}, not Q^{k}")
-    if not transversal(L.right_flag, flag_w):
+    R = L.right_flag
+    if (R.nrows, R.ncols) != (k, k):
+        raise InvariantError(f"right flag basis is {R.nrows} x {R.ncols}, not {k} x {k}")
+    right = flag(k, [R.column(j) for j in range(1, k + 1)])
+    if right[k].dim != k:
+        raise InvariantError("right flag is not a basis")
+    if not transversal(right, flag(k, framing[::-1])):
         raise InvariantError("right flag not transversal to F^W")
     for box, c in L.torus:
         if c == 0:
@@ -421,22 +417,30 @@ def xi(L: BraidLabeling) -> PointV:
     """Reconstruct the point from a braid labeling; exact inverse of omega.
 
     Column t of the point is scale[t] times the integer vector cols[t] over the framing's
-    denominator: a framing column with scale 1, or the integer basis vector of a line, scaled
-    so that the pinning minor is the torus value."""
+    denominator: a framing column with scale 1, or the primitive vector x, leading entry positive,
+    of the line V(a, m+1) ^ span(f_{m+1}, .., f_k) in column a (m = mu_bar_a), scaled so that the
+    pinning minor is the torus value.  That line is the one dependency among the rows s_j of
+    V(a, m+1) and the framing columns f_{m+1}, .., f_k: one tableau over them, in that order, leaves
+    one column c out of its basis, and x = sum_j T[row of s_j][c] s_j."""
     d, F = L.diagram, L.boundary_basis
     k, n = d.k, d.n
-    cols = {d.b(j): F.column(j) for j in range(1, k + 1)}
-    flag_w = list(accumulate([F.column(j) for j in range(k, 0, -1)], Subspace.extend, initial=Subspace(k, ())))
+    framing = [F.column(j) for j in range(1, k + 1)]
+    cols = dict(zip(d.I_mu(), framing))
     scale = [Fraction(1)] * (n + 1)
     for a in range(n - k, 0, -1):
-        t0 = a + d.mu_bar[a]
-        if d.mu_bar[a] == d.lambda_bar[a]:
+        m, t0 = d.mu_bar[a], a + d.mu_bar[a]
+        if m == d.lambda_bar[a]:
             cols[t0] = (0,) * k
             continue
-        line = L.region(a, d.mu_bar[a] + 1).intersect(flag_w[k - d.mu_bar[a]])
-        if line.dim != 1:
-            raise ValueError(f"intersection at column {a} is {line.dim}-dimensional")
-        cols[t0] = line.basis[0]
+        S = L.region(a, m + 1).basis
+        T, _, basis, _ = _tableau(list(zip(*S, *framing[m:])), range(k + 1))
+        free = [c for c in range(k + 1) if c not in basis]
+        terms = [(row[free[0]], S[j]) for row, j in zip(T, basis) if j < len(S)] if len(free) == 1 else []
+        x = [sum(c * s[r] for c, s in terms) for r in range(k)]
+        g = gcd(*x)
+        if g == 0:  # no line, or one free framing column that the framing tail alone spans
+            raise ValueError(f"intersection at column {a} is {len(free) if len(free) > 1 else 0}-dimensional")
+        cols[t0] = tuple(y // (g if next(filter(None, x)) > 0 else -g) for y in x)
         J = d.long_label(a, d.lambda_bar[a])
         # den^k times the minor of the columns of J with scale[t0] still 1, by the rows of the transpose
         current = det([cols[t] for t in J]) * prod(scale[t] for t in J)

@@ -154,11 +154,11 @@ def W_span(V, j: int):
 
 
 def flag_W(V):
-    """The opposite boundary flag W_1 c W_2 c ... c W_k."""
-    from skewpos.linalg import FlagK
+    """The steps W_0 c W_1 c ... c W_k of the opposite boundary flag."""
+    from skewpos.linalg import flag
 
     d = V.diagram
-    return FlagK.from_columns([V.column(d.b(t)) for t in range(d.k, 0, -1)])
+    return flag(d.k, [V.column(d.b(t)) for t in range(d.k, 0, -1)])
 
 
 def region(V, a: int, i: int):
@@ -169,13 +169,30 @@ def region(V, a: int, i: int):
     return Subspace.span(V.diagram.k, [V.column(t) for t in V.diagram.short_label(a, i)])
 
 
+def zassenhaus(A, B):
+    """Exact intersection of two subspaces by Zassenhaus's algorithm, the ``Subspace.intersect``
+    that ``xi``'s dependency line and ``transversal``'s rank test replaced.
+
+    The rows of the reduced echelon form of (a | a), a in A, and (b | 0), b in B,
+    that pivot in the right half are (0 | x), and their x are the reduced echelon basis of
+    the intersection, already in canonical form.
+    """
+    from skewpos.linalg import Subspace, _echelon
+
+    if A.ambient != B.ambient:
+        raise ValueError("ambient dimensions differ")
+    k = A.ambient
+    rows, cols = _echelon([a + a for a in A.basis] + [b + (0,) * k for b in B.basis], 2 * k)
+    return Subspace(k, tuple(r[k:] for r, c in zip(rows, cols) if c >= k))
+
+
 def transversal_oracle(F1, F2) -> bool:
-    """True iff F1_i ^ F2_{k-i} = 0 for all i, by k - 1 Zassenhaus intersections; ``transversal``
-    tests the rank of each pair's stacked rows instead."""
-    if F1.ambient != F2.ambient:
+    """True iff F1_i ^ F2_{k-i} = 0 for all i, by k - 1 Zassenhaus intersections of the steps
+    F_0 .. F_k; ``transversal`` tests the rank of each pair's stacked rows instead."""
+    if F1[0].ambient != F2[0].ambient:
         raise ValueError("flags in different ambient spaces")
-    k = F1.ambient
-    return all(F1.step(i).intersect(F2.step(k - i)).dim == 0 for i in range(1, k))
+    k = F1[0].ambient
+    return all(zassenhaus(F1[i], F2[k - i]).dim == 0 for i in range(1, k))
 
 
 def necklace_entry_exhaustive(M, i: int) -> tuple[int, ...]:
@@ -374,11 +391,12 @@ def from_matrix_oracle(d, M, seed=None):
 
 
 def flag_at_cut(V, a: int):
-    """The complete flag on the interface of the two column groups, one span per step."""
-    from skewpos.linalg import FlagK, Subspace
+    """The steps F_0 .. F_k of the complete flag on the interface of the two column groups, one
+    span per step, each checked to have dimension i and to contain the one before."""
+    from skewpos.linalg import Subspace
 
     d = V.diagram
-    steps = []
+    steps = [Subspace(d.k, ())]
     for i in range(1, d.mu_bar[a] + 1):
         steps.append(Subspace.span(d.k, [V.column(d.b(t)) for t in range(1, i + 1)]))
     for i in range(d.mu_bar[a] + 1, d.lambda_bar[a] + 1):
@@ -388,10 +406,10 @@ def flag_at_cut(V, a: int):
         # such skew box and the label formula degenerates to a boundary prefix
         cols = [V.column(min(d.d(i) + j - 1, d.b(j))) for j in range(1, i + 1)]
         steps.append(Subspace.span(d.k, cols))
-    try:
-        return FlagK(tuple(steps))
-    except ValueError as exc:
-        raise ValueError(f"cut flag at column {a} is not a complete flag: {exc}") from exc
+    for i in range(1, d.k + 1):
+        if steps[i].dim != i or not steps[i].contains(steps[i - 1]):
+            raise ValueError(f"cut flag at column {a} is not a complete flag at step {i}")
+    return tuple(steps)
 
 
 def A_factor_oracle(V, a: int, t: int) -> Fraction:
@@ -432,7 +450,7 @@ def right_point_oracle(V, a: int):
         raise AssertionError("cut flag not transversal to the opposite boundary flag")
     cols = {}
     for i in range(1, k + 1):
-        line = F.step(i).intersect(W_span(V, k - i + 1))
+        line = zassenhaus(F[i], W_span(V, k - i + 1))
         if line.dim != 1:
             raise AssertionError(f"cut intersection at level {i} is {line.dim}-dimensional")
         z = line.basis[0]

@@ -184,7 +184,7 @@ def test_criterion_06():
     labeling = omega(V)
     assert xi(labeling).matrix == V.matrix
     for j, cols in enumerate([(1,), (1, 2), (1, 2, 5), (1, 2, 5, 8), (1, 2, 5, 8, 11)], 1):
-        step = labeling.right_flag.step(j)
+        step = Subspace.span(RUNNING.k, [labeling.right_flag.column(c) for c in range(1, j + 1)])
         assert step.dim == j
         for t in cols:
             assert step.contains(Subspace.span(RUNNING.k, [V.column(t)]))

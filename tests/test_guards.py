@@ -22,13 +22,13 @@ import pytest
 import skewpos
 from skewpos import Cut, SkewDiagram, omega, right_point, sample, splice_report, xi
 from skewpos.cli import build_parser, main
-from skewpos.linalg import FlagK, RatMatrix, Subspace, _echelon, det, transversal
+from skewpos.linalg import RatMatrix, Subspace, _echelon, _tableau, det, flag, transversal
 from skewpos.permutations import BoundedAffinePermutation
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import PointV, _walk, membership
 
-from conftest import W_span, right_point_minor_oracle, staircase
+from conftest import W_span, flag_W, right_point_minor_oracle, staircase, zassenhaus
 from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -337,13 +337,15 @@ def test_verify_evaluates_each_chart_once(counted):
 
 
 def test_right_point_runs_no_intersection(counted, intro):
+    """The right factor is solved on V's chart: no span, echelon form or transversality test, and
+    so no intersection, which the package can only build from spans and echelon forms."""
     V = sample(intro, seed=16)
-    intersections, tests = counted(Subspace.intersect), counted(transversal)
-    echelons, spans = counted(_echelon), counted(Subspace.span)
+    tests, echelons, spans = counted(transversal), counted(_echelon), counted(Subspace.span)
     right_point(V, 6)
-    assert intersections == [] and tests == [] and echelons == [] and spans == []
-    W_span(V, 1).intersect(W_span(V, 2))  # the wrappers do see a call
-    assert len(intersections) == 1 and len(spans) == 2 and echelons
+    assert tests == [] and echelons == [] and spans == []
+    zassenhaus(W_span(V, 1), W_span(V, 2))  # the wrappers do see a call
+    assert skewpos.linalg.transversal(flag_W(V), flag_W(V)) is False
+    assert len(tests) == 1 and len(spans) == 2 and echelons
 
 
 @pytest.mark.parametrize("n", [12, 20, 32])
@@ -428,8 +430,8 @@ def test_baf_built_once_per_diagram(monkeypatch):
 
 
 def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
-    """Spans, containment, intersections, the flags' step builder and the transversality test of
-    integer columns stay in integer rows."""
+    """Spans, containment, the flags' step builder, the transversality test and the echelon forms
+    of a Zassenhaus intersection of integer columns stay in integer rows."""
     V = sample(intro, seed=16)
 
     def no_fraction(*args):
@@ -437,35 +439,45 @@ def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
 
     monkeypatch.setattr(skewpos.linalg, "Fraction", no_fraction)
     k = intro.k
-    F = FlagK.from_columns([V.column(t) for t in intro.I_lambda()])
-    W = FlagK.from_columns([V.column(b) for b in reversed(intro.I_mu())])
+    F = flag(k, [V.column(t) for t in intro.I_lambda()])
+    W = flag(k, [V.column(b) for b in reversed(intro.I_mu())])
     assert transversal(F, W) and not transversal(F, F)
     for a, i in ((1, 1), (2, 2), (4, 3)):
         S = Subspace.span(k, [V.column(t) for t in intro.short_label(a, i)])
         assert S.contains(Subspace.span(k, [V.column(intro.short_label(a, i)[0])]))
-        assert S.intersect(F.step(k)) == S
-        for T in (S, S.intersect(F.step(k - i)), S.extend(V.column(a + i)), *F.steps, *W.steps):
+        assert zassenhaus(S, F[k]) == S
+        for T in (S, zassenhaus(S, F[k - i]), S.extend(V.column(a + i)), *F, *W):
             assert all(type(x) is int for row in T.basis for x in row)
 
 
 def test_braid_dictionary_builds_each_flag_step_on_the_one_before(counted):
-    """omega spans each column's lowest region and extends it up the column, and tests the right
-    flag's transversality by rank, so it intersects nothing and spans at most once per column with
-    boxes; xi reads each W_j off one flag built step on step, so it spans nothing."""
+    """omega spans each column's lowest region and extends it up the column, at most one span per
+    column with boxes, and builds no flag: its right flag is the basis at I_lambda, and
+    ``check_labeling`` builds W^op, F^W and the right flag once each, step on step.  xi spans and
+    extends nothing: each column's line is one tableau over the region rows and the framing tail."""
     d = staircase(20)
+    k, n = d.k, d.n
     V = sample(d, seed=1)
-    intersections, spans = counted(Subspace.intersect), counted(Subspace.span)
+    spans, extends, flags = counted(Subspace.span), counted(Subspace.extend), counted(flag)
     L = omega(V)
     columns = sum(d.mu_bar[a] < d.lambda_bar[a] for a in range(1, d.n - d.k + 1))
-    assert intersections == [] and 0 < len(spans) <= columns
-    spans.clear()
+    assert 0 < len(spans) <= columns
+    framing = [V.column(b) for b in d.I_mu()]
+    assert flags == [(k, framing), (k, [V.column(t) for t in d.I_lambda()]), (k, framing[::-1])]
+    assert len(extends) == d.size() - columns + 3 * k
+    for calls in (spans, extends, flags):
+        calls.clear()
+    tableaux = counted(_tableau)
     assert xi(L) == V
-    assert spans == [] and len(intersections) == columns  # xi's one line per column with boxes
+    assert spans == [] and extends == [] and flags == []
+    # one k x (k + 1) tableau per column with boxes, then the k x n tableau of the point built
+    assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(k, k + 1)] * columns + [(k, n)]
 
 
 def test_braid_dictionary_runs_on_integer_columns(counted):
     """omega, xi and the R^1 normalization move the point's integer columns: no Fraction matrix
-    is read in, the package keeps no second minor routine, and the framing is an integer matrix."""
+    is read in, the package keeps no second minor routine, and the framing and the right flag's
+    basis are k x k integer matrices."""
     d = staircase(20)
     V = sample(d, seed=1)
     parsed = counted(RatMatrix.from_rationals)
@@ -473,8 +485,9 @@ def test_braid_dictionary_runs_on_integer_columns(counted):
     assert xi(L) == V and sample(d, seed=1, normalize_r1=True).delta(d.I_mu()) == 1
     assert parsed == []
     assert [name for name, m in sys.modules.items() if name.startswith("skewpos") and hasattr(m, "minor")] == []
-    F = L.boundary_basis
-    assert isinstance(F, RatMatrix) and type(F.den) is int and all(type(x) is int for r in F.num for x in r)
+    for F in (L.boundary_basis, L.right_flag):
+        assert isinstance(F, RatMatrix) and type(F.den) is int and all(type(x) is int for r in F.num for x in r)
+        assert (F.nrows, F.ncols) == (d.k, d.k)
     PointV.from_json(V.to_json())  # the wrapper does see a call: reading a point's JSON
     assert len(parsed) == 1
 
@@ -515,6 +528,21 @@ def test_only_variety_reads_the_chart():
     assert set(readers) == {"variety"}
     assert loads == {("variety", "_prefix_blocks"), ("variety", "cut_columns")}
     assert named["splicing"] & (chart | {"_memo"}) == set() and named["cluster"] & chart == set()
+
+
+def test_flags_are_the_bases_that_span_them():
+    """A flag is the basis that spans it, and ``flag`` gives its steps: no module of src/ binds a
+    flag class or defines an intersection, which ``xi``'s dependency line and the rank test of
+    transversality replaced."""
+    found = []
+    for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
+                    else node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in ("FlagK", "intersect"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+    assert [name for name, m in sys.modules.items() if name.startswith("skewpos") and hasattr(m, "FlagK")] == []
 
 
 # Public names with no caller in src/: each names an object of the paper and a test

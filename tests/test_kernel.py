@@ -4,12 +4,12 @@ The oracles in conftest are the from-scratch Gauss-Jordan routines the package
 used before: reduced echelon forms, determinants, membership of a vector in a
 span, intersections and the cyclic rank function f of a point.  The flags' step
 builder is checked against one span per prefix, and the rank test of
-transversality against k - 1 Zassenhaus intersections.
+transversality against k - 1 Zassenhaus intersections (``zassenhaus``, itself
+checked against the nullspace oracle).
 """
 
 import random
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewpos import f_of_point, necklace_of_point
-from skewpos.linalg import FlagK, RatMatrix, Subspace, det, transversal
+from skewpos.linalg import RatMatrix, Subspace, det, flag, transversal
 from skewpos.variety import _necklace_tableau, _walk
 
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     qcols,
     qrows,
     transversal_oracle,
+    zassenhaus,
 )
 
 INTEGERS = st.integers(-9, 9).map(Fraction)
@@ -199,11 +200,11 @@ def test_add_and_intersect_match_oracle(M, split):
     A, B = cols[:split], cols[split:]
     SA, SB = Subspace.span(k, A), Subspace.span(k, B)
     assert monic(Subspace.span(k, SA.basis + SB.basis).basis) == echelon_oracle(cols)
-    assert monic(SA.intersect(SB).basis) == intersect_oracle(k, A, B)
+    assert monic(zassenhaus(SA, SB).basis) == intersect_oracle(k, A, B)
 
 
 class TestFlagStepOracle:
-    """``Subspace.extend``, the step builder of flags, and ``FlagK.from_columns`` on it, against one
+    """``Subspace.extend``, the step builder of flags, and ``flag`` on it, against one
     from-scratch ``Subspace.span`` per prefix of the columns."""
 
     @given(matrices())
@@ -213,28 +214,25 @@ class TestFlagStepOracle:
         the first i columns, in canonical form."""
         k = M.nrows
         for cols in (qcols(M), [M.column(j) for j in range(1, M.ncols + 1)]):
-            steps = list(accumulate(cols, Subspace.extend, initial=Subspace(k, ())))
-            assert steps == [Subspace.span(k, cols[:i]) for i in range(len(cols) + 1)]
+            assert flag(k, cols) == tuple(Subspace.span(k, cols[:i]) for i in range(len(cols) + 1))
 
     @given(matrices(square=True))
     @settings(max_examples=100, deadline=None)
     def test_flag_from_columns(self, M):
-        """A basis gives the flag of its prefix spans; dependent columns raise the ValueError of the
-        first prefix whose span falls short, as when each step was spanned from nothing."""
+        """k columns give the prefix spans F_0 .. F_k, step i of dimension i for every i iff the
+        columns are a basis, which the top step alone tells: each step contains the one before."""
         k, cols = M.nrows, qcols(M)
-        spans = [Subspace.span(k, cols[:i]) for i in range(1, k + 1)]
-        short = next((i for i, S in enumerate(spans, 1) if S.dim != i), None)
-        if short is None:
-            assert FlagK.from_columns(cols).steps == tuple(spans)
-        else:
-            with pytest.raises(ValueError, match=rf"^flag step {short} has dimension {spans[short - 1].dim}$"):
-                FlagK.from_columns(cols)
+        steps = flag(k, cols)
+        assert steps == tuple(Subspace.span(k, cols[:i]) for i in range(k + 1))
+        assert all(T.contains(S) for S, T in zip(steps, steps[1:]))
+        basis = det([M.column(j) for j in range(1, k + 1)]) != 0
+        assert ([S.dim for S in steps] == list(range(k + 1))) == (steps[k].dim == k) == basis
 
     @pytest.mark.parametrize("build", [
         lambda: Subspace.span(3, [(1, 2, 3), (1, 2)]),
         lambda: Subspace.span(3, [(1, 0, 0)]).extend((1, 2, 3, 4)),
-        lambda: FlagK.from_columns([(1, 0), (0, 1, 0)]),
-    ], ids=["span", "extend", "from_columns"])
+        lambda: flag(2, [(1, 0), (0, 1, 0)]),
+    ], ids=["span", "extend", "flag"])
     def test_vector_of_the_wrong_length_is_rejected(self, build):
         with pytest.raises(ValueError, match="^vector of wrong ambient dimension$"):
             build()
@@ -259,13 +257,14 @@ class TestTransversalOracle:
         """F against a random flag, itself (never transversal for k > 1), its reversed basis (always
         transversal) and a permuted basis."""
         A, B = pair
-        F = FlagK.from_columns(A)
-        flags = [FlagK.from_columns(C) for C in (B, A, A[::-1], data.draw(st.permutations(A)))]
-        assert [transversal(F, G) for G in flags[1:3]] == [len(A) == 1, True]
+        k = len(A)
+        F = flag(k, A)
+        flags = [flag(k, C) for C in (B, A, A[::-1], data.draw(st.permutations(A)))]
+        assert [transversal(F, G) for G in flags[1:3]] == [k == 1, True]
         for G in flags:
             assert transversal(F, G) == transversal_oracle(F, G) == transversal(G, F)
 
     def test_flags_in_different_ambient_spaces_are_rejected(self):
-        F2, F3 = (FlagK.from_columns([tuple(int(i == j) for i in range(k)) for j in range(k)]) for k in (2, 3))
+        F2, F3 = (flag(k, [tuple(int(i == j) for i in range(k)) for j in range(k)]) for k in (2, 3))
         with pytest.raises(ValueError, match="^flags in different ambient spaces$"):
             transversal(F2, F3)

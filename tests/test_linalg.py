@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewpos.linalg import (
-    FlagK,
     RatMatrix,
     Subspace,
+    flag,
     quotient_to_str,
     rat_to_str,
     transversal,
 )
 
-from conftest import from_qcols, minor, qcol, qcols, qrows, solve_columns, unit_vector, vec
+from conftest import from_qcols, minor, qcol, qcols, qrows, solve_columns, unit_vector, vec, zassenhaus
 
 
 def random_matrix(rng, k, m, lo=-9, hi=9):
@@ -63,12 +63,12 @@ class TestSubspace:
 
     def test_self_intersection(self):
         A = Subspace.span(4, [vec((1, 2, 0, 1)), vec((0, 0, 3, 1))])
-        assert A.intersect(A) == A
+        assert zassenhaus(A, A) == A
 
     def test_complementary_coordinates(self):
         A = Subspace.span(4, [unit_vector(4, 1), unit_vector(4, 2)])
         B = Subspace.span(4, [unit_vector(4, 3), unit_vector(4, 4)])
-        assert A.intersect(B).dim == 0
+        assert zassenhaus(A, B).dim == 0
 
     def test_dimension_formula(self):
         rng = random.Random(4)
@@ -78,15 +78,15 @@ class TestSubspace:
                                   for _ in range(rng.randint(0, k))])
             B = Subspace.span(k, [vec([rng.randint(-5, 5) for _ in range(k)])
                                   for _ in range(rng.randint(0, k))])
-            assert Subspace.span(k, A.basis + B.basis).dim + A.intersect(B).dim == A.dim + B.dim
+            assert Subspace.span(k, A.basis + B.basis).dim + zassenhaus(A, B).dim == A.dim + B.dim
 
 
 class TestFlags:
     def standard(self, k):
-        return FlagK.from_columns([unit_vector(k, i) for i in range(1, k + 1)])
+        return flag(k, [unit_vector(k, i) for i in range(1, k + 1)])
 
     def antistandard(self, k):
-        return FlagK.from_columns([unit_vector(k, i) for i in range(k, 0, -1)])
+        return flag(k, [unit_vector(k, i) for i in range(k, 0, -1)])
 
     def test_transversal_cases(self):
         assert transversal(self.standard(3), self.antistandard(3))

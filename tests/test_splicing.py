@@ -65,6 +65,7 @@ from conftest import (
     vec_add,
     vec_scale,
     verify_exchange_ratios_oracle,
+    zassenhaus,
 )
 
 
@@ -110,7 +111,7 @@ class TestFlagAtCut:
         F = flag_at_cut(V, 6)
         expected = [(5,), (5, 6), (5, 6, 8), (5, 6, 8, 9)]
         for j, cols in enumerate(expected, start=1):
-            assert F.step(j) == Subspace.span(5, [V.column(t) for t in cols])
+            assert F[j] == Subspace.span(5, [V.column(t) for t in cols])
 
     def test_transversality_iff_chart(self, running):
         for seed in range(4, 10):
@@ -121,7 +122,7 @@ class TestFlagAtCut:
     def test_boundary_column(self, running):
         V = sample(running, seed=5)
         F = flag_at_cut(V, 1)
-        assert F.step(running.k).dim == running.k
+        assert F[running.k].dim == running.k
 
     def test_transversality_iff_chart_random(self):
         for t in range(15):
@@ -133,7 +134,7 @@ class TestFlagAtCut:
 
     def test_intersection_dimension_running(self, running):
         V = sample(running, seed=30)
-        inter = region(V, 6, 4).intersect(W_span(V, 2))
+        inter = zassenhaus(region(V, 6, 4), W_span(V, 2))
         assert inter.dim == 1
         assert inter.contains(Subspace.span(running.k, [V.column(9)]))
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from skewpos import (
     sample,
     xi,
 )
-from skewpos.linalg import FlagK, RatMatrix, Subspace
+from skewpos import variety
+from skewpos.linalg import RatMatrix, Subspace
 from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, _normalize_r1, check_labeling
 
 from conftest import (
@@ -34,6 +36,7 @@ from conftest import (
     echelon_oracle,
     from_qcols,
     gauged,
+    intersect_oracle,
     membership_oracle,
     necklace_entry_exhaustive,
     qcol,
@@ -44,6 +47,7 @@ from conftest import (
     staircase,
     unit_vector,
     vec_scale,
+    zassenhaus,
     zero_vector,
 )
 
@@ -277,7 +281,7 @@ class TestOmega:
         L = omega(V)
         expected = [(1,), (1, 2), (1, 2, 5), (1, 2, 5, 8), (1, 2, 5, 8, 11)]
         for j, cols in enumerate(expected, start=1):
-            span = L.right_flag.step(j)
+            span = Subspace.span(running.k, [L.right_flag.column(c) for c in range(1, j + 1)])
             for t in cols:
                 assert span.contains(Subspace.span(running.k, [V.column(t)]))
 
@@ -338,17 +342,32 @@ class TestOmega:
         (lambda L: replace(L, regions=L.regions[::-1]), "^regions do not label the 15 boxes of the diagram"),
         (lambda L: replace(L, regions=((L.regions[0][0], Subspace.span(6, [(1, 0, 0, 0, 0, 0)])), *L.regions[1:])),
          "^V\\(1,1\\) is in Q\\^6, not Q\\^5$"),
-        (lambda L: replace(L, right_flag=FlagK.from_columns([[int(i == j) for i in range(6)] for j in range(6)])),
-         "^right flag is in Q\\^6, not Q\\^5$"),
+        (lambda L: replace(L, right_flag=RatMatrix(tuple(tuple(int(i == j) for i in range(6)) for j in range(6)))),
+         "^right flag basis is 6 x 6, not 5 x 5$"),
     ], ids=["last region dropped", "first torus entry dropped", "regions reversed", "region in Q^6",
             "right flag in Q^6"])
     def test_labeling_off_the_diagram_rejected(self, running, labeling, message):
         """Regions exactly on the boxes of the diagram in column order, torus coordinates exactly on
-        its R^1 boxes, and every region and the right flag in Q^k, or an InvariantError."""
+        its R^1 boxes, every region in Q^k and the right flag's basis k x k, or an InvariantError."""
         L = omega(sample(running, seed=13))
         assert L.regions[-1][0] == (7, 5) and L.torus[0][0] == (1, 2)
         with pytest.raises(InvariantError, match=message):
             check_labeling(labeling(L))
+
+    @pytest.mark.parametrize("basis, message", [
+        (lambda L: RatMatrix(tuple(r[:-1] for r in L.right_flag.num), L.right_flag.den),
+         "^right flag basis is 5 x 4, not 5 x 5$"),
+        (lambda L: RatMatrix.from_columns([L.right_flag.column(j) for j in (1, 2, 3, 4, 2)], L.right_flag.den),
+         "^right flag is not a basis$"),
+        (lambda L: RatMatrix(tuple(r[::-1] for r in L.boundary_basis.num), L.boundary_basis.den),
+         "^right flag not transversal to F\\^W$"),
+    ], ids=["5 x 4", "singular", "the reversed framing"])
+    def test_right_flag_rejected(self, running, basis, message):
+        """The right flag is a k x k basis transversal to F^W.  The framing read backwards spans F^W
+        itself, which no flag with k > 1 is transversal to (read forwards it spans W^op, which is)."""
+        L = omega(sample(running, seed=13))
+        with pytest.raises(InvariantError, match=message):
+            check_labeling(replace(L, right_flag=basis(L)))
 
     def test_uncovered_box_rejected_under_optimize(self):
         """The coverage check is an explicit raise, so it also runs under ``python -O``."""
@@ -418,6 +437,23 @@ class TestXi:
             assert xi(L) == P
             assert omega(xi(L)) == L
 
+    def test_singular_framings_keep_their_errors(self):
+        """Framing column j replaced by column i != j on the seed-1 staircase(12) labeling: xi rejects
+        each of the 20 with the ValueError it raised when the line was a Zassenhaus intersection."""
+        d = staircase(12)
+        L = omega(sample(d, seed=1))
+        F = L.boundary_basis
+        got = {}
+        for j, i in permutations(range(1, d.k + 1), 2):
+            M = RatMatrix.from_columns([F.column(i if c == j else c) for c in range(1, d.k + 1)], F.den)
+            with pytest.raises(ValueError) as exc:
+                xi(replace(L, boundary_basis=M))
+            got[(j, i)] = str(exc.value)
+        zero = {(4, 5), (5, 4)}
+        assert len(got) == 20 and got == {
+            c: "intersection at column 7 is 0-dimensional" if c in zero
+            else "pinning minor vanishes at column 7; labeling invalid" for c in got}
+
     def test_omega_after_xi(self, running):
         L = omega(sample(running, seed=24))
         M = omega(xi(L))
@@ -452,3 +488,41 @@ class TestXi:
         for box, c in L.torus:
             W = xi(replace(L, torus=tuple((b, 5 * x if b == box else x) for b, x in L.torus)))
             assert membership(W.matrix, running)
+
+
+class TestLineOracle:
+    """xi's line in each column a with boxes (m = mu_bar_a), the one dependency of one tableau over
+    the rows of V(a, m+1) and the framing columns f_{m+1}, .., f_k, against their Zassenhaus
+    intersection (``zassenhaus``) and the nullspace oracle ``intersect_oracle``."""
+
+    @pytest.fixture
+    def lines(self, monkeypatch):
+        """The integer columns that each xi call hands to ``_scaled_columns``, before scaling."""
+        read, scaled = [], variety._scaled_columns
+        monkeypatch.setattr(variety, "_scaled_columns", lambda cols, *rest: read.append(cols) or scaled(cols, *rest))
+        return read
+
+    @staticmethod
+    def check(V, lines):
+        d, k = V.diagram, V.diagram.k
+        L = omega(V)
+        lines.clear()
+        assert xi(L) == V and len(lines) == 1
+        framing = [L.boundary_basis.column(j) for j in range(1, k + 1)]
+        for a in range(1, d.n - k + 1):
+            m = d.mu_bar[a]
+            if m < d.lambda_bar[a]:
+                x, S = lines[0][a + m - 1], L.region(a, m + 1)
+                assert zassenhaus(S, Subspace.span(k, framing[m:])).basis == (x,), (d, a)
+                p = next(y for y in x if y)
+                assert [[Fraction(y, p) for y in x]] == intersect_oracle(k, S.basis, framing[m:]), (d, a)
+
+    def test_every_diagram_up_to_n6(self, lines):
+        """In the sampled gauge (the framing is the identity) and in a det_one_matrix gauge."""
+        for t, d in enumerate(all_skew_diagrams(6)):
+            V = sample(d, seed=1)
+            self.check(V, lines)
+            self.check(gauged(V, det_one_matrix(random.Random(t), d.k)), lines)
+
+    def test_staircase_32(self, lines):
+        self.check(sample(staircase(32), seed=1), lines)
