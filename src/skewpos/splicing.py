@@ -1,22 +1,23 @@
 """Splitting a point of a skew shaped positroid along a column of its diagram.
 
-On the open chart where the column-a minors are nonzero, a point V maps to a
-pair (V_left, V_right) of points on the two diagrams obtained by cutting along
-column a.  The left factor reuses columns of V; the right factor takes its boundary
-columns off V's chart (``PointV.cut_columns``) and is triangular over V with explicit
-rational scaling factors, which is what the verification suite checks exactly.
+On the open chart where the column-a minors are nonzero, a point V maps to a pair (V_left, V_right)
+of points on the two diagrams obtained by cutting along column a.  Both live in V's frame and are built
+on charts derived from V's: the left factor is V's columns on V's chart restricted to them
+(``PointV.restrict``); the right factor's boundary columns are V's frame (``PointV.cut_columns``),
+triangular over V's columns at I_mu (``PointV.reframe``) with explicit rational scaling factors,
+which is what the verification suite checks exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .cluster import Seed, _products, exchange_products, seed_at
 from .diagram import BoxRef, InvariantError
-from .linalg import RatMatrix, ratio_to_str
-from .variety import OffVariety, PointV, membership  # noqa: F401 - perfbench/tests reads this binding
+from .linalg import ratio_to_str
+from .variety import OffVariety, PointV
 
 
 class OffChart(ValueError):
@@ -43,34 +44,22 @@ def in_U_a(V: PointV, a: int) -> bool:
 
 
 def left_point(V: PointV, a: int) -> PointV:
-    """Left factor: boundary columns first, then the columns of V shifted by a-1.
-
-    V must lie on the column-a chart, which ``Cut.at`` checks.
-    """
-    d = V.diagram
-    mu_bar = d.mu_bar[a]
-    cols = [V.column(d.b(j)) for j in range(1, mu_bar + 1)]
-    cols += [V.column(j + a - 1) for j in range(mu_bar + 1, d.n - a + 2)]
-    return PointV(d.cut(a)[0], RatMatrix.from_columns(cols, V.matrix.den), V.seed)
+    """Left factor: boundary columns first, then the columns of V shifted by a-1, on V's chart restricted
+    to them (``PointV.restrict``).  V must lie on the column-a chart, which ``Cut.at`` checks."""
+    d, m = V.diagram, V.diagram.mu_bar[a]
+    return V.restrict(d.cut(a)[0], [*d.I_mu()[:m], *range(a + m, d.n + 1)])
 
 
 def right_point(V: PointV, a: int) -> PointV:
-    """Right factor in the frame of V (the frame of the scaling identities): its columns at I_mu are
-    ``V.cut_columns(a)``, the others V's.  V must lie on the column-a chart (``Cut.at`` checks it)."""
+    """Right factor in the frame of V (the frame of the scaling identities), ``V.cut_columns(a)`` at I_mu
+    and V's columns off it (``PointV.reframe``).  V must lie on the column-a chart (``Cut.at`` checks it)."""
     d = V.diagram
     mu_bar = d.mu_bar[a]
     I_mu_right = d.I_mu()[:mu_bar] + tuple(a + i - 1 for i in range(mu_bar + 1, d.k + 1))
     right = d.cut(a)[1]
     if right.I_mu() != I_mu_right:
         raise InvariantError("cut boundary labels disagree with the right diagram")
-    cols = dict(zip(I_mu_right, V.cut_columns(a)))  # t -> (integer column, its denominator / V.den)
-    for ap in range(1, a):
-        t = ap + d.mu_bar[ap]
-        cols[t] = V.column(t), 1
-    den = lcm(*(q for _, q in cols.values()))
-    M = RatMatrix.from_columns([[x * (den // q) for x in v] for v, q in map(cols.get, range(1, d.k + a))],
-                               den * V.matrix.den)
-    return PointV(right, M, V.seed)
+    return V.reframe(right, V.cut_columns(a))
 
 
 def _factor(side: str, build, V: PointV, a: int) -> PointV:

@@ -1,21 +1,21 @@
 """Exact rational points of skew shaped positroid varieties and the braid-variety dictionary.
 
-A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.
-Building one runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken
-greedily from column n down to 1; on the variety that basis is I_mu.  The tableau
-T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (the minors at box
-labels and the cut columns, in passes up a column) and, walked by n integer pivots along the
-Grassmann necklace, the bounded affine permutation f that decides membership.  The maps here
-translate a point into a labeling of the braid diagram of the associated positive braid (region
-subspaces, the boundary framing and right flag as the k x k bases that span them, torus
-coordinates) and back, exactly, reading each column's line off one tableau.
+A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.  Building one
+runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken greedily from column n
+down to 1; on the variety that basis is I_mu.  The tableau T = D B^-1 M gives the gauge (D), the chart
+that ``PointV`` alone reads (the minors at box labels and the cut columns, in passes up a column) and,
+walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f that decides
+membership.  A cut's factors get charts derived exactly from V's (``restrict``, ``reframe``; their oracle
+is the factor's own ``_necklace_tableau``), with the same gauge check and walk.  The maps here translate a
+point into a labeling of the braid diagram of the associated positive braid (region subspaces, the boundary
+framing and right flag as the k x k bases that span them, torus coordinates) and back, exactly.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
@@ -31,34 +31,40 @@ class OffVariety(ValueError):
 
 @dataclass(frozen=True)
 class PointV:
-    """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction builds
-    the greedy tableau, reads the gauge off it, walks it for f (raising OffVariety off the
-    variety) and keeps it as the chart that ``column_minors`` and ``cut_columns`` read in passes up
-    a column, the blocks of a label's prefixes in turn (``delta`` takes the columns).  ``_memo`` keeps
-    what is computed once per point: the chart, and the seed (``cluster.seed_at``) on first use."""
+    """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction takes the greedy
+    tableau of the matrix, or for a cut's factor a chart derived from V's (``_chart``), reads the gauge
+    off it, walks it for f (raising OffVariety off the variety) and keeps it as the chart that ``column_minors``
+    and ``cut_columns`` read in passes up a column.  ``_memo`` keeps what is computed once per point: the
+    chart, and on first use the seed (``cluster.seed_at``) and the cut columns above lambda_bar_a."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
     seed: int | None = None
+    _chart: InitVar[tuple | None] = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _chart):
         d, M = self.diagram, self.matrix
         if (M.nrows, M.ncols) != (d.k, d.n):
             raise ValueError("matrix shape does not match the diagram")
-        T, D, basis, odd, g = _necklace_tableau(M)
-        if len(basis) < d.k:
-            raise ValueError(f"matrix has rank {len(basis)} < k = {d.k}; not a point of Gr(k, n)")
-        I_mu = d.I_mu()
+        I_mu = [b - 1 for b in d.I_mu()]
+        if _chart is None:
+            T, D, basis, odd, g = _necklace_tableau(M)
+            if len(basis) < d.k:
+                raise ValueError(f"matrix has rank {len(basis)} < k = {d.k}; not a point of Gr(k, n)")
+            delta, greedy = -D if odd else D, basis == I_mu
+        else:  # derived from V's, pivoted at I_mu, Delta_{I_mu} > 0; greedy iff T[r][t] = 0 for b_r < t
+            T, D, basis, g = _chart
+            delta, greedy = abs(D), basis == I_mu and not any(any(r[b + 1:]) for r, b in zip(T, basis))
         # Taken greedily from n down, the basis is the Gale-largest basis of the point's matroid.
         # On the variety that matroid is the skew shaped positroid, a lattice path matroid whose
         # bases are the k-sets Gale-between I_lambda and I_mu (Bonin, de Mier and Noy, JCTA 104
         # (2003)), so the greedy basis is I_mu; any other basis puts the point off the variety.
-        if basis == [b - 1 for b in I_mu]:
-            gauged = (-D if odd else D) * prod(g[b - 1] for b in I_mu) == M.den ** d.k
+        if greedy:
+            gauged = delta * prod(g[b] for b in I_mu) == M.den ** d.k
             on_variety = gauged and _walk(T, D, basis, d.n) == baf(d).window
         else:
-            gauged, on_variety = self.delta(I_mu) == 1, False
+            gauged, on_variety = self.delta(d.I_mu()) == 1, False
         if not gauged:
             raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
         if not on_variety:
@@ -93,43 +99,81 @@ class PointV:
         blocks = self._prefix_blocks(a, self.diagram.lambda_bar[a], self.diagram.mu_bar[a] + 1)
         return [Fraction(det_A * num, den) for _, _, det_A, num, den in blocks]
 
-    def cut_columns(self, a: int) -> list[tuple[tuple[int, ...], int]]:
-        """The k boundary columns of the right factor of the cut at a, each as (integer column,
-        positive denominator) over ``matrix.den``.
+    def cut_columns(self, a: int) -> list[tuple[int, ...]]:
+        """The frame C of the right factor of the cut at a (``reframe``): k integer columns, C_ri = 0 for
+        r < i, boundary column i being sum_r C_ri v_{b_r} / g_{b_r} over C_ii / g_{b_i}, C_ii = |det A_i| g_{b_i}.
 
-        At level i the flag at the cut is spanned by t_j = min(c+j-1, b_j), j <= i, c = max(a, d_i);
-        with b_{i+1}, .., b_k they make J_i (for i <= lambda_bar_a the long label I'(a, i)).  The
-        boundary column at level i is the vector of that step in v_{b_i} + span(v_{b_r}, r > i),
-        which exists iff Delta_{J_i} != 0 (the flag is transversal to the opposite boundary flag).
-        It is solved for on the chart T = D B^-1 P (P the primitive columns, contents g): with U the
-        rows <= i no t_j in I_mu covers and F the other t_j (``_prefix_blocks``, at c = a up to
-        lambda_bar_a and at c = d_i above), Delta_{J_i} != 0 iff det A != 0, A = T[U][F].  Cramer's
-        rule gives z_q = det(A with column q replaced by g_{b_i} e_i); the column is (det A v_{b_i} +
-        sum_{r>i} w_r v_{b_r} / g_{b_r}) / det A, w_r = sum_q z_q T[r][F_q], or v_{b_i} if row i is covered.
-        """
+        At level i the flag at the cut is spanned by t_j = min(c+j-1, b_j), j <= i, c = max(a, d_i); with
+        b_{i+1}, .., b_k they make J_i (for i <= lambda_bar_a the long label I'(a, i)).  Column i is the vector
+        of that step in v_{b_i} + span(v_{b_r}, r > i), which exists iff Delta_{J_i} != 0 (the flag is
+        transversal to the opposite boundary flag).  On the chart T = D B^-1 P (P the primitive columns,
+        contents g), with U the rows <= i no t_j in I_mu covers and F the other t_j (``_prefix_blocks``, at
+        c = a up to lambda_bar_a, and at c = d_i above, where they do not depend on a and are kept in
+        ``_memo["cut"]``), Delta_{J_i} != 0 iff det A != 0, A = T[U][F].  Cramer's rule gives z_q = det(A
+        with column q replaced by g_{b_i} e_i); column i is det A v_{b_i} + sum_{r>i} w_r v_{b_r} / g_{b_r}
+        over det A, w_r = sum_q z_q T[r][F_q], or v_{b_i} if row i is covered."""
         d = self.diagram
         T, _, _, g = self._memo["chart"]
-        B, top = d.I_mu(), d.lambda_bar[a]
-        frame = [self.column(b) for b in B]
-        # the nonzero entries of each v_{b_r} / g_{b_r}; in the sampled gauge v_{b_r} = e_r
-        primitive = [[(x, y // g[b - 1]) for x, y in enumerate(v) if y] for v, b in zip(frame, B)]
-        above = (next(self._prefix_blocks(d.d(i), i, i)) for i in range(top + 1, d.k + 1))
-        cols = []
-        for i, (U, F, det_A, _, _) in enumerate(chain(self._prefix_blocks(a, top), above), 1):
+        B, top, above = d.I_mu(), d.lambda_bar[a], self._memo.setdefault("cut", {})
+
+        def solve(i, U, F, det_A, *_):
             if det_A == 0:
                 raise InvariantError("cut flag not transversal to the opposite boundary flag")
-            v = [det_A * x for x in frame[i - 1]]
-            if U and U[-1] == i - 1:
-                h, m = g[B[i - 1] - 1], len(F)  # z_q: g_{b_i} times the cofactor of A at (row i, q)
+            h, m, c = g[B[i - 1] - 1], len(F), [0] * d.k
+            c[i - 1] = det_A * h
+            if U and U[-1] == i - 1:  # z_q: g_{b_i} times the cofactor of A at (row i, q)
                 A = [[T[u][t] for t in F] for u in U[:-1]]
                 z = [h] if m == 1 else [(-1) ** (m - 1 + q) * h * det([r[:q] + r[q + 1:] for r in A])
                                         for q in range(m)]
                 for r in range(i, d.k):
-                    w = sum(x * T[r][t] for x, t in zip(z, F))
-                    for x, y in primitive[r]:
-                        v[x] += w * y
-            cols.append((tuple(v), det_A) if det_A > 0 else (tuple(-x for x in v), -det_A))
-        return cols
+                    c[r] = sum(x * T[r][t] for x, t in zip(z, F))
+            return tuple(c) if det_A > 0 else tuple(-x for x in c)
+
+        C = [solve(i, *block) for i, block in enumerate(self._prefix_blocks(a, top), 1)]
+        for i in range(top + 1, d.k + 1):
+            if i not in above:
+                above[i] = solve(i, *next(self._prefix_blocks(d.d(i), i, i)))
+        return C + [above[i] for i in range(top + 1, d.k + 1)]
+
+    def restrict(self, d: SkewDiagram, columns: list[int]) -> "PointV":
+        """The point of d of V's columns at ``columns`` (increasing, I_mu among them): its greedy tableau pivots
+        as V's, so its chart is that selection of V's T, V's D, and V's contents over what ``RatMatrix`` divides out."""
+        T, D, _, g = self._memo["chart"]
+        M = RatMatrix([[r[t - 1] for t in columns] for r in self.matrix.num], self.matrix.den)
+        chart = [[r[t - 1] for t in columns] for r in T], D, [columns.index(b) for b in self.diagram.I_mu()]
+        return PointV(d, M, self.seed, (*chart, [g[t - 1] * M.den // self.matrix.den for t in columns]))
+
+    def reframe(self, d: SkewDiagram, C: list[tuple[int, ...]]) -> "PointV":
+        """The point of d with V's frame C (``cut_columns``) at I_mu(d), V's column t at each t off it.  Frame
+        column i is x_i / q_i, x_i = sum_r C_ri v_{b_r} / g_{b_r}, q_i = C_ii / g_{b_i}.  With h_i the content
+        of x_i the basis is B C diag(h)^-1, so the chart's column t is h C^-1 T[:, t] / D over D_R = |D| prod C_ii
+        / prod h: forward substitution on the integral prod C_ii C^-1, each division exact (else InvariantError)."""
+        T, D, _, g = self._memo["chart"]
+        B, k, I_R = self.diagram.I_mu(), self.diagram.k, d.I_mu()
+        p, x = [[(s, y // g[b - 1]) for s, y in enumerate(self.column(b)) if y] for b in B], [[0] * k for _ in C]
+        for i, r in ((i, r) for i in range(k) for r in range(i, k) if C[i][r]):
+            for s, y in p[r]:
+                x[i][s] += C[i][r] * y
+        q, h = [c[i] // g[b - 1] for i, (c, b) in enumerate(zip(C, B))], [gcd(*v) for v in x]
+        den, free = lcm(*q), [t for t in range(1, d.n + 1) if t not in I_R]
+        at_frame = {t: (v, den // q_i, h_i) for t, v, q_i, h_i in zip(I_R, x, q, h)}  # column, scale, content
+        cols = [at_frame.get(t) or (self.column(t), den, g[t - 1]) for t in range(1, d.n + 1)]
+        M = RatMatrix.from_columns([[y * s for y in v] for v, s, _ in cols], den * self.matrix.den)
+        contents = [h_t * s // (den * self.matrix.den // M.den) for _, s, h_t in cols]
+        P, H = prod(c[i] for i, c in enumerate(C)), prod(h)
+        (D_R, rem), sP = divmod(abs(D) * P, H), P if D > 0 else -P
+        lower = [[(i, C[i][r]) for i in range(r) if C[i][r]] for r in range(k)]
+        R = [[D_R * (t == b) for t in range(1, d.n + 1)] for b in I_R]
+        for t in free:
+            z = []
+            for r in range(k):
+                z_r, e = divmod(sP * T[r][t - 1] - sum(c * z[i] for i, c in lower[r]), C[r][r])
+                R[r][t - 1], f = divmod(h[r] * z_r, H)
+                z.append(z_r)
+                rem |= e | f
+        if rem:  # every entry of the chart is a minor of the new matrix, so this is a bug
+            raise InvariantError("a derived chart entry is not an integer")
+        return PointV(d, M, self.seed, (R, D_R, [t - 1 for t in I_R], contents))
 
     def _prefix_blocks(self, c: int, top: int, first: int = 1):
         """The blocks of the prefixes t_j = min(c+j-1, b_j), j <= i, for i = first..top, off one pass:

@@ -500,6 +500,40 @@ def right_point_minor_oracle(V, a: int):
     return PointV(right, M, V.seed)
 
 
+# -- oracles: the factors of a cut by a fresh greedy tableau of their matrices, which the charts
+# -- derived from V's (``PointV.restrict``, ``PointV.reframe``) replaced ------------------------------
+
+
+def left_point_oracle(V, a: int):
+    """Left factor as a new ``PointV`` of V's columns b_1, .., b_mu_bar_a, a + mu_bar_a, .., n over V's den,
+    which runs its own greedy tableau."""
+    from skewpos.variety import PointV
+
+    d = V.diagram
+    m = d.mu_bar[a]
+    cols = [V.column(d.b(j)) for j in range(1, m + 1)] + [V.column(t) for t in range(a + m, d.n + 1)]
+    return PointV(d.cut(a)[0], RatMatrix.from_columns(cols, V.matrix.den), V.seed)
+
+
+def frame_point_oracle(V, d, C):
+    """The point of d on V's frame C (``PointV.cut_columns``) as a new ``PointV``, which runs its own greedy
+    tableau: at the i-th label of I_mu(d) the column sum_{r>=i} C_ri v_{b_r} / g_{b_r} over C_ii / g_{b_i},
+    at every other t V's column t, all over one lcm of those denominators."""
+    from math import lcm
+
+    from skewpos.variety import PointV
+
+    B, k = V.diagram.I_mu(), V.diagram.k
+    g = [gcd(*V.column(b)) for b in B]
+    cols = {t: (V.column(t), 1) for t in range(1, d.n + 1) if t not in d.I_mu()}
+    for i, t in enumerate(d.I_mu()):
+        cols[t] = [sum(C[i][r] * V.column(B[r])[s] // g[r] for r in range(i, k)) for s in range(k)], C[i][i] // g[i]
+    den = lcm(*(q for _, q in cols.values()))
+    M = RatMatrix.from_columns([[x * (den // q) for x in v] for v, q in map(cols.get, range(1, d.n + 1))],
+                               den * V.matrix.den)
+    return PointV(d, M, V.seed)
+
+
 # -- oracle: the k x k determinant of the columns over Fraction ------------------------------------
 
 

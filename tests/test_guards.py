@@ -395,7 +395,7 @@ def test_splice_report_reads_each_column_in_one_pass(monkeypatch, n):
     """On a fresh point of the splice benchmark's staircases, every on-chart report reads V's chart and
     the factors' charts in passes up a column, and reads no minor from nothing (``PointV.delta``):
     one pass per column of each seeded point, and for the cut columns one pass up column a and one
-    per level above lambda_bar_a."""
+    per level above lambda_bar_a that no earlier cut of V has read (V keeps those levels)."""
     d = staircase(n)
     columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(sample(d, seed=1), a)]
     V = sample(d, seed=1)
@@ -406,10 +406,11 @@ def test_splice_report_reads_each_column_in_one_pass(monkeypatch, n):
 
     monkeypatch.setattr(PointV, "delta", forbidden)
     monkeypatch.setattr(PointV, "_prefix_blocks", lambda P, *args: passes.append(P) or prefix_blocks(P, *args))
-    want = d.n - d.k  # V's seed, read by the first report
+    want, above = d.n - d.k, set()  # V's seed, read by the first report
     for a in columns:
         left, right = d.cut(a)
-        want += left.n - left.k + right.n - right.k + 1 + d.k - d.lambda_bar[a]
+        want += left.n - left.k + right.n - right.k + 1 + len(set(range(d.lambda_bar[a] + 1, d.k + 1)) - above)
+        above |= set(range(d.lambda_bar[a] + 1, d.k + 1))
         splice_report(V, a)
     assert columns and len(passes) == want
 
@@ -509,7 +510,8 @@ def test_only_variety_reads_the_chart():
     """V's chart has one owner: splicing and cluster read box minors and cut columns through
     ``PointV`` and name neither its column pass nor ``det``, no module but variety reads
     ``_memo["chart"]``, splicing keeps nothing in a ``_memo``, and within variety only the column
-    pass ``_prefix_blocks`` and ``cut_columns`` load the chart (``__post_init__`` stores it)."""
+    pass ``_prefix_blocks``, ``cut_columns`` and the two factor builders that derive a chart from V's,
+    ``restrict`` and ``reframe``, load the chart (``__post_init__`` stores it)."""
 
     def is_chart(n):
         return (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute) and n.value.attr == "_memo"
@@ -526,7 +528,8 @@ def test_only_variety_reads_the_chart():
                   for n in ast.walk(fn) if is_chart(n) and isinstance(n.ctx, ast.Load)}
     chart = {"_prefix_blocks", "det"}
     assert set(readers) == {"variety"}
-    assert loads == {("variety", "_prefix_blocks"), ("variety", "cut_columns")}
+    assert loads == {("variety", "_prefix_blocks"), ("variety", "cut_columns"), ("variety", "restrict"),
+                     ("variety", "reframe")}
     assert named["splicing"] & (chart | {"_memo"}) == set() and named["cluster"] & chart == set()
 
 
@@ -554,6 +557,7 @@ UNCALLED_PUBLIC_NAMES = {
     "splicing.phi": "the splicing map lands in the product: test_splicing::TestWorkedExample",
     "splicing.in_U_a": "read by perfbench, which samples points on every column chart",
     "variety.PointV.from_matrix": "re-gauges any representative: test_variety::TestPointV::test_regauge",
+    "variety.membership": "the factors of a cut are on their varieties: test_acceptance, read by perfbench",
     "variety.necklace_of_point": "the necklace of a point is that of its diagram: test_variety::TestNecklaceOfPoint",
 }
 

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -35,7 +36,7 @@ from skewpos import (
 from skewpos.cli import random_diagram, subseed
 from skewpos.linalg import RatMatrix, Subspace, ratio_to_str
 from skewpos.splicing import _vanishing_chart_label
-from skewpos.variety import PointV
+from skewpos.variety import OffVariety, PointV, _necklace_tableau
 
 from conftest import (
     A_factor_oracle,
@@ -49,10 +50,12 @@ from conftest import (
     det_oracle,
     flag_at_cut,
     flag_W,
+    frame_point_oracle,
     from_matrix_oracle,
     from_qcols,
     gauged,
     intro_off_chart_point,
+    left_point_oracle,
     minor,
     qcol,
     qrows,
@@ -477,6 +480,135 @@ class TestRightFactorOracle:
                 assert got == (True, "cut flag not transversal to the opposite boundary flag")
             else:
                 assert isinstance(got, RatMatrix)
+
+
+def fat_shape(n: int, half: bool) -> SkewDiagram:
+    """The staircase's k and w = n - k, lambda the full k x w rectangle, and mu empty or, for the
+    half-filled shape, mu_j = max(w // 2 - j, 0)."""
+    k = (3 * n + 7) // 8
+    w = n - k
+    mu = tuple(max(w // 2 - j, 0) for j in range(1, k + 1)) if half else ()
+    return SkewDiagram(n, k, Partition((w,) * k), Partition(mu))
+
+
+def chart_of_a_fresh_tableau(P) -> bool:
+    """P's kept chart equals the greedy tableau of its matrix (``_necklace_tableau``): T / D entry by
+    entry, |D|, the basis and the contents."""
+    T, D, row_of, g = P._memo["chart"]
+    fresh, D_fresh, basis, _, contents = _necklace_tableau(P.matrix)
+    return (abs(D) == abs(D_fresh) and sorted(row_of, key=row_of.get) == basis and g == contents
+            and len(T) == len(fresh) and all(x * D_fresh == y * D for r, f in zip(T, fresh) for x, y in zip(r, f)))
+
+
+def right_outcome(build, V, a):
+    """The right factor's matrix, or the error ``Cut.at`` turns its build into: (type name, message)."""
+    try:
+        return build(V, a).matrix
+    except OffVariety:
+        return "InvariantError", "right factor fails membership"
+    except (InvariantError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFactorChartOracle:
+    """Both factors of a cut are built on charts derived from V's (``PointV.restrict`` and
+    ``PointV.reframe``), against the greedy tableau of each factor's matrix and the fresh build
+    (``left_point_oracle``, ``frame_point_oracle`` on the same frame C)."""
+
+    @staticmethod
+    def cuts(V) -> int:
+        d, count = V.diagram, 0
+        for a in range(1, d.n - d.k + 1):
+            if not in_U_a(V, a):
+                continue
+            c = Cut.at(V, a)
+            assert c.left == left_point_oracle(V, a), (d, a)
+            assert c.right == frame_point_oracle(V, c.right.diagram, V.cut_columns(a)), (d, a)
+            for P in (c.left, c.right):
+                assert chart_of_a_fresh_tableau(P), (d, a)
+                assert P == PointV(P.diagram, P.matrix, P.seed), (d, a)
+            count += 1
+        return count
+
+    def test_every_cut_up_to_n6(self):
+        assert sum(self.cuts(sample(d, seed=1)) for d in all_skew_diagrams(6)) == 1707
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_staircase_in_two_gauges(self, n):
+        """The sampled point and a copy in a gauge whose contents at I_mu are not 1; at n = 64 the
+        copy's tableau has D < 0, so the right chart's forward substitution runs with sign(D) = -1."""
+        d = staircase(n)
+        V = sample(d, seed=1)
+        W = gauged(V, det_one_matrix(random.Random(n), d.k))
+        assert any(h != 1 for h in (W._memo["chart"][3][b - 1] for b in d.I_mu()))
+        assert (W._memo["chart"][1] < 0) == (n == 64)
+        assert self.cuts(V) and self.cuts(W)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_fat_shapes(self, n, half):
+        """The rectangle and the half-filled shape, whose chart blocks are up to k x k."""
+        assert self.cuts(sample(fat_shape(n, half), seed=1))
+
+    def test_a_broken_frame_fails_as_the_fresh_build(self, monkeypatch):
+        """A frame changed below its diagonal puts the right factor off its variety, and a diagonal
+        entry that g_{b_i} does not divide breaks its gauge: the derived chart raises what the fresh
+        build raises on the same frame, and ``Cut.at`` turns the first into an InvariantError."""
+        d, a = staircase(20), 3
+        W = gauged(sample(d, seed=1), det_one_matrix(random.Random(20), d.k))
+        g = W._memo["chart"][3]
+        i = next(i for i, b in enumerate(d.I_mu()) if g[b - 1] > 1)
+        right, frame = d.cut(a)[1], PointV.cut_columns
+        assert in_U_a(W, a) and right_outcome(right_point, W, a) == right_point_minor_oracle(W, a).matrix
+        outcomes = []
+        for column, row in ((0, 1), (i, i)):
+            def broken(P, a):
+                C = [list(c) for c in frame(P, a)]
+                C[column][row] += 1
+                return [tuple(c) for c in C]
+
+            monkeypatch.setattr(PointV, "cut_columns", broken)
+            want = right_outcome(lambda V, a: frame_point_oracle(V, right, V.cut_columns(a)), W, a)
+            assert right_outcome(right_point, W, a) == want
+            with pytest.raises(InvariantError if want[0] == "InvariantError" else ValueError, match=re.escape(want[1])):
+                Cut.at(W, a)
+            outcomes.append(want)
+        assert outcomes == [("InvariantError", "right factor fails membership"),
+                            ("ValueError", "Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")]
+
+    def test_off_pattern_chart_is_rejected_before_the_walk(self, monkeypatch, intro):
+        """A derived chart with T[r][t] != 0 for a column t off I_mu after b_r says the greedy basis is
+        not I_mu: the point is off its variety, and no necklace walk runs on that chart."""
+        L = Cut.at(sample(intro, seed=16), 6).left
+        T, D, row_of, g = L._memo["chart"]
+        basis = sorted(row_of, key=row_of.get)
+        r, t = next((r, t) for r, b in enumerate(basis) for t in range(b + 1, L.diagram.n) if t not in row_of)
+        bad = [list(row) for row in T]
+        bad[r][t] += D
+        walks, walk = [], skewpos.variety._walk
+        monkeypatch.setattr(skewpos.variety, "_walk", lambda *args: walks.append(args) or walk(*args))
+        with pytest.raises(OffVariety, match="^point does not lie on the variety of its diagram$"):
+            PointV(L.diagram, L.matrix, L.seed, (bad, D, basis, g))
+        assert walks == []
+        assert PointV(L.diagram, L.matrix, L.seed, (T, D, basis, g)) == L and len(walks) == 1
+
+    def test_all_cuts_keep_the_levels_above_on_the_point(self, monkeypatch):
+        """After every cut of V its memo holds the chart, the seed and the cut levels above lambda_bar_a,
+        out of its eq, hash and repr; a second sweep reads only the pass up each column a on V."""
+        d = staircase(20)
+        V, W = sample(d, seed=1), sample(d, seed=1)
+        h, text = hash(V), repr(V)
+        columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
+        for a in columns:
+            splice_report(V, a)
+        assert set(V._memo) == {"chart", "seed", "cut"} and set(W._memo) == {"chart"}
+        assert set(V._memo["cut"]) == {i for a in columns for i in range(d.lambda_bar[a] + 1, d.k + 1)}
+        assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == text
+        passes, prefix_blocks = [], PointV._prefix_blocks
+        monkeypatch.setattr(PointV, "_prefix_blocks", lambda P, *args: passes.append((P, args)) or prefix_blocks(P, *args))
+        for a in columns:
+            splice_report(V, a)
+        assert [args for P, args in passes if P is V] == [(a, d.lambda_bar[a]) for a in columns]
 
 
 class TestSeedReads:
