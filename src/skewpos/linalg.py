@@ -5,9 +5,10 @@ denominator, a subspace its reduced echelon rows as primitive integer rows; Frac
 only as scalars and where ``RatMatrix.from_rationals`` reads a point's JSON rows.  A flag is the
 ordered basis that spans it; ``flag`` gives its steps, each the one before extended by one column
 (``Subspace.extend``).  Determinants are Bareiss's fraction-free elimination; spans, flag steps,
-rank tests (containment, transversality) and a point's basis exchanges all run one fraction-free
-Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.  Column indices
-are 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
+containment, a point's basis exchanges and the test that two flags are transversal (one tableau of
+both bases, its diagonal walked by exchanges) all run one fraction-free Gauss-Jordan tableau
+(``_tableau``, one exchange per ``_pivot``) on integer rows.  Column indices are 1-based in the
+public operations, matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -179,15 +180,6 @@ def flag(k: int, columns) -> tuple[Subspace, ...]:
     """The steps F_0 = 0, F_1, .. of the flag of the columns in Q^k, F_i the span of the first i:
     each step is the one before extended by one column, so it contains that step by construction."""
     return tuple(accumulate(columns, Subspace.extend, initial=Subspace(k, ())))
-
-
-def transversal(F1: tuple[Subspace, ...], F2: tuple[Subspace, ...]) -> bool:
-    """True iff F1_i ^ F2_{k-i} = 0 for all i (relative position w_0), for the steps F_0 .. F_k of two
-    complete flags (``flag``): each pair's stacked rows have rank k."""
-    if F1[0].ambient != F2[0].ambient:
-        raise ValueError("flags in different ambient spaces")
-    k = F1[0].ambient
-    return all(len(_tableau(F1[i].basis + F2[k - i].basis, range(k))[2]) == k for i in range(1, k))
 
 
 def rat_to_str(x: Fraction) -> str:

@@ -8,7 +8,8 @@ walked by n integer pivots along the Grassmann necklace, the bounded affine perm
 membership.  A cut's factors get charts derived exactly from V's (``restrict``, ``reframe``; their oracle
 is the factor's own ``_necklace_tableau``), with the same gauge check and walk.  The maps here translate a
 point into a labeling of the braid diagram of the associated positive braid (region subspaces, the boundary
-framing and right flag as the k x k bases that span them, torus coordinates) and back, exactly.
+framing and right flag as the k x k bases that span them, torus coordinates) and back, exactly;
+``check_labeling`` reads the framing and the right flag off one tableau of both bases.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
-from .linalg import RatMatrix, Subspace, _pivot, _tableau, det, flag, quotient_to_str, transversal
+from .linalg import RatMatrix, Subspace, _pivot, _tableau, det, flag, quotient_to_str
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
 
 
@@ -403,7 +404,8 @@ def omega(V: PointV) -> BraidLabeling:
 
 
 def check_labeling(L: BraidLabeling) -> None:
-    """Region conditions of the braid diagram; raises InvariantError on violation."""
+    """Region conditions of the braid diagram; raises InvariantError on violation.  One tableau
+    T = D W^-1 [W | R] tells whether the framing W is a basis and the right flag R one transversal to F^W."""
     d = L.diagram
     k = d.k
     region = L._region
@@ -428,13 +430,14 @@ def check_labeling(L: BraidLabeling) -> None:
                 raise InvariantError(f"ribbon equality fails at ({a},{i})")
             if (a, i) not in ribbon and S == region[(a + 1, i)]:
                 raise InvariantError(f"non-ribbon inequality fails at ({a},{i})")
-    F = L.boundary_basis
+    F, R = L.boundary_basis, L.right_flag
     if (F.nrows, F.ncols) != (k, k):
         raise InvariantError(f"boundary framing is {F.nrows} x {F.ncols}, not {k} x {k}")
-    framing = [F.column(j) for j in range(1, k + 1)]
-    w_op = flag(k, framing)
-    if w_op[k].dim != k:
+    square = (R.nrows, R.ncols) == (k, k)
+    T, D, basis, _ = _tableau([w + r for w, r in zip(F.num, R.num)] if square else F.num, range(k))
+    if len(basis) < k:
         raise InvariantError("boundary framing is not a basis")
+    w_op = flag(k, [F.column(j) for j in range(1, max(d.mu_bar) + 1)])
     for a in range(1, d.n - d.k + 1):
         for i in range(1, d.mu_bar[a] + 1):
             # the boundary conditions live at the crossing above, so they apply
@@ -444,14 +447,16 @@ def check_labeling(L: BraidLabeling) -> None:
                     raise InvariantError(f"W^op_{i} not in V({a-1},{i+1})")
                 if w_op[i] == region[(a - 1, i)]:
                     raise InvariantError(f"W^op_{i} = V({a-1},{i})")
-    R = L.right_flag
-    if (R.nrows, R.ncols) != (k, k):
+    if not square:
         raise InvariantError(f"right flag basis is {R.nrows} x {R.ncols}, not {k} x {k}")
-    right = flag(k, [R.column(j) for j in range(1, k + 1)])
-    if right[k].dim != k:
-        raise InvariantError("right flag is not a basis")
-    if not transversal(right, flag(k, framing[::-1])):
-        raise InvariantError("right flag not transversal to F^W")
+    # Row i takes r_{i+1} in turn.  Before, on the basis r_1..r_i, w_{i+1}..w_k, Cramer's rule makes T[i][k + i]
+    # a nonzero multiple of det[r_1..r_{i+1}, w_{i+2}..w_k]: det R at i = k - 1, else, for R a basis, zero iff
+    # span(r_1..r_{i+1}) meets F^W_{k-i-1} = span(w_{i+2}..w_k).  On a zero, R's block of T (R's rank) says which.
+    for i in range(k):
+        if not T[i][k + i]:
+            singular = len(_tableau([r[k:] for r in T], range(k))[2]) < k
+            raise InvariantError("right flag is not a basis" if singular else "right flag not transversal to F^W")
+        D = _pivot(T, i, k + i, D)
     for box, c in L.torus:
         if c == 0:
             raise InvariantError(f"torus coordinate at column {box.a} vanishes")

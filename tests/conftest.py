@@ -186,6 +186,18 @@ def zassenhaus(A, B):
     return Subspace(k, tuple(r[k:] for r, c in zip(rows, cols) if c >= k))
 
 
+def transversal(F1, F2) -> bool:
+    """True iff F1_i ^ F2_{k-i} = 0 for all i (relative position w_0), for the steps F_0 .. F_k of two
+    complete flags (``flag``): each pair's stacked rows have rank k.  The k - 1 tableaux that
+    ``check_labeling``'s one tableau of both bases, walked down its diagonal, replaced."""
+    from skewpos.linalg import _tableau
+
+    if F1[0].ambient != F2[0].ambient:
+        raise ValueError("flags in different ambient spaces")
+    k = F1[0].ambient
+    return all(len(_tableau(F1[i].basis + F2[k - i].basis, range(k))[2]) == k for i in range(1, k))
+
+
 def transversal_oracle(F1, F2) -> bool:
     """True iff F1_i ^ F2_{k-i} = 0 for all i, by k - 1 Zassenhaus intersections of the steps
     F_0 .. F_k; ``transversal`` tests the rank of each pair's stacked rows instead."""
@@ -433,7 +445,6 @@ def chart_is_everything(d, a: int) -> bool:
 def right_point_oracle(V, a: int):
     """Right factor from the cut flag: a transversality test against the opposite boundary
     flag, then F_i ^ W_{k-i+1} by intersection, normalised by solving for its v_{b_i} part."""
-    from skewpos.linalg import transversal
     from skewpos.variety import PointV
 
     d = V.diagram

@@ -14,21 +14,22 @@ import inspect
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from math import gcd, prod
 from pathlib import Path
 
 import pytest
 
 import skewpos
-from skewpos import Cut, SkewDiagram, omega, right_point, sample, splice_report, xi
+from skewpos import Cut, InvariantError, SkewDiagram, omega, right_point, sample, splice_report, xi
 from skewpos.cli import build_parser, main
-from skewpos.linalg import RatMatrix, Subspace, _echelon, _tableau, det, flag, transversal
+from skewpos.linalg import RatMatrix, Subspace, _echelon, _tableau, det, flag
 from skewpos.permutations import BoundedAffinePermutation
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
-from skewpos.variety import PointV, _walk, membership
+from skewpos.variety import PointV, _walk, check_labeling, membership
 
-from conftest import W_span, flag_W, right_point_minor_oracle, staircase, zassenhaus
+from conftest import W_span, right_point_minor_oracle, staircase, transversal, zassenhaus
 from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -337,15 +338,17 @@ def test_verify_evaluates_each_chart_once(counted):
 
 
 def test_right_point_runs_no_intersection(counted, intro):
-    """The right factor is solved on V's chart: no span, echelon form or transversality test, and
-    so no intersection, which the package can only build from spans and echelon forms."""
+    """The right factor is solved on V's chart: no span, echelon form or transversality test (the
+    package's one is ``check_labeling``'s), and so no intersection, which the package can only build
+    from spans and echelon forms."""
     V = sample(intro, seed=16)
-    tests, echelons, spans = counted(transversal), counted(_echelon), counted(Subspace.span)
+    tests, echelons, spans = counted(check_labeling), counted(_echelon), counted(Subspace.span)
     right_point(V, 6)
     assert tests == [] and echelons == [] and spans == []
     zassenhaus(W_span(V, 1), W_span(V, 2))  # the wrappers do see a call
-    assert skewpos.linalg.transversal(flag_W(V), flag_W(V)) is False
-    assert len(tests) == 1 and len(spans) == 2 and echelons
+    assert len(spans) == 2 and echelons
+    omega(V)
+    assert len(tests) == 1
 
 
 @pytest.mark.parametrize("n", [12, 20, 32])
@@ -431,15 +434,25 @@ def test_baf_built_once_per_diagram(monkeypatch):
 
 
 def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
-    """Spans, containment, the flags' step builder, the transversality test and the echelon forms
-    of a Zassenhaus intersection of integer columns stay in integer rows."""
+    """Spans, containment, the flags' step builder, ``check_labeling``'s one-tableau test of the
+    framing and the right flag, the rank tests it replaced and the echelon forms of a Zassenhaus
+    intersection of integer columns stay in integer rows."""
     V = sample(intro, seed=16)
+    L = omega(V)
 
     def no_fraction(*args):
         raise AssertionError("a Fraction was built")
 
     monkeypatch.setattr(skewpos.linalg, "Fraction", no_fraction)
+    monkeypatch.setattr(skewpos.variety, "Fraction", no_fraction)
     k = intro.k
+    check_labeling(L)
+    reversed_framing = RatMatrix(tuple(r[::-1] for r in L.boundary_basis.num))
+    singular = RatMatrix.from_columns([L.right_flag.column(j) for j in (1, 2, 3, 4, 2)])
+    for R, message in ((reversed_framing, "^right flag not transversal to F\\^W$"),
+                       (singular, "^right flag is not a basis$")):
+        with pytest.raises(InvariantError, match=message):
+            check_labeling(replace(L, right_flag=R))
     F = flag(k, [V.column(t) for t in intro.I_lambda()])
     W = flag(k, [V.column(b) for b in reversed(intro.I_mu())])
     assert transversal(F, W) and not transversal(F, F)
@@ -453,26 +466,32 @@ def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
 
 def test_braid_dictionary_builds_each_flag_step_on_the_one_before(counted):
     """omega spans each column's lowest region and extends it up the column, at most one span per
-    column with boxes, and builds no flag: its right flag is the basis at I_lambda, and
-    ``check_labeling`` builds W^op, F^W and the right flag once each, step on step.  xi spans and
-    extends nothing: each column's line is one tableau over the region rows and the framing tail."""
-    d = staircase(20)
-    k, n = d.k, d.n
-    V = sample(d, seed=1)
+    column with boxes, and builds no flag: its right flag is the basis at I_lambda.  ``check_labeling``
+    builds W^op step on step only as high as mu reaches, m = max mu_bar_a (3 < k = 5 on the running
+    diagram), and reads the framing and the right flag off one k x 2k tableau of both bases: no F^W
+    and no step of the right flag.  xi spans and extends nothing: each column's line is one tableau
+    over the region rows and the framing tail."""
     spans, extends, flags = counted(Subspace.span), counted(Subspace.extend), counted(flag)
-    L = omega(V)
-    columns = sum(d.mu_bar[a] < d.lambda_bar[a] for a in range(1, d.n - d.k + 1))
-    assert 0 < len(spans) <= columns
-    framing = [V.column(b) for b in d.I_mu()]
-    assert flags == [(k, framing), (k, [V.column(t) for t in d.I_lambda()]), (k, framing[::-1])]
-    assert len(extends) == d.size() - columns + 3 * k
-    for calls in (spans, extends, flags):
-        calls.clear()
     tableaux = counted(_tableau)
-    assert xi(L) == V
-    assert spans == [] and extends == [] and flags == []
-    # one k x (k + 1) tableau per column with boxes, then the k x n tableau of the point built
-    assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(k, k + 1)] * columns + [(k, n)]
+    running = SkewDiagram.from_json(json.loads(RUNNING))
+    assert max(running.mu_bar) == 3 < running.k  # so W^op stops short of k
+    for d in (running, staircase(20)):
+        k, n, m = d.k, d.n, max(d.mu_bar)
+        V = sample(d, seed=1)
+        L = omega(V)
+        columns = sum(d.mu_bar[a] < d.lambda_bar[a] for a in range(1, d.n - d.k + 1))
+        assert 0 < len(spans) <= columns
+        assert flags == [(k, [V.column(b) for b in d.I_mu()][:m])]
+        assert len(extends) == d.size() - columns + m
+        assert [rows for rows, _ in tableaux if len(rows[0]) == 2 * k] == [
+            [w + r for w, r in zip(L.boundary_basis.num, L.right_flag.num)]]
+        for calls in (spans, extends, flags, tableaux):
+            calls.clear()
+        assert xi(L) == V
+        assert spans == [] and extends == [] and flags == []
+        # one k x (k + 1) tableau per column with boxes, then the k x n tableau of the point built
+        assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(k, k + 1)] * columns + [(k, n)]
+        tableaux.clear()
 
 
 def test_braid_dictionary_runs_on_integer_columns(counted):
@@ -535,17 +554,19 @@ def test_only_variety_reads_the_chart():
 
 def test_flags_are_the_bases_that_span_them():
     """A flag is the basis that spans it, and ``flag`` gives its steps: no module of src/ binds a
-    flag class or defines an intersection, which ``xi``'s dependency line and the rank test of
-    transversality replaced."""
+    flag class, an intersection, which ``xi``'s dependency line and a rank test of transversality
+    replaced, or that rank test of two flags' steps, which ``check_labeling``'s one tableau of both
+    bases replaced."""
     found = []
     for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
                     else node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None)
-            if name in ("FlagK", "intersect"):
+            if name in ("FlagK", "intersect", "transversal"):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
     assert [name for name, m in sys.modules.items() if name.startswith("skewpos") and hasattr(m, "FlagK")] == []
+    assert "transversal" not in skewpos.__all__
 
 
 # Public names with no caller in src/: each names an object of the paper and a test

@@ -3,12 +3,13 @@
 The oracles in conftest are the from-scratch Gauss-Jordan routines the package
 used before: reduced echelon forms, determinants, membership of a vector in a
 span, intersections and the cyclic rank function f of a point.  The flags' step
-builder is checked against one span per prefix, and the rank test of
-transversality against k - 1 Zassenhaus intersections (``zassenhaus``, itself
-checked against the nullspace oracle).
+builder is checked against one span per prefix, and ``check_labeling``'s one-tableau
+test of transversality against the k - 1 rank tests it replaced (``transversal``) and
+k - 1 Zassenhaus intersections (``zassenhaus``, itself checked against the nullspace oracle).
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewpos import f_of_point, necklace_of_point
-from skewpos.linalg import RatMatrix, Subspace, det, flag, transversal
-from skewpos.variety import _necklace_tableau, _walk
+from skewpos import InvariantError, Partition, SkewDiagram, f_of_point, necklace_of_point, omega, sample
+from skewpos.linalg import RatMatrix, Subspace, det, flag
+from skewpos.variety import _necklace_tableau, _walk, check_labeling
 
 from conftest import (
     contains_vector_oracle,
@@ -32,6 +33,7 @@ from conftest import (
     necklace_entry_exhaustive,
     qcols,
     qrows,
+    transversal,
     transversal_oracle,
     zassenhaus,
 )
@@ -247,22 +249,52 @@ def bases(draw, k):
     return cols
 
 
-class TestTransversalOracle:
-    """``transversal``, one rank test of each pair of steps, against ``transversal_oracle``'s k - 1
-    Zassenhaus intersections."""
+@st.composite
+def square_matrices(draw, k):
+    """k columns of length k: a basis, or one whose column j is a combination of the others (zero if k = 1)."""
+    cols = draw(bases(k))
+    if draw(st.booleans()):
+        j, c = draw(st.integers(0, k - 1)), draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        cols[j] = tuple(sum(c[i] * v[r] for i, v in enumerate(cols) if i != j) for r in range(k))
+    return cols
 
-    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(bases(k), bases(k))), st.data())
-    @settings(max_examples=100, deadline=None)
+
+class TestTransversalOracle:
+    """``check_labeling``'s one tableau of the framing W and the right flag R, walked down its diagonal,
+    against ``transversal``'s k - 1 rank tests and ``transversal_oracle``'s k - 1 Zassenhaus
+    intersections of R's flag and F^W, W's flag read backwards."""
+
+    @staticmethod
+    def verdict(W, R):
+        """What ``check_labeling`` says of the framing W and the right flag R, given by their columns,
+        on a diagram with no mu, so that no W^op condition applies: None, or the error's text."""
+        k = len(W)
+        d = SkewDiagram(k + 1, k, Partition((1,)), Partition(()))
+        framing, right = (RatMatrix.from_rationals(list(zip(*C))) for C in (W, R))
+        try:
+            check_labeling(replace(omega(sample(d, seed=1)), boundary_basis=framing, right_flag=right))
+        except InvariantError as exc:
+            return str(exc)
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(square_matrices(k), square_matrices(k))), st.data())
+    @settings(max_examples=150, deadline=None)
     def test_random_flag_pairs(self, pair, data):
-        """F against a random flag, itself (never transversal for k > 1), its reversed basis (always
-        transversal) and a permuted basis."""
-        A, B = pair
-        k = len(A)
-        F = flag(k, A)
-        flags = [flag(k, C) for C in (B, A, A[::-1], data.draw(st.permutations(A)))]
-        assert [transversal(F, G) for G in flags[1:3]] == [k == 1, True]
-        for G in flags:
+        """W against a random R, possibly singular, itself (always transversal), its reversed basis
+        (never transversal for k > 1) and a permuted basis."""
+        W, B = pair
+        k = len(W)
+        if flag(k, W)[k].dim < k:
+            assert self.verdict(W, B) == "boundary framing is not a basis"
+            return
+        for R in (B, W, W[::-1], data.draw(st.permutations(W))):
+            F, G = flag(k, R), flag(k, W[::-1])
+            if F[k].dim < k:
+                assert self.verdict(W, R) == "right flag is not a basis"
+                continue
             assert transversal(F, G) == transversal_oracle(F, G) == transversal(G, F)
+            assert self.verdict(W, R) == (None if transversal(F, G) else "right flag not transversal to F^W")
+        reversed_verdict = None if k == 1 else "right flag not transversal to F^W"
+        assert [self.verdict(W, R) for R in (W, W[::-1])] == [None, reversed_verdict]
 
     def test_flags_in_different_ambient_spaces_are_rejected(self):
         F2, F3 = (flag(k, [tuple(int(i == j) for i in range(k)) for j in range(k)]) for k in (2, 3))

@@ -12,10 +12,9 @@ from skewpos.linalg import (
     flag,
     quotient_to_str,
     rat_to_str,
-    transversal,
 )
 
-from conftest import from_qcols, minor, qcol, qcols, qrows, solve_columns, unit_vector, vec, zassenhaus
+from conftest import from_qcols, minor, qcol, qcols, qrows, solve_columns, transversal, unit_vector, vec, zassenhaus
 
 
 def random_matrix(rng, k, m, lo=-9, hi=9):

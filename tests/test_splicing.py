@@ -29,7 +29,6 @@ from skewpos import (
     sample,
     seed_at,
     splice_report,
-    transversal,
     verify_exchange_ratios,
     verify_minor_scaling,
 )
@@ -65,6 +64,7 @@ from conftest import (
     seed_at_delta_oracle,
     skew_diagrams,
     staircase,
+    transversal,
     vec_add,
     vec_scale,
     verify_exchange_ratios_oracle,

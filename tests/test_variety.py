@@ -361,13 +361,38 @@ class TestOmega:
          "^right flag is not a basis$"),
         (lambda L: RatMatrix(tuple(r[::-1] for r in L.boundary_basis.num), L.boundary_basis.den),
          "^right flag not transversal to F\\^W$"),
-    ], ids=["5 x 4", "singular", "the reversed framing"])
+        (lambda L: RatMatrix.from_columns([*map(L.right_flag.column, (1, 2, 3)), tuple(
+            x + y for x, y in zip(L.right_flag.column(1), L.boundary_basis.column(5))), L.right_flag.column(5)]),
+         "^right flag not transversal to F\\^W$"),
+    ], ids=["5 x 4", "singular", "the reversed framing", "r_4 = r_1 + w_5"])
     def test_right_flag_rejected(self, running, basis, message):
         """The right flag is a k x k basis transversal to F^W.  The framing read backwards spans F^W
-        itself, which no flag with k > 1 is transversal to (read forwards it spans W^op, which is)."""
+        itself, which no flag with k > 1 is transversal to (read forwards it spans W^op, which is).
+        With r_4 = r_1 + w_5 the right flag is a basis that meets F^W only at its step k - 1 = 4:
+        span(r_1, .., r_4) contains w_5, which spans F^W_1."""
         L = omega(sample(running, seed=13))
+        assert L.right_flag.den == L.boundary_basis.den == 1
         with pytest.raises(InvariantError, match=message):
             check_labeling(replace(L, right_flag=basis(L)))
+
+    @pytest.mark.parametrize("framing, message", [
+        (lambda V, F: RatMatrix(tuple(r[:-1] for r in F.num), F.den), "^boundary framing is 5 x 4, not 5 x 5$"),
+        (lambda V, F: RatMatrix.from_columns([F.column(j) for j in (1, 2, 3, 4, 2)], F.den),
+         "^boundary framing is not a basis$"),
+        (lambda V, F: RatMatrix(tuple(tuple(int(i == j) for j in range(5)) for i in range(5))),
+         "^W\\^op_1 not in V\\(4,2\\)$"),
+        (lambda V, F: RatMatrix.from_columns([V.column(t) for t in (4, 6, 8, 11, 12)], V.matrix.den),
+         "^W\\^op_1 = V\\(4,1\\)$"),
+    ], ids=["5 x 4", "singular", "the identity", "w_1 = v_4"])
+    def test_framing_rejected(self, running, framing, message):
+        """The boundary framing is a k x k basis whose steps W^op_i lie in V(a-1, i+1) and differ from
+        V(a-1, i).  The point is in a gauge of determinant 1, so the identity, the sampled gauge's
+        framing, is not its framing: W^op_1 = span(e_1) leaves V(4,2).  The framing is V's columns at
+        I_mu = (5, 6, 8, 11, 12); with v_4 for v_5, W^op_1 is V(4,1) = span(v_4), inside V(4,2) = span(v_4, v_5)."""
+        V = gauged(sample(running, seed=13), det_one_matrix(random.Random(5), running.k))
+        L = omega(V)
+        with pytest.raises(InvariantError, match=message):
+            check_labeling(replace(L, boundary_basis=framing(V, L.boundary_basis)))
 
     def test_uncovered_box_rejected_under_optimize(self):
         """The coverage check is an explicit raise, so it also runs under ``python -O``."""
