@@ -3,7 +3,7 @@
 from .braid import BraidWord, beta, cut_braid
 from .cluster import Quiver, Seed, exchange_products, mutate, quiver, seed_at
 from .diagram import BoxRef, InvariantError, Partition, RibbonDecomposition, SkewDiagram
-from .linalg import RatMatrix, Subspace, flag
+from .linalg import RatMatrix
 from .permutations import (
     BoundedAffinePermutation,
     GrassmannNecklace,
@@ -44,7 +44,7 @@ __all__ = [
     "BraidWord", "beta", "cut_braid",
     "Quiver", "Seed", "exchange_products", "mutate", "quiver", "seed_at",
     "BoxRef", "InvariantError", "Partition", "RibbonDecomposition", "SkewDiagram",
-    "RatMatrix", "Subspace", "flag",
+    "RatMatrix",
     "BoundedAffinePermutation", "GrassmannNecklace", "PermWord", "baf", "baf_to_necklace", "necklace",
     "necklace_to_baf", "verify_f_factorization", "w_grassmannian", "w_skew",
     "LatticeTrip", "source_labels", "trip", "trip_permutation", "trips",

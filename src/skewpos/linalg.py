@@ -1,21 +1,20 @@
-"""Exact rational matrices, determinants, subspaces and flags.
+"""Exact rational matrices, determinants and the fraction-free elimination kernel.
 
 All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one
-denominator, a subspace its reduced echelon rows as primitive integer rows; Fractions appear
-only as scalars and where ``RatMatrix.from_rationals`` reads a point's JSON rows.  A flag is the
-ordered basis that spans it; ``flag`` gives its steps, each the one before extended by one column
-(``Subspace.extend``).  Determinants are Bareiss's fraction-free elimination; spans, flag steps,
-containment, a point's basis exchanges and the test that two flags are transversal (one tableau of
-both bases, its diagonal walked by exchanges) all run one fraction-free Gauss-Jordan tableau
-(``_tableau``, one exchange per ``_pivot``) on integer rows.  Column indices are 1-based in the
-public operations, matching the labeling of diagram boxes by matrix columns.
+denominator; Fractions appear only as scalars and where ``RatMatrix.from_rationals`` reads a point's
+JSON rows.  A subspace or a flag is the list of integer vectors that span it, kept as given: there is
+no canonical form, so two bases of one subspace are compared by rank.  Determinants are Bareiss's
+fraction-free elimination; ranks, containment, a point's basis exchanges and the test that two flags
+are transversal (one tableau of both bases, its diagonal walked by exchanges) all run one
+fraction-free Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.
+Column indices are 1-based in the public operations, matching the labeling of diagram boxes by
+matrix columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -66,24 +65,6 @@ class RatMatrix:
         if not 1 <= j <= self.ncols:
             raise IndexError(f"column {j} out of range 1..{self.ncols}")
         return tuple(r[j - 1] for r in self.num)
-
-
-def _primitive(v) -> list[int]:
-    """v, of ints or Fractions, scaled to a primitive integer vector (coprime entries); the span is unchanged."""
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
-
-
-def _echelon(rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(rows, pivot columns) of the integer rows' reduced row echelon form, each row scaled to
-    coprime integers with a positive pivot entry: the canonical form of their span."""
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("vector of wrong ambient dimension")
-    T, D, cols, _ = _tableau(rows, range(ncols))
-    g = [gcd(*r) if D > 0 else -gcd(*r) for r in T]  # every row of T has the entry D at its pivot
-    return [tuple(x // h for x in r) for r, h in zip(T, g)], cols
 
 
 def _pivot(T: list[list[int]], r: int, c: int, D: int) -> int:
@@ -147,39 +128,6 @@ def det(rows: list[list[int]]) -> int:
             row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], top)]
         prev = p
     return sign * prev
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of Q^k in canonical form: the reduced echelon rows, each scaled to coprime
-    integers with a positive pivot entry (``_echelon``), so equality and hash are exact."""
-
-    ambient: int
-    basis: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def span(cls, ambient: int, vectors) -> "Subspace":
-        vectors = [_primitive(v) for v in vectors]  # of ints or Fractions
-        return cls(ambient, tuple(_echelon(vectors, ambient)[0]))
-
-    def extend(self, v) -> "Subspace":
-        """self + span(v), the flags' step builder: self's canonical rows and the primitive v in one ``_echelon``."""
-        return Subspace(self.ambient, tuple(_echelon([*self.basis, _primitive(v)], self.ambient)[0]))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        return len(_tableau(self.basis + other.basis, range(self.ambient))[2]) == self.dim
-
-
-def flag(k: int, columns) -> tuple[Subspace, ...]:
-    """The steps F_0 = 0, F_1, .. of the flag of the columns in Q^k, F_i the span of the first i:
-    each step is the one before extended by one column, so it contains that step by construction."""
-    return tuple(accumulate(columns, Subspace.extend, initial=Subspace(k, ())))
 
 
 def rat_to_str(x: Fraction) -> str:

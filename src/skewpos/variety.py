@@ -7,9 +7,9 @@ that ``PointV`` alone reads (the minors at box labels and the cut columns, in pa
 walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f that decides
 membership.  A cut's factors get charts derived exactly from V's (``restrict``, ``reframe``; their oracle
 is the factor's own ``_necklace_tableau``), with the same gauge check and walk.  The maps here translate a
-point into a labeling of the braid diagram of the associated positive braid (region subspaces, the boundary
-framing and right flag as the k x k bases that span them, torus coordinates) and back, exactly;
-``check_labeling`` reads the framing and the right flag off one tableau of both bases.
+point into a labeling of the braid diagram of the associated positive braid (regions, the boundary framing
+and right flag as the integer bases that span them, torus coordinates) and back, exactly; ``check_labeling``
+tests the region conditions by rank and reads the framing and the right flag off one tableau of both bases.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
-from .linalg import RatMatrix, Subspace, _pivot, _tableau, det, flag, quotient_to_str
+from .linalg import RatMatrix, _pivot, _tableau, det, quotient_to_str
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
 
 
@@ -353,16 +353,17 @@ def _scaled_columns(columns, scales, den: int) -> RatMatrix:
 class BraidLabeling:
     """Point of the braid variety attached to the diagram's braid, in region form.
 
-    regions: subspace right of the crossing of each box (all skew boxes carried,
-    so that reconstruction can read the flag of every column); boundary_basis:
-    the k x k matrix whose columns frame the left flag (the point's columns at
-    I_mu); right_flag: the k x k matrix whose columns span the flag on the right
-    boundary step by step (the point's columns at I_lambda); torus: one nonzero
-    scalar per top-of-column box; seed: the point's seed, so that xi(omega(V)) == V.
+    regions: the region V(a, i) right of the crossing of each box, as i independent
+    integer vectors of Q^k that span it (omega: the point's columns at J(a, i); all
+    skew boxes carried, so that reconstruction can read the flag of every column);
+    boundary_basis: the k x k matrix whose columns frame the left flag (the point's
+    columns at I_mu); right_flag: the k x k matrix whose columns span the flag on
+    the right boundary step by step (the point's columns at I_lambda); torus: one
+    nonzero scalar per top-of-column box; seed: the point's seed, so that xi(omega(V)) == V.
     """
 
     diagram: SkewDiagram
-    regions: tuple[tuple[BoxRef, Subspace], ...]
+    regions: tuple[tuple[BoxRef, tuple[tuple[int, ...], ...]], ...]
     boundary_basis: RatMatrix
     right_flag: RatMatrix
     torus: tuple[tuple[BoxRef, Fraction], ...]
@@ -374,7 +375,7 @@ class BraidLabeling:
         object.__setattr__(self, "_region", {(box.a, box.i): S for box, S in self.regions})
         object.__setattr__(self, "_torus", {box.a: c for box, c in self.torus})
 
-    def region(self, a: int, i: int) -> Subspace:
+    def region(self, a: int, i: int) -> tuple[tuple[int, ...], ...]:
         try:
             return self._region[(a, i)]
         except KeyError:
@@ -388,47 +389,55 @@ class BraidLabeling:
 
 
 def omega(V: PointV) -> BraidLabeling:
-    """Label the braid diagram by the region subspaces, framing, right flag and torus scalars."""
+    """Label the braid diagram: each region V(a, i) is V's columns at its short label J(a, i), as they are."""
     d = V.diagram
-    regions = []
-    for box in d.boxes():
-        J = d.short_label(*box)  # J(a, i - 1) and one column more
-        S = S.extend(V.column(J[-1])) if box.i > d.mu_bar[box.a] + 1 else Subspace.span(d.k, map(V.column, J))
-        regions.append((box, S))
+    regions = tuple((box, tuple(map(V.column, d.short_label(*box)))) for box in d.boxes())
     boundary = RatMatrix.from_columns([V.column(b) for b in d.I_mu()], V.matrix.den)
     right = RatMatrix.from_columns([V.column(t) for t in d.I_lambda()], V.matrix.den)
     torus = tuple((box, V.column_minors(box.a)[-1]) for box in d.ribbon().R1)
-    labeling = BraidLabeling(d, tuple(regions), boundary, right, torus, V.seed)
+    labeling = BraidLabeling(d, regions, boundary, right, torus, V.seed)
     check_labeling(labeling)
     return labeling
 
 
 def check_labeling(L: BraidLabeling) -> None:
-    """Region conditions of the braid diagram; raises InvariantError on violation.  One tableau
-    T = D W^-1 [W | R] tells whether the framing W is a basis and the right flag R one transversal to F^W."""
+    """Region conditions of the braid diagram; raises InvariantError on violation.  A region V(a, i) is i vectors
+    of Q^k of rank i (one tableau).  S lies in span(B), B independent, iff the vectors of S not among B's leave
+    rank len(B), so omega's containments (J(a, i), J(a+1, i) in J(a, i+1)) run no tableau; in equal dimension it
+    is equality.  One tableau T = D W^-1 [W | R] tells whether the framing W is a basis and the right flag R one
+    transversal to F^W."""
     d = L.diagram
     k = d.k
     region = L._region
+
+    def inside(S, B) -> bool:
+        new = [v for v in S if v not in B]
+        return not new or len(_tableau([*B, *new], range(k))[2]) == len(B)
+
     if [box for box, _ in L.regions] != d.boxes():
         raise InvariantError(f"regions do not label the {d.size()} boxes of the diagram once each, in column order")
     if tuple(box for box, _ in L.torus) != d.ribbon().R1:
         raise InvariantError(f"torus coordinates do not label the {len(d.ribbon().R1)} R^1 boxes once each, in order")
     ribbon = {(box.a, box.i) for box in d.ribbon().R}
     for (a, i), S in region.items():
-        if S.ambient != k:
-            raise InvariantError(f"V({a},{i}) is in Q^{S.ambient}, not Q^{k}")
-        if S.dim != i:
-            raise InvariantError(f"dim V({a},{i}) = {S.dim} != {i}")
+        wrong = next((v for v in S if len(v) != k), None)
+        if wrong is not None:
+            raise InvariantError(f"V({a},{i}) is in Q^{len(wrong)}, not Q^{k}")
+        rank = len(_tableau(S, range(k))[2])
+        if rank != i:
+            raise InvariantError(f"dim V({a},{i}) = {rank} != {i}")
+        if len(S) != i:
+            raise InvariantError(f"V({a},{i}) is given by {len(S)} vectors of rank {i}, not a basis")
     for (a, i), S in region.items():
-        if (a, i + 1) in region and not region[(a, i + 1)].contains(S):
+        if (a, i + 1) in region and not inside(S, region[(a, i + 1)]):
             raise InvariantError(f"V({a},{i}) not in V({a},{i+1})")
         if (a + 1, i) in region and (a, i + 1) in region:
-            if not region[(a, i + 1)].contains(region[(a + 1, i)]):
+            if not inside(region[(a + 1, i)], region[(a, i + 1)]):
                 raise InvariantError(f"V({a+1},{i}) not in V({a},{i+1})")
         if (a + 1, i) in region:
-            if (a, i) in ribbon and (a + 1, i) in ribbon and S != region[(a + 1, i)]:
+            if (a, i) in ribbon and (a + 1, i) in ribbon and not inside(S, region[(a + 1, i)]):
                 raise InvariantError(f"ribbon equality fails at ({a},{i})")
-            if (a, i) not in ribbon and S == region[(a + 1, i)]:
+            if (a, i) not in ribbon and inside(S, region[(a + 1, i)]):
                 raise InvariantError(f"non-ribbon inequality fails at ({a},{i})")
     F, R = L.boundary_basis, L.right_flag
     if (F.nrows, F.ncols) != (k, k):
@@ -437,15 +446,15 @@ def check_labeling(L: BraidLabeling) -> None:
     T, D, basis, _ = _tableau([w + r for w, r in zip(F.num, R.num)] if square else F.num, range(k))
     if len(basis) < k:
         raise InvariantError("boundary framing is not a basis")
-    w_op = flag(k, [F.column(j) for j in range(1, max(d.mu_bar) + 1)])
+    w_op = [F.column(j) for j in range(1, max(d.mu_bar) + 1)]  # W^op_i is spanned by the first i
     for a in range(1, d.n - d.k + 1):
         for i in range(1, d.mu_bar[a] + 1):
             # the boundary conditions live at the crossing above, so they apply
             # only when the box (a-1, i+1) is part of the diagram
             if d.contains_box(a - 1, i) and (a - 1, i + 1) in region:
-                if not region[(a - 1, i + 1)].contains(w_op[i]):
+                if not inside(w_op[:i], region[(a - 1, i + 1)]):
                     raise InvariantError(f"W^op_{i} not in V({a-1},{i+1})")
-                if w_op[i] == region[(a - 1, i)]:
+                if inside(w_op[:i], region[(a - 1, i)]):
                     raise InvariantError(f"W^op_{i} = V({a-1},{i})")
     if not square:
         raise InvariantError(f"right flag basis is {R.nrows} x {R.ncols}, not {k} x {k}")
@@ -468,9 +477,10 @@ def xi(L: BraidLabeling) -> PointV:
     Column t of the point is scale[t] times the integer vector cols[t] over the framing's
     denominator: a framing column with scale 1, or the primitive vector x, leading entry positive,
     of the line V(a, m+1) ^ span(f_{m+1}, .., f_k) in column a (m = mu_bar_a), scaled so that the
-    pinning minor is the torus value.  That line is the one dependency among the rows s_j of
+    pinning minor is the torus value.  That line is the one dependency among the vectors s_j of
     V(a, m+1) and the framing columns f_{m+1}, .., f_k: one tableau over them, in that order, leaves
-    one column c out of its basis, and x = sum_j T[row of s_j][c] s_j."""
+    one column c out of its basis, and x = sum_j T[row of s_j][c] s_j, made primitive, so x does
+    not depend on the basis of V(a, m+1) given."""
     d, F = L.diagram, L.boundary_basis
     k, n = d.k, d.n
     framing = [F.column(j) for j in range(1, k + 1)]
@@ -481,7 +491,7 @@ def xi(L: BraidLabeling) -> PointV:
         if m == d.lambda_bar[a]:
             cols[t0] = (0,) * k
             continue
-        S = L.region(a, m + 1).basis
+        S = L.region(a, m + 1)
         T, _, basis, _ = _tableau(list(zip(*S, *framing[m:])), range(k + 1))
         free = [c for c in range(k + 1) if c not in basis]
         terms = [(row[free[0]], S[j]) for row, j in zip(T, basis) if j < len(S)] if len(free) == 1 else []

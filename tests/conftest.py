@@ -1,7 +1,8 @@
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, prod
+from itertools import accumulate, combinations
+from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from skewpos import Partition, SkewDiagram
 from skewpos.cli import random_diagram
-from skewpos.linalg import RatMatrix, _is_odd, det
+from skewpos.diagram import InvariantError
+from skewpos.linalg import RatMatrix, _is_odd, _pivot, _tableau, det
 
 
 @pytest.fixture
@@ -74,6 +76,121 @@ def from_qcols(columns) -> RatMatrix:
     return RatMatrix.from_rationals(zip(*columns))
 
 
+# -- oracles: subspaces in canonical echelon form and flags as their steps, which the bases that
+# -- span them replaced (a braid labeling's regions, framing and right flag), tested by rank --------
+
+
+def _primitive(v) -> list[int]:
+    """v, of ints or Fractions, scaled to a primitive integer vector (coprime entries); the span is unchanged."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _echelon(rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(rows, pivot columns) of the integer rows' reduced row echelon form, each row scaled to
+    coprime integers with a positive pivot entry: the canonical form of their span."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("vector of wrong ambient dimension")
+    T, D, cols, _ = _tableau(rows, range(ncols))
+    g = [gcd(*r) if D > 0 else -gcd(*r) for r in T]  # every row of T has the entry D at its pivot
+    return [tuple(x // h for x in r) for r, h in zip(T, g)], cols
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Subspace of Q^k in canonical form: the reduced echelon rows, each scaled to coprime
+    integers with a positive pivot entry (``_echelon``), so equality and hash are exact."""
+
+    ambient: int
+    basis: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def span(cls, ambient: int, vectors) -> "Subspace":
+        vectors = [_primitive(v) for v in vectors]  # of ints or Fractions
+        return cls(ambient, tuple(_echelon(vectors, ambient)[0]))
+
+    def extend(self, v) -> "Subspace":
+        """self + span(v), the flags' step builder: self's canonical rows and the primitive v in one ``_echelon``."""
+        return Subspace(self.ambient, tuple(_echelon([*self.basis, _primitive(v)], self.ambient)[0]))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, other: "Subspace") -> bool:
+        if self.ambient != other.ambient:
+            raise ValueError("ambient dimensions differ")
+        return len(_tableau(self.basis + other.basis, range(self.ambient))[2]) == self.dim
+
+
+def flag(k: int, columns) -> tuple[Subspace, ...]:
+    """The steps F_0 = 0, F_1, .. of the flag of the columns in Q^k, F_i the span of the first i:
+    each step is the one before extended by one column, so it contains that step by construction."""
+    return tuple(accumulate(columns, Subspace.extend, initial=Subspace(k, ())))
+
+
+def check_labeling_oracle(L) -> None:
+    """``check_labeling`` on a labeling whose regions are ``Subspace``s: the region conditions by
+    canonical forms, one ``contains`` tableau per containment and ``flag`` for W^op, which the
+    regions as the bases that span them, tested by rank, replaced.  Raises InvariantError."""
+    d = L.diagram
+    k = d.k
+    region = L._region
+    if [box for box, _ in L.regions] != d.boxes():
+        raise InvariantError(f"regions do not label the {d.size()} boxes of the diagram once each, in column order")
+    if tuple(box for box, _ in L.torus) != d.ribbon().R1:
+        raise InvariantError(f"torus coordinates do not label the {len(d.ribbon().R1)} R^1 boxes once each, in order")
+    ribbon = {(box.a, box.i) for box in d.ribbon().R}
+    for (a, i), S in region.items():
+        if S.ambient != k:
+            raise InvariantError(f"V({a},{i}) is in Q^{S.ambient}, not Q^{k}")
+        if S.dim != i:
+            raise InvariantError(f"dim V({a},{i}) = {S.dim} != {i}")
+    for (a, i), S in region.items():
+        if (a, i + 1) in region and not region[(a, i + 1)].contains(S):
+            raise InvariantError(f"V({a},{i}) not in V({a},{i+1})")
+        if (a + 1, i) in region and (a, i + 1) in region:
+            if not region[(a, i + 1)].contains(region[(a + 1, i)]):
+                raise InvariantError(f"V({a+1},{i}) not in V({a},{i+1})")
+        if (a + 1, i) in region:
+            if (a, i) in ribbon and (a + 1, i) in ribbon and S != region[(a + 1, i)]:
+                raise InvariantError(f"ribbon equality fails at ({a},{i})")
+            if (a, i) not in ribbon and S == region[(a + 1, i)]:
+                raise InvariantError(f"non-ribbon inequality fails at ({a},{i})")
+    F, R = L.boundary_basis, L.right_flag
+    if (F.nrows, F.ncols) != (k, k):
+        raise InvariantError(f"boundary framing is {F.nrows} x {F.ncols}, not {k} x {k}")
+    square = (R.nrows, R.ncols) == (k, k)
+    T, D, basis, _ = _tableau([w + r for w, r in zip(F.num, R.num)] if square else F.num, range(k))
+    if len(basis) < k:
+        raise InvariantError("boundary framing is not a basis")
+    w_op = flag(k, [F.column(j) for j in range(1, max(d.mu_bar) + 1)])
+    for a in range(1, d.n - d.k + 1):
+        for i in range(1, d.mu_bar[a] + 1):
+            # the boundary conditions live at the crossing above, so they apply
+            # only when the box (a-1, i+1) is part of the diagram
+            if d.contains_box(a - 1, i) and (a - 1, i + 1) in region:
+                if not region[(a - 1, i + 1)].contains(w_op[i]):
+                    raise InvariantError(f"W^op_{i} not in V({a-1},{i+1})")
+                if w_op[i] == region[(a - 1, i)]:
+                    raise InvariantError(f"W^op_{i} = V({a-1},{i})")
+    if not square:
+        raise InvariantError(f"right flag basis is {R.nrows} x {R.ncols}, not {k} x {k}")
+    # Row i takes r_{i+1} in turn.  Before, on the basis r_1..r_i, w_{i+1}..w_k, Cramer's rule makes T[i][k + i]
+    # a nonzero multiple of det[r_1..r_{i+1}, w_{i+2}..w_k]: det R at i = k - 1, else, for R a basis, zero iff
+    # span(r_1..r_{i+1}) meets F^W_{k-i-1} = span(w_{i+2}..w_k).  On a zero, R's block of T (R's rank) says which.
+    for i in range(k):
+        if not T[i][k + i]:
+            singular = len(_tableau([r[k:] for r in T], range(k))[2]) < k
+            raise InvariantError("right flag is not a basis" if singular else "right flag not transversal to F^W")
+        D = _pivot(T, i, k + i, D)
+    for box, c in L.torus:
+        if c == 0:
+            raise InvariantError(f"torus coordinate at column {box.a} vanishes")
+
+
 def det_one_matrix(rng, k: int) -> list[list[Fraction]]:
     """L D U: unit lower and upper triangular L, U and a diagonal D of determinant 1, with
     entries p/q drawn from |p| <= 3, 1 <= q <= 4."""
@@ -132,8 +249,6 @@ def intro_off_chart_point(seed_range=range(1, 40)):
 
 def solve_columns(columns, target) -> list[Fraction]:
     """Coefficients c with target = sum c_j * columns[j]; raises if unsolvable or dependent."""
-    from skewpos.linalg import _echelon, _primitive
-
     k = len(target)
     m = len(columns)
     aug = [_primitive([columns[j][r] for j in range(m)] + [target[r]]) for r in range(k)]
@@ -147,25 +262,19 @@ def solve_columns(columns, target) -> list[Fraction]:
 
 def W_span(V, j: int):
     """W_j = span(v_{b_{k-j+1}}, ..., v_{b_k})."""
-    from skewpos.linalg import Subspace
-
     d = V.diagram
     return Subspace.span(d.k, [V.column(d.b(t)) for t in range(d.k - j + 1, d.k + 1)])
 
 
 def flag_W(V):
     """The steps W_0 c W_1 c ... c W_k of the opposite boundary flag."""
-    from skewpos.linalg import flag
-
     d = V.diagram
     return flag(d.k, [V.column(d.b(t)) for t in range(d.k, 0, -1)])
 
 
 def region(V, a: int, i: int):
-    """V(a, i) = span of the short-label columns of box (a, i), from nothing: the per-box oracle
-    of ``omega``'s regions, which extend each column's lowest region one column at a time."""
-    from skewpos.linalg import Subspace
-
+    """V(a, i) = span of the short-label columns of box (a, i) in canonical form: the span of
+    ``omega``'s region at (a, i), which is those columns as they are."""
     return Subspace.span(V.diagram.k, [V.column(t) for t in V.diagram.short_label(a, i)])
 
 
@@ -177,8 +286,6 @@ def zassenhaus(A, B):
     that pivot in the right half are (0 | x), and their x are the reduced echelon basis of
     the intersection, already in canonical form.
     """
-    from skewpos.linalg import Subspace, _echelon
-
     if A.ambient != B.ambient:
         raise ValueError("ambient dimensions differ")
     k = A.ambient
@@ -190,8 +297,6 @@ def transversal(F1, F2) -> bool:
     """True iff F1_i ^ F2_{k-i} = 0 for all i (relative position w_0), for the steps F_0 .. F_k of two
     complete flags (``flag``): each pair's stacked rows have rank k.  The k - 1 tableaux that
     ``check_labeling``'s one tableau of both bases, walked down its diagonal, replaced."""
-    from skewpos.linalg import _tableau
-
     if F1[0].ambient != F2[0].ambient:
         raise ValueError("flags in different ambient spaces")
     k = F1[0].ambient
@@ -340,8 +445,6 @@ def f_of_point_incremental_oracle(M) -> tuple[int, ...]:
     For each i the columns v_{i+1}, v_{i+2}, .. join the pivot rows one at a time, and v_i's
     residual is reduced against each new row only; the columns are used unsigned.
     """
-    from skewpos.linalg import _primitive
-
     def _reduce(pivots, v):
         """v with each pivot column cleared in turn by its primitive row, kept primitive."""
         for c, p in pivots:
@@ -405,8 +508,6 @@ def from_matrix_oracle(d, M, seed=None):
 def flag_at_cut(V, a: int):
     """The steps F_0 .. F_k of the complete flag on the interface of the two column groups, one
     span per step, each checked to have dimension i and to contain the one before."""
-    from skewpos.linalg import Subspace
-
     d = V.diagram
     steps = [Subspace(d.k, ())]
     for i in range(1, d.mu_bar[a] + 1):
@@ -480,7 +581,6 @@ def right_point_minor_oracle(V, a: int):
     Delta_{J_i} v_{b_r}, each minor a ``chart_minor_oracle`` (k - i + 1 of them at level i)."""
     from math import lcm
 
-    from skewpos.diagram import InvariantError
     from skewpos.variety import PointV
 
     d = V.diagram
@@ -593,7 +693,6 @@ def seed_at_delta_oracle(V):
     One ``chart_minor_oracle`` per box; nothing is kept on the point, and the quiver is built on a
     fresh copy of the diagram, so it is not the one ``cluster.quiver`` keeps on ``V.diagram``."""
     from skewpos.cluster import Seed, quiver
-    from skewpos.diagram import InvariantError
 
     d = V.diagram
     q = quiver(SkewDiagram(d.n, d.k, d.lam, d.mu))

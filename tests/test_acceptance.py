@@ -32,9 +32,17 @@ from skewpos import (
     xi,
 )
 from skewpos.cli import random_diagram, subseed
-from skewpos.linalg import Subspace
 
-from conftest import chart_is_everything, det_oracle, necklace_entry_exhaustive, qcol, qrows, vec_add, vec_scale
+from conftest import (
+    Subspace,
+    chart_is_everything,
+    det_oracle,
+    necklace_entry_exhaustive,
+    qcol,
+    qrows,
+    vec_add,
+    vec_scale,
+)
 
 
 def criterion(num, text):

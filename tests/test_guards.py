@@ -23,13 +23,14 @@ import pytest
 import skewpos
 from skewpos import Cut, InvariantError, SkewDiagram, omega, right_point, sample, splice_report, xi
 from skewpos.cli import build_parser, main
-from skewpos.linalg import RatMatrix, Subspace, _echelon, _tableau, det, flag
+from skewpos.linalg import RatMatrix, _tableau, det
 from skewpos.permutations import BoundedAffinePermutation
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
 from skewpos.variety import PointV, _walk, check_labeling, membership
 
-from conftest import W_span, right_point_minor_oracle, staircase, transversal, zassenhaus
+import conftest
+from conftest import Subspace, flag, right_point_minor_oracle, staircase, transversal, zassenhaus
 from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -321,13 +322,15 @@ def test_one_boundary_path_per_trips(counted, intro):
 
 
 def test_membership_runs_no_echelon(counted):
+    """Membership is one greedy tableau of the point's primitive columns, walked by pivots: no
+    other elimination and no determinant."""
     d = staircase(32)
     V = sample(d, seed=1)
-    echelons, spans = counted(_echelon), counted(Subspace.span)
+    tableaux, dets = counted(_tableau), counted(det)
     assert membership(V.matrix, d)
-    assert echelons == [] and spans == []
-    Subspace.span(d.k, [V.column(1)])  # the wrappers do see a call
-    assert len(echelons) == 1 and len(spans) == 1
+    assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(d.k, d.n)] and dets == []
+    V.delta(d.I_mu())  # the wrappers do see a call
+    assert len(dets) == 1
 
 
 def test_verify_evaluates_each_chart_once(counted):
@@ -338,17 +341,14 @@ def test_verify_evaluates_each_chart_once(counted):
 
 
 def test_right_point_runs_no_intersection(counted, intro):
-    """The right factor is solved on V's chart: no span, echelon form or transversality test (the
-    package's one is ``check_labeling``'s), and so no intersection, which the package can only build
-    from spans and echelon forms."""
+    """The right factor is solved on V's chart: no tableau, so no rank test and no intersection,
+    and no transversality test (the package's one is ``check_labeling``'s)."""
     V = sample(intro, seed=16)
-    tests, echelons, spans = counted(check_labeling), counted(_echelon), counted(Subspace.span)
+    tests, tableaux = counted(check_labeling), counted(_tableau)
     right_point(V, 6)
-    assert tests == [] and echelons == [] and spans == []
-    zassenhaus(W_span(V, 1), W_span(V, 2))  # the wrappers do see a call
-    assert len(spans) == 2 and echelons
-    omega(V)
-    assert len(tests) == 1
+    assert tests == [] and tableaux == []
+    omega(V)  # the wrappers do see a call
+    assert len(tests) == 1 and tableaux
 
 
 @pytest.mark.parametrize("n", [12, 20, 32])
@@ -434,19 +434,23 @@ def test_baf_built_once_per_diagram(monkeypatch):
 
 
 def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
-    """Spans, containment, the flags' step builder, ``check_labeling``'s one-tableau test of the
-    framing and the right flag, the rank tests it replaced and the echelon forms of a Zassenhaus
-    intersection of integer columns stay in integer rows."""
+    """``check_labeling``'s rank tests of the regions, as V's columns and in another integer basis,
+    and its one-tableau test of the framing and the right flag stay in integer rows, and so do the
+    oracles they replaced: canonical spans, containment, the flags' step builder, the rank tests of
+    transversality and the echelon forms of a Zassenhaus intersection of integer columns."""
     V = sample(intro, seed=16)
     L = omega(V)
+    # s_1 + s_i, s_2, .., s_i for a region s_1, .., s_i (2 s_1 for i = 1): another basis of its span
+    rebased = tuple((box, (tuple(x + y for x, y in zip(S[0], S[-1])), *S[1:])) for box, S in L.regions)
 
     def no_fraction(*args):
         raise AssertionError("a Fraction was built")
 
-    monkeypatch.setattr(skewpos.linalg, "Fraction", no_fraction)
-    monkeypatch.setattr(skewpos.variety, "Fraction", no_fraction)
+    for module in (skewpos.linalg, skewpos.variety, conftest):
+        monkeypatch.setattr(module, "Fraction", no_fraction)
     k = intro.k
     check_labeling(L)
+    check_labeling(replace(L, regions=rebased))
     reversed_framing = RatMatrix(tuple(r[::-1] for r in L.boundary_basis.num))
     singular = RatMatrix.from_columns([L.right_flag.column(j) for j in (1, 2, 3, 4, 2)])
     for R, message in ((reversed_framing, "^right flag not transversal to F\\^W$"),
@@ -465,33 +469,36 @@ def test_subspace_on_integers_builds_no_fraction(monkeypatch, intro):
 
 
 def test_braid_dictionary_builds_each_flag_step_on_the_one_before(counted):
-    """omega spans each column's lowest region and extends it up the column, at most one span per
-    column with boxes, and builds no flag: its right flag is the basis at I_lambda.  ``check_labeling``
-    builds W^op step on step only as high as mu reaches, m = max mu_bar_a (3 < k = 5 on the running
-    diagram), and reads the framing and the right flag off one k x 2k tableau of both bases: no F^W
-    and no step of the right flag.  xi spans and extends nothing: each column's line is one tableau
-    over the region rows and the framing tail."""
-    spans, extends, flags = counted(Subspace.span), counted(Subspace.extend), counted(flag)
-    tableaux = counted(_tableau)
+    """omega keeps V's columns at each short label J(a, i) as the region V(a, i) and runs no tableau
+    of its own: its tableaux are those of ``check_labeling`` on its labeling.  There, each region's
+    rank is one tableau of its i vectors, in box order; no containment runs one, since J(a, i) and
+    J(a+1, i) lie in J(a, i+1) and W^op_i's framing columns are V's at b_1, .., b_i, which lie in
+    J(a-1, i+1); each ribbon equality of two different labels runs one (6 on the running diagram,
+    9 on staircase(20)), and so does each non-ribbon inequality (2 and 0) and each
+    W^op_i != V(a-1, i) (3 and 7); the framing and the right flag are one k x 2k tableau of both
+    bases.  xi: each column's line is one tableau over the region's vectors and the framing tail."""
+    tests, tableaux = counted(check_labeling), counted(_tableau)
     running = SkewDiagram.from_json(json.loads(RUNNING))
-    assert max(running.mu_bar) == 3 < running.k  # so W^op stops short of k
-    for d in (running, staircase(20)):
-        k, n, m = d.k, d.n, max(d.mu_bar)
+    for d, total in ((running, 15 + 6 + 2 + 3 + 1), (staircase(20), 24 + 9 + 0 + 7 + 1)):
+        k, n = d.k, d.n
         V = sample(d, seed=1)
-        L = omega(V)
-        columns = sum(d.mu_bar[a] < d.lambda_bar[a] for a in range(1, d.n - d.k + 1))
-        assert 0 < len(spans) <= columns
-        assert flags == [(k, [V.column(b) for b in d.I_mu()][:m])]
-        assert len(extends) == d.size() - columns + m
-        assert [rows for rows, _ in tableaux if len(rows[0]) == 2 * k] == [
-            [w + r for w, r in zip(L.boundary_basis.num, L.right_flag.num)]]
-        for calls in (spans, extends, flags, tableaux):
-            calls.clear()
-        assert xi(L) == V
-        assert spans == [] and extends == [] and flags == []
-        # one k x (k + 1) tableau per column with boxes, then the k x n tableau of the point built
-        assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(k, k + 1)] * columns + [(k, n)]
         tableaux.clear()
+        L = omega(V)
+        assert tests == [(L,)] and L.regions == tuple((box, tuple(map(V.column, d.short_label(*box))))
+                                                      for box in d.boxes())
+        in_omega = [rows for rows, _ in tableaux]
+        tableaux.clear()
+        check_labeling(L)
+        assert [rows for rows, _ in tableaux] == in_omega and len(in_omega) == total
+        assert [len(rows) for rows in in_omega[:d.size()]] == [box.i for box in d.boxes()]
+        assert [rows for rows in in_omega if len(rows[0]) == 2 * k] == [
+            [w + r for w, r in zip(L.boundary_basis.num, L.right_flag.num)]]
+        tableaux.clear()
+        tests.clear()
+        assert xi(L) == V and tests == []
+        # one k x (k + 1) tableau per column with boxes, then the k x n tableau of the point built
+        columns = sum(d.mu_bar[a] < d.lambda_bar[a] for a in range(1, d.n - d.k + 1))
+        assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(k, k + 1)] * columns + [(k, n)]
 
 
 def test_braid_dictionary_runs_on_integer_columns(counted):
@@ -553,20 +560,24 @@ def test_only_variety_reads_the_chart():
 
 
 def test_flags_are_the_bases_that_span_them():
-    """A flag is the basis that spans it, and ``flag`` gives its steps: no module of src/ binds a
+    """A flag, a region and the framing are the bases that span them: no module of src/ binds a
     flag class, an intersection, which ``xi``'s dependency line and a rank test of transversality
-    replaced, or that rank test of two flags' steps, which ``check_labeling``'s one tableau of both
-    bases replaced."""
+    replaced, that rank test of two flags' steps, which ``check_labeling``'s one tableau of both
+    bases replaced, or the canonical subspace, its echelon form, the primitive rows it was built on
+    and the flags' steps (``Subspace``, ``_echelon``, ``_primitive``, ``flag``), which the bases
+    themselves, tested by rank, replaced."""
+    names = ("FlagK", "intersect", "transversal", "Subspace", "_echelon", "_primitive", "flag")
     found = []
     for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
                     else node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None)
-            if name in ("FlagK", "intersect", "transversal"):
+            if name in names:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
-    assert [name for name, m in sys.modules.items() if name.startswith("skewpos") and hasattr(m, "FlagK")] == []
-    assert "transversal" not in skewpos.__all__
+    assert [(module, name) for module, m in sys.modules.items() if module.startswith("skewpos")
+            for name in names if hasattr(m, name)] == []
+    assert set(names) & set(skewpos.__all__) == set()
 
 
 # Public names with no caller in src/: each names an object of the paper and a test
@@ -587,7 +598,7 @@ def test_every_public_name_has_a_caller_in_src():
     """A public function, class or method referenced by name nowhere in src/ but __init__ is dead.
 
     The scan goes by name, so a method shares its callers with every namesake
-    (``Subspace.contains`` with ``Partition.contains``).
+    (``Partition.contains`` with any other ``contains``).
     """
     defined, referenced = [], set()
     for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):

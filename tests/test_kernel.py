@@ -2,10 +2,13 @@
 
 The oracles in conftest are the from-scratch Gauss-Jordan routines the package
 used before: reduced echelon forms, determinants, membership of a vector in a
-span, intersections and the cyclic rank function f of a point.  The flags' step
-builder is checked against one span per prefix, and ``check_labeling``'s one-tableau
-test of transversality against the k - 1 rank tests it replaced (``transversal``) and
-k - 1 Zassenhaus intersections (``zassenhaus``, itself checked against the nullspace oracle).
+span, intersections and the cyclic rank function f of a point.  The canonical
+spans and flag steps that the package replaced by the bases that span them
+(conftest's ``Subspace`` and ``flag``, built on the integer tableau) are checked
+against the Fraction echelon form and one span per prefix, and ``check_labeling``'s
+one-tableau test of transversality against the k - 1 rank tests it replaced
+(``transversal``) and k - 1 Zassenhaus intersections (``zassenhaus``, itself
+checked against the nullspace oracle).
 """
 
 import random
@@ -18,14 +21,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewpos import InvariantError, Partition, SkewDiagram, f_of_point, necklace_of_point, omega, sample
-from skewpos.linalg import RatMatrix, Subspace, det, flag
+from skewpos.linalg import RatMatrix, det
 from skewpos.variety import _necklace_tableau, _walk, check_labeling
 
 from conftest import (
+    Subspace,
     contains_vector_oracle,
     det_oracle,
     echelon_oracle,
     f_of_point_incremental_oracle,
+    flag,
     f_of_point_oracle,
     from_qcols,
     intersect_oracle,
@@ -206,7 +211,7 @@ def test_add_and_intersect_match_oracle(M, split):
 
 
 class TestFlagStepOracle:
-    """``Subspace.extend``, the step builder of flags, and ``flag`` on it, against one
+    """The oracles' ``Subspace.extend``, the step builder of flags, and ``flag`` on it, against one
     from-scratch ``Subspace.span`` per prefix of the columns."""
 
     @given(matrices())

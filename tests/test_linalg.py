@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewpos.linalg import (
-    RatMatrix,
+from skewpos.linalg import RatMatrix, quotient_to_str, rat_to_str
+
+from conftest import (
     Subspace,
     flag,
-    quotient_to_str,
-    rat_to_str,
+    from_qcols,
+    minor,
+    qcol,
+    qcols,
+    qrows,
+    solve_columns,
+    transversal,
+    unit_vector,
+    vec,
+    zassenhaus,
 )
-
-from conftest import from_qcols, minor, qcol, qcols, qrows, solve_columns, transversal, unit_vector, vec, zassenhaus
 
 
 def random_matrix(rng, k, m, lo=-9, hi=9):

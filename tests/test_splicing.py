@@ -33,12 +33,13 @@ from skewpos import (
     verify_minor_scaling,
 )
 from skewpos.cli import random_diagram, subseed
-from skewpos.linalg import RatMatrix, Subspace, ratio_to_str
+from skewpos.linalg import RatMatrix, ratio_to_str
 from skewpos.splicing import _vanishing_chart_label
 from skewpos.variety import OffVariety, PointV, _necklace_tableau
 
 from conftest import (
     A_factor_oracle,
+    Subspace,
     W_span,
     all_skew_diagrams,
     box_minor_oracle,

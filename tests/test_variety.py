@@ -26,12 +26,14 @@ from skewpos import (
     xi,
 )
 from skewpos import variety
-from skewpos.linalg import RatMatrix, Subspace
+from skewpos.linalg import RatMatrix, det
 from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, _normalize_r1, check_labeling
 
 from conftest import (
+    Subspace,
     W_span,
     all_skew_diagrams,
+    check_labeling_oracle,
     det_one_matrix,
     echelon_oracle,
     from_qcols,
@@ -303,8 +305,7 @@ class TestOmega:
 
     def test_zero_regions_rejected(self, running):
         L = omega(sample(running, seed=13))
-        Z = BraidLabeling(running, tuple((box, Subspace(running.k, ())) for box, _ in L.regions),
-                          L.boundary_basis, L.right_flag, L.torus)
+        Z = BraidLabeling(running, tuple((box, ()) for box, _ in L.regions), L.boundary_basis, L.right_flag, L.torus)
         with pytest.raises(InvariantError, match="dim V"):
             check_labeling(Z)
 
@@ -315,7 +316,6 @@ class TestOmega:
         script = (
             "from dataclasses import replace\n"
             "from skewpos import InvariantError, Partition, SkewDiagram, omega, sample\n"
-            "from skewpos.linalg import Subspace\n"
             "from skewpos.variety import BraidLabeling, check_labeling\n"
             "d = SkewDiagram(12, 5, Partition((7, 7, 5, 3, 1)), Partition((3, 3, 2)))\n"
             "L = omega(sample(d, seed=13))\n"
@@ -332,7 +332,7 @@ class TestOmega:
 
     def test_zero_regions_rejected_under_optimize(self):
         """``python -O`` strips assert statements; the region checks must still run."""
-        out = self.check_under_optimize("BraidLabeling(d, tuple((b, Subspace(d.k, ())) for b, _ in L.regions),"
+        out = self.check_under_optimize("BraidLabeling(d, tuple((b, ()) for b, _ in L.regions),"
                                         " L.boundary_basis, L.right_flag, L.torus)")
         assert out.startswith("False rejected: dim V("), out
 
@@ -340,15 +340,20 @@ class TestOmega:
         (lambda L: replace(L, regions=L.regions[:-1]), "^regions do not label the 15 boxes of the diagram"),
         (lambda L: replace(L, torus=L.torus[1:]), "^torus coordinates do not label the 7 R\\^1 boxes"),
         (lambda L: replace(L, regions=L.regions[::-1]), "^regions do not label the 15 boxes of the diagram"),
-        (lambda L: replace(L, regions=((L.regions[0][0], Subspace.span(6, [(1, 0, 0, 0, 0, 0)])), *L.regions[1:])),
+        (lambda L: replace(L, regions=((L.regions[0][0], ((1, 0, 0, 0, 0, 0),)), *L.regions[1:])),
          "^V\\(1,1\\) is in Q\\^6, not Q\\^5$"),
+        (lambda L: replace(L, regions=(L.regions[0], (L.regions[1][0], (*L.regions[1][1], tuple(
+            x + y for x, y in zip(*L.regions[1][1])))), *L.regions[2:])),
+         "^V\\(1,2\\) is given by 3 vectors of rank 2, not a basis$"),
         (lambda L: replace(L, right_flag=RatMatrix(tuple(tuple(int(i == j) for i in range(6)) for j in range(6)))),
          "^right flag basis is 6 x 6, not 5 x 5$"),
     ], ids=["last region dropped", "first torus entry dropped", "regions reversed", "region in Q^6",
-            "right flag in Q^6"])
+            "i + 1 vectors of rank i", "right flag in Q^6"])
     def test_labeling_off_the_diagram_rejected(self, running, labeling, message):
         """Regions exactly on the boxes of the diagram in column order, torus coordinates exactly on
-        its R^1 boxes, every region in Q^k and the right flag's basis k x k, or an InvariantError."""
+        its R^1 boxes, every region exactly i independent vectors of Q^k and the right flag's basis
+        k x k, or an InvariantError.  i + 1 vectors that span a space of dimension i are not a basis
+        of the region, though their span is the right one."""
         L = omega(sample(running, seed=13))
         assert L.regions[-1][0] == (7, 5) and L.torus[0][0] == (1, 2)
         with pytest.raises(InvariantError, match=message):
@@ -419,15 +424,24 @@ class TestOmega:
 
 
 class TestRegionOracle:
-    """``omega``'s regions, each column's lowest one spanned and each one above it the one below
-    extended by one column, against the from-scratch ``region`` oracle at every box."""
+    """``omega``'s regions, V's columns at each short label J(a, i) as they are, against the canonical
+    span of those columns (``region``) at every box: each is a basis of a space of dimension i, and the
+    labeling with the canonical spans passes ``check_labeling_oracle``, the check on spans."""
+
+    @staticmethod
+    def check(V):
+        d = V.diagram
+        L = omega(V)
+        assert L.regions == tuple((box, tuple(map(V.column, d.short_label(*box)))) for box in d.boxes())
+        spans = tuple((box, region(V, *box)) for box in d.boxes())
+        assert [S.dim for _, S in spans] == [box.i for box in d.boxes()] == [len(S) for _, S in L.regions]
+        check_labeling_oracle(replace(L, regions=spans))
 
     def test_every_diagram_up_to_n7(self):
         diagrams = list(all_skew_diagrams(7))
         assert len(diagrams) == 2040
         for d in diagrams:
-            V = sample(d, seed=1)
-            assert omega(V).regions == tuple((box, region(V, *box)) for box in d.boxes()), d
+            self.check(sample(d, seed=1))
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_staircase_in_a_det_one_gauge(self, n):
@@ -436,7 +450,61 @@ class TestRegionOracle:
         d = staircase(n)
         V = gauged(sample(d, seed=1), det_one_matrix(random.Random(n), d.k))
         assert V.matrix.den > 1
-        assert omega(V).regions == tuple((box, region(V, *box)) for box in d.boxes())
+        self.check(V)
+
+
+class TestCheckLabelingOracle:
+    """``check_labeling``, which tests regions given as bases by rank, against ``check_labeling_oracle``,
+    the check on their canonical spans that it replaced, on every diagram with n <= 6 and on
+    staircase(20), in the sampled gauge and in a det_one_matrix gauge.  omega's labeling with every
+    region in a random integer basis of its span is accepted, and xi still returns V: the rank path
+    on valid input.  One region replaced by another region of its dimension, by a rank-deficient
+    basis or by vectors of the wrong length gets the oracle's verdict, text included."""
+
+    @staticmethod
+    def verdict(check, L):
+        try:
+            check(L)
+        except InvariantError as exc:
+            return str(exc)
+
+    @classmethod
+    def check(cls, V, rng):
+        d, k = V.diagram, V.diagram.k
+        L = omega(V)
+
+        def combine(G, S):  # the rows of G times the vectors S
+            return tuple(tuple(sum(c * v[r] for c, v in zip(g, S)) for r in range(k)) for g in G)
+
+        def invertible(i):
+            while True:
+                G = [[rng.randint(-3, 3) for _ in range(i)] for _ in range(i)]
+                if det(G):
+                    return G
+
+        rebased = replace(L, regions=tuple((box, combine(invertible(len(S)), S)) for box, S in L.regions))
+        assert check_labeling(rebased) is None and xi(rebased) == V, d
+        for j, (box, S) in enumerate(L.regions):
+            other = next((T for b, T in L.regions[j + 1:] + L.regions[:j] if b.i == box.i), None)
+            deficient = (*S[:-1], combine([[rng.randint(-3, 3) for _ in S[:-1]]], S[:-1])[0])  # 0 for i = 1
+            longer = tuple((*v, 0) for v in S)
+            for T in filter(None, (other, deficient, longer)):
+                Z = replace(L, regions=L.regions[:j] + ((box, T),) + L.regions[j + 1:])
+                spans = replace(Z, regions=tuple((b, Subspace.span(len(R[0]), R)) for b, R in Z.regions))
+                assert cls.verdict(check_labeling, Z) == cls.verdict(check_labeling_oracle, spans), (d, box, T)
+
+    def test_every_diagram_up_to_n6(self):
+        rng = random.Random(6)
+        for t, d in enumerate(all_skew_diagrams(6)):
+            V = sample(d, seed=1)
+            self.check(V, rng)
+            self.check(gauged(V, det_one_matrix(random.Random(t), d.k)), rng)
+
+    def test_staircase_20(self):
+        d, rng = staircase(20), random.Random(20)
+        V = sample(d, seed=1)
+        self.check(V, rng)
+        self.check(gauged(V, det_one_matrix(random.Random(20), d.k)), rng)
 
 
 class TestXi:
@@ -538,9 +606,9 @@ class TestLineOracle:
             m = d.mu_bar[a]
             if m < d.lambda_bar[a]:
                 x, S = lines[0][a + m - 1], L.region(a, m + 1)
-                assert zassenhaus(S, Subspace.span(k, framing[m:])).basis == (x,), (d, a)
+                assert zassenhaus(Subspace.span(k, S), Subspace.span(k, framing[m:])).basis == (x,), (d, a)
                 p = next(y for y in x if y)
-                assert [[Fraction(y, p) for y in x]] == intersect_oracle(k, S.basis, framing[m:]), (d, a)
+                assert [[Fraction(y, p) for y in x]] == intersect_oracle(k, S, framing[m:]), (d, a)
 
     def test_every_diagram_up_to_n6(self, lines):
         """In the sampled gauge (the framing is the identity) and in a det_one_matrix gauge."""
