@@ -4,6 +4,7 @@ Quiver vertices are the diagram boxes; the frozen ones are exactly the boundary
 ribbon boxes.  Seeds are value-level: each vertex carries the rational value of
 its Pluecker coordinate at a fixed point, read off the point's chart, not a symbolic
 variable.  The quiver is built once per diagram, and exchange products are integer pairs.
+Mutation is matrix mutation (Fomin-Zelevinsky) on the net arrow counts of the quiver.
 """
 
 from __future__ import annotations
@@ -112,32 +113,20 @@ def seed_at(V: PointV) -> Seed:
 
 
 def _mutate_quiver(q: Quiver, box: BoxRef) -> Quiver:
-    mult: dict[Arrow, int] = {e: m for e, m in q.arrows}
+    """Matrix mutation (Fomin-Zelevinsky) on net counts b(u, v) = -b(v, u): each path u -> box -> v adds
+    m1 * m2 to b(u, v) unless u and v are both frozen, the counts at the box change sign, and the positive
+    counts are the new arrows, so a 2-cycle cancels as it forms."""
+    b: dict[Arrow, int] = {}
+    for (u, v), m in q.arrows:
+        b[u, v] = -m if box in (u, v) else m
+        b[v, u] = -b[u, v]
     into, out = q.arrows_into(box), q.arrows_out(box)
-    # insert composites i -> j for i -> box -> j, unless both endpoints frozen
-    for src, m1 in into:
-        for dst, m2 in out:
-            if src in q.frozen and dst in q.frozen:
-                continue
-            mult[(src, dst)] = mult.get((src, dst), 0) + m1 * m2
-    # reverse arrows incident to the mutated vertex
-    for src, m in into:
-        del mult[(src, box)]
-        mult[(box, src)] = mult.get((box, src), 0) + m
-    for dst, m in out:
-        del mult[(box, dst)]
-        mult[(dst, box)] = mult.get((dst, box), 0) + m
-    # cancel two-cycles
-    for (u, v) in list(mult):
-        if (v, u) in mult and (u, v) in mult:
-            m1, m2 = mult[(u, v)], mult[(v, u)]
-            c = min(m1, m2)
-            for e, m in (((u, v), m1 - c), ((v, u), m2 - c)):
-                if m:
-                    mult[e] = m
-                else:
-                    mult.pop(e, None)
-    return Quiver(q.vertices, q.frozen, tuple(mult.items()))
+    for u, m1 in into:
+        for v, m2 in out:
+            if u not in q.frozen or v not in q.frozen:
+                b[u, v] = b.get((u, v), 0) + m1 * m2
+                b[v, u] = -b[u, v]
+    return Quiver(q.vertices, q.frozen, tuple((e, m) for e, m in b.items() if m > 0))
 
 
 def mutate(s: Seed, box: BoxRef) -> Seed:

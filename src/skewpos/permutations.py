@@ -4,6 +4,8 @@ Permutations of [n] are stored in 1-based one-line notation as tuples:
 ``w[i-1] == w(i)``.  Composition is functional, ``compose(x, y)(i) = x(y(i))``.
 Reduced words are tuples of adjacent-transposition indices, multiplied left to
 right: ``(i1, i2)`` denotes ``s_{i1} s_{i2}``, which applies ``s_{i2}`` first.
+``baf_to_necklace`` reads each necklace entry off f in closed form (Knutson-Lam-Speyer), and
+``necklace_to_baf`` reads f off the exchange between consecutive entries.
 """
 
 from __future__ import annotations
@@ -167,23 +169,11 @@ def necklace_to_baf(N: GrassmannNecklace) -> BoundedAffinePermutation:
     return BoundedAffinePermutation(n, N.k, tuple(window))
 
 
-def _cyclically_less(x: int, y: int, start: int, n: int) -> bool:
-    """x <_start y in the cyclic order start < start+1 < ... < start-1."""
-    return (x - start) % n < (y - start) % n
-
-
 def baf_to_necklace(f: BoundedAffinePermutation) -> GrassmannNecklace:
+    """I_i = { j mod n : i - n < j <= i < f(j) } (Knutson-Lam-Speyer)."""
     n = f.n
-    loops = {a for a in range(1, n + 1) if f(a) == a + n}
-    fbar = f.mod_n()
-    entries = []
-    for i in range(1, n + 1):
-        entry = set(loops)
-        for a in range(1, n + 1):
-            if fbar[a - 1] != a and _cyclically_less(fbar[a - 1], a, (i % n) + 1, n):
-                entry.add(a)
-        entries.append(tuple(sorted(entry)))
-    return GrassmannNecklace(n, f.k, tuple(entries))
+    return GrassmannNecklace(n, f.k, tuple(tuple((j - 1) % n + 1 for j in range(i - n + 1, i + 1) if f(j) > i)
+                                           for i in range(1, n + 1)))
 
 
 # -- Grassmannian permutations ----------------------------------------------------

@@ -716,6 +716,39 @@ def exchange_products_oracle(s, box) -> tuple[Fraction, Fraction]:
     return num, den
 
 
+def mutate_quiver_oracle(q, box):
+    """Quiver mutation in three passes over the arrow list: add the composites, turn the box's arrows
+    round, cancel 2-cycles; ``cluster._mutate_quiver`` is one pass over net counts instead."""
+    from skewpos.cluster import Quiver
+
+    mult = {e: m for e, m in q.arrows}
+    into, out = q.arrows_into(box), q.arrows_out(box)
+    # insert composites i -> j for i -> box -> j, unless both endpoints frozen
+    for src, m1 in into:
+        for dst, m2 in out:
+            if src in q.frozen and dst in q.frozen:
+                continue
+            mult[(src, dst)] = mult.get((src, dst), 0) + m1 * m2
+    # reverse arrows incident to the mutated vertex
+    for src, m in into:
+        del mult[(src, box)]
+        mult[(box, src)] = mult.get((box, src), 0) + m
+    for dst, m in out:
+        del mult[(box, dst)]
+        mult[(dst, box)] = mult.get((dst, box), 0) + m
+    # cancel two-cycles
+    for (u, v) in list(mult):
+        if (v, u) in mult and (u, v) in mult:
+            m1, m2 = mult[(u, v)], mult[(v, u)]
+            c = min(m1, m2)
+            for e, m in (((u, v), m1 - c), ((v, u), m2 - c)):
+                if m:
+                    mult[e] = m
+                else:
+                    mult.pop(e, None)
+    return Quiver(q.vertices, q.frozen, tuple(mult.items()))
+
+
 def verify_exchange_ratios_oracle(c) -> list[dict]:
     """Exchange ratios of both factors against the full seed, as products of Fractions compared
     cross-multiplied; returns violations."""
@@ -923,6 +956,42 @@ def f_factorization_oracle(d) -> bool:
         return window[r] + q * n
 
     return tuple(affine(wl, affine(tk, wm_inv[i - 1])) for i in range(1, n + 1)) == baf(d).window
+
+def _cyclically_less(x: int, y: int, start: int, n: int) -> bool:
+    """x <_start y in the cyclic order start < start+1 < ... < start-1."""
+    return (x - start) % n < (y - start) % n
+
+
+def baf_to_necklace_oracle(f):
+    """Each entry by a cyclic-order test of every pair (i, a); ``permutations.baf_to_necklace`` reads
+    I_i = { j mod n : i - n < j <= i < f(j) } instead."""
+    from skewpos.permutations import GrassmannNecklace
+
+    n = f.n
+    loops = {a for a in range(1, n + 1) if f(a) == a + n}
+    fbar = f.mod_n()
+    entries = []
+    for i in range(1, n + 1):
+        entry = set(loops)
+        for a in range(1, n + 1):
+            if fbar[a - 1] != a and _cyclically_less(fbar[a - 1], a, (i % n) + 1, n):
+                entry.add(a)
+        entries.append(tuple(sorted(entry)))
+    return GrassmannNecklace(n, f.k, tuple(entries))
+
+
+def all_bounded_affine_permutations(n: int):
+    """Every bounded affine permutation of [n], every k: a permutation of the residues, with both
+    f(i) = i and f(i) = i + n at each fixed residue."""
+    from itertools import permutations, product
+
+    from skewpos.permutations import BoundedAffinePermutation
+
+    for w in permutations(range(1, n + 1)):
+        choices = [(i, i + n) if wi == i else (wi if wi > i else wi + n,) for i, wi in enumerate(w, start=1)]
+        for window in product(*choices):
+            yield BoundedAffinePermutation(n, sum(fi > n for fi in window), window)
+
 
 def staircase(n: int) -> SkewDiagram:
     """k = (3n + 7) // 8 and, with w = n - k, lambda_j = max(w - j, 1), mu_j = max(w - j - 3, 0)."""

@@ -165,6 +165,16 @@ class TestMutate:
         assert doc["exchange_ratio"] == "(1301810)/0" and doc["values"]["a3i1"] == "0"
         assert doc["old_value"] == "67" and doc["new_value"] == "19430"
 
+    def test_vanishing_value_rejected(self, capsys, tmp_path):
+        """Box (5, 2) of the intro diagram's off-chart point has seed value 0: no mutation, exit 2."""
+        from conftest import intro_off_chart_point
+
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(intro_off_chart_point().to_json()))
+        code, out, err = run(capsys, "mutate", "--diagram", INTRO, "--point", str(pfile), "--box", "5,2")
+        assert code == 2 and out == ""
+        assert err == "input error: cannot mutate at BoxRef(a=5, i=2): its value vanishes\n"
+
     def test_point_diagram_mismatch(self, capsys, tmp_path):
         """A point of the intro diagram is no point of the running one: exit 2, as for splice."""
         out = tmp_path / "p.json"

@@ -1,14 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+import skewpos.cluster
 from skewpos import Partition, SkewDiagram, exchange_products, mutate, quiver, sample, seed_at
 from skewpos.cluster import Quiver, Seed, _mutate_quiver, quiver_dot, quiver_json
-from skewpos.diagram import BoxRef
+from skewpos.diagram import BoxRef, InvariantError
+from skewpos.variety import PointV
 
-from conftest import all_skew_diagrams, skew_diagrams
+from conftest import all_skew_diagrams, intro_off_chart_point, mutate_quiver_oracle, skew_diagrams
 
 RUNNING_MUTABLE = {(2, 1), (3, 1), (4, 1), (4, 2)}
 
@@ -88,6 +92,17 @@ class TestSeed:
         for b in s.quiver.frozen:
             assert s.value(b) != 0
 
+    def test_vanishing_frozen_value_rejected(self, running, monkeypatch):
+        """A frozen value of 0 is refused; a mutable one is not.  With column 2's minors read as 0, the
+        mutable box (2, 1) passes and ``seed_at`` names the frozen box (2, 2)."""
+        V = sample(running, seed=3)
+        real = PointV.column_minors
+        monkeypatch.setattr(PointV, "column_minors",
+                            lambda self, a: [0 * x for x in real(self, a)] if a == 2 else real(self, a))
+        assert quiver(running).is_mutable(BoxRef(2, 1)) and BoxRef(2, 2) in quiver(running).frozen
+        with pytest.raises(InvariantError, match=r"^frozen value vanishes at BoxRef\(a=2, i=2\)$"):
+            seed_at(V)
+
     def test_r1_slice_values(self, running):
         V = sample(running, seed=4, normalize_r1=True)
         s = seed_at(V)
@@ -160,6 +175,12 @@ class TestMutation:
         with pytest.raises(ValueError, match="frozen"):
             mutate(s, frozen)
 
+    def test_mutate_vanishing_value_rejected(self):
+        s = seed_at(intro_off_chart_point())
+        assert s.value(BoxRef(5, 2)) == 0 and s.quiver.is_mutable(BoxRef(5, 2))
+        with pytest.raises(ValueError, match=r"^cannot mutate at BoxRef\(a=5, i=2\): its value vanishes$"):
+            mutate(s, BoxRef(5, 2))
+
     def test_mutation_preserves_quiver_invariants(self, running):
         rng = random.Random(1)
         s = seed_at(sample(running, seed=9))
@@ -214,6 +235,99 @@ class TestMatrixMutationOracle:
                         if u in frozen and v in frozen:
                             continue
                         assert got[u][v] == expected[u][v], (u, v)
+
+
+def mutable_boxes(q):
+    return [b for b in q.vertices if q.is_mutable(b)]
+
+
+class TestMutateQuiverOracle:
+    """The one pass over net counts against the three-pass rule it replaced (``mutate_quiver_oracle``)."""
+
+    def test_every_single_mutation_up_to_n8(self):
+        count = 0
+        for d in all_skew_diagrams(8):
+            q = quiver(d)
+            for b in q.vertices:
+                if q.is_mutable(b):
+                    assert _mutate_quiver(q, b) == mutate_quiver_oracle(q, b), (d, b)
+                    count += 1
+        assert count == 3895
+
+    @given(st.deferred(lambda: st.sampled_from([d for d in all_skew_diagrams(8) if mutable_boxes(quiver(d))])),
+           st.lists(st.integers(0, 2**16), min_size=1, max_size=40))
+    def test_random_paths(self, d, picks):
+        q = quiver(d)
+        mutables = mutable_boxes(q)
+        for p in picks:
+            box = mutables[p % len(mutables)]
+            new = _mutate_quiver(q, box)
+            assert new == mutate_quiver_oracle(q, box)
+            q = new
+
+    def test_two_cycle_cancels_as_it_forms(self):
+        """u -> box twice, box -> v and v -> u: the path u -> box -> v adds 2 to b(u, v) = -1, so one arrow
+        u -> v is left, and the box's arrows turn round."""
+        v, box, u, w = BoxRef(1, 1), BoxRef(2, 1), BoxRef(3, 1), BoxRef(4, 1)
+        q = Quiver((v, box, u, w), frozenset(), (((v, u), 1), ((u, box), 2), ((box, v), 1), ((u, w), 1)))
+        new = _mutate_quiver(q, box)
+        assert new == mutate_quiver_oracle(q, box)
+        assert new.arrows == (((v, box), 1), ((box, u), 2), ((u, v), 1), ((u, w), 1))
+
+    def test_arrows_between_frozen_vertices_are_not_added(self):
+        f1, box, f2 = BoxRef(1, 1), BoxRef(2, 1), BoxRef(3, 1)
+        q = Quiver((f1, box, f2), frozenset({f1, f2}), (((f1, box), 1), ((box, f2), 1)))
+        assert _mutate_quiver(q, box).arrows == (((box, f1), 1), ((f2, box), 1))
+
+
+def square_moves(d, seed: int, steps: int = 8) -> tuple[int, list]:
+    """Walk a random path of mutations at degree-4 mutable vertices of the seed at ``sample(d, seed)``,
+    each vertex carrying its long label.  At a labelled square (the in- and out-label multisets J1 + J3
+    and J2 + J4 agree and hold J) the new value must be Delta_{J'} with J' = J1 + J3 - J, and the vertex
+    takes J'.  Returns the number of checks and the failures; a square whose multisets disagree fails."""
+    V = sample(d, seed=seed)
+    s = seed_at(V)
+    label = {b: Counter(d.long_label(b.a, b.i)) for b in s.quiver.vertices}
+    rng = random.Random(seed)
+    checks, failures = 0, []
+    for _ in range(steps):
+        q = s.quiver
+        squares = [b for b in q.vertices if q.is_mutable(b) and s.value(b) != 0
+                   and sum(m for _, m in q.arrows_into(b) + q.arrows_out(b)) == 4]
+        if not squares:
+            break
+        box = rng.choice(squares)
+        J_in, J_out = (sum((Counter({t: m * c for t, c in label[b].items()}) for b, m in arrows), Counter())
+                       for arrows in (q.arrows_into(box), q.arrows_out(box)))
+        checks += 1
+        if J_in != J_out or label[box] - J_in:
+            failures.append((d, seed, box, "not a labelled square"))
+            break
+        s, label[box] = mutate(s, box), J_in - label[box]
+        if s.value(box) != V.delta(tuple(sorted(label[box].elements()))):
+            failures.append((d, seed, box, "value is not the new label's minor"))
+    return checks, failures
+
+
+class TestSquareMoves:
+    """Mutation checked against the point: along random paths of square moves, every mutated value is
+    the Pluecker coordinate of the label the three-term relation gives (Scott, arXiv:math/0311148).
+    Degree-6 vertices can leave the Pluecker coordinates, so only squares are checked."""
+
+    def test_square_moves_land_on_pluecker_coordinates_up_to_n7(self):
+        checks, failures = 0, []
+        for d in all_skew_diagrams(7):
+            for seed in (1, 2):
+                c, f = square_moves(d, seed)
+                checks, failures = checks + c, failures + f
+        assert failures == []
+        assert checks == 2496
+
+    def test_exchange_sum_mutant_fails(self, running, monkeypatch):
+        """A ``mutate`` with ``prod_in - prod_out`` leaves the minors at the first square."""
+        real = skewpos.cluster.exchange_products
+        monkeypatch.setattr(skewpos.cluster, "exchange_products", lambda s, box: (real(s, box)[0], -real(s, box)[1]))
+        assert square_moves(running, 1)[1]
 
 
 class TestExchangeRatio:

@@ -580,6 +580,19 @@ def test_flags_are_the_bases_that_span_them():
     assert set(names) & set(skewpos.__all__) == set()
 
 
+def test_mutation_and_the_necklace_by_their_closed_forms():
+    """The necklace is read off f by I_i = { j mod n : i - n < j <= i < f(j) }, so no module of src/ binds
+    the cyclic-order test ``_cyclically_less`` it replaced; quiver mutation is one pass over net counts,
+    so ``_mutate_quiver`` deletes and pops no arrow (no reversal pass, no 2-cycle cancellation)."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(Path(skewpos.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if getattr(node, "name", getattr(node, "id", None)) == "_cyclically_less"]
+    assert found == []
+    body = ast.parse(inspect.getsource(skewpos.cluster._mutate_quiver))
+    assert not any(isinstance(node, ast.Delete) or isinstance(node, ast.Attribute) and node.attr == "pop"
+                   for node in ast.walk(body))
+
+
 # Public names with no caller in src/: each names an object of the paper and a test
 # checks a paper fact with it, or the benchmark reads it.
 UNCALLED_PUBLIC_NAMES = {

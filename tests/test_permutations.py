@@ -25,8 +25,8 @@ from skewpos.permutations import (
     inverse,
 )
 
-from conftest import (all_skew_diagrams, f_factorization_oracle, from_word_oracle, skew_diagrams,
-                      w_grassmannian_oracle)
+from conftest import (all_bounded_affine_permutations, all_skew_diagrams, baf_to_necklace_oracle,
+                      f_factorization_oracle, from_word_oracle, skew_diagrams, w_grassmannian_oracle)
 
 RUNNING_NECKLACE = (
     (1, 6, 8, 11, 12), (1, 2, 8, 11, 12), (2, 3, 8, 11, 12), (3, 4, 8, 11, 12),
@@ -114,6 +114,29 @@ class TestBijection:
         N, f = necklace(d), baf(d)
         assert necklace_to_baf(N).window == f.window
         assert baf_to_necklace(f).entries == N.entries
+
+
+class TestNecklaceOracle:
+    """I_i = { j mod n : i - n < j <= i < f(j) } against the cyclic-order test it replaced."""
+
+    def test_every_bounded_affine_permutation_up_to_n6(self):
+        count = 0
+        for n in range(1, 7):
+            for f in all_bounded_affine_permutations(n):
+                assert baf_to_necklace(f) == baf_to_necklace_oracle(f), f
+                count += 1
+        assert count == 2371
+
+    def test_baf_of_every_diagram_up_to_n8(self):
+        for d in all_skew_diagrams(8):
+            f = baf(d)
+            assert baf_to_necklace(f) == baf_to_necklace_oracle(f) == necklace(d), d
+
+    def test_loops(self):
+        """f(i) = i + n puts i in every entry, f(i) = i in none."""
+        f = BoundedAffinePermutation(3, 1, (4, 2, 3))
+        assert baf_to_necklace(f).entries == ((1,), (1,), (1,))
+        assert baf_to_necklace(BoundedAffinePermutation(3, 0, (1, 2, 3))).entries == ((), (), ())
 
 
 class TestGrassmannianPermutations:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from dataclasses import replace
@@ -32,7 +33,7 @@ from skewpos import (
     verify_exchange_ratios,
     verify_minor_scaling,
 )
-from skewpos.cli import random_diagram, subseed
+from skewpos.cli import main, random_diagram, subseed
 from skewpos.linalg import RatMatrix, ratio_to_str
 from skewpos.splicing import _vanishing_chart_label
 from skewpos.variety import OffVariety, PointV, _necklace_tableau
@@ -264,6 +265,23 @@ class TestTriangularity:
                 assert mu_minor == mv_minor
 
 
+def doubling_a_column_off_I_mu(build, doubled):
+    """``build`` (``left_point`` or ``right_point``) with the first nonzero column off I_mu of the factor
+    it builds doubled: a torus rescaling, so the factor stays on its variety and keeps every exchange
+    ratio, but its seed values change.  Each (V, a) it doubled a column at is appended to ``doubled``."""
+    def mutant(V, a):
+        P = build(V, a)
+        d, I_mu = P.diagram, P.diagram.I_mu()
+        off = next((t for t in range(1, d.n + 1) if t not in I_mu and any(P.column(t))), None)
+        if off is None:
+            return P
+        doubled.append((V, a))
+        cols = [[2 * x for x in P.column(t)] if t == off else P.column(t) for t in range(1, d.n + 1)]
+        return PointV(d, RatMatrix.from_columns(cols, P.matrix.den), P.seed)
+
+    return mutant
+
+
 class TestVerification:
     def test_minor_scaling_intro(self, intro):
         for seed in (1, 7, 13):
@@ -320,20 +338,8 @@ class TestVerification:
         """A left factor with its first nonzero column off I_mu doubled is a torus rescaling: it stays
         on its variety and keeps every exchange ratio, but its seed values leave V's.  Every on-chart
         cut with n <= 6 whose left factor has such a column reports a left violation."""
-        real = skewpos.splicing.left_point
         doubled = []
-
-        def mutant(V, a):
-            L = real(V, a)
-            d, I_mu = L.diagram, L.diagram.I_mu()
-            off = next((t for t in range(1, d.n + 1) if t not in I_mu and any(L.column(t))), None)
-            if off is None:
-                return L
-            doubled.append((V, a))
-            cols = [[2 * x for x in L.column(t)] if t == off else L.column(t) for t in range(1, d.n + 1)]
-            return PointV(d, RatMatrix.from_columns(cols, L.matrix.den), L.seed)
-
-        monkeypatch.setattr(skewpos.splicing, "left_point", mutant)
+        monkeypatch.setattr(skewpos.splicing, "left_point", doubling_a_column_off_I_mu(left_point, doubled))
         for d in all_skew_diagrams(6):
             V = sample(d, seed=1)
             for a in range(1, d.n - d.k + 1):
@@ -346,6 +352,32 @@ class TestVerification:
                 else:
                     assert minors == "pass", (d, a)
         assert doubled
+
+    def test_right_mutant_fails_minor_scaling_up_to_n6(self, intro, monkeypatch, capsys):
+        """The mirror on the right: a right factor with its first nonzero column off I_mu doubled stays on
+        its variety, but its seed values leave V's times the A-factors.  Every on-chart cut with n <= 6
+        whose right factor has such a column reports a right violation, and so does ``skewpos splice``,
+        which exits 1."""
+        doubled = []
+        monkeypatch.setattr(skewpos.splicing, "right_point", doubling_a_column_off_I_mu(right_point, doubled))
+        for d in all_skew_diagrams(6):
+            V = sample(d, seed=1)
+            for a in range(1, d.n - d.k + 1):
+                if not in_U_a(V, a):
+                    continue
+                count = len(doubled)
+                minors = splice_report(V, a)["checks"]["minor_scaling"]
+                if len(doubled) > count:
+                    assert minors != "pass", (d, a)
+                    assert all(v.keys() == {"box", "right_minor", "scaled_minor"} for v in minors), (d, a)
+                else:
+                    assert minors == "pass", (d, a)
+        assert doubled
+        code = main(["splice", "--diagram", json.dumps(intro.to_json()), "--seed", "7", "--column", "6"])
+        minors = json.loads(capsys.readouterr().out)["checks"]["minor_scaling"]
+        assert code == 1
+        assert minors and all(v.keys() == {"box", "right_minor", "scaled_minor"} for v in minors)
+        assert all(Fraction(v["right_minor"]) != Fraction(v["scaled_minor"]) for v in minors)
 
     def test_left_boxes_must_be_the_tail_of_V(self, intro):
         """The left seed is read against the tail of V's only when its boxes are V's shifted by a - 1."""

@@ -117,6 +117,14 @@ class TestMembership:
         M = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
         assert not membership(M, running)
 
+    def test_wrong_shape_is_not_member(self, running, monkeypatch):
+        """A matrix that is not k x n is no point of the diagram: False, with no tableau run."""
+        M = sample(running, seed=7).matrix
+        monkeypatch.setattr(variety, "_necklace_tableau", None)
+        assert not membership(RatMatrix(tuple(r[:-1] for r in M.num), M.den), running)
+        assert not membership(RatMatrix(M.num[:-1], M.den), running)
+        assert not membership(M, SkewDiagram(12, 4, Partition((7, 7, 5, 3)), Partition((3, 3, 2))))
+
     def test_ribbon_minor_vanishing_breaks_membership(self, running):
         V = sample(running, seed=9)
         # zero out a column that a ribbon minor needs: necklace entry changes
@@ -347,11 +355,13 @@ class TestOmega:
          "^V\\(1,2\\) is given by 3 vectors of rank 2, not a basis$"),
         (lambda L: replace(L, right_flag=RatMatrix(tuple(tuple(int(i == j) for i in range(6)) for j in range(6)))),
          "^right flag basis is 6 x 6, not 5 x 5$"),
+        (lambda L: replace(L, torus=((L.torus[0][0], Fraction(0)), *L.torus[1:])),
+         "^torus coordinate at column 1 vanishes$"),
     ], ids=["last region dropped", "first torus entry dropped", "regions reversed", "region in Q^6",
-            "i + 1 vectors of rank i", "right flag in Q^6"])
+            "i + 1 vectors of rank i", "right flag in Q^6", "first torus coordinate 0"])
     def test_labeling_off_the_diagram_rejected(self, running, labeling, message):
-        """Regions exactly on the boxes of the diagram in column order, torus coordinates exactly on
-        its R^1 boxes, every region exactly i independent vectors of Q^k and the right flag's basis
+        """Regions exactly on the boxes of the diagram in column order, nonzero torus coordinates exactly
+        on its R^1 boxes, every region exactly i independent vectors of Q^k and the right flag's basis
         k x k, or an InvariantError.  i + 1 vectors that span a space of dimension i are not a basis
         of the region, though their span is the right one."""
         L = omega(sample(running, seed=13))
