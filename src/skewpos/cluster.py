@@ -85,6 +85,7 @@ class Seed:
     quiver: Quiver
     values: tuple[tuple[BoxRef, Fraction], ...]
     _value: dict = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # box -> its ``_products``
 
     def __post_init__(self):
         value = dict(self.values)
@@ -107,7 +108,7 @@ def seed_at(V: PointV) -> Seed:
     values = tuple(zip(q.vertices, minors, strict=True))
     zero = next((b for b, x in values if x == 0 and b in q.frozen), None)
     if zero is not None:
-        raise InvariantError(f"frozen value vanishes at {zero}")
+        raise InvariantError(f"frozen value vanishes at ({zero.a},{zero.i})")
     V._memo["seed"] = Seed(q, values)
     return V._memo["seed"]
 
@@ -133,10 +134,10 @@ def mutate(s: Seed, box: BoxRef) -> Seed:
     """Seed mutation at a mutable vertex; an involution."""
     q = s.quiver
     if not q.is_mutable(box):
-        raise ValueError(f"cannot mutate frozen or missing vertex {box}")
+        raise ValueError(f"cannot mutate frozen or missing vertex ({box.a},{box.i})")
     old = s.value(box)
     if old == 0:
-        raise ValueError(f"cannot mutate at {box}: its value vanishes")
+        raise ValueError(f"cannot mutate at ({box.a},{box.i}): its value vanishes")
     prod_in, prod_out = exchange_products(s, box)
     new = (prod_in + prod_out) / old
     return Seed(_mutate_quiver(q, box), tuple((b, new if b == box else v) for b, v in s.values))
@@ -148,11 +149,14 @@ def exchange_products(s: Seed, box: BoxRef) -> tuple[Fraction, Fraction]:
 
 
 def _products(s: Seed, box: BoxRef) -> tuple[tuple[int, int], tuple[int, int]]:
-    """``exchange_products`` as integer pairs (numerator, denominator > 0), not reduced."""
-    if not s.quiver.is_mutable(box):
-        raise ValueError(f"exchange ratio is defined at mutable vertices only: {box}")
-    return tuple((prod(s.value(b).numerator ** m for b, m in arrows),
-                  prod(s.value(b).denominator ** m for b, m in arrows)) for arrows in s.quiver._arrows_at[box])
+    """``exchange_products`` as integer pairs (numerator, denominator > 0), not reduced, kept on the seed:
+    V keeps its seed, so every cut of V reads V's products, computed once per box."""
+    if box not in s._memo:
+        if not s.quiver.is_mutable(box):
+            raise ValueError(f"exchange ratio is defined at mutable vertices only: ({box.a},{box.i})")
+        s._memo[box] = tuple((prod(s.value(b).numerator ** m for b, m in arrows),
+                              prod(s.value(b).denominator ** m for b, m in arrows)) for arrows in s.quiver._arrows_at[box])
+    return s._memo[box]
 
 
 def quiver_dot(d: SkewDiagram) -> str:

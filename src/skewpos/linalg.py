@@ -6,9 +6,10 @@ JSON rows.  A subspace or a flag is the list of integer vectors that span it, ke
 no canonical form, so two bases of one subspace are compared by rank.  Determinants are Bareiss's
 fraction-free elimination; ranks, containment, a point's basis exchanges and the test that two flags
 are transversal (one tableau of both bases, its diagonal walked by exchanges) all run one
-fraction-free Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.
-Column indices are 1-based in the public operations, matching the labeling of diagram boxes by
-matrix columns.
+fraction-free Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.  An
+exchange rewrites only the rows it eliminates, each row keeping its own divisor until ``_tableau``
+brings its result to one D.  Column indices are 1-based in the public operations, matching the
+labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -67,34 +68,35 @@ class RatMatrix:
         return tuple(r[j - 1] for r in self.num)
 
 
-def _pivot(T: list[list[int]], r: int, c: int, D: int) -> int:
-    """Fraction-free exchange (Edmonds): row r of the tableau T = D B^-1 A takes column c into the
-    basis B.  Every other row becomes (p row - row[c] T[r]) / D with p = T[r][c], which divides
-    exactly; row r stays.  Returns the new D = p."""
-    p, top = T[r][c], T[r]
-    for i, row in enumerate(T):
+def _pivot(T: list[list[int]], r: int, c: int, D: int, div: list[int]) -> int:
+    """Fraction-free exchange (Edmonds) with deferred row scaling: row i of the tableau D B^-1 A is
+    T[i] D / div[i], exactly.  Row r, made true, takes column c into the basis B.  Each row with a nonzero
+    entry in column c becomes (p row - row[c] T[r]) / div[i], p = T[r][c], which divides exactly; every other
+    row stays the same list.  Row r and the rows rewritten get divisor p, the new D, which it returns."""
+    top = T[r] = T[r] if div[r] == D else [x * D // div[r] for x in T[r]]
+    p = div[r] = top[c]
+    for i, (row, q) in enumerate(zip(T, div)):
         f = row[c]
         if f and i != r:
-            T[i] = [(p * x - f * y) // D for x, y in zip(row, top)]
-        elif not f and p != D:
-            T[i] = [p * x // D for x in row]
+            T[i], div[i] = [(p * x - f * y) // q for x, y in zip(row, top)], p
     return p
 
 
 def _tableau(rows, order) -> tuple[list[list[int]], int, list[int], bool]:
     """(T, D, basis, odd): fraction-free Gauss-Jordan on the integer rows, taking the 0-based columns
     of ``order`` greedily while they are independent.  T keeps the pivoted rows in the order of their
-    pivot columns ``basis``, so T = D B^-1 A for B = A at the basis, and every entry of T is a minor
-    of A (up to sign, Edmonds); D = Delta_basis(A), negated iff ``odd``."""
-    T, D, col = [list(r) for r in rows], 1, [None] * len(rows)
+    pivot columns ``basis``, each brought to D once at the end, so T = D B^-1 A for B = A at the basis,
+    and every entry of T is a minor of A (up to sign, Edmonds); D = Delta_basis(A), negated iff ``odd``."""
+    T, D, col, div = [list(r) for r in rows], 1, [None] * len(rows), [1] * len(rows)
     for c in order:
         r = next((r for r, row in enumerate(T) if row[c] and col[r] is None), None)
         if r is not None:
-            D, col[r] = _pivot(T, r, c, D), c
+            D, col[r] = _pivot(T, r, c, D, div), c
             if None not in col:
                 break
     held = sorted((r for r, c in enumerate(col) if c is not None), key=col.__getitem__)
-    return [T[r] for r in held], D, [col[r] for r in held], len(held) == len(T) and _is_odd(held)
+    T = [T[r] if div[r] == D else [x * D // div[r] for x in T[r]] for r in held]
+    return T, D, [col[r] for r in held], len(held) == len(col) and _is_odd(held)
 
 
 def _is_odd(perm: list[int]) -> bool:

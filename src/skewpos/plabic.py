@@ -210,8 +210,8 @@ def verify_trips(d: SkewDiagram) -> None:
             raise InvariantError(f"trip {T.start} is {T.orientation}, against I_mu")
     for b, v in source_labels(d, ts).items():
         if len(v) != d.k:
-            raise InvariantError(f"box {b} received {len(v)} labels")
+            raise InvariantError(f"box ({b.a},{b.i}) received {len(v)} labels")
         if v != d.long_label(b.a, b.i):
-            raise InvariantError(f"trip labels of box {b} differ from its long label")
+            raise InvariantError(f"trip labels of box ({b.a},{b.i}) differ from its long label")
     if mu_region_label(ts) != d.I_mu():
         raise InvariantError("mu-region label differs from I_mu")

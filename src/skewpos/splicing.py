@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import accumulate
 
 from .cluster import Seed, _products, exchange_products, seed_at
 from .diagram import BoxRef, InvariantError
@@ -113,9 +113,10 @@ def verify_minor_scaling(c: Cut) -> list[dict]:
     """Check each right seed value at (a', i) against V's times the A-factors of the columns t < a' + i,
     and each left one against V's a-1 columns on: the left boxes are V's from column a on, in order
     (else InvariantError), so the left seed reads against the tail of V's.  Returns the violations."""
-    violations = []
+    violations, first = [], c.a + c.V.diagram.mu_bar[c.a]  # A's columns are first, first + 1, ..
+    scale = [1, *accumulate(c.A.values(), Fraction.__mul__)]  # scale[j]: the product of A's first j factors
     for box, lhs in c.right_seed.values:
-        rhs = c.seed.value(box) * prod(x for t, x in c.A.items() if t < box.a + box.i)
+        rhs = c.seed.value(box) * scale[min(max(box.a + box.i - first, 0), len(c.A))]
         if lhs != rhs:
             violations.append(
                 {"box": [box.a, box.i], "right_minor": str(lhs), "scaled_minor": str(rhs)}

@@ -166,12 +166,13 @@ class PointV:
         lower = [[(i, C[i][r]) for i in range(r) if C[i][r]] for r in range(k)]
         R = [[D_R * (t == b) for t in range(1, d.n + 1)] for b in I_R]
         for t in free:
-            z = []
+            z = [0] * k
             for r in range(k):
-                z_r, e = divmod(sP * T[r][t - 1] - sum(c * z[i] for i, c in lower[r]), C[r][r])
-                R[r][t - 1], f = divmod(h[r] * z_r, H)
-                z.append(z_r)
-                rem |= e | f
+                z_r = sP * T[r][t - 1] - sum(c * z[i] for i, c in lower[r])
+                if z_r:  # else z_r and R's entry are 0, as they stand
+                    z[r], e = divmod(z_r, C[r][r])
+                    R[r][t - 1], f = divmod(h[r] * z[r], H)
+                    rem |= e | f
         if rem:  # every entry of the chart is a minor of the new matrix, so this is a bug
             raise InvariantError("a derived chart entry is not an integer")
         return PointV(d, M, self.seed, (R, D_R, [t - 1 for t in I_R], contents))
@@ -250,10 +251,10 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ..
     Column i lies in the basis taken greedily in the order i, i-1, .., 1, n, .., i+1 unless
     v_i = 0 (f(i) = i).  Going down from i = n, the first column j of that order after i with a
     nonzero entry in the row of i enters the basis in its place, and f(j) = i (+ n if j > i); if
-    there is none, v_i is a coloop and f(i) = i + n.  Each exchange is one integer ``_pivot``
-    on a copy of T, so the entries stay maximal minors.
+    there is none, v_i is a coloop and f(i) = i + n.  Each exchange is one integer ``_pivot`` on a
+    copy of T; the walk reads only which entries are zero, so rows keep their own divisors.
     """
-    T, row_of, window = list(T), {c: j for j, c in enumerate(basis)}, [0] * n
+    T, div, row_of, window = list(T), [D] * len(T), {c: j for j, c in enumerate(basis)}, [0] * n
     for i in range(n - 1, -1, -1):
         r = row_of.pop(i, None)
         if r is None:
@@ -265,7 +266,7 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ..
             window[i], row_of[i] = i + 1 + n, r
             continue
         window[j] = i + 1 + n * (j > i)
-        D, row_of[j] = _pivot(T, r, j, D), r
+        D, row_of[j] = _pivot(T, r, j, D, div), r
     return tuple(window)
 
 
@@ -461,11 +462,12 @@ def check_labeling(L: BraidLabeling) -> None:
     # Row i takes r_{i+1} in turn.  Before, on the basis r_1..r_i, w_{i+1}..w_k, Cramer's rule makes T[i][k + i]
     # a nonzero multiple of det[r_1..r_{i+1}, w_{i+2}..w_k]: det R at i = k - 1, else, for R a basis, zero iff
     # span(r_1..r_{i+1}) meets F^W_{k-i-1} = span(w_{i+2}..w_k).  On a zero, R's block of T (R's rank) says which.
+    div = [D] * k  # each row's own divisor (``_pivot``), a nonzero factor that changes no zero and no rank
     for i in range(k):
         if not T[i][k + i]:
             singular = len(_tableau([r[k:] for r in T], range(k))[2]) < k
             raise InvariantError("right flag is not a basis" if singular else "right flag not transversal to F^W")
-        D = _pivot(T, i, k + i, D)
+        D = _pivot(T, i, k + i, D, div)
     for box, c in L.torus:
         if c == 0:
             raise InvariantError(f"torus coordinate at column {box.a} vanishes")

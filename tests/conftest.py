@@ -1,7 +1,7 @@
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import gcd, lcm, prod
 from types import SimpleNamespace
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skewpos import Partition, SkewDiagram
 from skewpos.cli import random_diagram
 from skewpos.diagram import InvariantError
-from skewpos.linalg import RatMatrix, _is_odd, _pivot, _tableau, det
+from skewpos.linalg import RatMatrix, _is_odd, _tableau, det
 
 
 @pytest.fixture
@@ -134,7 +134,8 @@ def flag(k: int, columns) -> tuple[Subspace, ...]:
 def check_labeling_oracle(L) -> None:
     """``check_labeling`` on a labeling whose regions are ``Subspace``s: the region conditions by
     canonical forms, one ``contains`` tableau per containment and ``flag`` for W^op, which the
-    regions as the bases that span them, tested by rank, replaced.  Raises InvariantError."""
+    regions as the bases that span them, tested by rank, replaced; on the eager kernel
+    (``tableau_oracle``, ``pivot_oracle``).  Raises InvariantError."""
     d = L.diagram
     k = d.k
     region = L._region
@@ -163,7 +164,7 @@ def check_labeling_oracle(L) -> None:
     if (F.nrows, F.ncols) != (k, k):
         raise InvariantError(f"boundary framing is {F.nrows} x {F.ncols}, not {k} x {k}")
     square = (R.nrows, R.ncols) == (k, k)
-    T, D, basis, _ = _tableau([w + r for w, r in zip(F.num, R.num)] if square else F.num, range(k))
+    T, D, basis, _ = tableau_oracle([w + r for w, r in zip(F.num, R.num)] if square else F.num, range(k))
     if len(basis) < k:
         raise InvariantError("boundary framing is not a basis")
     w_op = flag(k, [F.column(j) for j in range(1, max(d.mu_bar) + 1)])
@@ -183,9 +184,9 @@ def check_labeling_oracle(L) -> None:
     # span(r_1..r_{i+1}) meets F^W_{k-i-1} = span(w_{i+2}..w_k).  On a zero, R's block of T (R's rank) says which.
     for i in range(k):
         if not T[i][k + i]:
-            singular = len(_tableau([r[k:] for r in T], range(k))[2]) < k
+            singular = len(tableau_oracle([r[k:] for r in T], range(k))[2]) < k
             raise InvariantError("right flag is not a basis" if singular else "right flag not transversal to F^W")
-        D = _pivot(T, i, k + i, D)
+        D = pivot_oracle(T, i, k + i, D)
     for box, c in L.torus:
         if c == 0:
             raise InvariantError(f"torus coordinate at column {box.a} vanishes")
@@ -345,6 +346,65 @@ def minor(M: RatMatrix, J) -> Fraction:
         cols.append([x // g for x in v] if g > 1 else v)
         scale *= g or 1
     return Fraction(scale * det(cols), M.den ** len(J))  # det of the transpose
+
+
+# -- oracles: the eager exchange kernel, which rescaled every row at each exchange, that the
+# -- kernel with deferred row scaling (``_pivot`` with a divisor per row) replaced -----------------
+
+
+def pivot_oracle(T: list[list[int]], r: int, c: int, D: int) -> int:
+    """Fraction-free exchange (Edmonds): row r of the tableau T = D B^-1 A takes column c into the
+    basis B.  Every other row becomes (p row - row[c] T[r]) / D with p = T[r][c], which divides
+    exactly; row r stays.  Returns the new D = p."""
+    p, top = T[r][c], T[r]
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            T[i] = [(p * x - f * y) // D for x, y in zip(row, top)]
+        elif not f and p != D:
+            T[i] = [p * x // D for x in row]
+    return p
+
+
+def tableau_oracle(rows, order) -> tuple[list[list[int]], int, list[int], bool]:
+    """(T, D, basis, odd): fraction-free Gauss-Jordan on the integer rows, taking the 0-based columns
+    of ``order`` greedily while they are independent.  T keeps the pivoted rows in the order of their
+    pivot columns ``basis``, so T = D B^-1 A for B = A at the basis, and every entry of T is a minor
+    of A (up to sign, Edmonds); D = Delta_basis(A), negated iff ``odd``."""
+    T, D, col = [list(r) for r in rows], 1, [None] * len(rows)
+    for c in order:
+        r = next((r for r, row in enumerate(T) if row[c] and col[r] is None), None)
+        if r is not None:
+            D, col[r] = pivot_oracle(T, r, c, D), c
+            if None not in col:
+                break
+    held = sorted((r for r, c in enumerate(col) if c is not None), key=col.__getitem__)
+    return [T[r] for r in held], D, [col[r] for r in held], len(held) == len(T) and _is_odd(held)
+
+
+def walk_oracle(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ...]:
+    """Window of f by the Grassmann-necklace exchange, from the greedy tableau of rank k.
+
+    Column i lies in the basis taken greedily in the order i, i-1, .., 1, n, .., i+1 unless
+    v_i = 0 (f(i) = i).  Going down from i = n, the first column j of that order after i with a
+    nonzero entry in the row of i enters the basis in its place, and f(j) = i (+ n if j > i); if
+    there is none, v_i is a coloop and f(i) = i + n.  Each exchange is one integer ``pivot_oracle``
+    on a copy of T, so the entries stay maximal minors.
+    """
+    T, row_of, window = list(T), {c: j for j, c in enumerate(basis)}, [0] * n
+    for i in range(n - 1, -1, -1):
+        r = row_of.pop(i, None)
+        if r is None:
+            window[i] = i + 1
+            continue
+        row = T[r]
+        j = next((j for j in chain(range(i - 1, -1, -1), range(n - 1, i, -1)) if row[j]), i)
+        if j == i:
+            window[i], row_of[i] = i + 1 + n, r
+            continue
+        window[j] = i + 1 + n * (j > i)
+        D, row_of[j] = pivot_oracle(T, r, j, D), r
+    return tuple(window)
 
 
 # -- oracles: the from-scratch Fraction eliminations the integer kernel replaced ---------
@@ -700,7 +760,7 @@ def seed_at_delta_oracle(V):
     for b in q.vertices:
         x = chart_minor_oracle(V, d.long_label(b.a, b.i))
         if b in q.frozen and x == 0:
-            raise InvariantError(f"frozen value vanishes at {b}")
+            raise InvariantError(f"frozen value vanishes at ({b.a},{b.i})")
         values.append((b, x))
     return Seed(q, tuple(values))
 

@@ -173,7 +173,7 @@ class TestMutate:
         pfile.write_text(json.dumps(intro_off_chart_point().to_json()))
         code, out, err = run(capsys, "mutate", "--diagram", INTRO, "--point", str(pfile), "--box", "5,2")
         assert code == 2 and out == ""
-        assert err == "input error: cannot mutate at BoxRef(a=5, i=2): its value vanishes\n"
+        assert err == "input error: cannot mutate at (5,2): its value vanishes\n"
 
     def test_point_diagram_mismatch(self, capsys, tmp_path):
         """A point of the intro diagram is no point of the running one: exit 2, as for splice."""

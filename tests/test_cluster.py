@@ -100,7 +100,7 @@ class TestSeed:
         monkeypatch.setattr(PointV, "column_minors",
                             lambda self, a: [0 * x for x in real(self, a)] if a == 2 else real(self, a))
         assert quiver(running).is_mutable(BoxRef(2, 1)) and BoxRef(2, 2) in quiver(running).frozen
-        with pytest.raises(InvariantError, match=r"^frozen value vanishes at BoxRef\(a=2, i=2\)$"):
+        with pytest.raises(InvariantError, match=r"^frozen value vanishes at \(2,2\)$"):
             seed_at(V)
 
     def test_r1_slice_values(self, running):
@@ -178,7 +178,7 @@ class TestMutation:
     def test_mutate_vanishing_value_rejected(self):
         s = seed_at(intro_off_chart_point())
         assert s.value(BoxRef(5, 2)) == 0 and s.quiver.is_mutable(BoxRef(5, 2))
-        with pytest.raises(ValueError, match=r"^cannot mutate at BoxRef\(a=5, i=2\): its value vanishes$"):
+        with pytest.raises(ValueError, match=r"^cannot mutate at \(5,2\): its value vanishes$"):
             mutate(s, BoxRef(5, 2))
 
     def test_mutation_preserves_quiver_invariants(self, running):

@@ -394,6 +394,33 @@ def test_splice_report_reads_no_minor_and_keeps_the_quivers(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [12, 20, 32])
+def test_every_cut_reads_the_exchange_products_of_v_once(n):
+    """On a fresh point of the splice benchmark's staircases, V's seed keeps the exchange products of
+    the boxes its cuts compare, one entry per box; a second sweep of every on-chart report adds none."""
+    from skewpos.cluster import seed_at
+    from skewpos.diagram import BoxRef
+
+    class Kept(dict):
+        def __setitem__(self, box, value):
+            raise AssertionError(f"the products of V at {box} were computed again")
+
+    d = staircase(n)
+    V = sample(d, seed=1)
+    columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
+    read = set()
+    for a in columns:
+        splice_report(V, a)
+        c = Cut.at(V, a)
+        for s, shift in ((c.right_seed, 0), (c.left_seed, a - 1)):
+            read |= {BoxRef(b.a + shift, b.i) for b in s.quiver.vertices if s.quiver.is_mutable(b)}
+    seed = seed_at(V)
+    assert columns and read and set(seed._memo) == read
+    object.__setattr__(seed, "_memo", Kept(seed._memo))
+    for a in columns:
+        splice_report(V, a)
+
+
+@pytest.mark.parametrize("n", [12, 20, 32])
 def test_splice_report_reads_each_column_in_one_pass(monkeypatch, n):
     """On a fresh point of the splice benchmark's staircases, every on-chart report reads V's chart and
     the factors' charts in passes up a column, and reads no minor from nothing (``PointV.delta``):

@@ -8,7 +8,9 @@ spans and flag steps that the package replaced by the bases that span them
 against the Fraction echelon form and one span per prefix, and ``check_labeling``'s
 one-tableau test of transversality against the k - 1 rank tests it replaced
 (``transversal``) and k - 1 Zassenhaus intersections (``zassenhaus``, itself
-checked against the nullspace oracle).
+checked against the nullspace oracle).  The exchange kernel with deferred row
+scaling, which rewrites only the rows an exchange eliminates, is checked against
+the eager kernel it replaced (``tableau_oracle``, ``walk_oracle``).
 """
 
 import random
@@ -21,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewpos import InvariantError, Partition, SkewDiagram, f_of_point, necklace_of_point, omega, sample
-from skewpos.linalg import RatMatrix, det
+from skewpos.linalg import RatMatrix, _pivot, _tableau, det
 from skewpos.variety import _necklace_tableau, _walk, check_labeling
 
 from conftest import (
@@ -36,10 +38,13 @@ from conftest import (
     intersect_oracle,
     minor,
     necklace_entry_exhaustive,
+    pivot_oracle,
     qcols,
     qrows,
+    tableau_oracle,
     transversal,
     transversal_oracle,
+    walk_oracle,
     zassenhaus,
 )
 
@@ -305,3 +310,53 @@ class TestTransversalOracle:
         F2, F3 = (flag(k, [tuple(int(i == j) for i in range(k)) for j in range(k)]) for k in (2, 3))
         with pytest.raises(ValueError, match="^flags in different ambient spaces$"):
             transversal(F2, F3)
+
+
+@st.composite
+def tableau_inputs(draw):
+    """Integer rows and an order of their 0-based columns: the rows of ``matrices`` (zero, repeated and
+    dependent columns, low rank), transposed or not, with zero rows and repeats of a row put in, and an
+    order that is a permutation of the columns or any list of them, with gaps and repeats."""
+    rows = [list(r) for r in draw(matrices(max_k=6, max_n=8)).num]
+    if draw(st.booleans()):
+        rows = [list(c) for c in zip(*rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from([[0] * len(rows[0]), *rows]))))
+    m = len(rows[0])
+    return rows, draw(st.one_of(st.permutations(range(m)), st.lists(st.integers(0, m - 1), max_size=2 * m)))
+
+
+class TestKernelOracle:
+    """The exchange kernel with deferred row scaling (``_pivot`` with a divisor per row) against the eager
+    kernel it replaced, which rescaled every row at each exchange: ``_tableau`` must return exactly the
+    eager (T, D, basis, odd), and the necklace walk, which reads only zero patterns, the eager window."""
+
+    @given(tableau_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_tableau_equals_the_eager_tableau(self, case):
+        rows, order = case
+        given_rows = [list(r) for r in rows]
+        assert _tableau(rows, order) == tableau_oracle(rows, order)
+        assert rows == given_rows
+
+    @given(matrices(max_k=6, max_n=11))
+    @settings(max_examples=200, deadline=None)
+    def test_walk_equals_the_eager_walk(self, M):
+        """On the greedy tableau, full rank or not; neither walk changes a row of the tableau it is given."""
+        T, D, basis, _, _ = _necklace_tableau(M)
+        chart = [list(r) for r in T]
+        assert _walk(T, D, basis, M.ncols) == walk_oracle(T, D, basis, M.ncols)
+        assert T == chart
+
+    def test_a_pivot_rewrites_only_the_rows_it_eliminates(self):
+        """A row with a zero entering entry stays the same list, unscaled, with its divisor; each row times
+        D over its divisor is the eager exchange's row, also after a pivot on a row not yet brought to D."""
+        T = [[2, 1, 0, 3], [0, 5, 1, 1], [4, 0, 6, 2]]
+        rows, div, eager = list(T), [1, 1, 1], [list(r) for r in T]
+        D = _pivot(T, 0, 0, 1, div)
+        assert D == pivot_oracle(eager, 0, 0, 1) == 2 and div == [2, 1, 2]
+        assert T[1] is rows[1] and T[1] == [0, 5, 1, 1] and T[2] is not rows[2]
+        assert [[x * D // q for x in r] for r, q in zip(T, div)] == eager
+        D = _pivot(T, 1, 1, D, div)
+        assert D == pivot_oracle(eager, 1, 1, 2) == 10 and div == [10, 10, 10]
+        assert [[x * D // q for x in r] for r, q in zip(T, div)] == eager

@@ -170,11 +170,11 @@ class TestWalkOracle:
 
 
 class TestFailureMessages:
-    """A failed trip check names its box by the BoxRef repr."""
+    """A failed trip check names its box as (a,i), like the V(a,i) texts."""
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda v: v[1:], "box BoxRef(a=4, i=2) received 4 labels"),
-        (lambda v: (v[0] + 1,) + v[1:], "trip labels of box BoxRef(a=4, i=2) differ from its long label"),
+        (lambda v: v[1:], "box (4,2) received 4 labels"),
+        (lambda v: (v[0] + 1,) + v[1:], "trip labels of box (4,2) differ from its long label"),
     ])
     def test_names_the_box(self, running, monkeypatch, edit, message):
         def edited(d, ts):
