@@ -1,15 +1,15 @@
-"""Exact rational matrices, determinants and the fraction-free elimination kernel.
+"""Exact rational matrices and the fraction-free elimination kernel.
 
 All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one
 denominator; Fractions appear only as scalars and where ``RatMatrix.from_rationals`` reads a point's
 JSON rows.  A subspace or a flag is the list of integer vectors that span it, kept as given: there is
-no canonical form, so two bases of one subspace are compared by rank.  Determinants are Bareiss's
-fraction-free elimination; ranks, containment, a point's basis exchanges and the test that two flags
-are transversal (one tableau of both bases, its diagonal walked by exchanges) all run one
-fraction-free Gauss-Jordan tableau (``_tableau``, one exchange per ``_pivot``) on integer rows.  An
-exchange rewrites only the rows it eliminates, each row keeping its own divisor until ``_tableau``
-brings its result to one D.  Column indices are 1-based in the public operations, matching the
-labeling of diagram boxes by matrix columns.
+no canonical form, so two bases of one subspace are compared by rank.  One exchange, ``_pivot``, does
+every elimination.  Ranks, containment, determinants, a point's basis exchanges and the test that two
+flags are transversal (one tableau of both bases, its diagonal walked by exchanges) run the
+fraction-free Gauss-Jordan tableau (``_tableau``) on integer rows, and the minors of a chart block are
+read off one walk down its diagonal (``_leading_minors``).  An exchange rewrites only the rows it
+eliminates, each row keeping its own divisor until its result is brought to one D.  Column indices are
+1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -109,27 +109,25 @@ def _is_odd(perm: list[int]) -> bool:
     return odd
 
 
-def det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free elimination."""
-    n, m = len(rows), [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    for c in range(n):
-        piv = c  # a loop, not a generator: most blocks are 1 x 1 or 2 x 2
-        while not m[piv][c]:
-            piv += 1
-            if piv == n:
-                return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        top, p = m[c][c + 1:], m[c][c]
-        for r in range(c + 1, n):
-            row, f = m[r], m[r][c]
-            row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], top)]
-        prev = p
-    return sign * prev
+def _leading_minors(rows, pivots):
+    """Walk down the diagonal of the integer rows at the rows ``pivots``, step s pivoting (``_pivot``) at row
+    pivots[s] and column s.  Before each step it yields (m, column): column s brought to the walk's D, whose
+    entry at a row r not among pivots[:s] is the minor of the rows pivots[:s], r at the columns 0..s (Edmonds),
+    and m, that entry at pivots[s], the leading minor.  A zero m ends the pivots.  Each later minor at r, expanded
+    along its last row, is row r times the kernel vector z of the rows pivots[:s], off one ``_tableau`` (z = 0 on
+    rank loss): at its one free column f, z_f = (-1)^(s+f) det(the basis columns) = +-D, and z_b = -+T[b][f]."""
+    T, D, div, done = list(rows), 1, [1] * len(rows), [0] * len(pivots)
+    for s, r in enumerate(pivots):
+        if D:
+            column = [row[s] if q == D else row[s] * D // q for row, q in zip(T, div)]
+        else:
+            U, E, basis, odd = _tableau([rows[p][:s + 1] for p in pivots[:s]], range(s + 1))
+            f = min(set(range(s + 1)).difference(basis))
+            sign = (-1) ** (s + f + odd) if len(basis) == s else 0
+            z = [sign * E if c == f else -sign * U[basis.index(c)][f] if c in basis else 0 for c in range(s + 1)]
+            column = [sum(x * y for x, y in zip(row, z)) for row in rows]
+        yield column[r], column
+        D, T[r] = D and column[r] and _pivot(T, r, s, D, div), done  # a pivoted row is read no more
 
 
 def rat_to_str(x: Fraction) -> str:

@@ -3,13 +3,15 @@
 A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.  Building one
 runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken greedily from column n
 down to 1; on the variety that basis is I_mu.  The tableau T = D B^-1 M gives the gauge (D), the chart
-that ``PointV`` alone reads (the minors at box labels and the cut columns, in passes up a column) and,
-walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f that decides
-membership.  A cut's factors get charts derived exactly from V's (``restrict``, ``reframe``; their oracle
-is the factor's own ``_necklace_tableau``), with the same gauge check and walk.  The maps here translate a
-point into a labeling of the braid diagram of the associated positive braid (regions, the boundary framing
-and right flag as the integer bases that span them, torus coordinates) and back, exactly; ``check_labeling``
-tests the region conditions by rank and reads the framing and the right flag off one tableau of both bases.
+that ``PointV`` alone reads (the minors at box labels and the cut columns, each column's off one walk down
+a chart block, ``_prefix_walk``) and, walked by n integer pivots along the Grassmann necklace, the bounded
+affine permutation f that decides membership.  A cut's factors get charts derived exactly from V's
+(``restrict``, ``reframe``; their oracle is the factor's own ``_necklace_tableau``), with the same gauge
+check and walk.  The maps here translate a point into a labeling of the braid diagram of the associated
+positive braid (regions, the boundary framing and right flag as the integer bases that span them, torus
+coordinates) and back, exactly; ``check_labeling`` tests the region conditions by rank and reads the
+framing and the right flag off one tableau of both bases, and ``xi`` reads its pinning minors off a chart
+of its own integer columns.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import random
 import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
-from .linalg import RatMatrix, _pivot, _tableau, det, quotient_to_str
+from .linalg import RatMatrix, _leading_minors, _pivot, _tableau, quotient_to_str
 from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
 
 
@@ -35,7 +37,7 @@ class PointV:
     """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction takes the greedy
     tableau of the matrix, or for a cut's factor a chart derived from V's (``_chart``), reads the gauge
     off it, walks it for f (raising OffVariety off the variety) and keeps it as the chart that ``column_minors``
-    and ``cut_columns`` read in passes up a column.  ``_memo`` keeps what is computed once per point: the
+    and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the
     chart, and on first use the seed (``cluster.seed_at``) and the cut columns above lambda_bar_a."""
 
     diagram: SkewDiagram
@@ -70,7 +72,7 @@ class PointV:
             raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
         if not on_variety:
             raise OffVariety("point does not lie on the variety of its diagram")
-        self._memo["chart"] = T, D, {c: j for j, c in enumerate(basis)}, g
+        self._memo["chart"] = T, D, basis, g
 
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
@@ -88,52 +90,46 @@ class PointV:
         return v if q * (self.diagram.k - 1) % 2 == 0 else tuple(-x for x in v)
 
     def delta(self, J) -> Fraction:
-        """Signed minor in the listed column order (cyclic indices allowed): one k x k ``det`` of the
-        columns, which ``column`` signs.  The chart passes read the minors at labels."""
+        """Signed minor in the listed column order (cyclic indices allowed): +-D of one ``_tableau`` of the
+        k columns, which ``column`` signs, or 0 on rank loss.  The column walks read the minors at labels."""
         k = self.diagram.k
         if len(J) != k:
             raise ValueError(f"need {k} column indices, got {len(J)}")
-        return Fraction(det([self.column(t) for t in J]), self.matrix.den ** k)
+        _, D, basis, odd = _tableau([self.column(t) for t in J], range(k))
+        return Fraction(0 if len(basis) < k else -D if odd else D, self.matrix.den ** k)
 
     def column_minors(self, a: int) -> list[Fraction]:
-        """The minors at the long labels I'(a, i) of column a's boxes, bottom up, off one pass at c = a."""
-        blocks = self._prefix_blocks(a, self.diagram.lambda_bar[a], self.diagram.mu_bar[a] + 1)
-        return [Fraction(det_A * num, den) for _, _, det_A, num, den in blocks]
+        """The minors at the long labels I'(a, i) of column a's boxes, bottom up, off one ``_prefix_walk``."""
+        d = self.diagram
+        levels = _prefix_walk(self._memo["chart"], d.I_mu(), a, d.lambda_bar[a])
+        return [Fraction(m * num, den) for m, _, num, den in islice(levels, d.mu_bar[a], None)]
 
     def cut_columns(self, a: int) -> list[tuple[int, ...]]:
         """The frame C of the right factor of the cut at a (``reframe``): k integer columns, C_ri = 0 for
-        r < i, boundary column i being sum_r C_ri v_{b_r} / g_{b_r} over C_ii / g_{b_i}, C_ii = |det A_i| g_{b_i}.
+        r < i, boundary column i being sum_r C_ri v_{b_r} / g_{b_r} over C_ii / g_{b_i}, C_ii = |m_i| g_{b_i}.
 
         At level i the flag at the cut is spanned by t_j = min(c+j-1, b_j), j <= i, c = max(a, d_i); with
         b_{i+1}, .., b_k they make J_i (for i <= lambda_bar_a the long label I'(a, i)).  Column i is the vector
-        of that step in v_{b_i} + span(v_{b_r}, r > i), which exists iff Delta_{J_i} != 0 (the flag is
-        transversal to the opposite boundary flag).  On the chart T = D B^-1 P (P the primitive columns,
-        contents g), with U the rows <= i no t_j in I_mu covers and F the other t_j (``_prefix_blocks``, at
-        c = a up to lambda_bar_a, and at c = d_i above, where they do not depend on a and are kept in
-        ``_memo["cut"]``), Delta_{J_i} != 0 iff det A != 0, A = T[U][F].  Cramer's rule gives z_q = det(A
-        with column q replaced by g_{b_i} e_i); column i is det A v_{b_i} + sum_{r>i} w_r v_{b_r} / g_{b_r}
-        over det A, w_r = sum_q z_q T[r][F_q], or v_{b_i} if row i is covered."""
+        x of that step in v_{b_i} + span(v_{b_r}, r > i), which exists iff Delta_{J_i} != 0 (the flag is
+        transversal to the opposite boundary flag).  On the chart R = B^-1 P, x = sum_j y_j R[:, t_j] with
+        R[rows <= i] y = e_i, whose rows of M_i (``_prefix_walk``) hold no y_j of a t_j = b_j.  So by Cramer's
+        rule x_r g_{b_r} / g_{b_i} = e_r / m_i, r > i, e the walk's column at level i (carrying every row of T)
+        from row i down, e_i = m_i; where t_i = b_i, x = v_{b_i}.  The walk runs at c = a up to lambda_bar_a, and at c = d_i above, where
+        it does not depend on a and its column is kept in ``_memo["cut"]``."""
         d = self.diagram
-        T, _, _, g = self._memo["chart"]
-        B, top, above = d.I_mu(), d.lambda_bar[a], self._memo.setdefault("cut", {})
+        chart, B, top, above = self._memo["chart"], d.I_mu(), d.lambda_bar[a], self._memo.setdefault("cut", {})
 
-        def solve(i, U, F, det_A, *_):
-            if det_A == 0:
+        def solve(i, m, e, *_):
+            if m == 0:
                 raise InvariantError("cut flag not transversal to the opposite boundary flag")
-            h, m, c = g[B[i - 1] - 1], len(F), [0] * d.k
-            c[i - 1] = det_A * h
-            if U and U[-1] == i - 1:  # z_q: g_{b_i} times the cofactor of A at (row i, q)
-                A = [[T[u][t] for t in F] for u in U[:-1]]
-                z = [h] if m == 1 else [(-1) ** (m - 1 + q) * h * det([r[:q] + r[q + 1:] for r in A])
-                                        for q in range(m)]
-                for r in range(i, d.k):
-                    c[r] = sum(x * T[r][t] for x, t in zip(z, F))
-            return tuple(c) if det_A > 0 else tuple(-x for x in c)
+            h = chart[3][B[i - 1] - 1]
+            if e is None:  # t_i = b_i: x = v_{b_i}
+                return (0,) * (i - 1) + (abs(m) * h,) + (0,) * (d.k - i)
+            return (0,) * (i - 1) + tuple(x * (h if m > 0 else -h) for x in e)
 
-        C = [solve(i, *block) for i, block in enumerate(self._prefix_blocks(a, top), 1)]
-        for i in range(top + 1, d.k + 1):
-            if i not in above:
-                above[i] = solve(i, *next(self._prefix_blocks(d.d(i), i, i)))
+        C = [solve(i, *level) for i, level in enumerate(_prefix_walk(chart, B, a, top, True), 1)]
+        above.update((i, solve(i, *list(_prefix_walk(chart, B, d.d(i), i, True))[-1]))
+                     for i in range(top + 1, d.k + 1) if i not in above)
         return C + [above[i] for i in range(top + 1, d.k + 1)]
 
     def restrict(self, d: SkewDiagram, columns: list[int]) -> "PointV":
@@ -177,37 +173,12 @@ class PointV:
             raise InvariantError("a derived chart entry is not an integer")
         return PointV(d, M, self.seed, (R, D_R, [t - 1 for t in I_R], contents))
 
-    def _prefix_blocks(self, c: int, top: int, first: int = 1):
-        """The blocks of the prefixes t_j = min(c+j-1, b_j), j <= i, for i = first..top, off one pass:
-        (U, F, det A, +-prod_F g_t, D^|F| prod_U g_{b_u}), with U and F live lists, U the rows <= i no
-        t_j covers and F the t_j off I_mu.  The minor at t_1, .., t_i, b_{i+1}, .., b_k is det A times
-        the fourth over the fifth: on the chart R_jt = T_jt g_t / (D g_{b_j}) the columns at I_mu are
-        unit columns, so Laplace expansion along them leaves A = T[U][F], and its sign is kept here
-        alone.  The t_j increase, so a t_j in I_mu is a b_r, r <= j: row r leaves U and row j joins it,
-        which cycles the rows of U from r on, and j, over the positions of F; a t_j off I_mu joins F as
-        row j joins U.  So |U| = |F|: A is square at every level."""
-        T, D, row_of, g = self._memo["chart"]
-        B = self.diagram.I_mu()
-        U, F, num, den = [], [], 1, 1
-        for j in range(top):
-            t = min(c + j, B[j]) - 1
-            r = row_of.get(t)
-            if r is None:
-                F.append(t)
-                num, den = num * g[t], den * D * g[B[j] - 1]
-            elif r < j:
-                num, den = num * (-1) ** (len(U) - U.index(r)), den // g[B[r] - 1] * g[B[j] - 1]
-                U.remove(r)
-            if r != j:
-                U.append(j)
-            if j >= first - 1:
-                yield U, F, T[U[0]][F[0]] if len(F) == 1 else det([[T[u][t] for t in F] for u in U]), num, den
-
     def to_json(self) -> dict:
+        den = self.matrix.den  # over den = 1, and at 0, an entry is its integer: no gcd
         return {
             "diagram": self.diagram.to_json(),
             "seed": self.seed,
-            "matrix": [[quotient_to_str(x, self.matrix.den) for x in row] for row in self.matrix.num],
+            "matrix": [[quotient_to_str(x, den) if x and den > 1 else str(x) for x in row] for row in self.matrix.num],
         }
 
     @classmethod
@@ -268,6 +239,27 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ..
         window[j] = i + 1 + n * (j > i)
         D, row_of[j] = _pivot(T, r, j, D, div), r
     return tuple(window)
+
+
+def _prefix_walk(chart, B: list[int], c: int, top: int, every_row: bool = False):
+    """Level by level, i = 1..top, the minor at t_1, .., t_i, b_{i+1}, .., b_k, t_j = min(c+j-1, b_j), off one walk
+    down a block of the chart (T, D, basis, g) pivoted at I_mu = B.  On R_jt = T_jt g_t / (D g_{b_j}) the column
+    at b_j is e_j, so Laplace expansion along the t_j = b_j (each at its own row j: no sign) leaves the block
+    M_i = R[rows][t_j] of the j <= i with t_j != b_j, in order, where a t_j = b_r, r < j, is a unit column.  So
+    the minor is m_i prod g_{t_j} / (D^|M_i| prod g_{b_j}), m_i the leading minor of T at M_i's rows and columns
+    (``_leading_minors``).  Yields (m_i, column, num, den), num / den the scale; column is the walk's column at
+    level i from row i down, carrying every row of T, if ``every_row`` and t_i != b_i, else None."""
+    T, D, _, g = chart
+    rows = [j for j in range(top) if c + j < B[j]]
+    block = [[row[c + j - 1] for j in rows] for row in (T if every_row else map(T.__getitem__, rows))]
+    walk = _leading_minors(block, rows if every_row else range(len(rows)))
+    m, num, den = 1, 1, 1
+    for j in range(top):
+        column = None
+        if c + j < B[j]:
+            m, column = next(walk)
+            num, den = num * g[c + j - 1], den * D * g[B[j] - 1]
+        yield m, column[j:] if every_row and column else None, num, den
 
 
 def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
@@ -481,17 +473,16 @@ def xi(L: BraidLabeling) -> PointV:
     of the line V(a, m+1) ^ span(f_{m+1}, .., f_k) in column a (m = mu_bar_a), scaled so that the
     pinning minor is the torus value.  That line is the one dependency among the vectors s_j of
     V(a, m+1) and the framing columns f_{m+1}, .., f_k: one tableau over them, in that order, leaves
-    one column c out of its basis, and x = sum_j T[row of s_j][c] s_j, made primitive, so x does
-    not depend on the basis of V(a, m+1) given."""
+    one column c out of its basis, and x = sum_j T[row of s_j][c] s_j, made primitive, so x does not
+    depend on the basis of V(a, m+1) given.  The pinning minors come off one chart of all the columns,
+    pivoted at the framing (``_prefix_walk``); errors come as in one pass from column n - k down."""
     d, F = L.diagram, L.boundary_basis
-    k, n = d.k, d.n
+    k, n, B = d.k, d.n, d.I_mu()
     framing = [F.column(j) for j in range(1, k + 1)]
-    cols = dict(zip(d.I_mu(), framing))
-    scale = [Fraction(1)] * (n + 1)
+    cols, lines, error = dict(zip(B, framing)), [], None
     for a in range(n - k, 0, -1):
-        m, t0 = d.mu_bar[a], a + d.mu_bar[a]
+        m = d.mu_bar[a]
         if m == d.lambda_bar[a]:
-            cols[t0] = (0,) * k
             continue
         S = L.region(a, m + 1)
         T, _, basis, _ = _tableau(list(zip(*S, *framing[m:])), range(k + 1))
@@ -500,12 +491,22 @@ def xi(L: BraidLabeling) -> PointV:
         x = [sum(c * s[r] for c, s in terms) for r in range(k)]
         g = gcd(*x)
         if g == 0:  # no line, or one free framing column that the framing tail alone spans
-            raise ValueError(f"intersection at column {a} is {len(free) if len(free) > 1 else 0}-dimensional")
-        cols[t0] = tuple(y // (g if next(filter(None, x)) > 0 else -g) for y in x)
+            error = ValueError(f"intersection at column {a} is {len(free) if len(free) > 1 else 0}-dimensional")
+            break
+        cols[a + m] = tuple(y // (g if next(filter(None, x)) > 0 else -g) for y in x)
+        lines.append(a)
+    columns = [cols.get(t, (0,) * k) for t in range(1, n + 1)]
+    T, D, basis, odd = _tableau(list(zip(*columns)), [b - 1 for b in B])
+    chart, scale = (T, D, basis, [1] * n), [Fraction(1)] * (n + 1)  # contents 1: the columns as they are
+    for a in lines:
         J = d.long_label(a, d.lambda_bar[a])
-        # den^k times the minor of the columns of J with scale[t0] still 1, by the rows of the transpose
-        current = det([cols[t] for t in J]) * prod(scale[t] for t in J)
+        # den^k times the minor at J with scale[a + mu_bar_a] still 1: det F times J's minor on the chart.  A
+        # singular F makes no chart, and the first pinning minor, x's coefficient at f_{m+1} times det F, is 0.
+        m_J, _, num, den = list(_prefix_walk(chart, B, a, d.lambda_bar[a]))[-1] if len(basis) == k else (0, 0, 0, 1)
+        current = Fraction((-D if odd else D) * m_J * num, den) * prod(scale[t] for t in J)
         if current == 0:
             raise ValueError(f"pinning minor vanishes at column {a}; labeling invalid")
-        scale[t0] = L.torus_value(a) * F.den ** k / current
-    return PointV(d, _scaled_columns([cols[t] for t in range(1, n + 1)], scale[1:], F.den), L.seed)
+        scale[a + d.mu_bar[a]] = L.torus_value(a) * F.den ** k / current
+    if error:
+        raise error
+    return PointV(d, _scaled_columns(columns, scale[1:], F.den), L.seed)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skewpos import Partition, SkewDiagram
 from skewpos.cli import random_diagram
 from skewpos.diagram import InvariantError
-from skewpos.linalg import RatMatrix, _is_odd, _tableau, det
+from skewpos.linalg import RatMatrix, _is_odd, _tableau
 
 
 @pytest.fixture
@@ -452,6 +452,33 @@ def det_oracle(rows) -> Fraction:
     return sign * result
 
 
+# -- oracle: Bareiss's determinant, which the chart's leading-minor walk (``_leading_minors``) and +-D of
+# -- one ``_tableau`` replaced in src/ ------------------------------------------------------------------
+
+
+def det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free elimination."""
+    n, m = len(rows), [list(r) for r in rows]
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for c in range(n):
+        piv = c  # a loop, not a generator: most blocks are 1 x 1 or 2 x 2
+        while not m[piv][c]:
+            piv += 1
+            if piv == n:
+                return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        top, p = m[c][c + 1:], m[c][c]
+        for r in range(c + 1, n):
+            row, f = m[r], m[r][c]
+            row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], top)]
+        prev = p
+    return sign * prev
+
+
 def contains_vector_oracle(basis, v) -> bool:
     """v lies in the span of basis iff appending it and re-echelonning keeps the dimension."""
     return len(echelon_oracle(list(basis) + [v])) == len(echelon_oracle(basis))
@@ -723,8 +750,8 @@ def chart_minor_oracle(V, J) -> Fraction:
     give 0) leaves A = T[U][F]: U the rows no column of J covers, F the columns of J off I_mu.  The
     minor is +-det A prod_F g_t / (D^|F| prod_U g_{b_u}), the sign the parity of the map of positions
     to rows that sends F to U in order, times (-1)^{(k-1)q} for each column t = r + qn."""
-    T, D, row_of, g = V._memo["chart"]
-    k, n, B = V.diagram.k, V.diagram.n, V.diagram.I_mu()
+    T, D, basis, g = V._memo["chart"]
+    k, n, B, row_of = V.diagram.k, V.diagram.n, V.diagram.I_mu(), {c: j for j, c in enumerate(basis)}
     rows = [row_of.get((t - 1) % n) for t in J]
     U = sorted(set(range(k)).difference(rows))
     F = [(t - 1) % n for t, r in zip(J, rows) if r is None]

@@ -23,7 +23,7 @@ import pytest
 import skewpos
 from skewpos import Cut, InvariantError, SkewDiagram, omega, right_point, sample, splice_report, xi
 from skewpos.cli import build_parser, main
-from skewpos.linalg import RatMatrix, _tableau, det
+from skewpos.linalg import RatMatrix, _tableau
 from skewpos.permutations import BoundedAffinePermutation
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
 from skewpos.splicing import _vanishing_chart_label, in_U_a
@@ -271,22 +271,27 @@ def test_tableau_is_built_from_primitive_columns():
         assert max(contents) > 1 and D * D <= prod(sum(x * x for x in v) for v in primitive)
 
 
-def test_delta_minors_are_at_most_2x2_on_the_staircase(monkeypatch):
-    """Every box label of the staircase family differs from I_mu in at most two columns, so each
-    ``det`` a splice report runs in the column passes (``PointV.column_minors`` for the seeds and
-    ``PointV.cut_columns`` for the cut) is of a 1 x 1 or 2 x 2 chart block."""
+def test_walk_blocks_have_at_most_3_rows_on_the_staircase(monkeypatch):
+    """Every box label of the staircase family differs from I_mu in at most two columns, and the chart block
+    of each label prefix keeps at most one unit column t_j = b_r, r < j, besides them, so each walk down a
+    block (``_leading_minors``: ``PointV.column_minors`` for the seeds and ``PointV.cut_columns`` for the cut)
+    pivots at most three rows: on every column at n = 12, 32, 64 and 128, and in each report at n = 32."""
+    sizes, walk = [], skewpos.variety._leading_minors
+    monkeypatch.setattr(skewpos.variety, "_leading_minors",
+                        lambda rows, pivots: sizes.append(len(pivots)) or walk(rows, pivots))
+    for n in (12, 32, 64, 128):
+        d = staircase(n)
+        V = sample(d, seed=1)
+        for a in range(1, d.n - d.k + 1):
+            V.column_minors(a)
+            if in_U_a(V, a):
+                V.cut_columns(a)
+    assert max(sizes) == 3
     d = staircase(32)
-    sizes = []
-
-    def recording(rows):
-        sizes.append(len(rows))
-        return det(rows)
-
-    monkeypatch.setattr(skewpos.variety, "det", recording)
     for a in range(1, d.n - d.k + 1):
         sizes.clear()
         splice_report(sample(d, seed=1), a)  # a fresh point, so V's seed minors count too
-        assert sizes and max(sizes) <= 2
+        assert sizes and max(sizes) <= 3
 
 
 @pytest.mark.parametrize("fixture", ["running", "disconnected", "intro"])
@@ -323,14 +328,15 @@ def test_one_boundary_path_per_trips(counted, intro):
 
 def test_membership_runs_no_echelon(counted):
     """Membership is one greedy tableau of the point's primitive columns, walked by pivots: no
-    other elimination and no determinant."""
+    other elimination and no walk down a chart block."""
     d = staircase(32)
     V = sample(d, seed=1)
-    tableaux, dets = counted(_tableau), counted(det)
+    tableaux, walks = counted(_tableau), counted(skewpos.linalg._leading_minors)
     assert membership(V.matrix, d)
-    assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(d.k, d.n)] and dets == []
-    V.delta(d.I_mu())  # the wrappers do see a call
-    assert len(dets) == 1
+    assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(d.k, d.n)] and walks == []
+    V.delta(d.I_mu())  # one k x k tableau of the columns
+    V.column_minors(1)  # the wrapper does see a call
+    assert [(len(rows), len(rows[0])) for rows, _ in tableaux[1:]] == [(d.k, d.k)] and len(walks) == 1
 
 
 def test_verify_evaluates_each_chart_once(counted):
@@ -423,19 +429,19 @@ def test_every_cut_reads_the_exchange_products_of_v_once(n):
 @pytest.mark.parametrize("n", [12, 20, 32])
 def test_splice_report_reads_each_column_in_one_pass(monkeypatch, n):
     """On a fresh point of the splice benchmark's staircases, every on-chart report reads V's chart and
-    the factors' charts in passes up a column, and reads no minor from nothing (``PointV.delta``):
-    one pass per column of each seeded point, and for the cut columns one pass up column a and one
+    the factors' charts in walks up a column, and reads no minor from nothing (``PointV.delta``):
+    one walk per column of each seeded point, and for the cut columns one walk up column a and one
     per level above lambda_bar_a that no earlier cut of V has read (V keeps those levels)."""
     d = staircase(n)
     columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(sample(d, seed=1), a)]
     V = sample(d, seed=1)
-    passes, prefix_blocks = [], PointV._prefix_blocks
+    passes, walk = [], skewpos.variety._prefix_walk
 
     def forbidden(*args):
         raise AssertionError("a splice report read a minor from nothing")
 
     monkeypatch.setattr(PointV, "delta", forbidden)
-    monkeypatch.setattr(PointV, "_prefix_blocks", lambda P, *args: passes.append(P) or prefix_blocks(P, *args))
+    monkeypatch.setattr(skewpos.variety, "_prefix_walk", lambda *args: passes.append(args) or walk(*args))
     want, above = d.n - d.k, set()  # V's seed, read by the first report
     for a in columns:
         left, right = d.cut(a)
@@ -503,7 +509,8 @@ def test_braid_dictionary_builds_each_flag_step_on_the_one_before(counted):
     J(a-1, i+1); each ribbon equality of two different labels runs one (6 on the running diagram,
     9 on staircase(20)), and so does each non-ribbon inequality (2 and 0) and each
     W^op_i != V(a-1, i) (3 and 7); the framing and the right flag are one k x 2k tableau of both
-    bases.  xi: each column's line is one tableau over the region's vectors and the framing tail."""
+    bases.  xi: each column's line is one tableau over the region's vectors and the framing tail, and
+    the pinning minors are read off one tableau of all the integer columns."""
     tests, tableaux = counted(check_labeling), counted(_tableau)
     running = SkewDiagram.from_json(json.loads(RUNNING))
     for d, total in ((running, 15 + 6 + 2 + 3 + 1), (staircase(20), 24 + 9 + 0 + 7 + 1)):
@@ -523,9 +530,11 @@ def test_braid_dictionary_builds_each_flag_step_on_the_one_before(counted):
         tableaux.clear()
         tests.clear()
         assert xi(L) == V and tests == []
-        # one k x (k + 1) tableau per column with boxes, then the k x n tableau of the point built
+        # one k x (k + 1) tableau per column with boxes, the k x n chart of the integer columns pivoted
+        # at the framing, which the pinning minors are read off, then the k x n tableau of the point built
         columns = sum(d.mu_bar[a] < d.lambda_bar[a] for a in range(1, d.n - d.k + 1))
-        assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(k, k + 1)] * columns + [(k, n)]
+        assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(k, k + 1)] * columns + [(k, n)] * 2
+        assert tableaux[columns][1] == [b - 1 for b in d.I_mu()]
 
 
 def test_braid_dictionary_runs_on_integer_columns(counted):
@@ -561,10 +570,11 @@ def test_src_has_no_assert():
 
 def test_only_variety_reads_the_chart():
     """V's chart has one owner: splicing and cluster read box minors and cut columns through
-    ``PointV`` and name neither its column pass nor ``det``, no module but variety reads
-    ``_memo["chart"]``, splicing keeps nothing in a ``_memo``, and within variety only the column
-    pass ``_prefix_blocks``, ``cut_columns`` and the two factor builders that derive a chart from V's,
-    ``restrict`` and ``reframe``, load the chart (``__post_init__`` stores it)."""
+    ``PointV`` and name neither its column walk ``_prefix_walk`` nor the walk down a block,
+    ``_leading_minors``, no module but variety reads ``_memo["chart"]``, splicing keeps nothing in a
+    ``_memo``, and within variety only the two column readers ``column_minors`` and ``cut_columns``
+    and the two factor builders that derive a chart from V's, ``restrict`` and ``reframe``, load the
+    chart (``__post_init__`` stores it; ``xi`` hands the walk a chart of its own)."""
 
     def is_chart(n):
         return (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute) and n.value.attr == "_memo"
@@ -579,9 +589,9 @@ def test_only_variety_reads_the_chart():
         readers += [path.stem for n in nodes if is_chart(n)]
         loads |= {(path.stem, fn.name) for fn in nodes if isinstance(fn, ast.FunctionDef)
                   for n in ast.walk(fn) if is_chart(n) and isinstance(n.ctx, ast.Load)}
-    chart = {"_prefix_blocks", "det"}
+    chart = {"_prefix_walk", "_leading_minors"}
     assert set(readers) == {"variety"}
-    assert loads == {("variety", "_prefix_blocks"), ("variety", "cut_columns"), ("variety", "restrict"),
+    assert loads == {("variety", "column_minors"), ("variety", "cut_columns"), ("variety", "restrict"),
                      ("variety", "reframe")}
     assert named["splicing"] & (chart | {"_memo"}) == set() and named["cluster"] & chart == set()
 
@@ -592,8 +602,9 @@ def test_flags_are_the_bases_that_span_them():
     replaced, that rank test of two flags' steps, which ``check_labeling``'s one tableau of both
     bases replaced, or the canonical subspace, its echelon form, the primitive rows it was built on
     and the flags' steps (``Subspace``, ``_echelon``, ``_primitive``, ``flag``), which the bases
-    themselves, tested by rank, replaced."""
-    names = ("FlagK", "intersect", "transversal", "Subspace", "_echelon", "_primitive", "flag")
+    themselves, tested by rank, replaced, or Bareiss's determinant ``det``, which the walk down a chart
+    block (``_leading_minors``) and +-D of one tableau replaced."""
+    names = ("FlagK", "intersect", "transversal", "Subspace", "_echelon", "_primitive", "flag", "det")
     found = []
     for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -23,12 +23,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewpos import InvariantError, Partition, SkewDiagram, f_of_point, necklace_of_point, omega, sample
-from skewpos.linalg import RatMatrix, _pivot, _tableau, det
+from skewpos.linalg import RatMatrix, _leading_minors, _pivot, _tableau
 from skewpos.variety import _necklace_tableau, _walk, check_labeling
 
 from conftest import (
     Subspace,
     contains_vector_oracle,
+    det,
     det_oracle,
     echelon_oracle,
     f_of_point_incremental_oracle,
@@ -141,10 +142,16 @@ def test_f_of_point_even_k(k):
             assert f_of_point(M).window == f_of_point_oracle(M)
 
 
+def last_leading_minor(rows) -> int:
+    """The determinant of a square integer matrix off the leading-minor walk down its diagonal."""
+    *_, (m, _) = _leading_minors(rows, range(len(rows)))
+    return m
+
+
 @given(matrices(square=True))
 @settings(max_examples=150, deadline=None)
 def test_det_matches_oracle(M):
-    assert det([list(r) for r in M.num]) == det_oracle(M.num)
+    assert last_leading_minor(M.num) == det([list(r) for r in M.num]) == det_oracle(M.num)
     assert minor(M, range(1, M.ncols + 1)) == det_oracle(qrows(M))
 
 
@@ -156,9 +163,11 @@ def test_det_matches_oracle(M):
     ([[0, 1], [1, 0]], -1),
 ])
 def test_det_small_and_singular(rows, value):
-    """det of the integer rows over den ** k, and minor, which reads them so."""
+    """The last leading minor of the integer rows over den ** k, Bareiss's det of them, and minor, which reads
+    them so; [[0, 1], [1, 0]] has a zero leading minor, so its determinant comes off a tableau."""
     M = RatMatrix.from_rationals(rows)
-    assert Fraction(det(M.num), M.den ** M.nrows) == minor(M, range(1, M.ncols + 1)) == det_oracle(rows) == value
+    value_of = Fraction(last_leading_minor(M.num), M.den ** M.nrows)
+    assert value_of == Fraction(det(M.num), M.den ** M.nrows) == minor(M, range(1, M.ncols + 1)) == det_oracle(rows) == value
 
 
 def test_det_rejects_a_non_square_matrix():
@@ -360,3 +369,49 @@ class TestKernelOracle:
         D = _pivot(T, 1, 1, D, div)
         assert D == pivot_oracle(eager, 1, 1, 2) == 10 and div == [10, 10, 10]
         assert [[x * D // q for x in r] for r, q in zip(T, div)] == eager
+
+
+@st.composite
+def walk_blocks(draw):
+    """k x m integer rows, k >= m, and m distinct pivot rows in any order.  Each pivot row may have its
+    leading s + 1 entries replaced by a combination of the earlier pivot rows' (all zero at s = 0), so
+    that leading block is singular while the blocks after it need not be."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(m, 7))
+    rows = [draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m)) for _ in range(k)]
+    pivots = draw(st.permutations(range(k)))[:m]
+    for s, p in enumerate(pivots):
+        if draw(st.integers(0, 3)) == 0:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s))
+            lead = [sum(c * rows[q][t] for c, q in zip(coeffs, pivots)) for t in range(s + 1)]
+            rows[p] = lead + rows[p][s + 1:]
+    return rows, pivots
+
+
+class TestLeadingMinorOracle:
+    """The walk down a block's diagonal (``_leading_minors``), which reads every minor of a column of the
+    chart and the right factor's frame, against determinants over Fraction (``det_oracle``)."""
+
+    @given(walk_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_det_oracle(self, block):
+        """Each m is the leading minor at the rows pivots[:s+1], and the column's entry at every row r not
+        among pivots[:s] is the minor at the rows pivots[:s], r, before and after a zero leading minor; the
+        rows given stay as they were."""
+        rows, pivots = block
+        given_rows = [list(r) for r in rows]
+        for s, (m, column) in enumerate(_leading_minors(rows, pivots)):
+            assert m == column[pivots[s]] == det_oracle([rows[p][:s + 1] for p in pivots[:s + 1]])
+            for r in set(range(len(rows))).difference(pivots[:s]):
+                assert column[r] == det_oracle([rows[p][:s + 1] for p in [*pivots[:s], r]]), (s, r)
+        assert s == len(pivots) - 1 and rows == given_rows
+
+    @pytest.mark.parametrize("rows, minors", [
+        ([[0, 1], [1, 0]], [0, -1]),
+        ([[1, 2, 3], [2, 4, 1], [0, 1, 1]], [1, 0, 5]),
+        ([[0, 0], [0, 0]], [0, 0]),
+        ([[2, 1, 0], [4, 2, 0], [1, 1, 0]], [2, 0, 0]),
+    ])
+    def test_singular_leading_blocks(self, rows, minors):
+        """A zero leading minor below a nonzero one, and rank loss after it."""
+        assert [m for m, _ in _leading_minors(rows, range(len(rows)))] == minors

@@ -500,6 +500,35 @@ class TestRightFactorOracle:
             for a in columns:
                 assert right_point(P, a) == right_point_minor_oracle(P, a), (n, a)
 
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_fat_shapes_match_minor_oracle(self, n, half):
+        """The rectangle and the half-filled shape, whose walks run down blocks of up to k rows, at the sampled
+        point and in a det_one_matrix gauge: every column, on the chart or not, against the minor ratios."""
+        d = fat_shape(n, half)
+        V = sample(d, seed=1)
+        for P in (V, gauged(V, det_one_matrix(random.Random(n), d.k))):
+            for a in range(1, d.n - d.k + 1):
+                assert outcome(right_point, P, a) == outcome(right_point_minor_oracle, P, a), (n, half, a)
+
+    def test_off_the_cluster_torus_fat_point(self):
+        """A bound-1 point of the n = 16 rectangle, off the chart at all but columns 1, 2 and 5: each
+        column as the minor ratios give it, or the same transversality error."""
+        V = sample(fat_shape(16, False), 1, bound=1)
+        outcomes = [outcome(right_point, V, a) for a in range(1, 11)]
+        assert outcomes == [outcome(right_point_minor_oracle, V, a) for a in range(1, 11)]
+        assert [a for a, got in enumerate(outcomes, 1) if isinstance(got, RatMatrix)] == [1, 2, 5]
+
+    def test_a_zero_level_below_the_level_solved(self):
+        """A bound-1 point off the torus where the cut at column 1 solves level 3 on the walk at c = d_3 = 2,
+        whose level 1 vanishes: level 3's column comes off the kernel vector of the two rows above, both
+        of its entries nonzero.  Every cut gives the frame of the minor ratios, or the same error."""
+        d = SkewDiagram(8, 4, Partition((4, 4, 3, 2)), Partition(()))
+        V = sample(d, 2, bound=1)
+        assert V.column_minors(2)[0] == 0 and d.lambda_bar[1] == 2 and d.d(3) == 2
+        for a in range(1, d.n - d.k + 1):
+            assert outcome(right_point, V, a) == outcome(right_point_minor_oracle, V, a), a
+
     @pytest.mark.parametrize("g", [None, [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, -1],
                                           [0, 0, 1, Fraction(1, 2), 0], [3, 0, 0, 0, 1]]])
     def test_off_chart_point_raises_at_column_5_in_both(self, g):
@@ -527,9 +556,9 @@ def fat_shape(n: int, half: bool) -> SkewDiagram:
 def chart_of_a_fresh_tableau(P) -> bool:
     """P's kept chart equals the greedy tableau of its matrix (``_necklace_tableau``): T / D entry by
     entry, |D|, the basis and the contents."""
-    T, D, row_of, g = P._memo["chart"]
-    fresh, D_fresh, basis, _, contents = _necklace_tableau(P.matrix)
-    return (abs(D) == abs(D_fresh) and sorted(row_of, key=row_of.get) == basis and g == contents
+    T, D, basis, g = P._memo["chart"]
+    fresh, D_fresh, fresh_basis, _, contents = _necklace_tableau(P.matrix)
+    return (abs(D) == abs(D_fresh) and basis == fresh_basis and g == contents
             and len(T) == len(fresh) and all(x * D_fresh == y * D for r, f in zip(T, fresh) for x, y in zip(r, f)))
 
 
@@ -613,9 +642,8 @@ class TestFactorChartOracle:
         """A derived chart with T[r][t] != 0 for a column t off I_mu after b_r says the greedy basis is
         not I_mu: the point is off its variety, and no necklace walk runs on that chart."""
         L = Cut.at(sample(intro, seed=16), 6).left
-        T, D, row_of, g = L._memo["chart"]
-        basis = sorted(row_of, key=row_of.get)
-        r, t = next((r, t) for r, b in enumerate(basis) for t in range(b + 1, L.diagram.n) if t not in row_of)
+        T, D, basis, g = L._memo["chart"]
+        r, t = next((r, t) for r, b in enumerate(basis) for t in range(b + 1, L.diagram.n) if t not in basis)
         bad = [list(row) for row in T]
         bad[r][t] += D
         walks, walk = [], skewpos.variety._walk
@@ -627,7 +655,7 @@ class TestFactorChartOracle:
 
     def test_all_cuts_keep_the_levels_above_on_the_point(self, monkeypatch):
         """After every cut of V its memo holds the chart, the seed and the cut levels above lambda_bar_a,
-        out of its eq, hash and repr; a second sweep reads only the pass up each column a on V."""
+        out of its eq, hash and repr; a second sweep reads only the walk up each column a on V."""
         d = staircase(20)
         V, W = sample(d, seed=1), sample(d, seed=1)
         h, text = hash(V), repr(V)
@@ -637,11 +665,12 @@ class TestFactorChartOracle:
         assert set(V._memo) == {"chart", "seed", "cut"} and set(W._memo) == {"chart"}
         assert set(V._memo["cut"]) == {i for a in columns for i in range(d.lambda_bar[a] + 1, d.k + 1)}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == text
-        passes, prefix_blocks = [], PointV._prefix_blocks
-        monkeypatch.setattr(PointV, "_prefix_blocks", lambda P, *args: passes.append((P, args)) or prefix_blocks(P, *args))
+        passes, walk = [], skewpos.variety._prefix_walk
+        monkeypatch.setattr(skewpos.variety, "_prefix_walk", lambda *args: passes.append(args) or walk(*args))
         for a in columns:
             splice_report(V, a)
-        assert [args for P, args in passes if P is V] == [(a, d.lambda_bar[a]) for a in columns]
+        assert [(c, top) for chart, _, c, top, *_ in passes if chart is V._memo["chart"]] == [
+            (a, d.lambda_bar[a]) for a in columns]
 
 
 class TestSeedReads:
@@ -721,6 +750,21 @@ class TestSeedOracle:
                 for F in (c.left, c.right):
                     assert seed_at(F) == seed_at_delta_oracle(F), (n, a)
 
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_fat_shapes_in_two_gauges(self, n, half):
+        """The rectangle and the half-filled shape, whose walks run down blocks of up to k rows: V, a copy
+        in a det_one_matrix gauge, and both factors of every on-chart cut of each."""
+        d = fat_shape(n, half)
+        V = sample(d, seed=1)
+        for P in (V, gauged(V, det_one_matrix(random.Random(n), d.k))):
+            assert seed_at(P) == seed_at_delta_oracle(P)
+            assert seed_at(P).values == seed_at(V).values
+            for a in (a for a in range(1, d.n - d.k + 1) if in_U_a(P, a)):
+                c = Cut.at(P, a)
+                for F in (c.left, c.right):
+                    assert seed_at(F) == seed_at_delta_oracle(F), (n, half, a)
+
     def test_off_the_cluster_torus(self):
         """The n = 11 point of ``test_exchange_ratios_off_the_cluster_torus``, where values vanish."""
         V = sample(SkewDiagram(11, 8, Partition((3, 3, 2, 2)), Partition(())), subseed(276030479, "point", 0))
@@ -739,7 +783,7 @@ def column_reads(P) -> tuple:
 
 
 class TestColumnMinorsOracle:
-    """``PointV.column_minors``, one pass up each column, against the per-box chart reader it
+    """``PointV.column_minors``, one walk up each column, against the per-box chart reader it
     replaced, which builds the block of each label prefix from nothing."""
 
     def test_every_cut_up_to_n6(self):
@@ -785,6 +829,30 @@ class TestColumnMinorsOracle:
             got, want = column_reads(P)
             assert got == want
         assert V.column_minors(3)[0] == box_minor_oracle(V, 3, 1) == 0
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_fat_shapes_in_two_gauges(self, n, half):
+        """The rectangle and the half-filled shape, whose walks run down blocks of up to k rows: the sampled
+        point, a copy in a det_one_matrix gauge, and both factors of every on-chart cut of each."""
+        d = fat_shape(n, half)
+        V = sample(d, seed=1)
+        for P in (V, gauged(V, det_one_matrix(random.Random(n), d.k))):
+            got, want = column_reads(P)
+            assert got == want == [x for _, x in seed_at(V).values]
+            for a in (a for a in range(1, d.n - d.k + 1) if in_U_a(P, a)):
+                c = Cut.at(P, a)
+                for F in (c.left, c.right):
+                    got, want = column_reads(F)
+                    assert got == want, (n, half, a)
+
+    def test_off_the_cluster_torus_fat_point(self):
+        """A bound-1 point of the n = 16 rectangle whose column 3 has a zero level below a nonzero one: the
+        walk stops at level 5 and reads level 6 off a tableau."""
+        V = sample(fat_shape(16, False), 1, bound=1)
+        got, want = column_reads(V)
+        assert got == want
+        assert [x != 0 for x in V.column_minors(3)] == [True] * 4 + [False, True]
 
 
 class TestExchangeRatioOracle:
@@ -845,7 +913,7 @@ def box_labels(d):
 
 
 class TestDeltaOracle:
-    """``PointV.delta``, one k x k ``det`` of the columns, and ``chart_minor_oracle``, the per-label
+    """``PointV.delta``, +-D of one ``_tableau`` of the k columns, and ``chart_minor_oracle``, the per-label
     reader of the I_mu chart it replaced, against the k x k determinant of the columns over Fraction."""
 
     @given(skew_diagrams(max_n=9), st.integers(1, 200), st.data())

@@ -26,7 +26,7 @@ from skewpos import (
     xi,
 )
 from skewpos import variety
-from skewpos.linalg import RatMatrix, det
+from skewpos.linalg import RatMatrix, _tableau, rat_to_str
 from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, _normalize_r1, check_labeling
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     W_span,
     all_skew_diagrams,
     check_labeling_oracle,
+    det,
     det_one_matrix,
     echelon_oracle,
     from_qcols,
@@ -277,8 +278,14 @@ class TestPointV:
         assert "_memo" not in r and set(replace(V, seed=3)._memo) == {"chart"}
 
     def test_json_roundtrip(self, running):
+        """Over den = 1 and over a den > 1 with zero entries (the R^1 normalization), each entry is the
+        text ``rat_to_str`` writes of it, and the JSON reads back to the point."""
         V = sample(running, seed=2)
-        assert PointV.from_json(V.to_json()).matrix == V.matrix
+        W = _normalize_r1(V)
+        assert V.matrix.den == 1 < W.matrix.den and 0 in W.matrix.num[0]
+        for P in (V, W):
+            assert P.to_json()["matrix"] == [[rat_to_str(x) for x in row] for row in qrows(P.matrix)]
+            assert PointV.from_json(P.to_json()).matrix == P.matrix
 
     def test_cyclic_column_sign(self, running):
         V = sample(running, seed=2)
@@ -539,6 +546,17 @@ class TestXi:
             L = omega(P)
             assert xi(L) == P
             assert omega(xi(L)) == L
+
+    def test_roundtrip_with_a_framing_pivoted_out_of_row_order(self, running):
+        """W = g V for g = [[0, 1], [-1, 0]] on the first two rows (det 1): the framing's tableau takes b_1 at
+        row 2, an odd permutation of the rows, so det F = -D in every pinning minor."""
+        k = running.k
+        g = [[Fraction(1 if (i, j) == (0, 1) or i == j > 1 else -1 if (i, j) == (1, 0) else 0) for j in range(k)]
+             for i in range(k)]
+        W = gauged(sample(running, seed=21), g)
+        F = omega(W).boundary_basis
+        assert _tableau(F.num, range(k))[3]
+        assert xi(omega(W)) == W
 
     def test_singular_framings_keep_their_errors(self):
         """Framing column j replaced by column i != j on the seed-1 staircase(12) labeling: xi rejects
