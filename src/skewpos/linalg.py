@@ -8,7 +8,8 @@ every elimination.  Ranks, containment, determinants, a point's basis exchanges 
 flags are transversal (one tableau of both bases, its diagonal walked by exchanges) run the
 fraction-free Gauss-Jordan tableau (``_tableau``) on integer rows, and the minors of a chart block are
 read off one walk down its diagonal (``_leading_minors``).  An exchange rewrites only the rows it
-eliminates, each row keeping its own divisor until its result is brought to one D.  Column indices are
+eliminates, each row keeping its own divisor until its result is brought to one D; a walk retires a row
+it will read no more as a zero row, which no later exchange rewrites.  Column indices are
 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
 """
 

@@ -223,9 +223,14 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ..
     v_i = 0 (f(i) = i).  Going down from i = n, the first column j of that order after i with a
     nonzero entry in the row of i enters the basis in its place, and f(j) = i (+ n if j > i); if
     there is none, v_i is a coloop and f(i) = i + n.  Each exchange is one integer ``_pivot`` on a
-    copy of T; the walk reads only which entries are zero, so rows keep their own divisors.
+    copy of T; the walk reads only which entries are zero, so rows keep their own divisors.  It retires
+    the rows it has passed: after step i the row of i is read again only as the row of j < i.  A coloop
+    row (j = i) or a row whose entering column wrapped (j > i) holds a column the walk has passed, and
+    only the column of the current step leaves the basis, so that row is never read again.  It becomes
+    a zero row, which ``_pivot`` skips (as ``_leading_minors`` retires its pivoted rows), and its
+    column leaves ``row_of``.
     """
-    T, div, row_of, window = list(T), [D] * len(T), {c: j for j, c in enumerate(basis)}, [0] * n
+    T, div, row_of, window, done = list(T), [D] * len(T), {c: j for j, c in enumerate(basis)}, [0] * n, [0] * n
     for i in range(n - 1, -1, -1):
         r = row_of.pop(i, None)
         if r is None:
@@ -233,11 +238,13 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ..
             continue
         row = T[r]
         j = next((j for j in chain(range(i - 1, -1, -1), range(n - 1, i, -1)) if row[j]), i)
-        if j == i:
-            window[i], row_of[i] = i + 1 + n, r
-            continue
-        window[j] = i + 1 + n * (j > i)
-        D, row_of[j] = _pivot(T, r, j, D, div), r
+        window[j] = i + 1 + n * (j >= i)
+        if j != i:
+            D = _pivot(T, r, j, D, div)
+        if j < i:
+            row_of[j] = r
+        else:
+            T[r] = done  # its column has passed: the row is read no more
     return tuple(window)
 
 
@@ -454,6 +461,8 @@ def check_labeling(L: BraidLabeling) -> None:
     # Row i takes r_{i+1} in turn.  Before, on the basis r_1..r_i, w_{i+1}..w_k, Cramer's rule makes T[i][k + i]
     # a nonzero multiple of det[r_1..r_{i+1}, w_{i+2}..w_k]: det R at i = k - 1, else, for R a basis, zero iff
     # span(r_1..r_{i+1}) meets F^W_{k-i-1} = span(w_{i+2}..w_k).  On a zero, R's block of T (R's rank) says which.
+    # So, unlike ``_walk``, this walk keeps the rows it has pivoted: that rank reads every row of T, and a
+    # pivoted row retired as a zero row would make a basis R read as "right flag is not a basis".
     div = [D] * k  # each row's own divisor (``_pivot``), a nonzero factor that changes no zero and no rank
     for i in range(k):
         if not T[i][k + i]:

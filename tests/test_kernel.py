@@ -22,7 +22,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewpos import InvariantError, Partition, SkewDiagram, f_of_point, necklace_of_point, omega, sample
+from skewpos import (
+    Cut, InvariantError, Partition, SkewDiagram, baf, f_of_point, in_U_a, necklace_of_point, omega, sample,
+)
 from skewpos.linalg import RatMatrix, _leading_minors, _pivot, _tableau
 from skewpos.variety import _necklace_tableau, _walk, check_labeling
 
@@ -42,6 +44,7 @@ from conftest import (
     pivot_oracle,
     qcols,
     qrows,
+    staircase,
     tableau_oracle,
     transversal,
     transversal_oracle,
@@ -356,6 +359,23 @@ class TestKernelOracle:
         chart = [list(r) for r in T]
         assert _walk(T, D, basis, M.ncols) == walk_oracle(T, D, basis, M.ncols)
         assert T == chart
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_walk_equals_the_eager_walk_on_the_staircase(self, n):
+        """At the sizes where the walk retires most of its rows: the greedy chart of the sampled staircase
+        point, and at n = 32 both factor charts (``restrict``, ``reframe``) of every on-chart cut; the walk
+        leaves each chart as it was."""
+        V = sample(staircase(n), seed=1)
+        d, points = V.diagram, [V]
+        if n == 32:
+            cuts = [Cut.at(V, a) for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
+            points += [P for c in cuts for P in (c.left, c.right)]
+            assert len(cuts) > 1
+        for P in points:
+            T, D, basis, _ = P._memo["chart"]
+            chart, m = [list(r) for r in T], P.diagram.n
+            assert _walk(T, D, basis, m) == walk_oracle(T, D, basis, m) == baf(P.diagram).window
+            assert T == chart
 
     def test_a_pivot_rewrites_only_the_rows_it_eliminates(self):
         """A row with a zero entering entry stays the same list, unscaled, with its divisor; each row times
