@@ -21,7 +21,7 @@ from operator import itemgetter
 from .braid import beta, render
 from .cluster import exchange_products, mutate, quiver_dot, quiver_json, seed_at
 from .diagram import BoxRef, Partition, SkewDiagram
-from .linalg import rat_to_str, ratio_to_str
+from .linalg import ratio_to_str
 from .permutations import baf, necklace, necklace_to_baf, verify_f_factorization, w_skew
 from .plabic import ascii_grid, trips_json, verify_trips
 from .splicing import OffChart, splice_report
@@ -255,10 +255,10 @@ def cmd_mutate(args) -> int:
     emit(
         {
             "box": [box.a, box.i],
-            "old_value": rat_to_str(s.value(box)),
-            "new_value": rat_to_str(new.value(box)),
+            "old_value": str(s.value(box)),
+            "new_value": str(new.value(box)),
             "exchange_ratio": ratio_to_str(*exchange_products(s, box)),
-            "values": {f"a{b.a}i{b.i}": rat_to_str(x) for b, x in new.values},
+            "values": {f"a{b.a}i{b.i}": str(x) for b, x in new.values},
         },
         args.out,
     )

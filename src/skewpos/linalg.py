@@ -4,10 +4,10 @@ All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer 
 denominator; Fractions appear only as scalars and where ``RatMatrix.from_rationals`` reads a point's
 JSON rows.  A subspace or a flag is the list of integer vectors that span it, kept as given: there is
 no canonical form, so two bases of one subspace are compared by rank.  One exchange, ``_pivot``, does
-every elimination.  Ranks, containment, determinants, a point's basis exchanges and the test that two
-flags are transversal (one tableau of both bases, its diagonal walked by exchanges) run the
-fraction-free Gauss-Jordan tableau (``_tableau``) on integer rows, and the minors of a chart block are
-read off one walk down its diagonal (``_leading_minors``).  An exchange rewrites only the rows it
+every elimination.  Ranks, containment, determinants and a point's basis exchanges run the fraction-free
+Gauss-Jordan tableau (``_tableau``) on integer rows, and the leading minors of a block are read off one
+walk down its diagonal (``_leading_minors``): the minors of a chart block, and the test that two flags are
+transversal, on one tableau of both bases.  An exchange rewrites only the rows it
 eliminates, each row keeping its own divisor until its result is brought to one D; a walk retires a row
 it will read no more as a zero row, which no later exchange rewrites.  Column indices are
 1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
@@ -131,17 +131,13 @@ def _leading_minors(rows, pivots):
         D, T[r] = D and column[r] and _pivot(T, r, s, D, div), done  # a pivoted row is read no more
 
 
-def rat_to_str(x: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return quotient_to_str(x.numerator, x.denominator)
-
-
 def quotient_to_str(p: int, q: int) -> str:
-    """p / q, for q > 0, in lowest terms as "p/q", or "p" when that denominator is 1."""
+    """p / q, for q > 0, in lowest terms as "p/q", or "p" when that denominator is 1: ``str`` of the
+    Fraction, without building it."""
     g = gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def ratio_to_str(num: Fraction, den: Fraction) -> str:
-    """Serialize num / den, or "(num)/0" when den vanishes."""
-    return rat_to_str(num / den) if den else f"({rat_to_str(num)})/0"
+    """Serialize num / den as ``str`` of the Fraction, or "(num)/0" when den vanishes."""
+    return str(num / den) if den else f"({num})/0"

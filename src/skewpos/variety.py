@@ -1,17 +1,17 @@
 """Exact rational points of skew shaped positroid varieties and the braid-variety dictionary.
 
 A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.  Building one
-runs a single fraction-free Gauss-Jordan on its primitive integer columns, taken greedily from column n
-down to 1; on the variety that basis is I_mu.  The tableau T = D B^-1 M gives the gauge (D), the chart
-that ``PointV`` alone reads (the minors at box labels and the cut columns, each column's off one walk down
-a chart block, ``_prefix_walk``) and, walked by n integer pivots along the Grassmann necklace, the bounded
-affine permutation f that decides membership.  A cut's factors get charts derived exactly from V's
-(``restrict``, ``reframe``; their oracle is the factor's own ``_necklace_tableau``), with the same gauge
-check and walk.  The maps here translate a point into a labeling of the braid diagram of the associated
-positive braid (regions, the boundary framing and right flag as the integer bases that span them, torus
-coordinates) and back, exactly; ``check_labeling`` tests the region conditions by rank and reads the
-framing and the right flag off one tableau of both bases, and ``xi`` reads its pinning minors off a chart
-of its own integer columns.
+runs a single fraction-free Gauss-Jordan on its primitive integer columns, the columns at I_mu taken
+first.  The tableau T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (the minors at
+box labels and the cut columns, each column's off one walk down a chart block, ``_prefix_walk``) and,
+walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f that decides
+membership.  A cut's factors get charts derived exactly from V's (``restrict``, ``reframe``; their oracle
+is the greedy tableau of the factor's matrix, ``_necklace_tableau``); every chart meets the same gauge
+check, zero-pattern test and walk.  The maps here translate a point into a labeling of the braid diagram
+of the associated positive braid (regions, the boundary framing and right flag as the integer bases that
+span them, torus coordinates) and back, exactly; ``check_labeling`` tests the region conditions by rank
+and reads the framing and the right flag off one tableau of both bases, the right flag by the leading
+minors of its block, and ``xi`` reads its pinning minors off a chart of its own integer columns.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ class OffVariety(ValueError):
 
 @dataclass(frozen=True)
 class PointV:
-    """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction takes the greedy
-    tableau of the matrix, or for a cut's factor a chart derived from V's (``_chart``), reads the gauge
-    off it, walks it for f (raising OffVariety off the variety) and keeps it as the chart that ``column_minors``
-    and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the
+    """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction takes the tableau
+    of the matrix pivoted at I_mu first, or for a cut's factor a chart derived from V's (``_chart``), and on
+    either runs one sequence of checks: the gauge, then the greedy basis I_mu by T's zero pattern and f by
+    the necklace walk (raising OffVariety off the variety).  It keeps the chart, which ``column_minors`` and
+    ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the
     chart, and on first use the seed (``cluster.seed_at``) and the cut columns above lambda_bar_a."""
 
     diagram: SkewDiagram
@@ -51,26 +52,21 @@ class PointV:
         if (M.nrows, M.ncols) != (d.k, d.n):
             raise ValueError("matrix shape does not match the diagram")
         I_mu = [b - 1 for b in d.I_mu()]
-        if _chart is None:
-            T, D, basis, odd, g = _necklace_tableau(M)
+        if _chart is None:  # the columns at I_mu first, then the rest: the basis has M's rank
+            T, D, basis, odd, g = _necklace_tableau(M, [*I_mu, *(t for t in range(d.n) if t not in I_mu)])
             if len(basis) < d.k:
                 raise ValueError(f"matrix has rank {len(basis)} < k = {d.k}; not a point of Gr(k, n)")
-            delta, greedy = -D if odd else D, basis == I_mu
-        else:  # derived from V's, pivoted at I_mu, Delta_{I_mu} > 0; greedy iff T[r][t] = 0 for b_r < t
+            minor = -D if odd else D
+        else:  # derived from V's, pivoted at I_mu, Delta_{I_mu} > 0
             T, D, basis, g = _chart
-            delta, greedy = abs(D), basis == I_mu and not any(any(r[b + 1:]) for r, b in zip(T, basis))
+            minor = abs(D)
+        if basis != I_mu or minor * prod(g[b] for b in I_mu) != M.den ** d.k:
+            raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
         # Taken greedily from n down, the basis is the Gale-largest basis of the point's matroid.
         # On the variety that matroid is the skew shaped positroid, a lattice path matroid whose
         # bases are the k-sets Gale-between I_lambda and I_mu (Bonin, de Mier and Noy, JCTA 104
-        # (2003)), so the greedy basis is I_mu; any other basis puts the point off the variety.
-        if greedy:
-            gauged = delta * prod(g[b] for b in I_mu) == M.den ** d.k
-            on_variety = gauged and _walk(T, D, basis, d.n) == baf(d).window
-        else:
-            gauged, on_variety = self.delta(d.I_mu()) == 1, False
-        if not gauged:
-            raise ValueError("Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")
-        if not on_variety:
+        # (2003)), so the greedy basis is I_mu: on T, pivoted at I_mu, iff T[r][t] = 0 for b_r < t.
+        if any(any(r[b + 1:]) for r, b in zip(T, basis)) or _walk(T, D, basis, d.n) != baf(d).window:
             raise OffVariety("point does not lie on the variety of its diagram")
         self._memo["chart"] = T, D, basis, g
 
@@ -133,8 +129,9 @@ class PointV:
         return C + [above[i] for i in range(top + 1, d.k + 1)]
 
     def restrict(self, d: SkewDiagram, columns: list[int]) -> "PointV":
-        """The point of d of V's columns at ``columns`` (increasing, I_mu among them): its greedy tableau pivots
-        as V's, so its chart is that selection of V's T, V's D, and V's contents over what ``RatMatrix`` divides out."""
+        """The point of d of V's columns at ``columns`` (increasing, I_mu among them): its tableau pivoted at I_mu
+        pivots as V's, so its chart is that selection of V's T, V's D, and V's contents over what ``RatMatrix``
+        divides out."""
         T, D, _, g = self._memo["chart"]
         M = RatMatrix([[r[t - 1] for t in columns] for r in self.matrix.num], self.matrix.den)
         chart = [[r[t - 1] for t in columns] for r in T], D, [columns.index(b) for b in self.diagram.I_mu()]
@@ -186,7 +183,7 @@ class PointV:
         diagram = json_key(obj, "point", "diagram", lambda x: isinstance(x, dict), "an object")
         d = SkewDiagram.from_json(diagram)
         rows = json_key(obj, "point", "matrix", _rational_rows, "a list of rows of integers or strings")
-        # only the text rat_to_str writes: Fraction(str) also takes spaces, decimals and exponents
+        # only the text str(Fraction) writes: Fraction(str) also takes spaces, decimals and exponents
         bad = next((e for r in rows for e in r if type(e) is str and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", e)), None)
         if bad is not None:
             raise ValueError(f"point key 'matrix' has an entry {bad!r} that is not an integer or 'p/q' text")
@@ -208,16 +205,18 @@ def _rational_rows(x) -> bool:
 # -- point invariants ---------------------------------------------------------------
 
 
-def _necklace_tableau(M: RatMatrix) -> tuple[list[list[int]], int, list[int], bool, list[int]]:
-    """``_tableau`` of M's columns made primitive, taken greedily from column n down to 1, and the
-    contents g_t of the columns (0 for a zero column): without them a common factor of a column
-    would run through every minor of the tableau."""
+def _necklace_tableau(M: RatMatrix, order) -> tuple[list[list[int]], int, list[int], bool, list[int]]:
+    """``_tableau`` of M's columns made primitive, taken greedily in the 0-based ``order`` (``PointV``: the
+    columns at I_mu first; ``f_of_point`` and ``membership``: from column n down to 1), and the contents g_t
+    of the columns (0 for a zero column): without them a common factor of a column would run through every
+    minor of the tableau."""
     g = [gcd(*c) for c in zip(*M.num)]
-    return (*_tableau([[x // (h or 1) for x, h in zip(r, g)] for r in M.num], range(M.ncols - 1, -1, -1)), g)
+    return (*_tableau([[x // (h or 1) for x, h in zip(r, g)] for r in M.num], order), g)
 
 
 def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ...]:
-    """Window of f by the Grassmann-necklace exchange, from the greedy tableau of rank k.
+    """Window of f by the Grassmann-necklace exchange, from a tableau of rank k on the basis taken greedily
+    from column n down.
 
     Column i lies in the basis taken greedily in the order i, i-1, .., 1, n, .., i+1 unless
     v_i = 0 (f(i) = i).  Going down from i = n, the first column j of that order after i with a
@@ -272,7 +271,7 @@ def _prefix_walk(chart, B: list[int], c: int, top: int, every_row: bool = False)
 def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
     """f(i) = min{ j >= i : v_i in span(v_{i+1}, .., v_j) }, cyclic columns, by ``_walk``.
     The sign of v_{t+n} = (-1)^{k-1} v_t changes no span, so the columns are used unsigned."""
-    T, D, basis, _, _ = _necklace_tableau(M)
+    T, D, basis, _, _ = _necklace_tableau(M, range(M.ncols - 1, -1, -1))
     if len(basis) < M.nrows:
         raise ValueError("rank-deficient matrix")
     return BoundedAffinePermutation(M.ncols, M.nrows, _walk(T, D, basis, M.ncols))
@@ -282,7 +281,7 @@ def membership(M: RatMatrix, d: SkewDiagram) -> bool:
     """True iff the matrix represents a point of the skew shaped positroid of d."""
     if (M.nrows, M.ncols) != (d.k, d.n):
         return False
-    T, D, basis, _, _ = _necklace_tableau(M)
+    T, D, basis, _, _ = _necklace_tableau(M, range(d.n - 1, -1, -1))
     return len(basis) == d.k and _walk(T, D, basis, d.n) == baf(d).window
 
 
@@ -404,8 +403,8 @@ def check_labeling(L: BraidLabeling) -> None:
     """Region conditions of the braid diagram; raises InvariantError on violation.  A region V(a, i) is i vectors
     of Q^k of rank i (one tableau).  S lies in span(B), B independent, iff the vectors of S not among B's leave
     rank len(B), so omega's containments (J(a, i), J(a+1, i) in J(a, i+1)) run no tableau; in equal dimension it
-    is equality.  One tableau T = D W^-1 [W | R] tells whether the framing W is a basis and the right flag R one
-    transversal to F^W."""
+    is equality.  One tableau T = D W^-1 [W | R] tells whether the framing W is a basis, and the leading minors of
+    its R block (``_leading_minors``) whether the right flag R is one transversal to F^W."""
     d = L.diagram
     k = d.k
     region = L._region
@@ -443,7 +442,7 @@ def check_labeling(L: BraidLabeling) -> None:
     if (F.nrows, F.ncols) != (k, k):
         raise InvariantError(f"boundary framing is {F.nrows} x {F.ncols}, not {k} x {k}")
     square = (R.nrows, R.ncols) == (k, k)
-    T, D, basis, _ = _tableau([w + r for w, r in zip(F.num, R.num)] if square else F.num, range(k))
+    T, _, basis, _ = _tableau([w + r for w, r in zip(F.num, R.num)] if square else F.num, range(k))
     if len(basis) < k:
         raise InvariantError("boundary framing is not a basis")
     w_op = [F.column(j) for j in range(1, max(d.mu_bar) + 1)]  # W^op_i is spanned by the first i
@@ -458,17 +457,13 @@ def check_labeling(L: BraidLabeling) -> None:
                     raise InvariantError(f"W^op_{i} = V({a-1},{i})")
     if not square:
         raise InvariantError(f"right flag basis is {R.nrows} x {R.ncols}, not {k} x {k}")
-    # Row i takes r_{i+1} in turn.  Before, on the basis r_1..r_i, w_{i+1}..w_k, Cramer's rule makes T[i][k + i]
-    # a nonzero multiple of det[r_1..r_{i+1}, w_{i+2}..w_k]: det R at i = k - 1, else, for R a basis, zero iff
-    # span(r_1..r_{i+1}) meets F^W_{k-i-1} = span(w_{i+2}..w_k).  On a zero, R's block of T (R's rank) says which.
-    # So, unlike ``_walk``, this walk keeps the rows it has pivoted: that rank reads every row of T, and a
-    # pivoted row retired as a zero row would make a basis R read as "right flag is not a basis".
-    div = [D] * k  # each row's own divisor (``_pivot``), a nonzero factor that changes no zero and no rank
-    for i in range(k):
-        if not T[i][k + i]:
-            singular = len(_tableau([r[k:] for r in T], range(k))[2]) < k
-            raise InvariantError("right flag is not a basis" if singular else "right flag not transversal to F^W")
-        D = _pivot(T, i, k + i, D, div)
+    # On R's block of T = D W^-1 [W | R], the leading minor of rows and columns 1..i is D^i det W^-1 times
+    # det[r_1..r_i, w_{i+1}..w_k] (``_leading_minors``): det R at i = k, else, for R a basis, zero iff
+    # span(r_1..r_i) meets F^W_{k-i} = span(w_{i+1}..w_k).  On a zero, the block's rank (R's) says which.
+    block = [r[k:] for r in T]
+    if not all(m for m, _ in _leading_minors(block, range(k))):
+        singular = len(_tableau(block, range(k))[2]) < k
+        raise InvariantError("right flag is not a basis" if singular else "right flag not transversal to F^W")
     for box, c in L.torus:
         if c == 0:
             raise InvariantError(f"torus coordinate at column {box.a} vanishes")

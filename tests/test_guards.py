@@ -12,6 +12,7 @@ import ast
 import hashlib
 import inspect
 import json
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -26,7 +27,7 @@ from skewpos.cli import build_parser, main
 from skewpos.linalg import RatMatrix, _tableau
 from skewpos.permutations import BoundedAffinePermutation
 from skewpos.plabic import _boundary_path, _trip, ascii_grid, trips, trips_json, verify_trips
-from skewpos.splicing import _vanishing_chart_label, in_U_a
+from skewpos.splicing import _vanishing_chart_label, in_U_a, left_point
 from skewpos.variety import PointV, _walk, check_labeling, membership
 
 import conftest
@@ -337,6 +338,43 @@ def test_membership_runs_no_echelon(counted):
     V.delta(d.I_mu())  # one k x k tableau of the columns
     V.column_minors(1)  # the wrapper does see a call
     assert [(len(rows), len(rows[0])) for rows, _ in tableaux[1:]] == [(d.k, d.k)] and len(walks) == 1
+
+
+def test_a_point_runs_one_tableau_on_either_chart(counted, running):
+    """A point built from a fresh matrix runs one k x n tableau, the columns at I_mu taken first: on the
+    variety, and off it where the greedy basis is not I_mu and the gauge fails (the dense matrix of
+    ``test_gauge_is_checked_before_the_variety``), with no second tableau to choose the error.  A point on
+    a chart derived from V's (``restrict``, ``reframe``: both factors of every on-chart cut) runs none."""
+    d = staircase(32)
+    V = sample(d, seed=1)
+    columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
+    rng = random.Random(3)
+    dense = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
+    tableaux = counted(_tableau)
+    assert PointV(d, V.matrix, V.seed) == V
+    with pytest.raises(ValueError, match=r"^Delta_\{I_mu\} != 1"):
+        PointV(running, dense)
+    assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(d.k, d.n), (running.k, running.n)]
+    assert [list(order)[:e.k] for (_, order), e in zip(tableaux, (d, running))] == [
+        [b - 1 for b in e.I_mu()] for e in (d, running)]
+    tableaux.clear()
+    assert len([P for a in columns for P in (left_point(V, a), right_point(V, a))]) > 2 and tableaux == []
+
+
+def test_only_the_necklace_walk_pivots_outside_linalg():
+    """``_pivot`` is the one exchange: outside ``linalg``, where ``_tableau`` and ``_leading_minors`` run it,
+    only the necklace walk ``variety._walk`` names it (and variety's import); ``check_labeling`` walks the
+    right flag on ``_leading_minors``."""
+    named = set()
+    for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            scopes = ([(f"{top.name}.{getattr(m, 'name', '')}", m) for m in top.body] if isinstance(top, ast.ClassDef)
+                      else [(top.name, top)] if isinstance(top, ast.FunctionDef) else [(None, top)])
+            for name, node in scopes:
+                if any(getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) == "_pivot"
+                       for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))):
+                    named.add(f"{path.stem}.{name}" if name else path.stem)
+    assert named == {"linalg._tableau", "linalg._leading_minors", "variety", "variety._walk"}
 
 
 @pytest.mark.parametrize("n, rewrites", [(32, 43), (64, 91), (128, 187)])
@@ -657,6 +695,7 @@ UNCALLED_PUBLIC_NAMES = {
     "plabic.trip": "one trip of the figures: test_plabic::TestFigureTrips",
     "splicing.phi": "the splicing map lands in the product: test_splicing::TestWorkedExample",
     "splicing.in_U_a": "read by perfbench, which samples points on every column chart",
+    "variety.PointV.delta": "the minor at any label: test_acceptance criteria 07 and 12, and the perfbench tracer",
     "variety.PointV.from_matrix": "re-gauges any representative: test_variety::TestPointV::test_regauge",
     "variety.membership": "the factors of a cut are on their varieties: test_acceptance, read by perfbench",
     "variety.necklace_of_point": "the necklace of a point is that of its diagram: test_variety::TestNecklaceOfPoint",

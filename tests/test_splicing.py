@@ -557,7 +557,7 @@ def chart_of_a_fresh_tableau(P) -> bool:
     """P's kept chart equals the greedy tableau of its matrix (``_necklace_tableau``): T / D entry by
     entry, |D|, the basis and the contents."""
     T, D, basis, g = P._memo["chart"]
-    fresh, D_fresh, fresh_basis, _, contents = _necklace_tableau(P.matrix)
+    fresh, D_fresh, fresh_basis, _, contents = _necklace_tableau(P.matrix, range(P.diagram.n - 1, -1, -1))
     return (abs(D) == abs(D_fresh) and basis == fresh_basis and g == contents
             and len(T) == len(fresh) and all(x * D_fresh == y * D for r, f in zip(T, fresh) for x, y in zip(r, f)))
 
@@ -598,10 +598,14 @@ class TestFactorChartOracle:
     @pytest.mark.parametrize("n", [32, 64])
     def test_staircase_in_two_gauges(self, n):
         """The sampled point and a copy in a gauge whose contents at I_mu are not 1; at n = 64 the
-        copy's tableau has D < 0, so the right chart's forward substitution runs with sign(D) = -1."""
+        copy's tableau has D < 0, so the right chart's forward substitution runs with sign(D) = -1.  An
+        L D U gauge pivots its rows in order, with D > 0, so rows 0 and 1 of one swap and the new row 0 is
+        negated, which keeps det 1."""
         d = staircase(n)
         V = sample(d, seed=1)
-        W = gauged(V, det_one_matrix(random.Random(n), d.k))
+        g = det_one_matrix(random.Random(n), d.k)
+        g[0], g[1] = [-x for x in g[1]], g[0]
+        W = gauged(V, g)
         assert any(h != 1 for h in (W._memo["chart"][3][b - 1] for b in d.I_mu()))
         assert (W._memo["chart"][1] < 0) == (n == 64)
         assert self.cuts(V) and self.cuts(W)

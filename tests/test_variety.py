@@ -26,7 +26,7 @@ from skewpos import (
     xi,
 )
 from skewpos import variety
-from skewpos.linalg import RatMatrix, _tableau, rat_to_str
+from skewpos.linalg import RatMatrix, _tableau
 from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, _normalize_r1, check_labeling
 
 from conftest import (
@@ -156,11 +156,11 @@ class TestMembership:
 
     def test_greedy_basis_is_I_mu_on_every_diagram_up_to_n7(self):
         """The basis taken greedily from column n down to 1 is I_mu at a point of every diagram, so
-        ``PointV`` reads the gauge and the chart off the tableau its membership walks."""
+        the chart pivoted at I_mu that ``PointV`` builds is the tableau its membership walks."""
         count = 0
         for d in all_skew_diagrams(7):
             V = sample(d, seed=count)
-            assert _necklace_tableau(V.matrix)[2] == [b - 1 for b in d.I_mu()]
+            assert _necklace_tableau(V.matrix, range(d.n - 1, -1, -1))[2] == [b - 1 for b in d.I_mu()]
             count += 1
         assert count == 2040
 
@@ -245,11 +245,11 @@ class TestPointV:
         greedy tableau takes."""
         rng = random.Random(3)
         dense = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
-        assert _necklace_tableau(dense)[2] != [b - 1 for b in running.I_mu()]
+        assert _necklace_tableau(dense, range(11, -1, -1))[2] != [b - 1 for b in running.I_mu()]
         cols = qcols(sample(running, seed=9).matrix)
         cols[0] = zero_vector(5)
         off = RatMatrix.from_rationals(tuple(2 * e for e in row) for row in qrows(from_qcols(cols)))
-        assert _necklace_tableau(off)[2] == [b - 1 for b in running.I_mu()]
+        assert _necklace_tableau(off, range(11, -1, -1))[2] == [b - 1 for b in running.I_mu()]
         for M in (dense, off):
             with pytest.raises(ValueError, match=r"^Delta_\{I_mu\} != 1; use PointV.from_matrix to re-gauge$"):
                 PointV(running, M)
@@ -279,12 +279,12 @@ class TestPointV:
 
     def test_json_roundtrip(self, running):
         """Over den = 1 and over a den > 1 with zero entries (the R^1 normalization), each entry is the
-        text ``rat_to_str`` writes of it, and the JSON reads back to the point."""
+        text ``str`` writes of its Fraction, and the JSON reads back to the point."""
         V = sample(running, seed=2)
         W = _normalize_r1(V)
         assert V.matrix.den == 1 < W.matrix.den and 0 in W.matrix.num[0]
         for P in (V, W):
-            assert P.to_json()["matrix"] == [[rat_to_str(x) for x in row] for row in qrows(P.matrix)]
+            assert P.to_json()["matrix"] == [[str(x) for x in row] for row in qrows(P.matrix)]
             assert PointV.from_json(P.to_json()).matrix == P.matrix
 
     def test_cyclic_column_sign(self, running):
