@@ -92,7 +92,7 @@ def positive_int(cap: int | None = None):
     return positive_int
 
 
-_INTS, _ROWS = frozenset((int,)), frozenset((list, tuple))  # supersets of the item types of a batch
+_INTS, _ROWS = frozenset((int,)), frozenset((list, tuple, BoxRef))  # supersets of the item types of a batch
 # the text of a plain int, str, bool or None, by exact type: bool and int subclasses differ from int
 _SCALARS = {int: str, str: encode_basestring_ascii, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
@@ -118,7 +118,7 @@ def _text(doc, pad: str) -> str:
         keys = sorted(doc)
         texts = map("{}: {}".format, map(encode_basestring_ascii, keys), _items(list(map(doc.get, keys)), inner))
         return "{" + inner + ("," + inner).join(texts) + pad + "}"
-    if (kind is list or kind is tuple) and doc:
+    if kind in _ROWS and doc:
         return "[" + inner + ("," + inner).join(_items(doc, inner)) + pad + "]"
     return json.dumps(doc, sort_keys=True, indent=2).replace("\n", pad)
 
@@ -130,7 +130,7 @@ def _items(values, pad: str) -> list[str]:
 
 def _batch(values, pad: str) -> list[str] | None:
     """The texts of non-empty values at indent pad when all are of one kind, else None: plain ints,
-    strs, bools or Nones by one map; lists or tuples of one width of plain ints by one str.format
+    strs, bools or Nones by one map; lists, tuples or BoxRefs of one width of plain ints by one str.format
     template; other lists whose items batch, cut back into lists; dicts of one key set by column."""
     kinds = set(map(type, values))
     if len(kinds) == 1 and next(iter(kinds)) in _SCALARS:
@@ -191,20 +191,13 @@ def cmd_inspect(args) -> int:
     rib = d.ribbon()
     doc = {
         "diagram": d.to_json(),
-        "necklace": [list(e) for e in necklace(d).entries],
-        "f": list(baf(d).window),
-        "I_mu": list(d.I_mu()),
-        "I_lambda": list(d.I_lambda()),
-        "labels": {
-            f"a{b.a}i{b.i}": list(d.long_label(b.a, b.i)) for b in d.boxes()
-        },
-        "braid": {"k": word.strands, "letters": list(word.letters),
-                  "columns": [list(c) for c in columns], "text": render(columns)},
-        "ribbon": {
-            "R": [[b.a, b.i] for b in rib.R],
-            "Rbar": [[b.a, b.i] for b in rib.Rbar],
-            "R1": [[b.a, b.i] for b in rib.R1],
-        },
+        "necklace": necklace(d).entries,
+        "f": baf(d).window,
+        "I_mu": d.I_mu(),
+        "I_lambda": d.I_lambda(),
+        "labels": {f"a{b.a}i{b.i}": d.long_label(b.a, b.i) for b in d.boxes()},
+        "braid": {"k": word.strands, "letters": word.letters, "columns": columns, "text": render(columns)},
+        "ribbon": {"R": rib.R, "Rbar": rib.Rbar, "R1": rib.R1},
         "quiver": quiver_json(d),
     }
     emit(doc, args.out)

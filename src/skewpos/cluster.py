@@ -63,16 +63,17 @@ class Quiver:
 
 def quiver(d: SkewDiagram) -> Quiver:
     """Initial quiver: three arrow types, kept only when an endpoint is mutable.  Built once per
-    diagram and kept on it: a Quiver is immutable, so every seed on d shares it."""
+    diagram and kept on it: a Quiver is immutable, so every seed on d shares it.  A neighbour is
+    looked up as a plain (a, i) tuple, and the arrows hold the diagram's kept boxes."""
     if "quiver" not in d._memo:
         boxes = d.boxes()
-        present = set(boxes)
+        present = dict(zip(boxes, boxes))
         frozen = frozenset(d.ribbon().R)  # the skew boxes on the ribbon of lambda
         arrows: list[tuple[Arrow, int]] = []
         for b in boxes:
             a, i = b
-            for dst in (BoxRef(a + 1, i), BoxRef(a, i - 1), BoxRef(a - 1, i + 1)):
-                if dst in present and (b not in frozen or dst not in frozen):
+            for dst in map(present.get, ((a + 1, i), (a, i - 1), (a - 1, i + 1))):
+                if dst is not None and (b not in frozen or dst not in frozen):
                     arrows.append(((b, dst), 1))
         d._memo["quiver"] = Quiver(tuple(boxes), frozen, tuple(arrows))
     return d._memo["quiver"]
@@ -175,6 +176,8 @@ def quiver_dot(d: SkewDiagram) -> str:
 
 
 def quiver_json(d: SkewDiagram) -> dict:
+    """The quiver as a JSON document: each vertex's long label is its tuple and each arrow's endpoints are
+    BoxRefs, which ``cli``'s writer and json.dumps both write as lists."""
     q = quiver(d)
     return {
         "vertices": [
@@ -182,12 +185,12 @@ def quiver_json(d: SkewDiagram) -> dict:
                 "a": b.a,
                 "i": b.i,
                 "frozen": b in q.frozen,
-                "label": list(d.long_label(b.a, b.i)),
+                "label": d.long_label(b.a, b.i),
             }
             for b in q.vertices
         ],
         "arrows": [
-            {"from": [src.a, src.i], "to": [dst.a, dst.i], "multiplicity": m}
+            {"from": src, "to": dst, "multiplicity": m}
             for (src, dst), m in q.arrows
         ],
     }

@@ -99,7 +99,7 @@ class SkewDiagram:
     mu_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     lambda_bar: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _I_mu: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # cuts, labels, ribbon, quiver, baf
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # cuts, boxes, labels, ribbon, quiver, baf
 
     def __post_init__(self):
         n, k = self.n, self.k
@@ -133,12 +133,14 @@ class SkewDiagram:
         return i <= self.mu_bar[a]
 
     def boxes(self) -> list[BoxRef]:
-        """All boxes of lambda/mu, column by column from the right, bottom up."""
-        return [
-            BoxRef(a, i)
-            for a in range(1, self.n - self.k + 1)
-            for i in range(self.mu_bar[a] + 1, self.lambda_bar[a] + 1)
-        ]
+        """All boxes of lambda/mu, column by column from the right, bottom up; each BoxRef is built once."""
+        if "boxes" not in self._memo:
+            self._memo["boxes"] = tuple(
+                BoxRef(a, i)
+                for a in range(1, self.n - self.k + 1)
+                for i in range(self.mu_bar[a] + 1, self.lambda_bar[a] + 1)
+            )
+        return list(self._memo["boxes"])
 
     def size(self) -> int:
         return self.lam.size() - self.mu.size()
@@ -174,7 +176,7 @@ class SkewDiagram:
             raise ValueError(f"box ({a},{i}) is not in lambda/mu")
         return label
 
-    def _label_table(self) -> dict[BoxRef, tuple[int, ...]]:
+    def _label_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """I'(a, i) of every box, built column by column: J(a, i) is J(a, i - 1) and min(a + i - 1, b_i)."""
         I, table = self._I_mu, {}
         for a in range(1, self.n - self.k + 1):
@@ -182,7 +184,7 @@ class SkewDiagram:
             J = tuple(map(min, range(a, a + m), I[:m]))
             for i in range(m + 1, self.lambda_bar[a] + 1):
                 J += (min(a + i - 1, I[i - 1]),)
-                table[BoxRef(a, i)] = J + I[i:]
+                table[a, i] = J + I[i:]
         return table
 
     def tilde_label(self, a: int, i: int) -> tuple[int, ...]:

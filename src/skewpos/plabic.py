@@ -153,6 +153,8 @@ def mu_region_label(ts: tuple[LatticeTrip, ...]) -> tuple[int, ...]:
 
 
 def trips_json(d: SkewDiagram) -> dict:
+    """The trips, box labels and mu-region label as a JSON document; each path, box list and label is the
+    tuple (of tuples or BoxRefs) that the trips hold, which ``cli``'s writer and json.dumps write as lists."""
     ts = trips(d)
     return {
         "trips": [
@@ -160,13 +162,13 @@ def trips_json(d: SkewDiagram) -> dict:
                 "start": T.start,
                 "end": T.end,
                 "orientation": T.orientation,
-                "path": [list(p) for p in T.path],
-                "boxes": [[b.a, b.i] for b in T.boxes],
+                "path": T.path,
+                "boxes": T.boxes,
                 "labels_mu_region": T.labels_mu_region,
             }
             for T in ts
         ],
-        "labels": {f"a{b.a}i{b.i}": list(v) for b, v in source_labels(d, ts).items()},
+        "labels": {f"a{b.a}i{b.i}": v for b, v in source_labels(d, ts).items()},
         "mu_region": list(mu_region_label(ts)),
     }
 

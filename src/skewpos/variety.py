@@ -35,9 +35,10 @@ class OffVariety(ValueError):
 @dataclass(frozen=True)
 class PointV:
     """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction takes the tableau
-    of the matrix pivoted at I_mu first, or for a cut's factor a chart derived from V's (``_chart``), and on
-    either runs one sequence of checks: the gauge, then the greedy basis I_mu by T's zero pattern and f by
-    the necklace walk (raising OffVariety off the variety).  It keeps the chart, which ``column_minors`` and
+    of the matrix pivoted at I_mu first, or a chart the caller already holds (``_chart``: a cut's factor's,
+    derived from V's, or ``from_matrix``'s, its re-gauged rows), and on either runs one sequence of checks:
+    the gauge, then the greedy basis I_mu by T's zero pattern and f by the necklace walk (raising OffVariety
+    off the variety).  It keeps the chart, which ``column_minors`` and
     ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the
     chart, and on first use the seed (``cluster.seed_at``) and the cut columns above lambda_bar_a."""
 
@@ -57,7 +58,7 @@ class PointV:
             if len(basis) < d.k:
                 raise ValueError(f"matrix has rank {len(basis)} < k = {d.k}; not a point of Gr(k, n)")
             minor = -D if odd else D
-        else:  # derived from V's, pivoted at I_mu, Delta_{I_mu} > 0
+        else:  # given by the caller, pivoted at I_mu, Delta_{I_mu} > 0
             T, D, basis, g = _chart
             minor = abs(D)
         if basis != I_mu or minor * prod(g[b] for b in I_mu) != M.den ** d.k:
@@ -73,11 +74,14 @@ class PointV:
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
         """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i: B^-1 M = T / D
-        for the tableau pivoted at I_mu."""
+        for the tableau pivoted at I_mu.  That matrix is its own chart: its primitive column at b_i is e_i,
+        so its tableau pivoted at I_mu is its primitive rows, D = 1."""
         T, D, basis, _ = _tableau(M.num, [b - 1 for b in d.I_mu()])
         if len(basis) < M.nrows:
             raise ValueError("columns at I_mu are dependent; not a point of the variety")
-        return cls(d, RatMatrix(T, D) if D > 0 else RatMatrix([[-x for x in r] for r in T], -D), seed)
+        N = RatMatrix(T, D) if D > 0 else RatMatrix([[-x for x in r] for r in T], -D)
+        rows, g = _primitive_columns(N)
+        return cls(d, N, seed, (rows, 1, basis, g))
 
     def column(self, t: int) -> tuple[int, ...]:
         """Column t of ``matrix.num``, any integer t, with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
@@ -205,13 +209,18 @@ def _rational_rows(x) -> bool:
 # -- point invariants ---------------------------------------------------------------
 
 
+def _primitive_columns(M: RatMatrix) -> tuple[list[list[int]], list[int]]:
+    """M's integer rows with each column divided by its content g_t (0 for a zero column), and the contents."""
+    g = [gcd(*c) for c in zip(*M.num)]
+    return [[x // (h or 1) for x, h in zip(r, g)] for r in M.num], g
+
+
 def _necklace_tableau(M: RatMatrix, order) -> tuple[list[list[int]], int, list[int], bool, list[int]]:
     """``_tableau`` of M's columns made primitive, taken greedily in the 0-based ``order`` (``PointV``: the
     columns at I_mu first; ``f_of_point`` and ``membership``: from column n down to 1), and the contents g_t
-    of the columns (0 for a zero column): without them a common factor of a column would run through every
-    minor of the tableau."""
-    g = [gcd(*c) for c in zip(*M.num)]
-    return (*_tableau([[x // (h or 1) for x, h in zip(r, g)] for r in M.num], order), g)
+    of the columns: without them a common factor of a column would run through every minor of the tableau."""
+    rows, g = _primitive_columns(M)
+    return (*_tableau(rows, order), g)
 
 
 def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ...]:

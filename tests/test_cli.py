@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skewpos import cli
 from skewpos.cli import MAX_BOUND, MAX_TRIALS, _json_text, main, random_diagram, subseed
-from skewpos.diagram import MAX_N
+from skewpos.diagram import MAX_N, BoxRef
 
 RUNNING = '{"n": 12, "k": 5, "lambda": [7, 7, 5, 3, 1], "mu": [3, 3, 2]}'
 INTRO = '{"n": 12, "k": 5, "lambda": [7, 7, 5, 3, 1], "mu": [3, 1]}'
@@ -412,7 +412,7 @@ NOT_JSON = st.one_of(
 def documents(leaves, keys):
     return st.recursive(leaves, lambda inner: st.one_of(
         st.lists(inner), st.lists(inner).map(tuple), st.lists(st.integers()), st.tuples(st.integers()),
-        st.dictionaries(keys, inner),
+        st.dictionaries(keys, inner), st.builds(BoxRef, inner, inner),
     ), max_leaves=30)
 
 
@@ -443,6 +443,22 @@ def rows(min_width=0, min_size=1):
         st.lists(st.integers(), min_size=wk[0], max_size=wk[0]).map(wk[1]), min_size=min_size, max_size=6))
 
 
+BOXES = st.builds(BoxRef, st.integers(), st.integers())
+
+
+def mixed_rows(min_size=1):
+    """Lists of int rows of width 2, each a BoxRef, a tuple or a list: ``inspect``'s ribbon and quiver
+    arrows hold BoxRefs where other documents hold lists."""
+    return st.lists(st.one_of(BOXES, BOXES.map(tuple), BOXES.map(list)), min_size=min_size, max_size=6)
+
+
+def trip_records():
+    """Trips-shaped records as ``plabic.trips_json`` holds them: tuple paths of (x, y) tuples, BoxRef boxes."""
+    return st.lists(st.fixed_dictionaries({
+        "start": st.integers(), "path": st.lists(st.tuples(st.integers(), st.integers()), max_size=4).map(tuple),
+        "boxes": st.lists(BOXES, max_size=3).map(tuple)}), min_size=1, max_size=4)
+
+
 @st.composite
 def near_misses(draw, values, keys):
     """A run that almost batches: one record lacks a key, or one int row holds True or an IntEnum,
@@ -466,7 +482,8 @@ def batches(leaves, keys):
     and of near misses; records nest in records, as the trips of ``plabic`` do."""
     return st.recursive(leaves, lambda inner: st.one_of(
         records(inner, keys), rows(), st.lists(rows(), max_size=4), near_misses(inner, keys),
-        st.dictionaries(keys, inner, max_size=3),
+        st.dictionaries(keys, inner, max_size=3), rows().map(tuple), mixed_rows(), mixed_rows().map(tuple),
+        st.lists(mixed_rows(min_size=0), max_size=4), trip_records(),
     ), max_leaves=24)
 
 
@@ -477,6 +494,13 @@ TRIPS = {"trips": [
     {"start": 2, "end": 2, "orientation": "counterclockwise", "path": [[2, 1]], "boxes": [],
      "labels_mu_region": True},
 ], "labels": {"a1i1": [1, 3]}, "mu_region": [2]}
+# the same document as ``plabic.trips_json`` holds it: tuple paths and labels, BoxRef boxes
+TRIPS_AS_HELD = {"trips": [
+    {"start": 1, "end": 3, "orientation": "clockwise", "path": ((3, 0), (2, 0), (2, 1)), "boxes": (BoxRef(1, 1),),
+     "labels_mu_region": False},
+    {"start": 2, "end": 2, "orientation": "counterclockwise", "path": ((2, 1),), "boxes": (),
+     "labels_mu_region": True},
+], "labels": {"a1i1": (1, 3)}, "mu_region": (2,)}
 
 
 def outcome(write, doc):
@@ -495,16 +519,23 @@ class TestJsonText:
     @example([{"{": 1, "}": [1, 2], "{0}": "x", '"': None, "\u00e9": True},
               {"{": -1, "}": [3, 4], "{0}": "", '"': None, "\u00e9": False}])
     @example(TRIPS)
+    @example(TRIPS_AS_HELD)
     @example([[1, 2], (3, 4), [], [5, Flag.ONE], [True, 6]])
+    @example([BoxRef(1, 2), (3, 4), [5, 6], BoxRef(7, Flag.ONE), BoxRef("a", None), ((1, 2), (3, 4))])
+    @example(((1, 2, 3), (4, 5, 6), ()))
     def test_matches_indented_json_dumps(self, doc):
-        """Random documents, and runs that batch (records of one key set, int rows of one width) with
-        their near misses; a template that left a brace of a key unescaped raises where json.dumps does not."""
+        """Random documents, and runs that batch (records of one key set, int rows of one width, BoxRef,
+        tuple and list rows mixed) with their near misses; a template that left a brace of a key unescaped
+        raises where json.dumps does not."""
         assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(documents(st.one_of(SCALARS, NOT_JSON), st.one_of(TEXT, st.tuples(st.integers()))),
-                     batches(st.one_of(SCALARS, NOT_JSON), st.one_of(KEYS, st.tuples(st.integers())))))
+    @given(st.one_of(documents(st.one_of(SCALARS, NOT_JSON), st.one_of(TEXT, st.tuples(st.integers()), BOXES)),
+                     batches(st.one_of(SCALARS, NOT_JSON), st.one_of(KEYS, st.tuples(st.integers()), BOXES))))
     @example([{"a": 1, "b": Fraction(1, 2)}, {"a": 10**5000, "b": 1}])
+    @example([BoxRef(1, 2), BoxRef(Fraction(1, 2), 3)])
+    @example({BoxRef(1, 2): [3]})
+    @example([{"a": BoxRef(1, 2)}, {"a": BoxRef(3, 4), BoxRef(5, 6): 7}])
     @example([{"a": 10**5000}, {"a": 1, (1,): 2}])
     @example([{(1,): 1, (2,): 10**5000}, {(1,): 2, (2,): 3}])
     def test_raises_where_json_dumps_raises(self, doc):

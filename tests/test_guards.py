@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import skewpos
-from skewpos import Cut, InvariantError, SkewDiagram, baf, omega, right_point, sample, splice_report, xi
+from skewpos import BoxRef, Cut, InvariantError, SkewDiagram, baf, omega, right_point, sample, splice_report, xi
 from skewpos.cli import build_parser, main
 from skewpos.linalg import RatMatrix, _tableau
 from skewpos.permutations import BoundedAffinePermutation
@@ -306,19 +306,28 @@ def test_one_trip_per_boundary_edge(counted, fixture, request):
     assert sorted(c[1] for c in calls) == list(range(1, d.n + 1))
 
 
-def test_inspect_commands_build_each_invariant_once(counted, capsys):
+def test_inspect_commands_build_each_invariant_once(counted, monkeypatch, capsys):
     """The four commands of the benchmark's ``inspect`` op on staircase(64): each command that reads
-    long labels builds the label table once (``plabic`` reads none)."""
-    builds = counted(SkewDiagram._label_table)
-    diagram = json.dumps(staircase(64).to_json())
+    long labels builds the label table once (``plabic`` reads none), and each builds the diagram's 72
+    BoxRefs once, plus the ribbon's 88 where it reads the ribbon (``inspect``, ``quiver``): the label
+    table and the quiver's neighbours are looked up by plain (a, i) tuples, and the writer takes the
+    BoxRefs as they are."""
+    builds, boxrefs, new = counted(SkewDiagram._label_table), [], BoxRef.__new__
+    monkeypatch.setattr(BoxRef, "__new__", lambda cls, *args: boxrefs.append(args) or new(cls, *args))
+    d = staircase(64)
+    diagram = json.dumps(d.to_json())
     got = {}
     for argv in (["inspect"], ["plabic", "--format", "json"], ["quiver", "--format", "json"],
                  ["verify", "--only", "plabic"]):
         builds.clear()
+        boxrefs.clear()
         assert main(argv[:1] + ["--diagram", diagram] + argv[1:]) == 0
-        got[" ".join(argv)] = len(builds)
+        got[" ".join(argv)] = len(builds), len(boxrefs)
     capsys.readouterr()
-    assert got == {"inspect": 1, "plabic --format json": 0, "quiver --format json": 1, "verify --only plabic": 1}
+    rib = d.ribbon()
+    assert (d.size(), len(rib.R) + len(rib.Rbar) + len(rib.R1)) == (72, 88)
+    assert got == {"inspect": (1, 160), "plabic --format json": (0, 72), "quiver --format json": (1, 160),
+                   "verify --only plabic": (1, 72)}
 
 
 def test_one_boundary_path_per_trips(counted, intro):
@@ -344,12 +353,15 @@ def test_a_point_runs_one_tableau_on_either_chart(counted, running):
     """A point built from a fresh matrix runs one k x n tableau, the columns at I_mu taken first: on the
     variety, and off it where the greedy basis is not I_mu and the gauge fails (the dense matrix of
     ``test_gauge_is_checked_before_the_variety``), with no second tableau to choose the error.  A point on
-    a chart derived from V's (``restrict``, ``reframe``: both factors of every on-chart cut) runs none."""
+    a chart derived from V's (``restrict``, ``reframe``: both factors of every on-chart cut) runs none.
+    ``from_matrix`` runs the one tableau that re-gauges: the re-gauged matrix is its own chart."""
     d = staircase(32)
     V = sample(d, seed=1)
     columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
     rng = random.Random(3)
     dense = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
+    num = V.matrix.num  # row 0 made 3 v_0 - v_1, over 7 den: the same point in another gauge
+    scaled = RatMatrix((tuple(3 * x - y for x, y in zip(num[0], num[1])),) + num[1:], 7 * V.matrix.den)
     tableaux = counted(_tableau)
     assert PointV(d, V.matrix, V.seed) == V
     with pytest.raises(ValueError, match=r"^Delta_\{I_mu\} != 1"):
@@ -359,6 +371,10 @@ def test_a_point_runs_one_tableau_on_either_chart(counted, running):
         [b - 1 for b in e.I_mu()] for e in (d, running)]
     tableaux.clear()
     assert len([P for a in columns for P in (left_point(V, a), right_point(V, a))]) > 2 and tableaux == []
+    W = PointV.from_matrix(d, scaled, V.seed)
+    assert W == V and W._memo["chart"] == V._memo["chart"]
+    assert [(len(rows), len(rows[0]), list(order)) for rows, order in tableaux] == [
+        (d.k, d.n, [b - 1 for b in d.I_mu()])]
 
 
 def test_only_the_necklace_walk_pivots_outside_linalg():
