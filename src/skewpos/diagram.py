@@ -196,14 +196,15 @@ class SkewDiagram:
     # -- boundary ribbon ------------------------------------------------------
 
     def ribbon(self) -> "RibbonDecomposition":
-        """Column a's ribbon boxes are its boxes of lambda at or above the height of column a-1; built once."""
+        """Column a's ribbon boxes are its boxes of lambda at or above the height of column a-1; built once.
+        R and R1 hold the kept boxes of ``boxes()``; only Rbar's boxes, which lie in mu, are built here."""
         if "ribbon" not in self._memo:
-            R, Rbar, R1 = [], [], []
+            R, Rbar, R1, kept = [], [], [], {b: b for b in self.boxes()}
             for a in range(1, self.n - self.k + 1):
                 for i in range(max(self.lambda_bar[a - 1], 1), self.lambda_bar[a] + 1):
-                    (R if i > self.mu_bar[a] else Rbar).append(BoxRef(a, i))
+                    (R if i > self.mu_bar[a] else Rbar).append(kept.get((a, i)) or BoxRef(a, i))
                 if self.mu_bar[a] < self.lambda_bar[a]:
-                    R1.append(BoxRef(a, self.lambda_bar[a]))
+                    R1.append(kept[a, self.lambda_bar[a]])
             self._memo["ribbon"] = RibbonDecomposition(tuple(R), tuple(Rbar), tuple(R1))
         return self._memo["ribbon"]
 

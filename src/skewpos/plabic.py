@@ -139,12 +139,13 @@ def trip_permutation(ts: tuple[LatticeTrip, ...]) -> tuple[tuple[int, ...], dict
 
 
 def source_labels(d: SkewDiagram, ts: tuple[LatticeTrip, ...]) -> dict[BoxRef, tuple[int, ...]]:
-    """Accumulated trip labels per skew-diagram box; equals the boundary-path labels."""
+    """Accumulated trip labels per skew-diagram box; equals the boundary-path labels.  ``ts`` is the tuple
+    ``trips(d)``, in increasing start order, so each box's labels come in increasing order, unsorted."""
     acc: dict[BoxRef, list[int]] = {b: [] for b in d.boxes()}
     for T in ts:
         for b in T.boxes:
             acc[b].append(T.start)
-    return {b: tuple(sorted(labels)) for b, labels in acc.items()}
+    return {b: tuple(labels) for b, labels in acc.items()}
 
 
 def mu_region_label(ts: tuple[LatticeTrip, ...]) -> tuple[int, ...]:

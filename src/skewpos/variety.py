@@ -38,17 +38,19 @@ class PointV:
     of the matrix pivoted at I_mu first, or a chart the caller already holds (``_chart``: a cut's factor's,
     derived from V's, or ``from_matrix``'s, its re-gauged rows), and on either runs one sequence of checks:
     the gauge, then the greedy basis I_mu by T's zero pattern and f by the necklace walk (raising OffVariety
-    off the variety).  It keeps the chart, which ``column_minors`` and
-    ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the
-    chart, and on first use the seed (``cluster.seed_at``) and the cut columns above lambda_bar_a."""
+    off the variety; a left factor resumes V's walk, ``_start``).  It keeps the chart, which ``column_minors``
+    and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the chart,
+    the states of its walk for ``restrict`` (None on a given chart), and on first use the seed
+    (``cluster.seed_at``) and the cut columns above lambda_bar_a."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
     seed: int | None = None
     _chart: InitVar[tuple | None] = None
+    _start: InitVar[tuple | None] = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self, _chart):
+    def __post_init__(self, _chart, _start):
         d, M = self.diagram, self.matrix
         if (M.nrows, M.ncols) != (d.k, d.n):
             raise ValueError("matrix shape does not match the diagram")
@@ -67,7 +69,8 @@ class PointV:
         # On the variety that matroid is the skew shaped positroid, a lattice path matroid whose
         # bases are the k-sets Gale-between I_lambda and I_mu (Bonin, de Mier and Noy, JCTA 104
         # (2003)), so the greedy basis is I_mu: on T, pivoted at I_mu, iff T[r][t] = 0 for b_r < t.
-        if any(any(r[b + 1:]) for r, b in zip(T, basis)) or _walk(T, D, basis, d.n) != baf(d).window:
+        steps = self._memo["walk"] = [] if _chart is None else None  # V's, for ``restrict``; a factor's: none
+        if any(any(r[b + 1:]) for r, b in zip(T, basis)) or _walk(T, D, basis, d.n, _start, steps) != baf(d).window:
             raise OffVariety("point does not lie on the variety of its diagram")
         self._memo["chart"] = T, D, basis, g
 
@@ -135,11 +138,22 @@ class PointV:
     def restrict(self, d: SkewDiagram, columns: list[int]) -> "PointV":
         """The point of d of V's columns at ``columns`` (increasing, I_mu among them): its tableau pivoted at I_mu
         pivots as V's, so its chart is that selection of V's T, V's D, and V's contents over what ``RatMatrix``
-        divides out."""
+        divides out.  Its necklace walk exchanges as V's on the same rows cut to ``columns`` (a row's first nonzero
+        entry in the walk's order is the same where it lies in a kept column), so it resumes V's at the state before
+        V's first exchange that enters a column it drops, or V's last, relabeled with the window entries of V's
+        steps above it (``_walk``).  A V whose walk recorded no state is walked from the top."""
         T, D, _, g = self._memo["chart"]
         M = RatMatrix([[r[t - 1] for t in columns] for r in self.matrix.num], self.matrix.den)
         chart = [[r[t - 1] for t in columns] for r in T], D, [columns.index(b) for b in self.diagram.I_mu()]
-        return PointV(d, M, self.seed, (*chart, [g[t - 1] * M.den // self.matrix.den for t in columns]))
+        n, new, steps, start = self.diagram.n, {t - 1: s for s, t in enumerate(columns)}, self._memo["walk"], None
+        if steps:
+            _, i, S, div, E, row_of = next((step for step in steps if step[0] not in new), steps[-1])
+            window = [0] * d.n
+            for p, v in enumerate(baf(self.diagram).window):  # V's entries of the steps before step i
+                if p in new and (v - 1) % n > i:
+                    window[new[p]] = new[(v - 1) % n] + 1 + d.n * (v > n)
+            start = new[i], [[r[t - 1] for t in columns] for r in S], div, E, {new[c]: r for c, r in row_of.items()}, window
+        return PointV(d, M, self.seed, (*chart, [g[t - 1] * M.den // self.matrix.den for t in columns]), start)
 
     def reframe(self, d: SkewDiagram, C: list[tuple[int, ...]]) -> "PointV":
         """The point of d with V's frame C (``cut_columns``) at I_mu(d), V's column t at each t off it.  Frame
@@ -223,7 +237,7 @@ def _necklace_tableau(M: RatMatrix, order) -> tuple[list[list[int]], int, list[i
     return (*_tableau(rows, order), g)
 
 
-def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ...]:
+def _walk(T: list[list[int]], D: int, basis: list[int], n: int, start=None, steps=None) -> tuple[int, ...]:
     """Window of f by the Grassmann-necklace exchange, from a tableau of rank k on the basis taken greedily
     from column n down.
 
@@ -236,10 +250,13 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ..
     row (j = i) or a row whose entering column wrapped (j > i) holds a column the walk has passed, and
     only the column of the current step leaves the basis, so that row is never read again.  It becomes
     a zero row, which ``_pivot`` skips (as ``_leading_minors`` retires its pivoted rows), and its
-    column leaves ``row_of``.
+    column leaves ``row_of``.  A walk given ``start`` = (i, T, div, D, row_of, window), the state before
+    step i, runs from step i down in place of T, D and basis (``PointV.restrict``).  A list ``steps`` records
+    (j, i, T, div, D, row_of) before each exchange, copied shallow: ``_pivot`` replaces rows, never edits one.
     """
-    T, div, row_of, window, done = list(T), [D] * len(T), {c: j for j, c in enumerate(basis)}, [0] * n, [0] * n
-    for i in range(n - 1, -1, -1):
+    top, T, div, D, row_of, window = start or (n - 1, T, [D] * len(T), D, {c: j for j, c in enumerate(basis)}, [0] * n)
+    T, div, row_of, window, done = list(T), list(div), dict(row_of), list(window), [0] * n
+    for i in range(top, -1, -1):
         r = row_of.pop(i, None)
         if r is None:
             window[i] = i + 1
@@ -248,6 +265,8 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int) -> tuple[int, ..
         j = next((j for j in chain(range(i - 1, -1, -1), range(n - 1, i, -1)) if row[j]), i)
         window[j] = i + 1 + n * (j >= i)
         if j != i:
+            if steps is not None:
+                steps.append((j, i, list(T), list(div), D, {**row_of, i: r}))
             D = _pivot(T, r, j, D, div)
         if j < i:
             row_of[j] = r

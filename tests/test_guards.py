@@ -233,7 +233,10 @@ def counted(monkeypatch):
 
 def test_one_membership_per_matrix(counted, intro):
     """Membership (the necklace walk) runs where a point is built, on the tableau the point keeps
-    as its chart: over all cuts of a sampled point, once per factor and never again on V."""
+    as its chart: over all cuts of a sampled point, once per factor and never again on V.  The right
+    factor walks from the top and the left one resumes V's walk (``PointV.restrict``): from one of the
+    states V's walk recorded, at a column the factor keeps, its rows cut to the factor's columns; neither
+    records states of its own."""
     W = sample(intro, seed=16)
     columns = range(1, intro.n - intro.k + 1)
     factors = [P for a in columns for P in (Cut.at(W, a).left, Cut.at(W, a).right)]
@@ -242,9 +245,17 @@ def test_one_membership_per_matrix(counted, intro):
     for a in columns:
         splice_report(V, a)
     charts = [P._memo["chart"] for P in factors]
-    assert [(T, D, n) for T, D, _, n in calls] == [(T, D, P.diagram.n) for (T, D, _, _), P in zip(charts, factors)]
-    assert [sorted(basis) for _, _, basis, _ in calls] == [sorted(row_of) for _, _, row_of, _ in charts]
-    assert direct == []
+    assert [(T, D, n) for T, D, _, n, _, _ in calls] == [
+        (T, D, P.diagram.n) for (T, D, _, _), P in zip(charts, factors)]
+    assert [sorted(basis) for _, _, basis, *_ in calls] == [sorted(row_of) for _, _, row_of, _ in charts]
+    assert direct == [] and all(steps is None for *_, steps in calls)
+    assert all(start is None for *_, start, _ in calls[1::2])
+    for a, (*_, start, _) in zip(columns, calls[::2]):
+        kept = [*intro.I_mu()[:intro.mu_bar[a]], *range(a + intro.mu_bar[a], intro.n + 1)]
+        top, rows, div, D, row_of, _ = start
+        state = next(s for s in V._memo["walk"] if s[1] == kept[top] - 1)
+        assert (rows, div, D) == ([[r[t - 1] for t in kept] for r in state[2]], state[3], state[4])
+        assert row_of == {kept.index(c + 1): r for c, r in state[5].items()}
 
 
 def test_cut_diagrams_built_once_per_column(monkeypatch, intro):
@@ -309,9 +320,10 @@ def test_one_trip_per_boundary_edge(counted, fixture, request):
 def test_inspect_commands_build_each_invariant_once(counted, monkeypatch, capsys):
     """The four commands of the benchmark's ``inspect`` op on staircase(64): each command that reads
     long labels builds the label table once (``plabic`` reads none), and each builds the diagram's 72
-    BoxRefs once, plus the ribbon's 88 where it reads the ribbon (``inspect``, ``quiver``): the label
-    table and the quiver's neighbours are looked up by plain (a, i) tuples, and the writer takes the
-    BoxRefs as they are."""
+    BoxRefs once, plus the ribbon's 13 boxes in mu where it reads the ribbon (``inspect``, ``quiver``):
+    the ribbon's 75 boxes of R and R1 are the kept boxes, which the quiver's vertices and frozen set
+    hold too, the label table and the quiver's neighbours are looked up by plain (a, i) tuples, and the
+    writer takes the BoxRefs as they are."""
     builds, boxrefs, new = counted(SkewDiagram._label_table), [], BoxRef.__new__
     monkeypatch.setattr(BoxRef, "__new__", lambda cls, *args: boxrefs.append(args) or new(cls, *args))
     d = staircase(64)
@@ -324,9 +336,11 @@ def test_inspect_commands_build_each_invariant_once(counted, monkeypatch, capsys
         assert main(argv[:1] + ["--diagram", diagram] + argv[1:]) == 0
         got[" ".join(argv)] = len(builds), len(boxrefs)
     capsys.readouterr()
-    rib = d.ribbon()
-    assert (d.size(), len(rib.R) + len(rib.Rbar) + len(rib.R1)) == (72, 88)
-    assert got == {"inspect": (1, 160), "plabic --format json": (0, 72), "quiver --format json": (1, 160),
+    rib, kept = d.ribbon(), {id(b) for b in d.boxes()}
+    assert (d.size(), len(rib.R) + len(rib.R1), len(rib.Rbar)) == (72, 75, 13)
+    assert all(id(b) in kept for b in rib.R + rib.R1) and not any(id(b) in kept for b in rib.Rbar)
+    assert {id(b) for b in skewpos.quiver(d).frozen} <= kept
+    assert got == {"inspect": (1, 85), "plabic --format json": (0, 72), "quiver --format json": (1, 85),
                    "verify --only plabic": (1, 72)}
 
 
@@ -409,6 +423,17 @@ def test_the_necklace_walk_retires_the_rows_it_has_passed(monkeypatch, n, rewrit
     monkeypatch.setattr(skewpos.variety, "_pivot", counting)
     assert _walk(T, D, basis, n) == baf(V.diagram).window
     assert sum(counts) == rewrites
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_the_left_factor_resumes_the_walk_of_v(monkeypatch, n):
+    """The left factor at a = 5 of the seed-1 staircase point resumes V's walk at its first exchange that
+    enters a column the factor drops, and runs 2 exchanges where a walk from the top ran 22, 46 and 94 at
+    n = 32, 64 and 128."""
+    V, exchanges, pivot = sample(staircase(n), seed=1), [], skewpos.variety._pivot
+    monkeypatch.setattr(skewpos.variety, "_pivot", lambda *args: exchanges.append(args[2]) or pivot(*args))
+    left_point(V, 5)
+    assert len(exchanges) == 2
 
 
 def test_verify_evaluates_each_chart_once(counted):

@@ -19,6 +19,7 @@ from skewpos import (
     Partition,
     Seed,
     SkewDiagram,
+    baf,
     beta,
     exchange_products,
     in_U_a,
@@ -36,7 +37,7 @@ from skewpos import (
 from skewpos.cli import main, random_diagram, subseed
 from skewpos.linalg import RatMatrix, ratio_to_str
 from skewpos.splicing import _vanishing_chart_label
-from skewpos.variety import OffVariety, PointV, _necklace_tableau
+from skewpos.variety import OffVariety, PointV, _necklace_tableau, _walk
 
 from conftest import (
     A_factor_oracle,
@@ -70,6 +71,7 @@ from conftest import (
     vec_add,
     vec_scale,
     verify_exchange_ratios_oracle,
+    walk_oracle,
     zassenhaus,
 )
 
@@ -658,15 +660,18 @@ class TestFactorChartOracle:
         assert PointV(L.diagram, L.matrix, L.seed, (T, D, basis, g)) == L and len(walks) == 1
 
     def test_all_cuts_keep_the_levels_above_on_the_point(self, monkeypatch):
-        """After every cut of V its memo holds the chart, the seed and the cut levels above lambda_bar_a,
-        out of its eq, hash and repr; a second sweep reads only the walk up each column a on V."""
+        """After every cut of V its memo holds the chart, the states of its necklace walk, the seed and the
+        cut levels above lambda_bar_a, out of its eq, hash and repr; the cuts resume V's walk and neither
+        extend nor rewrite its states; a second sweep reads only the walk up each column a on V."""
         d = staircase(20)
         V, W = sample(d, seed=1), sample(d, seed=1)
         h, text = hash(V), repr(V)
         columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
+        steps = list(V._memo["walk"])
         for a in columns:
             splice_report(V, a)
-        assert set(V._memo) == {"chart", "seed", "cut"} and set(W._memo) == {"chart"}
+        assert set(V._memo) == {"chart", "walk", "seed", "cut"} and set(W._memo) == {"chart", "walk"}
+        assert V._memo["walk"] == steps == W._memo["walk"]  # the states of V's one walk, as it left them
         assert set(V._memo["cut"]) == {i for a in columns for i in range(d.lambda_bar[a] + 1, d.k + 1)}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == text
         passes, walk = [], skewpos.variety._prefix_walk
@@ -675,6 +680,63 @@ class TestFactorChartOracle:
             splice_report(V, a)
         assert [(c, top) for chart, _, c, top, *_ in passes if chart is V._memo["chart"]] == [
             (a, d.lambda_bar[a]) for a in columns]
+
+
+class TestResumedWalkOracle:
+    """The left factor's necklace walk resumes V's (``PointV.restrict``) at the first exchange that enters a
+    column the factor drops: the window it ends with equals the full walk (``_walk``) and the eager walk
+    (``walk_oracle``) on the factor's own chart."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """(arguments, window) of every necklace walk run while the test runs."""
+        calls, walk = [], skewpos.variety._walk
+        monkeypatch.setattr(skewpos.variety, "_walk", lambda *args: calls.append((args, walk(*args))) or calls[-1][1])
+        return calls
+
+    @staticmethod
+    def lefts(V, walks, columns=None) -> tuple[int, int]:
+        """(cuts, resumed walks) over the on-chart cuts of V at ``columns`` (default all); V's walk resumes
+        unless it made no exchange."""
+        d, cuts, resumed = V.diagram, 0, 0
+        for a in columns or range(1, d.n - d.k + 1):
+            if not in_U_a(V, a):
+                continue
+            walks.clear()
+            L = left_point(V, a)
+            [((T, D, basis, n, start, steps), window)] = walks
+            assert (start is not None) == bool(V._memo["walk"]) and steps is None and n == L.diagram.n, (d, a)
+            assert window == _walk(T, D, basis, n) == walk_oracle(T, D, basis, n) == baf(L.diagram).window, (d, a)
+            cuts, resumed = cuts + 1, resumed + (start is not None)
+        return cuts, resumed
+
+    def test_every_cut_up_to_n7(self, walks):
+        counts = [self.lefts(sample(d, seed=1), walks) for d in all_skew_diagrams(7)]
+        assert [sum(c) for c in zip(*counts)] == [6705, 5964]
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_staircase(self, walks, n):
+        cuts, resumed = self.lefts(sample(staircase(n), seed=1), walks)
+        assert cuts == resumed > 0
+
+    def test_the_left_factor_at_column_1_is_v(self, walks, intro):
+        """At a = 1 the factor keeps every column, so the whole walk is shared: it resumes at V's last
+        exchange, and the factor is V."""
+        V = sample(intro, seed=16)
+        assert self.lefts(V, walks, [1]) == (1, 1)
+        [((*_, start, _), _)] = walks
+        assert start[0] == V._memo["walk"][-1][1] and left_point(V, 1) == V
+
+    def test_a_restriction_that_diverges_at_the_first_exchange(self, walks):
+        """V's first exchange enters column 3, which the left factor at a = 4 drops: the factor's walk
+        resumes V's at the step of that exchange, before any exchange."""
+        d = SkewDiagram(7, 3, Partition((3, 3, 3)), Partition((1, 1, 1)))
+        V, columns = sample(d, seed=1), [*d.I_mu()[:d.mu_bar[4]], *range(4 + d.mu_bar[4], d.n + 1)]
+        j, i = V._memo["walk"][0][:2]
+        assert j + 1 == 3 and 3 not in columns
+        assert self.lefts(V, walks, [4]) == (1, 1)
+        [((*_, start, _), _)] = walks
+        assert start[0] == columns.index(i + 1)
 
 
 class TestSeedReads:

@@ -195,7 +195,7 @@ class TestSample:
         assert sample(running, seed=42).matrix == sample(running, seed=42).matrix
 
     def test_exhausted_sampler_chains_the_last_rejection(self, running, monkeypatch):
-        monkeypatch.setattr(skewpos.variety, "_walk", lambda T, D, basis, n: ())
+        monkeypatch.setattr(skewpos.variety, "_walk", lambda *args: ())
         with pytest.raises(RuntimeError, match=r"^sampler failed after 32 attempts \(bound=100\)$") as info:
             sample(running, seed=1)
         assert isinstance(info.value.__cause__, OffVariety)
@@ -268,14 +268,15 @@ class TestPointV:
             PointV.from_matrix(running, dense)
 
     def test_memo_is_not_part_of_the_value(self, running):
-        """The chart (built with the point) and the seed (on first use) stay out of its eq, hash and repr."""
+        """The chart and the states of the necklace walk (built with the point) and the seed (on first use)
+        stay out of its eq, hash and repr."""
         V, W = sample(running, seed=2), sample(running, seed=2)
         h, r = hash(V), repr(V)
         skewpos.seed_at(V)
         assert V.delta(running.I_lambda()) != 0
-        assert set(V._memo) == {"chart", "seed"} and set(W._memo) == {"chart"}
+        assert set(V._memo) == {"chart", "walk", "seed"} and set(W._memo) == {"chart", "walk"}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == r
-        assert "_memo" not in r and set(replace(V, seed=3)._memo) == {"chart"}
+        assert "_memo" not in r and set(replace(V, seed=3)._memo) == {"chart", "walk"}
 
     def test_json_roundtrip(self, running):
         """Over den = 1 and over a den > 1 with zero entries (the R^1 normalization), each entry is the
