@@ -1,16 +1,17 @@
 """Exact rational matrices and the fraction-free elimination kernel.
 
-All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one
-denominator; Fractions appear only as scalars and where ``RatMatrix.from_rationals`` reads a point's
-JSON rows.  A subspace or a flag is the list of integer vectors that span it, kept as given: there is
-no canonical form, so two bases of one subspace are compared by rank.  One exchange, ``_pivot``, does
-every elimination.  Ranks, containment, determinants and a point's basis exchanges run the fraction-free
-Gauss-Jordan tableau (``_tableau``) on integer rows, and the leading minors of a block are read off one
-walk down its diagonal (``_leading_minors``): the minors of a chart block, and the test that two flags are
-transversal, on one tableau of both bases.  An exchange rewrites only the rows it
-eliminates, each row keeping its own divisor until its result is brought to one D; a walk retires a row
-it will read no more as a zero row, which no later exchange rewrites.  Column indices are
-1-based in the public operations, matching the labeling of diagram boxes by matrix columns.
+All arithmetic is exact; there are no tolerances anywhere.  A matrix is integer rows over one denominator, in
+lowest terms: the constructor scans every entry for the gcd, and ``RatMatrix._lowest`` takes rows its caller
+reduced by a gcd it holds (a cut's factor, off the contents of V's chart).  Fractions appear only as scalars
+and where ``RatMatrix.from_rationals`` reads a point's JSON rows.  A subspace or a flag is the list of integer
+vectors that span it, kept as given: there is no canonical form, so two bases of one subspace are compared by
+rank.  One exchange, ``_pivot``, does every elimination.  Ranks, containment, determinants and a point's basis
+exchanges run the fraction-free Gauss-Jordan tableau (``_tableau``) on integer rows, and the leading minors of
+a block are read off one walk down its diagonal (``_leading_minors``): the minors of a chart block, and the
+test that two flags are transversal, on one tableau of both bases.  An exchange rewrites only the rows it
+eliminates, each row keeping its own divisor until its result is brought to one D; a walk retires a row it will
+read no more as a zero row, which no later exchange rewrites.  Column indices are 1-based in the public
+operations, matching the labeling of diagram boxes by matrix columns.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ class RatMatrix:
             num = tuple(tuple(x // g for x in r) for r in num)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", self.den // g)
+
+    @classmethod
+    def _lowest(cls, num: tuple[tuple[int, ...], ...], den: int) -> "RatMatrix":
+        """num / den from tuple rows its caller has put in lowest terms by a gcd it holds: no scan."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "num", num)
+        object.__setattr__(M, "den", den)
+        return M
 
     @classmethod
     def from_rationals(cls, rows) -> "RatMatrix":

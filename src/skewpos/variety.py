@@ -39,9 +39,9 @@ class PointV:
     derived from V's, or ``from_matrix``'s, its re-gauged rows), and on either runs one sequence of checks:
     the gauge, then the greedy basis I_mu by T's zero pattern and f by the necklace walk (raising OffVariety
     off the variety; a left factor resumes V's walk, ``_start``).  It keeps the chart, which ``column_minors``
-    and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the chart,
-    the states of its walk for ``restrict`` (None on a given chart), and on first use the seed
-    (``cluster.seed_at``) and the cut columns above lambda_bar_a."""
+    and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the chart, the
+    states of its walk for ``restrict`` (None on a given chart), and on first use the seed (``cluster.seed_at``),
+    the cut columns above lambda_bar_a, the integer columns and the entries' texts (a factor's start as V's)."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
@@ -89,8 +89,21 @@ class PointV:
     def column(self, t: int) -> tuple[int, ...]:
         """Column t of ``matrix.num``, any integer t, with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
         q, r = divmod(t - 1, self.matrix.ncols)
-        v = self.matrix.column(r + 1)
+        v = self._columns()[r]
         return v if q * (self.diagram.k - 1) % 2 == 0 else tuple(-x for x in v)
+
+    def _columns(self) -> list[tuple[int, ...]]:
+        """The integer columns of ``matrix.num``, kept in ``_memo["columns"]`` on first use."""
+        if "columns" not in self._memo:
+            self._memo["columns"] = list(zip(*self.matrix.num))
+        return self._memo["columns"]
+
+    def _texts(self) -> list[tuple[str, ...]]:
+        """Each column's entries as ``str`` of their Fractions, kept in ``_memo["texts"]``; None is formatted on use."""
+        texts, den = self._memo.setdefault("texts", [None] * self.matrix.ncols), self.matrix.den
+        for t in [t for t, v in enumerate(texts) if v is None]:  # over den = 1, and at 0, an entry is its integer
+            texts[t] = tuple(quotient_to_str(r[t], den) if r[t] and den > 1 else str(r[t]) for r in self.matrix.num)
+        return texts
 
     def delta(self, J) -> Fraction:
         """Signed minor in the listed column order (cyclic indices allowed): +-D of one ``_tableau`` of the
@@ -137,13 +150,15 @@ class PointV:
 
     def restrict(self, d: SkewDiagram, columns: list[int]) -> "PointV":
         """The point of d of V's columns at ``columns`` (increasing, I_mu among them): its tableau pivoted at I_mu
-        pivots as V's, so its chart is that selection of V's T, V's D, and V's contents over what ``RatMatrix``
-        divides out.  Its necklace walk exchanges as V's on the same rows cut to ``columns`` (a row's first nonzero
-        entry in the walk's order is the same where it lies in a kept column), so it resumes V's at the state before
-        V's first exchange that enters a column it drops, or V's last, relabeled with the window entries of V's
-        steps above it (``_walk``).  A V whose walk recorded no state is walked from the top."""
+        pivots as V's, so its chart is that selection of V's T, V's D, and V's contents over G, their gcd with V's den,
+        which puts its matrix in lowest terms; its texts are V's.  Its necklace walk exchanges as V's on the same rows
+        cut to ``columns`` (a row's first nonzero entry in the walk's order is the same where it lies in a kept
+        column), so it resumes V's at the state before V's first exchange that enters a column it drops, or V's last,
+        relabeled with the window entries of V's steps above it (``_walk``); if V recorded no state, from the top."""
         T, D, _, g = self._memo["chart"]
-        M = RatMatrix([[r[t - 1] for t in columns] for r in self.matrix.num], self.matrix.den)
+        G, V_columns = gcd(self.matrix.den, *(g[t - 1] for t in columns)), self._columns()  # M's lowest terms
+        kept = [V_columns[t - 1] if G == 1 else [x // G for x in V_columns[t - 1]] for t in columns]
+        M = RatMatrix._lowest(tuple(zip(*kept)), self.matrix.den // G)
         chart = [[r[t - 1] for t in columns] for r in T], D, [columns.index(b) for b in self.diagram.I_mu()]
         n, new, steps, start = self.diagram.n, {t - 1: s for s, t in enumerate(columns)}, self._memo["walk"], None
         if steps:
@@ -153,29 +168,34 @@ class PointV:
                 if p in new and (v - 1) % n > i:
                     window[new[p]] = new[(v - 1) % n] + 1 + d.n * (v > n)
             start = new[i], [[r[t - 1] for t in columns] for r in S], div, E, {new[c]: r for c, r in row_of.items()}, window
-        return PointV(d, M, self.seed, (*chart, [g[t - 1] * M.den // self.matrix.den for t in columns]), start)
+        factor, texts = PointV(d, M, self.seed, (*chart, [g[t - 1] // G for t in columns]), start), self._texts()
+        factor._memo["texts"] = [texts[t - 1] for t in columns]
+        return factor
 
     def reframe(self, d: SkewDiagram, C: list[tuple[int, ...]]) -> "PointV":
         """The point of d with V's frame C (``cut_columns``) at I_mu(d), V's column t at each t off it.  Frame
         column i is x_i / q_i, x_i = sum_r C_ri v_{b_r} / g_{b_r}, q_i = C_ii / g_{b_i}.  With h_i the content
         of x_i the basis is B C diag(h)^-1, so the chart's column t is h C^-1 T[:, t] / D over D_R = |D| prod C_ii
-        / prod h: forward substitution on the integral prod C_ii C^-1, each division exact (else InvariantError)."""
+        / prod h: forward substitution on the integral prod C_ii C^-1, each division exact (else InvariantError).
+        G = gcd(den V.den, the scaled contents) puts the matrix in lowest terms; off the frame its texts are V's."""
         T, D, _, g = self._memo["chart"]
-        B, k, I_R = self.diagram.I_mu(), self.diagram.k, d.I_mu()
-        p, x = [[(s, y // g[b - 1]) for s, y in enumerate(self.column(b)) if y] for b in B], [[0] * k for _ in C]
+        B, k, I_R, V_columns = self.diagram.I_mu(), self.diagram.k, d.I_mu(), self._columns()
+        p, x = [[(s, y // g[b - 1]) for s, y in enumerate(V_columns[b - 1]) if y] for b in B], [[0] * k for _ in C]
         for i, r in ((i, r) for i in range(k) for r in range(i, k) if C[i][r]):
             for s, y in p[r]:
                 x[i][s] += C[i][r] * y
         q, h = [c[i] // g[b - 1] for i, (c, b) in enumerate(zip(C, B))], [gcd(*v) for v in x]
         den, free = lcm(*q), [t for t in range(1, d.n + 1) if t not in I_R]
         at_frame = {t: (v, den // q_i, h_i) for t, v, q_i, h_i in zip(I_R, x, q, h)}  # column, scale, content
-        cols = [at_frame.get(t) or (self.column(t), den, g[t - 1]) for t in range(1, d.n + 1)]
-        M = RatMatrix.from_columns([[y * s for y in v] for v, s, _ in cols], den * self.matrix.den)
-        contents = [h_t * s // (den * self.matrix.den // M.den) for _, s, h_t in cols]
+        cols = [at_frame.get(t) or (V_columns[t - 1], den, g[t - 1]) for t in range(1, d.n + 1)]
+        G = gcd(den * self.matrix.den, *(s * h_t for _, s, h_t in cols))  # M's lowest terms, off its contents
+        M = RatMatrix._lowest(tuple(zip(*(v if s == G else [y * s // G for y in v] for v, s, _ in cols))),
+                              den * self.matrix.den // G)
+        contents = [h_t * s // G for _, s, h_t in cols]
         P, H = prod(c[i] for i, c in enumerate(C)), prod(h)
         (D_R, rem), sP = divmod(abs(D) * P, H), P if D > 0 else -P
         lower = [[(i, C[i][r]) for i in range(r) if C[i][r]] for r in range(k)]
-        R = [[D_R * (t == b) for t in range(1, d.n + 1)] for b in I_R]
+        R = [[0] * (b - 1) + [D_R] + [0] * (d.n - b) for b in I_R]
         for t in free:
             z = [0] * k
             for r in range(k):
@@ -186,14 +206,15 @@ class PointV:
                     rem |= e | f
         if rem:  # every entry of the chart is a minor of the new matrix, so this is a bug
             raise InvariantError("a derived chart entry is not an integer")
-        return PointV(d, M, self.seed, (R, D_R, [t - 1 for t in I_R], contents))
+        factor = PointV(d, M, self.seed, (R, D_R, [t - 1 for t in I_R], contents))
+        factor._memo["texts"] = [None if t in at_frame else text for t, text in enumerate(self._texts()[:d.n], 1)]
+        return factor
 
     def to_json(self) -> dict:
-        den = self.matrix.den  # over den = 1, and at 0, an entry is its integer: no gcd
         return {
             "diagram": self.diagram.to_json(),
             "seed": self.seed,
-            "matrix": [[quotient_to_str(x, den) if x and den > 1 else str(x) for x in row] for row in self.matrix.num],
+            "matrix": [list(row) for row in zip(*self._texts())],
         }
 
     @classmethod

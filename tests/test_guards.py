@@ -496,6 +496,31 @@ def test_splice_report_reads_no_minor_and_keeps_the_quivers(monkeypatch, n):
     assert built == []
 
 
+def test_a_warm_report_takes_the_columns_and_texts_v_holds(monkeypatch):
+    """A warm report at one cut of the splice benchmark's staircase(32) builds its factors' matrices from V's
+    kept integer columns, in lowest terms by gcds it already holds: no ``RatMatrix`` scan and no column copy.
+    Its JSON takes V's kept texts and formats only the right factor's k x k frame entries."""
+    d = staircase(32)
+    V, a = sample(d, seed=1), 5
+    assert in_U_a(V, a)
+    splice_report(V, a)
+    calls = Counter()
+
+    def counting(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(RatMatrix, "__post_init__", counting("__post_init__", RatMatrix.__post_init__))
+    monkeypatch.setattr(RatMatrix, "column", counting("column", RatMatrix.column))
+    monkeypatch.setattr(skewpos.variety, "quotient_to_str", counting("text", skewpos.variety.quotient_to_str))
+    monkeypatch.setattr(skewpos.variety, "str", counting("text", str), raising=False)
+    RatMatrix(((1, 2),), 2).column(1)
+    assert calls == {"__post_init__": 1, "column": 1}  # the counters see what they count
+    calls.clear()
+    report = splice_report(V, a)
+    assert calls == {"text": d.k * d.k}
+    assert sha256(json.dumps(report, sort_keys=True)) == STAIRCASE32_SEED1_REPORTS[a]
+
+
 @pytest.mark.parametrize("n", [12, 20, 32])
 def test_every_cut_reads_the_exchange_products_of_v_once(n):
     """On a fresh point of the splice benchmark's staircases, V's seed keeps the exchange products of

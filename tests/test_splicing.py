@@ -35,9 +35,9 @@ from skewpos import (
     verify_minor_scaling,
 )
 from skewpos.cli import main, random_diagram, subseed
-from skewpos.linalg import RatMatrix, ratio_to_str
+from skewpos.linalg import RatMatrix, quotient_to_str, ratio_to_str
 from skewpos.splicing import _vanishing_chart_label
-from skewpos.variety import OffVariety, PointV, _necklace_tableau, _walk
+from skewpos.variety import OffVariety, PointV, _necklace_tableau, _primitive_columns, _walk
 
 from conftest import (
     A_factor_oracle,
@@ -660,9 +660,10 @@ class TestFactorChartOracle:
         assert PointV(L.diagram, L.matrix, L.seed, (T, D, basis, g)) == L and len(walks) == 1
 
     def test_all_cuts_keep_the_levels_above_on_the_point(self, monkeypatch):
-        """After every cut of V its memo holds the chart, the states of its necklace walk, the seed and the
-        cut levels above lambda_bar_a, out of its eq, hash and repr; the cuts resume V's walk and neither
-        extend nor rewrite its states; a second sweep reads only the walk up each column a on V."""
+        """After every cut of V its memo holds the chart, the states of its necklace walk, the seed, the
+        cut levels above lambda_bar_a and the integer columns and texts its factors take, out of its eq, hash
+        and repr; the cuts resume V's walk and neither extend nor rewrite its states; a second sweep reads
+        only the walk up each column a on V."""
         d = staircase(20)
         V, W = sample(d, seed=1), sample(d, seed=1)
         h, text = hash(V), repr(V)
@@ -670,7 +671,7 @@ class TestFactorChartOracle:
         steps = list(V._memo["walk"])
         for a in columns:
             splice_report(V, a)
-        assert set(V._memo) == {"chart", "walk", "seed", "cut"} and set(W._memo) == {"chart", "walk"}
+        assert set(V._memo) == {"chart", "walk", "seed", "cut", "columns", "texts"} and set(W._memo) == {"chart", "walk"}
         assert V._memo["walk"] == steps == W._memo["walk"]  # the states of V's one walk, as it left them
         assert set(V._memo["cut"]) == {i for a in columns for i in range(d.lambda_bar[a] + 1, d.k + 1)}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == text
@@ -680,6 +681,49 @@ class TestFactorChartOracle:
             splice_report(V, a)
         assert [(c, top) for chart, _, c, top, *_ in passes if chart is V._memo["chart"]] == [
             (a, d.lambda_bar[a]) for a in columns]
+
+
+def entry_texts(M: RatMatrix) -> list[list[str]]:
+    """Each entry of M as the text ``str`` writes of its Fraction, entry by entry."""
+    return [[quotient_to_str(x, M.den) if x and M.den > 1 else str(x) for x in row] for row in M.num]
+
+
+class TestFactorMatrixOracle:
+    """A cut's factors take V's integer columns, V's contents and V's texts as V holds them (``PointV.restrict``,
+    ``PointV.reframe``): each factor's matrix is the one the public constructor reduces to lowest terms, field for
+    field, its chart contents are its columns' contents, and its JSON is the text of each of its entries."""
+
+    @staticmethod
+    def cuts(V) -> int:
+        d, count = V.diagram, 0
+        assert V.to_json()["matrix"] == entry_texts(V.matrix)
+        for a in range(1, d.n - d.k + 1):
+            if not in_U_a(V, a):
+                continue
+            for P in (left_point(V, a), right_point(V, a)):
+                fresh = RatMatrix(P.matrix.num, P.matrix.den)
+                assert (P.matrix.num, P.matrix.den) == (fresh.num, fresh.den), (d, a)
+                assert all(type(r) is tuple for r in P.matrix.num), (d, a)
+                assert P._memo["chart"][3] == _primitive_columns(P.matrix)[1], (d, a)
+                assert P.to_json()["matrix"] == entry_texts(P.matrix), (d, a)
+            count += 1
+        return count
+
+    @staticmethod
+    def both_gauges(d, seed=1):
+        """The sampled point and a copy in a det_one_matrix gauge, whose den is over 1."""
+        V = sample(d, seed=seed)
+        return V, gauged(V, det_one_matrix(random.Random(d.n * 100 + d.k), d.k))
+
+    def test_every_cut_up_to_n7(self):
+        counts = [self.cuts(P) for d in all_skew_diagrams(7) for P in self.both_gauges(d)]
+        assert sum(counts[::2]) == sum(counts[1::2]) == 6705
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_staircase(self, n):
+        V, W = self.both_gauges(staircase(n))
+        assert V.matrix.den == 1 < W.matrix.den
+        assert self.cuts(V) == self.cuts(W) > 0
 
 
 class TestResumedWalkOracle:

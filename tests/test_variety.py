@@ -268,13 +268,13 @@ class TestPointV:
             PointV.from_matrix(running, dense)
 
     def test_memo_is_not_part_of_the_value(self, running):
-        """The chart and the states of the necklace walk (built with the point) and the seed (on first use)
-        stay out of its eq, hash and repr."""
+        """The chart and the states of the necklace walk (built with the point), and the seed, the integer
+        columns and their texts (on first use) stay out of its eq, hash and repr."""
         V, W = sample(running, seed=2), sample(running, seed=2)
         h, r = hash(V), repr(V)
         skewpos.seed_at(V)
-        assert V.delta(running.I_lambda()) != 0
-        assert set(V._memo) == {"chart", "walk", "seed"} and set(W._memo) == {"chart", "walk"}
+        assert V.delta(running.I_lambda()) != 0 and V.to_json()
+        assert set(V._memo) == {"chart", "walk", "seed", "columns", "texts"} and set(W._memo) == {"chart", "walk"}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == r
         assert "_memo" not in r and set(replace(V, seed=3)._memo) == {"chart", "walk"}
 
