@@ -1,17 +1,17 @@
 """Exact rational points of skew shaped positroid varieties and the braid-variety dictionary.
 
-A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.  Building one
-runs a single fraction-free Gauss-Jordan on its primitive integer columns, the columns at I_mu taken
-first.  The tableau T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (the minors at
-box labels and the cut columns, each column's off one walk down a chart block, ``_prefix_walk``) and,
-walked by n integer pivots along the Grassmann necklace, the bounded affine permutation f that decides
-membership.  A cut's factors get charts derived exactly from V's (``restrict``, ``reframe``; their oracle
-is the greedy tableau of the factor's matrix, ``_necklace_tableau``); every chart meets the same gauge
-check, zero-pattern test and walk.  The maps here translate a point into a labeling of the braid diagram
-of the associated positive braid (regions, the boundary framing and right flag as the integer bases that
-span them, torus coordinates) and back, exactly; ``check_labeling`` tests the region conditions by rank
-and reads the framing and the right flag off one tableau of both bases, the right flag by the leading
-minors of its block, and ``xi`` reads its pinning minors off a chart of its own integer columns.
+A point is a k x n matrix on the variety of its diagram with the gauge Delta_{I_mu} = 1.  Building one runs
+a single fraction-free Gauss-Jordan on its primitive integer columns, the columns at I_mu taken first.  The
+tableau T = D B^-1 M gives the gauge (D), the chart that ``PointV`` alone reads (the minors at box labels
+and the cut columns, each column's off one walk down a chart block, ``_prefix_walk``) and, walked by n
+integer pivots along the Grassmann necklace, the bounded affine permutation f that decides membership.  A
+cut's factors get charts derived exactly from V's (``restrict``, ``reframe``, one builder ``_factor``; their
+oracle is the greedy tableau of the factor's matrix, ``_necklace_tableau``); every chart meets the same
+gauge check, zero-pattern test and walk.  The maps here translate a point into a labeling of the braid
+diagram of the associated positive braid (regions, the boundary framing and right flag as the integer bases
+that span them, torus coordinates) and back, exactly; ``check_labeling`` tests the region conditions by rank
+and reads the framing and the right flag off one tableau of both bases, the right flag by the leading minors
+of its block, and ``xi`` reads its pinning minors off a chart of its own integer columns.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ class OffVariety(ValueError):
 class PointV:
     """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction takes the tableau
     of the matrix pivoted at I_mu first, or a chart the caller already holds (``_chart``: a cut's factor's,
-    derived from V's, or ``from_matrix``'s, its re-gauged rows), and on either runs one sequence of checks:
-    the gauge, then the greedy basis I_mu by T's zero pattern and f by the necklace walk (raising OffVariety
-    off the variety; a left factor resumes V's walk, ``_start``).  It keeps the chart, which ``column_minors``
-    and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per point: the chart, the
-    states of its walk for ``restrict`` (None on a given chart), and on first use the seed (``cluster.seed_at``),
-    the cut columns above lambda_bar_a, the integer columns and the entries' texts (a factor's start as V's)."""
+    derived from V's by ``_factor``, or ``from_matrix``'s, its re-gauged rows), and on either runs one sequence of
+    checks: the gauge, then the greedy basis I_mu by T's zero pattern and f by the necklace walk (raising
+    OffVariety off the variety; a left factor resumes V's walk, ``_start``).  It keeps the chart, which
+    ``column_minors`` and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per
+    point: the chart, the states of its walk for ``restrict`` (None on a given chart), and on first use the seed
+    (``cluster.seed_at``), the cut columns above lambda_bar_a and the entries' texts (a factor's start as V's)."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
@@ -89,14 +89,8 @@ class PointV:
     def column(self, t: int) -> tuple[int, ...]:
         """Column t of ``matrix.num``, any integer t, with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
         q, r = divmod(t - 1, self.matrix.ncols)
-        v = self._columns()[r]
+        v = self.matrix.column(r + 1)
         return v if q * (self.diagram.k - 1) % 2 == 0 else tuple(-x for x in v)
-
-    def _columns(self) -> list[tuple[int, ...]]:
-        """The integer columns of ``matrix.num``, kept in ``_memo["columns"]`` on first use."""
-        if "columns" not in self._memo:
-            self._memo["columns"] = list(zip(*self.matrix.num))
-        return self._memo["columns"]
 
     def _texts(self) -> list[tuple[str, ...]]:
         """Each column's entries as ``str`` of their Fractions, kept in ``_memo["texts"]``; None is formatted on use."""
@@ -129,9 +123,10 @@ class PointV:
         x of that step in v_{b_i} + span(v_{b_r}, r > i), which exists iff Delta_{J_i} != 0 (the flag is
         transversal to the opposite boundary flag).  On the chart R = B^-1 P, x = sum_j y_j R[:, t_j] with
         R[rows <= i] y = e_i, whose rows of M_i (``_prefix_walk``) hold no y_j of a t_j = b_j.  So by Cramer's
-        rule x_r g_{b_r} / g_{b_i} = e_r / m_i, r > i, e the walk's column at level i (carrying every row of T)
-        from row i down, e_i = m_i; where t_i = b_i, x = v_{b_i}.  The walk runs at c = a up to lambda_bar_a, and at c = d_i above, where
-        it does not depend on a and its column is kept in ``_memo["cut"]``."""
+        rule x_r g_{b_r} / g_{b_i} = e_r / m_i, r >= i, e the walk's column at level i (carrying every row of T)
+        from row i down, e_i = m_i; where t_i = b_i, x = v_{b_i} and e = (m_i, 0, .., 0).  The walk runs at c = a
+        up to lambda_bar_a, and at c = d_i above, where it does not depend on a and its column is kept in
+        ``_memo["cut"]``."""
         d = self.diagram
         chart, B, top, above = self._memo["chart"], d.I_mu(), d.lambda_bar[a], self._memo.setdefault("cut", {})
 
@@ -139,8 +134,6 @@ class PointV:
             if m == 0:
                 raise InvariantError("cut flag not transversal to the opposite boundary flag")
             h = chart[3][B[i - 1] - 1]
-            if e is None:  # t_i = b_i: x = v_{b_i}
-                return (0,) * (i - 1) + (abs(m) * h,) + (0,) * (d.k - i)
             return (0,) * (i - 1) + tuple(x * (h if m > 0 else -h) for x in e)
 
         C = [solve(i, *level) for i, level in enumerate(_prefix_walk(chart, B, a, top, True), 1)]
@@ -148,18 +141,25 @@ class PointV:
                      for i in range(top + 1, d.k + 1) if i not in above)
         return C + [above[i] for i in range(top + 1, d.k + 1)]
 
+    def _factor(self, d: SkewDiagram, cols, den: int, T, D: int, texts, start=None) -> "PointV":
+        """A cut's factor: the point of d of columns s_t v_t / den, cols[t] = (v_t, s_t, h_t), h_t the content of
+        v_t, on the chart T, D pivoted at I_mu(d), with the texts given (None: formatted on use) and the walk from
+        ``start``.  G = gcd(den, each s_t h_t) puts it in lowest terms, with contents s_t h_t / G; a column of scale
+        G enters as it is."""
+        G = gcd(den, *(s * h for _, s, h in cols))
+        M = RatMatrix._lowest(tuple(zip(*(v if s == G else [x * s // G for x in v] for v, s, _ in cols))), den // G)
+        factor = PointV(d, M, self.seed, (T, D, [b - 1 for b in d.I_mu()], [s * h // G for _, s, h in cols]), start)
+        factor._memo["texts"] = texts
+        return factor
+
     def restrict(self, d: SkewDiagram, columns: list[int]) -> "PointV":
-        """The point of d of V's columns at ``columns`` (increasing, I_mu among them): its tableau pivoted at I_mu
-        pivots as V's, so its chart is that selection of V's T, V's D, and V's contents over G, their gcd with V's den,
-        which puts its matrix in lowest terms; its texts are V's.  Its necklace walk exchanges as V's on the same rows
-        cut to ``columns`` (a row's first nonzero entry in the walk's order is the same where it lies in a kept
-        column), so it resumes V's at the state before V's first exchange that enters a column it drops, or V's last,
-        relabeled with the window entries of V's steps above it (``_walk``); if V recorded no state, from the top."""
+        """The point of d of V's columns at ``columns`` (increasing, V's I_mu among them at I_mu(d)), over V's den
+        (``_factor``): its tableau pivoted at I_mu pivots as V's, so its chart is that selection of V's T, with V's D,
+        and its texts are V's.  Its necklace walk exchanges as V's on the same rows cut to ``columns`` (a row's first
+        nonzero entry in the walk's order is the same where it lies in a kept column), so it resumes V's at the state
+        before V's first exchange that enters a column it drops, or V's last, relabeled with the window entries of
+        V's steps above it (``_walk``); if V recorded no state, from the top."""
         T, D, _, g = self._memo["chart"]
-        G, V_columns = gcd(self.matrix.den, *(g[t - 1] for t in columns)), self._columns()  # M's lowest terms
-        kept = [V_columns[t - 1] if G == 1 else [x // G for x in V_columns[t - 1]] for t in columns]
-        M = RatMatrix._lowest(tuple(zip(*kept)), self.matrix.den // G)
-        chart = [[r[t - 1] for t in columns] for r in T], D, [columns.index(b) for b in self.diagram.I_mu()]
         n, new, steps, start = self.diagram.n, {t - 1: s for s, t in enumerate(columns)}, self._memo["walk"], None
         if steps:
             _, i, S, div, E, row_of = next((step for step in steps if step[0] not in new), steps[-1])
@@ -168,18 +168,18 @@ class PointV:
                 if p in new and (v - 1) % n > i:
                     window[new[p]] = new[(v - 1) % n] + 1 + d.n * (v > n)
             start = new[i], [[r[t - 1] for t in columns] for r in S], div, E, {new[c]: r for c, r in row_of.items()}, window
-        factor, texts = PointV(d, M, self.seed, (*chart, [g[t - 1] // G for t in columns]), start), self._texts()
-        factor._memo["texts"] = [texts[t - 1] for t in columns]
-        return factor
+        V_columns, texts = list(zip(*self.matrix.num)), self._texts()
+        return self._factor(d, [(V_columns[t - 1], 1, g[t - 1]) for t in columns], self.matrix.den,
+                            [[r[t - 1] for t in columns] for r in T], D, [texts[t - 1] for t in columns], start)
 
     def reframe(self, d: SkewDiagram, C: list[tuple[int, ...]]) -> "PointV":
-        """The point of d with V's frame C (``cut_columns``) at I_mu(d), V's column t at each t off it.  Frame
-        column i is x_i / q_i, x_i = sum_r C_ri v_{b_r} / g_{b_r}, q_i = C_ii / g_{b_i}.  With h_i the content
-        of x_i the basis is B C diag(h)^-1, so the chart's column t is h C^-1 T[:, t] / D over D_R = |D| prod C_ii
-        / prod h: forward substitution on the integral prod C_ii C^-1, each division exact (else InvariantError).
-        G = gcd(den V.den, the scaled contents) puts the matrix in lowest terms; off the frame its texts are V's."""
+        """The point of d with V's frame C (``cut_columns``) at I_mu(d), V's column t at each t off it (``_factor``).
+        Frame column i is x_i / q_i, x_i = sum_r C_ri v_{b_r} / g_{b_r}, q_i = C_ii / g_{b_i}, all over their lcm.
+        With h_i the content of x_i the basis is B C diag(h)^-1, so the chart's column t is h C^-1 T[:, t] / D over
+        D_R = |D| prod C_ii / prod h: forward substitution on the integral prod C_ii C^-1, each division exact (else
+        InvariantError).  Off the frame its texts are V's."""
         T, D, _, g = self._memo["chart"]
-        B, k, I_R, V_columns = self.diagram.I_mu(), self.diagram.k, d.I_mu(), self._columns()
+        B, k, I_R, V_columns = self.diagram.I_mu(), self.diagram.k, d.I_mu(), list(zip(*self.matrix.num))
         p, x = [[(s, y // g[b - 1]) for s, y in enumerate(V_columns[b - 1]) if y] for b in B], [[0] * k for _ in C]
         for i, r in ((i, r) for i in range(k) for r in range(i, k) if C[i][r]):
             for s, y in p[r]:
@@ -187,11 +187,6 @@ class PointV:
         q, h = [c[i] // g[b - 1] for i, (c, b) in enumerate(zip(C, B))], [gcd(*v) for v in x]
         den, free = lcm(*q), [t for t in range(1, d.n + 1) if t not in I_R]
         at_frame = {t: (v, den // q_i, h_i) for t, v, q_i, h_i in zip(I_R, x, q, h)}  # column, scale, content
-        cols = [at_frame.get(t) or (V_columns[t - 1], den, g[t - 1]) for t in range(1, d.n + 1)]
-        G = gcd(den * self.matrix.den, *(s * h_t for _, s, h_t in cols))  # M's lowest terms, off its contents
-        M = RatMatrix._lowest(tuple(zip(*(v if s == G else [y * s // G for y in v] for v, s, _ in cols))),
-                              den * self.matrix.den // G)
-        contents = [h_t * s // G for _, s, h_t in cols]
         P, H = prod(c[i] for i, c in enumerate(C)), prod(h)
         (D_R, rem), sP = divmod(abs(D) * P, H), P if D > 0 else -P
         lower = [[(i, C[i][r]) for i in range(r) if C[i][r]] for r in range(k)]
@@ -206,9 +201,9 @@ class PointV:
                     rem |= e | f
         if rem:  # every entry of the chart is a minor of the new matrix, so this is a bug
             raise InvariantError("a derived chart entry is not an integer")
-        factor = PointV(d, M, self.seed, (R, D_R, [t - 1 for t in I_R], contents))
-        factor._memo["texts"] = [None if t in at_frame else text for t, text in enumerate(self._texts()[:d.n], 1)]
-        return factor
+        cols = [at_frame.get(t) or (V_columns[t - 1], den, g[t - 1]) for t in range(1, d.n + 1)]
+        texts = [None if t in at_frame else text for t, text in enumerate(self._texts()[:d.n], 1)]
+        return self._factor(d, cols, den * self.matrix.den, R, D_R, texts)
 
     def to_json(self) -> dict:
         return {
@@ -302,19 +297,21 @@ def _prefix_walk(chart, B: list[int], c: int, top: int, every_row: bool = False)
     at b_j is e_j, so Laplace expansion along the t_j = b_j (each at its own row j: no sign) leaves the block
     M_i = R[rows][t_j] of the j <= i with t_j != b_j, in order, where a t_j = b_r, r < j, is a unit column.  So
     the minor is m_i prod g_{t_j} / (D^|M_i| prod g_{b_j}), m_i the leading minor of T at M_i's rows and columns
-    (``_leading_minors``).  Yields (m_i, column, num, den), num / den the scale; column is the walk's column at
-    level i from row i down, carrying every row of T, if ``every_row`` and t_i != b_i, else None."""
+    (``_leading_minors``).  Yields (m_i, column, num, den), num / den the scale; if ``every_row``, column is the
+    walk's column at level i from row i down, carrying every row of T, and (m_i, 0, .., 0) where t_i = b_i (the
+    unit column e_i, M_i = M_{i-1}), else None."""
     T, D, _, g = chart
     rows = [j for j in range(top) if c + j < B[j]]
     block = [[row[c + j - 1] for j in rows] for row in (T if every_row else map(T.__getitem__, rows))]
     walk = _leading_minors(block, rows if every_row else range(len(rows)))
     m, num, den = 1, 1, 1
     for j in range(top):
-        column = None
         if c + j < B[j]:
             m, column = next(walk)
             num, den = num * g[c + j - 1], den * D * g[B[j] - 1]
-        yield m, column[j:] if every_row and column else None, num, den
+            yield m, column[j:] if every_row else None, num, den
+        else:
+            yield m, [m] + [0] * (len(T) - j - 1) if every_row else None, num, den
 
 
 def f_of_point(M: RatMatrix) -> BoundedAffinePermutation:
@@ -438,8 +435,8 @@ class BraidLabeling:
 
 def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram: each region V(a, i) is V's columns at its short label J(a, i), as they are."""
-    d = V.diagram
-    regions = tuple((box, tuple(map(V.column, d.short_label(*box)))) for box in d.boxes())
+    d, columns = V.diagram, (None, *zip(*V.matrix.num))  # columns[t]: column t of V's num, one tuple each
+    regions = tuple((box, tuple(map(columns.__getitem__, d.short_label(*box)))) for box in d.boxes())
     boundary = RatMatrix.from_columns([V.column(b) for b in d.I_mu()], V.matrix.den)
     right = RatMatrix.from_columns([V.column(t) for t in d.I_lambda()], V.matrix.den)
     torus = tuple((box, V.column_minors(box.a)[-1]) for box in d.ribbon().R1)

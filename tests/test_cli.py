@@ -543,3 +543,13 @@ class TestJsonText:
         the writer raises the same exception type, though a batch writes a column of records before
         the next record: json.dumps meets the Fraction of record 0 before the long int of record 1."""
         assert outcome(_json_text, doc) == outcome(lambda x: json.dumps(x, sort_keys=True, indent=2), doc)
+
+    def test_the_writers_error_stands_where_json_dumps_writes(self, monkeypatch):
+        """json.dumps runs on a failed document only to raise what it raises first; where it writes the
+        document, the writer's own error is re-raised as it was."""
+        def failing(doc, pad):
+            raise TypeError("the writer failed")
+
+        monkeypatch.setattr(cli, "_text", failing)
+        with pytest.raises(TypeError, match="^the writer failed$"):
+            _json_text({"a": [1, 2]})

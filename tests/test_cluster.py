@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -84,6 +85,19 @@ class TestQuiver:
         with pytest.raises(ValueError, match="2-cycle"):
             Quiver((b1, b2), frozenset(), (((b1, b2), 1), ((b2, b1), 1)))
 
+    def test_malformed_arrows_rejected(self):
+        """An arrow from or to a box that is not a vertex, an arrow listed twice and a multiplicity
+        below 1 are refused, each by its own text."""
+        b1, b2, b3 = BoxRef(1, 1), BoxRef(2, 1), BoxRef(3, 1)
+        for arrows, message in (
+            ((((b1, b3), 1),), f"arrow endpoint not a vertex: {b1} -> {b3}"),
+            ((((b3, b1), 1),), f"arrow endpoint not a vertex: {b3} -> {b1}"),
+            ((((b1, b2), 1), ((b1, b2), 2)), f"duplicate arrow entry {b1} -> {b2}"),
+            ((((b1, b2), 0),), "nonpositive multiplicity"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Quiver((b1, b2), frozenset(), arrows)
+
 
 class TestSeed:
     def test_frozen_values_nonzero(self, running):
@@ -108,6 +122,13 @@ class TestSeed:
         s = seed_at(V)
         for b in running.ribbon().R1:
             assert s.value(b) == 1
+
+    def test_values_must_cover_the_vertices(self, running):
+        """A seed with a vertex missing, or with a box that is not a vertex, is refused."""
+        s = seed_at(sample(running, seed=3))
+        for values in (s.values[1:], s.values + ((BoxRef(99, 1), Fraction(1)),)):
+            with pytest.raises(ValueError, match="^seed values must cover exactly the quiver vertices$"):
+                Seed(s.quiver, values)
 
     def test_value_lookup_stays_out_of_eq_hash_and_repr(self, running):
         s = seed_at(sample(running, seed=3))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -42,6 +44,20 @@ class TestPartitionValidation:
     def test_mu_not_contained(self):
         with pytest.raises(ValueError, match="row 2"):
             SkewDiagram(6, 2, Partition((2, 1)), Partition((2, 2)))
+
+    def test_negative_part(self):
+        with pytest.raises(ValueError, match=r"^negative part in \(2, -1\)$"):
+            Partition((2, -1, 0))
+
+    @pytest.mark.parametrize("n, k, lam, message", [
+        (3, 0, (), "need 0 < k <= n, got k=0, n=3"),
+        (3, 4, (), "need 0 < k <= n, got k=4, n=3"),
+        (5, 2, (1, 1, 1), "lambda has more than k=2 parts: (1, 1, 1)"),
+        (5, 2, (4,), "lambda_1=4 exceeds n-k=3"),
+    ], ids=["k-zero", "k-above-n", "lambda-too-long", "lambda-too-wide"])
+    def test_diagram_outside_the_box(self, n, k, lam, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SkewDiagram(n, k, Partition(lam), Partition())
 
 
 @st.composite

@@ -498,7 +498,7 @@ def test_splice_report_reads_no_minor_and_keeps_the_quivers(monkeypatch, n):
 
 def test_a_warm_report_takes_the_columns_and_texts_v_holds(monkeypatch):
     """A warm report at one cut of the splice benchmark's staircase(32) builds its factors' matrices from V's
-    kept integer columns, in lowest terms by gcds it already holds: no ``RatMatrix`` scan and no column copy.
+    integer columns, in lowest terms by gcds it already holds: no ``RatMatrix`` scan and no ``column`` call.
     Its JSON takes V's kept texts and formats only the right factor's k x k frame entries."""
     d = staircase(32)
     V, a = sample(d, seed=1), 5
@@ -716,6 +716,26 @@ def test_only_variety_reads_the_chart():
     assert loads == {("variety", "column_minors"), ("variety", "cut_columns"), ("variety", "restrict"),
                      ("variety", "reframe")}
     assert named["splicing"] & (chart | {"_memo"}) == set() and named["cluster"] & chart == set()
+
+
+def test_one_builder_for_a_cuts_factors():
+    """A cut's two factors come off one builder: in variety only ``PointV._factor`` calls ``RatMatrix._lowest``
+    and stores a factor's ``_memo["texts"]``, each once, and ``cut_columns`` solves every frame level by one
+    formula, with no branch on a missing column (``_prefix_walk`` yields a unit level's column as (m, 0, .., 0))."""
+    tree = ast.parse(Path(skewpos.variety.__file__).read_text())
+    functions = [fn for node in tree.body for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
+                 if isinstance(fn, ast.FunctionDef)]
+
+    def sites(match):
+        return [fn.name for fn in functions for n in ast.walk(fn) if match(n)]
+
+    lowest = sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "_lowest")
+    texts = sites(lambda n: isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Attribute) and n.value.attr == "_memo"
+                  and isinstance(n.slice, ast.Constant) and n.slice.value == "texts")
+    none_tests = sites(lambda n: isinstance(n, ast.Compare) and any(isinstance(c, ast.Constant) and c.value is None
+                                                                     for c in n.comparators))
+    assert lowest == ["_factor"] and texts == ["_factor"] and "cut_columns" not in none_tests
 
 
 def test_flags_are_the_bases_that_span_them():

@@ -193,6 +193,11 @@ class TestRatMatrixEntries:
         with pytest.raises(ValueError):
             RatMatrix(num, den)
 
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_column_out_of_range(self, j):
+        with pytest.raises(IndexError, match=f"^column {j} out of range 1..2$"):
+            RatMatrix(((1, 2),)).column(j)
+
     def test_ragged_rationals(self):
         with pytest.raises(ValueError, match="ragged"):
             RatMatrix.from_rationals([[1, "1/2"], [3]])

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from skewpos import (
     w_grassmannian,
     w_skew,
 )
+from skewpos.diagram import InvariantError
 from skewpos.permutations import (
     BoundedAffinePermutation,
     GrassmannNecklace,
@@ -60,6 +62,17 @@ class TestNecklace:
         with pytest.raises(ValueError):
             GrassmannNecklace(4, 2, ((1, 2), (3, 4), (1, 2), (1, 2)))
 
+    @pytest.mark.parametrize("entries, message", [
+        (((1, 2), (2, 3), (3, 4)), "expected 4 entries, got 3"),
+        (((1, 2), (2, 3), (3,), (4, 1)), "entry (3,) is not a k-subset of [n]"),
+        (((1, 2), (2, 3), (3, 5), (4, 1)), "entry (3, 5) is not a k-subset of [n]"),
+        (((0, 2), (2, 3), (3, 4), (4, 1)), "entry (0, 2) is not a k-subset of [n]"),
+        (((1, 2), (2, 3), (3, 4), (1, 3)), "exchange condition fails at i=1"),
+    ], ids=["entry-count", "short-entry", "entry-above-n", "entry-below-1", "exchange"])
+    def test_necklace_validation(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GrassmannNecklace(4, 2, entries)
+
 
 class TestBaf:
     def test_running_values(self, running):
@@ -89,6 +102,8 @@ class TestBaf:
             BoundedAffinePermutation(4, 2, (1, 5, 3, 8))
         with pytest.raises(ValueError, match="equal k"):
             BoundedAffinePermutation(4, 2, (5, 6, 7, 4))
+        with pytest.raises(ValueError, match="^window must have length n$"):
+            BoundedAffinePermutation(4, 2, (5, 6, 3))
         BoundedAffinePermutation(4, 2, (5, 6, 3, 4))
 
     def test_affine_extension(self, running):
@@ -157,6 +172,11 @@ class TestGrassmannianPermutations:
         w = w_grassmannian(d.lam, d.n, d.k)
         assert len(w.word) == d.k * (d.n - d.k) - d.lam.size()
 
+    @pytest.mark.parametrize("parts", [(4,), (1, 1, 1, 1)])
+    def test_partition_outside_the_box_rejected(self, parts):
+        with pytest.raises(ValueError, match=r"^partition does not fit in the k x \(n-k\) box$"):
+            w_grassmannian(Partition(parts), 6, 3)
+
     def test_grassmannian_windows(self, running):
         w = w_grassmannian(running.lam, 12, 5).perm
         assert list(w[:5]) == sorted(w[:5]) and list(w[5:]) == sorted(w[5:])
@@ -173,6 +193,14 @@ class TestGrassmannianPermutations:
 class TestWSkew:
     def test_running_length(self, running):
         assert w_skew(running).length() == 23 - 8
+
+    def test_lengths_that_do_not_add_are_refused(self, running, monkeypatch):
+        """A diagram whose size disagrees with the length of its word fails the length-additive check,
+        which raises explicitly, so also under ``python -O``."""
+        size = SkewDiagram.size
+        monkeypatch.setattr(SkewDiagram, "size", lambda d: size(d) + 1)
+        with pytest.raises(InvariantError, match="^length-additive factorization failed$"):
+            w_skew(running)
 
     def test_empty_skew_identity(self):
         d = SkewDiagram(8, 3, Partition((3, 1)), Partition((3, 1)))
@@ -239,3 +267,8 @@ class TestPermWord:
     def test_wrong_word_rejected(self):
         with pytest.raises(ValueError):
             PermWord((2, 1, 3), (2,))
+
+    @pytest.mark.parametrize("perm", [(1, 1, 3), (0, 1, 2), (2, 3, 4)])
+    def test_not_a_permutation_rejected(self, perm):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not a permutation of [n]: {perm}')}$"):
+            PermWord(perm)

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,37 @@ class TestFailureMessages:
         with pytest.raises(InvariantError) as exc:
             verify_trips(running)
         assert str(exc.value) == message
+
+
+class TestCrossChecks:
+    """Each cross-check of ``verify_trips`` against the diagram raises its own InvariantError, explicitly, so
+    also under ``python -O``, and ``verify --only plabic`` reports it as a failed plabic check with exit 1."""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("trip_permutation", lambda out: ((out[0][1], out[0][0], *out[0][2:]), out[1]),
+         "trip permutation differs from the affine permutation"),
+        ("trip_permutation", lambda out: (out[0], {**out[1], 1: "clockwise"}),
+         "trip loop orientations differ from the fixed-point decorations"),
+        ("trips", lambda ts: (replace(ts[0], orientation="counterclockwise"), *ts[1:]),
+         "trip 1 is counterclockwise, against I_mu"),
+        ("mu_region_label", lambda label: label[1:], "mu-region label differs from I_mu"),
+    ], ids=["permutation", "decorations", "orientation", "mu-region"])
+    def test_each_check_fails_by_its_text(self, running, monkeypatch, capsys, name, edit, message):
+        real = getattr(plabic, name)
+        monkeypatch.setattr(plabic, name, lambda *args: edit(real(*args)))
+        assert trips(running)[0].orientation == "clockwise" and 1 not in running.I_mu()
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            verify_trips(running)
+        assert main(["verify", "--diagram", RUNNING, "--only", "plabic"]) == 1
+        (failure,) = json.loads(capsys.readouterr().out)["failures"]
+        assert (failure["check"], failure["detail"]) == ("plabic", message)
+
+    def test_boundary_path_must_end_at_the_nw_corner(self, running, monkeypatch):
+        """A boundary path with one vertical step too few ends off the NW corner (0, k)."""
+        labels = SkewDiagram.I_lambda
+        monkeypatch.setattr(SkewDiagram, "I_lambda", lambda d: labels(d)[:-1])
+        with pytest.raises(InvariantError, match=r"^boundary path ends at \(-1, 4\), not at \(0, 5\)$"):
+            _boundary_path(running)
 
 
 class TestNonTerminatingTrip:

@@ -644,6 +644,26 @@ class TestFactorChartOracle:
         assert outcomes == [("InvariantError", "right factor fails membership"),
                             ("ValueError", "Delta_{I_mu} != 1; use PointV.from_matrix to re-gauge")]
 
+    def test_an_inexact_chart_division_raises(self, monkeypatch):
+        """``reframe`` divides exactly on V's chart whatever the frame, since each entry it derives is a minor of
+        the factor's primitive columns.  With one entry of V's kept chart off by one, a division by the product of
+        the frame's contents leaves a remainder, and ``reframe`` raises explicitly, so also under ``python -O``."""
+        d, a = staircase(12), 2
+        W = gauged(sample(d, seed=1), det_one_matrix(random.Random(12), d.k))
+        right, C = d.cut(a)[1], W.cut_columns(a)
+        assert W.reframe(right, C) == right_point(W, a)
+        T, *rest = W._memo["chart"]
+        monkeypatch.setitem(W._memo, "chart", ([[T[0][0] + 1, *T[0][1:]], *T[1:]], *rest))
+        with pytest.raises(InvariantError, match="^a derived chart entry is not an integer$"):
+            W.reframe(right, C)
+
+    def test_right_diagram_must_carry_the_cut_labels(self, running, monkeypatch):
+        """A right diagram whose I_mu is not the cut's boundary labels is refused before its factor is built."""
+        V, cut = sample(running, seed=1), SkewDiagram.cut
+        monkeypatch.setattr(SkewDiagram, "cut", lambda d, a: cut(d, a + 1))
+        with pytest.raises(InvariantError, match="^cut boundary labels disagree with the right diagram$"):
+            right_point(V, 2)
+
     def test_off_pattern_chart_is_rejected_before_the_walk(self, monkeypatch, intro):
         """A derived chart with T[r][t] != 0 for a column t off I_mu after b_r says the greedy basis is
         not I_mu: the point is off its variety, and no necklace walk runs on that chart."""
@@ -661,9 +681,9 @@ class TestFactorChartOracle:
 
     def test_all_cuts_keep_the_levels_above_on_the_point(self, monkeypatch):
         """After every cut of V its memo holds the chart, the states of its necklace walk, the seed, the
-        cut levels above lambda_bar_a and the integer columns and texts its factors take, out of its eq, hash
-        and repr; the cuts resume V's walk and neither extend nor rewrite its states; a second sweep reads
-        only the walk up each column a on V."""
+        cut levels above lambda_bar_a and the texts its factors take, out of its eq, hash and repr; the cuts
+        resume V's walk and neither extend nor rewrite its states; a second sweep reads only the walk up each
+        column a on V."""
         d = staircase(20)
         V, W = sample(d, seed=1), sample(d, seed=1)
         h, text = hash(V), repr(V)
@@ -671,7 +691,7 @@ class TestFactorChartOracle:
         steps = list(V._memo["walk"])
         for a in columns:
             splice_report(V, a)
-        assert set(V._memo) == {"chart", "walk", "seed", "cut", "columns", "texts"} and set(W._memo) == {"chart", "walk"}
+        assert set(V._memo) == {"chart", "walk", "seed", "cut", "texts"} and set(W._memo) == {"chart", "walk"}
         assert V._memo["walk"] == steps == W._memo["walk"]  # the states of V's one walk, as it left them
         assert set(V._memo["cut"]) == {i for a in columns for i in range(d.lambda_bar[a] + 1, d.k + 1)}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == text

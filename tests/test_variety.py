@@ -230,6 +230,13 @@ class TestPointV:
         with pytest.raises(ValueError, match="re-gauge"):
             PointV(running, scaled)
 
+    def test_shape_mismatch_rejected(self, running):
+        """A matrix that is not k x n for the diagram is refused before any tableau."""
+        rows = sample(running, seed=2).matrix.num
+        for M in (RatMatrix(rows[:4]), RatMatrix(tuple(r[:11] for r in rows))):
+            with pytest.raises(ValueError, match="^matrix shape does not match the diagram$"):
+                PointV(running, M)
+
     def test_rank_deficient_rejected(self, running):
         """A matrix of rank < k is refused by its rank, not by the gauge: no re-gauge can mend it."""
         rows = qrows(sample(running, seed=9).matrix)
@@ -268,13 +275,13 @@ class TestPointV:
             PointV.from_matrix(running, dense)
 
     def test_memo_is_not_part_of_the_value(self, running):
-        """The chart and the states of the necklace walk (built with the point), and the seed, the integer
-        columns and their texts (on first use) stay out of its eq, hash and repr."""
+        """The chart and the states of the necklace walk (built with the point), and the seed and the texts of
+        its entries (on first use) stay out of its eq, hash and repr."""
         V, W = sample(running, seed=2), sample(running, seed=2)
         h, r = hash(V), repr(V)
         skewpos.seed_at(V)
         assert V.delta(running.I_lambda()) != 0 and V.to_json()
-        assert set(V._memo) == {"chart", "walk", "seed", "columns", "texts"} and set(W._memo) == {"chart", "walk"}
+        assert set(V._memo) == {"chart", "walk", "seed", "texts"} and set(W._memo) == {"chart", "walk"}
         assert V == W and hash(V) == hash(W) == h and repr(V) == repr(W) == r
         assert "_memo" not in r and set(replace(V, seed=3)._memo) == {"chart", "walk"}
 
