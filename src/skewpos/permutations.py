@@ -76,12 +76,12 @@ class GrassmannNecklace:
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.n:
             raise ValueError(f"expected {self.n} entries, got {len(entries)}")
-        for e in entries:
-            if len(e) != self.k or e and not 1 <= e[0] <= e[-1] <= self.n:  # e is sorted
+        sets = [set(e) for e in entries]  # one per entry, which the exchange conditions read too
+        for e, s in zip(entries, sets):
+            if len(e) != self.k or len(s) != self.k or e and not 1 <= e[0] <= e[-1] <= self.n:  # e is sorted
                 raise ValueError(f"entry {e} is not a k-subset of [n]")
         for i in range(1, self.n + 1):
-            prev = set(entries[i - 2])  # I_{i-1}, cyclically (i=1 -> I_n)
-            cur = set(entries[i - 1])
+            prev, cur = sets[i - 2], sets[i - 1]  # I_{i-1}, cyclically (i=1 -> I_n), and I_i
             if i not in cur:
                 if prev != cur:
                     raise ValueError(f"source condition fails at i={i}: {prev} vs {cur}")

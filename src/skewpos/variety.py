@@ -11,7 +11,7 @@ gauge check, zero-pattern test and walk.  The maps here translate a point into a
 diagram of the associated positive braid (regions, the boundary framing and right flag as the integer bases
 that span them, torus coordinates) and back, exactly; ``check_labeling`` tests the region conditions by rank
 and reads the framing and the right flag off one tableau of both bases, the right flag by the leading minors
-of its block, and ``xi`` reads its pinning minors off a chart of its own integer columns.
+of its block; ``xi`` and the R^1 slice of ``sample`` set the pinning minors by one routine, ``_pinned``.
 """
 
 from __future__ import annotations
@@ -345,9 +345,10 @@ _SAMPLE_ATTEMPTS = 32
 def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = False) -> PointV:
     """Random exact rational point of the variety, gauge v_{b_i} = e_i.
 
-    Columns b_i are set to e_i; each remaining column a+mu_bar_a is a random
-    integer combination of the columns strictly to its right within its
-    dependency window, redrawn (whole matrix) until it builds a PointV.
+    Columns b_i are set to e_i; each remaining column a+mu_bar_a is a random integer combination of the
+    columns strictly to its right within its dependency window, redrawn (whole matrix) until it builds a
+    PointV.  With ``normalize_r1``, the point of the R^1 slice: ``_pinned`` scales the drawn columns so that
+    every R^1 minor is 1, as ``xi`` does at a unit torus.
     """
     rng = random.Random(seed)
     n, k = d.n, d.k
@@ -363,32 +364,11 @@ def sample(d: SkewDiagram, seed: int, bound: int = 100, normalize_r1: bool = Fal
         except OffVariety as exc:
             off = exc
             continue
-        return _normalize_r1(point) if normalize_r1 else point
+        if not normalize_r1:
+            return point
+        ones = [(a, 1) for a in range(n - k, 0, -1) if d.mu_bar[a] < d.lambda_bar[a]]
+        return PointV(d, _pinned(d, [cols[t] for t in range(1, n + 1)], 1, ones), seed)
     raise RuntimeError(f"sampler failed after {_SAMPLE_ATTEMPTS} attempts (bound={bound})") from off
-
-
-def _normalize_r1(V: PointV) -> PointV:
-    """Rescale the free columns so that Delta_{I'(a, lambda_bar_a)} = 1 on R^1 boxes.
-    Column t becomes scale[t] times column t of V, so a minor is V's times the scales of its columns."""
-    d = V.diagram
-    scale = [Fraction(1)] * (d.n + 1)
-    for a in range(d.n - d.k, 0, -1):
-        if d.mu_bar[a] == d.lambda_bar[a]:
-            continue
-        J = d.long_label(a, d.lambda_bar[a])
-        val = V.column_minors(a)[-1]
-        for t in J:
-            val *= scale[t]
-        scale[a + d.mu_bar[a]] /= val
-    return PointV(d, _scaled_columns([V.column(t) for t in range(1, d.n + 1)], scale[1:], V.matrix.den), V.seed)
-
-
-def _scaled_columns(columns, scales, den: int) -> RatMatrix:
-    """The matrix whose j-th column is scales[j] times the integer column columns[j] over den,
-    over den times the lcm of the scales' denominators."""
-    m = lcm(*(c.denominator for c in scales))
-    return RatMatrix.from_columns(
-        [[x * (c.numerator * (m // c.denominator)) for x in v] for v, c in zip(columns, scales)], den * m)
 
 
 # -- the braid-variety dictionary ------------------------------------------------------
@@ -437,8 +417,8 @@ def omega(V: PointV) -> BraidLabeling:
     """Label the braid diagram: each region V(a, i) is V's columns at its short label J(a, i), as they are."""
     d, columns = V.diagram, (None, *zip(*V.matrix.num))  # columns[t]: column t of V's num, one tuple each
     regions = tuple((box, tuple(map(columns.__getitem__, d.short_label(*box)))) for box in d.boxes())
-    boundary = RatMatrix.from_columns([V.column(b) for b in d.I_mu()], V.matrix.den)
-    right = RatMatrix.from_columns([V.column(t) for t in d.I_lambda()], V.matrix.den)
+    boundary = RatMatrix.from_columns([columns[b] for b in d.I_mu()], V.matrix.den)
+    right = RatMatrix.from_columns([columns[t] for t in d.I_lambda()], V.matrix.den)
     torus = tuple((box, V.column_minors(box.a)[-1]) for box in d.ribbon().R1)
     labeling = BraidLabeling(d, regions, boundary, right, torus, V.seed)
     check_labeling(labeling)
@@ -518,14 +498,14 @@ def check_labeling(L: BraidLabeling) -> None:
 def xi(L: BraidLabeling) -> PointV:
     """Reconstruct the point from a braid labeling; exact inverse of omega.
 
-    Column t of the point is scale[t] times the integer vector cols[t] over the framing's
+    Column t of the point is a rational scale times the integer vector cols[t] over the framing's
     denominator: a framing column with scale 1, or the primitive vector x, leading entry positive,
-    of the line V(a, m+1) ^ span(f_{m+1}, .., f_k) in column a (m = mu_bar_a), scaled so that the
-    pinning minor is the torus value.  That line is the one dependency among the vectors s_j of
-    V(a, m+1) and the framing columns f_{m+1}, .., f_k: one tableau over them, in that order, leaves
-    one column c out of its basis, and x = sum_j T[row of s_j][c] s_j, made primitive, so x does not
-    depend on the basis of V(a, m+1) given.  The pinning minors come off one chart of all the columns,
-    pivoted at the framing (``_prefix_walk``); errors come as in one pass from column n - k down."""
+    of the line V(a, m+1) ^ span(f_{m+1}, .., f_k) in column a (m = mu_bar_a), scaled by ``_pinned``
+    so that the pinning minor is the torus value.  That line is the one dependency among the vectors
+    s_j of V(a, m+1) and the framing columns f_{m+1}, .., f_k: one tableau over them, in that order,
+    leaves one column c out of its basis, and x = sum_j T[row of s_j][c] s_j, made primitive, so x does
+    not depend on the basis of V(a, m+1) given.  Errors come as in one pass from column n - k down: the
+    lines right of a failing one are pinned first, then its error is raised."""
     d, F = L.diagram, L.boundary_basis
     k, n, B = d.k, d.n, d.I_mu()
     framing = [F.column(j) for j in range(1, k + 1)]
@@ -545,18 +525,27 @@ def xi(L: BraidLabeling) -> PointV:
             break
         cols[a + m] = tuple(y // (g if next(filter(None, x)) > 0 else -g) for y in x)
         lines.append(a)
-    columns = [cols.get(t, (0,) * k) for t in range(1, n + 1)]
-    T, D, basis, odd = _tableau(list(zip(*columns)), [b - 1 for b in B])
-    chart, scale = (T, D, basis, [1] * n), [Fraction(1)] * (n + 1)  # contents 1: the columns as they are
-    for a in lines:
-        J = d.long_label(a, d.lambda_bar[a])
-        # den^k times the minor at J with scale[a + mu_bar_a] still 1: det F times J's minor on the chart.  A
-        # singular F makes no chart, and the first pinning minor, x's coefficient at f_{m+1} times det F, is 0.
-        m_J, _, num, den = list(_prefix_walk(chart, B, a, d.lambda_bar[a]))[-1] if len(basis) == k else (0, 0, 0, 1)
-        current = Fraction((-D if odd else D) * m_J * num, den) * prod(scale[t] for t in J)
-        if current == 0:
-            raise ValueError(f"pinning minor vanishes at column {a}; labeling invalid")
-        scale[a + d.mu_bar[a]] = L.torus_value(a) * F.den ** k / current
+    M = _pinned(d, [cols.get(t, (0,) * k) for t in range(1, n + 1)], F.den, ((a, L.torus_value(a)) for a in lines))
     if error:
         raise error
-    return PointV(d, _scaled_columns(columns, scale[1:], F.den), L.seed)
+    return PointV(d, M, L.seed)
+
+
+def _pinned(d: SkewDiagram, columns, den: int, values) -> RatMatrix:
+    """The integer columns over den, column a + mu_bar_a scaled so that Delta_{I'(a, lambda_bar_a)} is the value,
+    for each (a, value) in turn.  The minors come off one chart of the columns as they are (contents 1), pivoted
+    at I_mu (``_prefix_walk``): den^k times J's minor is det of the columns at I_mu times J's minor on the chart,
+    times the scales set so far.  Dependent columns at I_mu make no chart, and the first pinning minor is 0."""
+    B, k = d.I_mu(), d.k
+    T, D, basis, odd = _tableau(list(zip(*columns)), [b - 1 for b in B])
+    chart, scale = (T, D, basis, [1] * d.n), [Fraction(1)] * (d.n + 1)
+    for a, value in values:
+        top = d.lambda_bar[a]
+        m_J, _, num, q = list(_prefix_walk(chart, B, a, top))[-1] if len(basis) == k else (0, 0, 0, 1)
+        current = Fraction((-D if odd else D) * m_J * num, q) * prod(scale[t] for t in d.long_label(a, top))
+        if current == 0:
+            raise ValueError(f"pinning minor vanishes at column {a}; labeling invalid")
+        scale[a + d.mu_bar[a]] = value * den ** k / current
+    m = lcm(*(c.denominator for c in scale[1:]))
+    return RatMatrix.from_columns([[x * (c.numerator * (m // c.denominator)) for x in v]
+                                   for v, c in zip(columns, scale[1:])], den * m)

@@ -677,6 +677,18 @@ def test_braid_dictionary_runs_on_integer_columns(counted):
     assert len(parsed) == 1
 
 
+def test_one_pinning_routine(counted):
+    """``xi`` and the R^1 slice of ``sample`` set torus values by one routine, ``_pinned``: the slice runs three
+    k x n tableaux (the draw's point, the pin chart pivoted at I_mu, the pinned point's), and no module of src/
+    binds the pinning loop it replaced, ``_normalize_r1``, or its scaler ``_scaled_columns``."""
+    d = staircase(20)
+    tableaux = counted(_tableau)
+    V = sample(d, 1, normalize_r1=True)
+    assert [(len(rows), len(rows[0])) for rows, _ in tableaux] == [(d.k, d.n)] * 3
+    assert list(tableaux[1][1]) == [b - 1 for b in d.I_mu()] and V == xi(omega(V))
+    assert bindings({"_normalize_r1", "_scaled_columns"}) == []
+
+
 def test_src_has_no_assert():
     """``assert`` vanishes under ``python -O``; invariants raise InvariantError instead."""
     found = []
@@ -696,7 +708,8 @@ def test_only_variety_reads_the_chart():
     ``_leading_minors``, no module but variety reads ``_memo["chart"]``, splicing keeps nothing in a
     ``_memo``, and within variety only the two column readers ``column_minors`` and ``cut_columns``
     and the two factor builders that derive a chart from V's, ``restrict`` and ``reframe``, load the
-    chart (``__post_init__`` stores it; ``xi`` hands the walk a chart of its own)."""
+    chart (``__post_init__`` stores it; ``_pinned``, for ``xi`` and the R^1 slice, hands the walk a chart
+    of its own)."""
 
     def is_chart(n):
         return (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute) and n.value.attr == "_memo"
@@ -747,6 +760,12 @@ def test_flags_are_the_bases_that_span_them():
     themselves, tested by rank, replaced, or Bareiss's determinant ``det``, which the walk down a chart
     block (``_leading_minors``) and +-D of one tableau replaced."""
     names = ("FlagK", "intersect", "transversal", "Subspace", "_echelon", "_primitive", "flag", "det")
+    assert bindings(names) == []
+    assert set(names) & set(skewpos.__all__) == set()
+
+
+def bindings(names) -> list[str]:
+    """Where a module of src/ defines, imports or reads one of the names, and each loaded module that has one."""
     found = []
     for path in sorted(Path(skewpos.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -754,10 +773,8 @@ def test_flags_are_the_bases_that_span_them():
                     else node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None)
             if name in names:
                 found.append(f"{path.name}:{node.lineno} {name}")
-    assert found == []
-    assert [(module, name) for module, m in sys.modules.items() if module.startswith("skewpos")
-            for name in names if hasattr(m, name)] == []
-    assert set(names) & set(skewpos.__all__) == set()
+    return found + [f"{module}.{name}" for module, m in sys.modules.items() if module.startswith("skewpos")
+                    for name in names if hasattr(m, name)]
 
 
 def test_mutation_and_the_necklace_by_their_closed_forms():

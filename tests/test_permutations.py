@@ -62,16 +62,19 @@ class TestNecklace:
         with pytest.raises(ValueError):
             GrassmannNecklace(4, 2, ((1, 2), (3, 4), (1, 2), (1, 2)))
 
-    @pytest.mark.parametrize("entries, message", [
-        (((1, 2), (2, 3), (3, 4)), "expected 4 entries, got 3"),
-        (((1, 2), (2, 3), (3,), (4, 1)), "entry (3,) is not a k-subset of [n]"),
-        (((1, 2), (2, 3), (3, 5), (4, 1)), "entry (3, 5) is not a k-subset of [n]"),
-        (((0, 2), (2, 3), (3, 4), (4, 1)), "entry (0, 2) is not a k-subset of [n]"),
-        (((1, 2), (2, 3), (3, 4), (1, 3)), "exchange condition fails at i=1"),
-    ], ids=["entry-count", "short-entry", "entry-above-n", "entry-below-1", "exchange"])
-    def test_necklace_validation(self, entries, message):
+    @pytest.mark.parametrize("n, entries, message", [
+        (4, ((1, 2), (2, 3), (3, 4)), "expected 4 entries, got 3"),
+        (4, ((1, 2), (2, 3), (3,), (4, 1)), "entry (3,) is not a k-subset of [n]"),
+        (4, ((1, 2), (2, 3), (3, 5), (4, 1)), "entry (3, 5) is not a k-subset of [n]"),
+        (4, ((0, 2), (2, 3), (3, 4), (4, 1)), "entry (0, 2) is not a k-subset of [n]"),
+        (4, ((1, 2), (2, 3), (3, 4), (1, 3)), "exchange condition fails at i=1"),
+        # k elements with a repeat, where every exchange condition holds on the sets
+        (4, ((1, 1),) * 4, "entry (1, 1) is not a k-subset of [n]"),
+        (2, ((1, 1), (1, 1)), "entry (1, 1) is not a k-subset of [n]"),
+    ], ids=["entry-count", "short-entry", "entry-above-n", "entry-below-1", "exchange", "repeat-n4", "repeat-n2"])
+    def test_necklace_validation(self, n, entries, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            GrassmannNecklace(4, 2, entries)
+            GrassmannNecklace(n, 2, entries)
 
 
 class TestBaf:

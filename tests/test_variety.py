@@ -27,7 +27,7 @@ from skewpos import (
 )
 from skewpos import variety
 from skewpos.linalg import RatMatrix, _tableau
-from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, _normalize_r1, check_labeling
+from skewpos.variety import BraidLabeling, OffVariety, PointV, _necklace_tableau, check_labeling
 
 from conftest import (
     Subspace,
@@ -53,6 +53,11 @@ from conftest import (
     zassenhaus,
     zero_vector,
 )
+
+
+def unit_torus(L):
+    """The labeling L with every torus coordinate 1: xi of it is the point of the R^1 slice."""
+    return replace(L, torus=tuple((box, Fraction(1)) for box, _ in L.torus))
 
 
 def identity_block(k, n):
@@ -201,10 +206,34 @@ class TestSample:
         assert isinstance(info.value.__cause__, OffVariety)
 
     def test_normalize_r1(self, running):
+        """On the running diagram, every non-empty diagram with n <= 6 and the staircases at n = 12, 20, 32:
+        the R^1 slice has every R^1 minor 1 (by ``PointV.delta``, which shares no code with ``_pinned``), each
+        column is the unnormalized draw's times a nonzero rational, 1 off the columns a + mu_bar_a, and xi at a
+        unit torus gives the same point.  The same facts hold for xi at a unit torus in a det_one_matrix gauge."""
         V = sample(running, seed=6, normalize_r1=True)
         for box in running.ribbon().R1:
             assert V.delta(running.long_label(box.a, box.i)) == 1
         assert membership(V.matrix, running)
+        diagrams = [d for d in all_skew_diagrams(6) if d.size()]
+        assert len(diagrams) == 498
+        for t, d in enumerate(diagrams + [running] + [staircase(n) for n in (12, 20, 32)]):
+            V = sample(d, seed=t)
+            N = sample(d, seed=t, normalize_r1=True)
+            assert xi(unit_torus(omega(V))) == N
+            self.check_r1_slice(N, V)
+            W = gauged(V, det_one_matrix(random.Random(t), d.k))
+            self.check_r1_slice(xi(unit_torus(omega(W))), W)
+
+    @staticmethod
+    def check_r1_slice(N, V):
+        """N is V's point of the R^1 slice: its R^1 minors are 1 and only the pinned columns are rescaled."""
+        d = V.diagram
+        pinned = {a + d.mu_bar[a] for a in range(1, d.n - d.k + 1) if d.mu_bar[a] < d.lambda_bar[a]}
+        assert [N.delta(d.long_label(box.a, box.i)) for box in d.ribbon().R1] == [1] * len(pinned), d
+        for t in range(1, d.n + 1):
+            u, v = qcol(N, t), qcol(V, t)
+            c = next((x / y for x, y in zip(u, v) if y), Fraction(1)) if t in pinned else Fraction(1)
+            assert c != 0 and u == vec_scale(c, v), (d, t)
 
     @given(skew_diagrams())
     @settings(max_examples=40, deadline=None)
@@ -286,10 +315,10 @@ class TestPointV:
         assert "_memo" not in r and set(replace(V, seed=3)._memo) == {"chart", "walk"}
 
     def test_json_roundtrip(self, running):
-        """Over den = 1 and over a den > 1 with zero entries (the R^1 normalization), each entry is the
+        """Over den = 1 and over a den > 1 with zero entries (the R^1 slice), each entry is the
         text ``str`` writes of its Fraction, and the JSON reads back to the point."""
         V = sample(running, seed=2)
-        W = _normalize_r1(V)
+        W = sample(running, seed=2, normalize_r1=True)
         assert V.matrix.den == 1 < W.matrix.den and 0 in W.matrix.num[0]
         for P in (V, W):
             assert P.to_json()["matrix"] == [[str(x) for x in row] for row in qrows(P.matrix)]
@@ -546,11 +575,11 @@ class TestXi:
     @pytest.mark.parametrize("n", [20, 32])
     def test_roundtrip_in_a_nonidentity_gauge(self, n):
         """W = g V with det g = 1: the framing is g, not the identity, and W has a denominator;
-        both directions hold on W and on W with its R^1 minors normalized."""
+        both directions hold on W and on W at a unit torus (its R^1 minors normalized)."""
         d = staircase(n)
         W = gauged(sample(d, seed=1), det_one_matrix(random.Random(n), d.k))
         assert W.matrix.den > 1 and any(qcol(W, b) != unit_vector(d.k, j) for j, b in enumerate(d.I_mu(), start=1))
-        for P in (W, _normalize_r1(W)):
+        for P in (W, xi(unit_torus(omega(W)))):
             L = omega(P)
             assert xi(L) == P
             assert omega(xi(L)) == L
@@ -594,11 +623,11 @@ class TestXi:
     def test_unit_torus_gives_r1_slice(self, running):
         V = sample(running, seed=22)
         L = omega(V)
-        W = xi(replace(L, torus=tuple((box, Fraction(1)) for box, _ in L.torus)))
+        W = xi(unit_torus(L))
         assert membership(W.matrix, running)
         for box in running.ribbon().R1:
             assert W.delta(running.long_label(box.a, box.i)) == 1
-        assert W.matrix == _normalize_r1(V).matrix
+        assert W.matrix == sample(running, seed=22, normalize_r1=True).matrix
 
     def test_perturb_torus_column_one(self, running):
         V = sample(running, seed=25)
@@ -626,9 +655,9 @@ class TestLineOracle:
 
     @pytest.fixture
     def lines(self, monkeypatch):
-        """The integer columns that each xi call hands to ``_scaled_columns``, before scaling."""
-        read, scaled = [], variety._scaled_columns
-        monkeypatch.setattr(variety, "_scaled_columns", lambda cols, *rest: read.append(cols) or scaled(cols, *rest))
+        """The integer columns that each xi call hands to ``_pinned``, before scaling."""
+        read, pinned = [], variety._pinned
+        monkeypatch.setattr(variety, "_pinned", lambda d, cols, *rest: read.append(cols) or pinned(d, cols, *rest))
         return read
 
     @staticmethod
