@@ -1,6 +1,6 @@
 """Skew shaped positroid varieties: combinatorics, exact points, splicing."""
 
-from .braid import BraidWord, beta, cut_braid
+from .braid import BraidWord, beta
 from .cluster import Quiver, Seed, exchange_products, mutate, quiver, seed_at
 from .diagram import BoxRef, InvariantError, Partition, RibbonDecomposition, SkewDiagram
 from .linalg import RatMatrix
@@ -34,14 +34,13 @@ from .variety import (
     PointV,
     f_of_point,
     membership,
-    necklace_of_point,
     omega,
     sample,
     xi,
 )
 
 __all__ = [
-    "BraidWord", "beta", "cut_braid",
+    "BraidWord", "beta",
     "Quiver", "Seed", "exchange_products", "mutate", "quiver", "seed_at",
     "BoxRef", "InvariantError", "Partition", "RibbonDecomposition", "SkewDiagram",
     "RatMatrix",
@@ -50,6 +49,5 @@ __all__ = [
     "LatticeTrip", "source_labels", "trip", "trip_permutation", "trips",
     "Cut", "OffChart", "in_U_a", "left_point", "phi", "right_point", "splice_report",
     "verify_exchange_ratios", "verify_minor_scaling",
-    "BraidLabeling", "OffVariety", "PointV", "f_of_point", "membership", "necklace_of_point", "omega",
-    "sample", "xi",
+    "BraidLabeling", "OffVariety", "PointV", "f_of_point", "membership", "omega", "sample", "xi",
 ]

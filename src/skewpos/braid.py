@@ -43,12 +43,6 @@ def beta(d: SkewDiagram) -> tuple[BraidWord, tuple[tuple[int, ...], ...]]:
     return BraidWord(d.k, tuple(s for run in columns for s in run)), columns
 
 
-def cut_braid(d: SkewDiagram, a: int) -> tuple[BraidWord, BraidWord]:
-    """Braids of the two halves of cut(d, a); their concatenation is beta(d)."""
-    left, right = d.cut(a)
-    return beta(left)[0], beta(right)[0]
-
-
 def render(columns) -> str:
     """Plain text like "s4 s3 | s3 s2 | ..." with per-column separators; empty runs are skipped."""
     return " | ".join(" ".join(f"s{s}" for s in run) for run in columns if run)

@@ -25,7 +25,7 @@ from math import gcd, lcm, prod
 
 from .diagram import BoxRef, InvariantError, SkewDiagram, json_key
 from .linalg import RatMatrix, _leading_minors, _pivot, _tableau, quotient_to_str
-from .permutations import BoundedAffinePermutation, GrassmannNecklace, baf, baf_to_necklace
+from .permutations import BoundedAffinePermutation, baf
 
 
 class OffVariety(ValueError):
@@ -35,13 +35,13 @@ class OffVariety(ValueError):
 @dataclass(frozen=True)
 class PointV:
     """Point of the variety of its diagram, with the gauge Delta_{I_mu} = 1: construction takes the tableau
-    of the matrix pivoted at I_mu first, or a chart the caller already holds (``_chart``: a cut's factor's,
-    derived from V's by ``_factor``, or ``from_matrix``'s, its re-gauged rows), and on either runs one sequence of
-    checks: the gauge, then the greedy basis I_mu by T's zero pattern and f by the necklace walk (raising
-    OffVariety off the variety; a left factor resumes V's walk, ``_start``).  It keeps the chart, which
-    ``column_minors`` and ``cut_columns`` read in walks up a column.  ``_memo`` keeps what is computed once per
-    point: the chart, the states of its walk for ``restrict`` (None on a given chart), and on first use the seed
-    (``cluster.seed_at``), the cut columns above lambda_bar_a and the entries' texts (a factor's start as V's)."""
+    of the matrix pivoted at I_mu first, or a cut's factor's chart, derived from V's (``_chart``, given by
+    ``_factor`` alone), and on either runs one sequence of checks: the gauge, then the greedy basis I_mu by T's
+    zero pattern and f by the necklace walk (raising OffVariety off the variety; a left factor resumes V's walk,
+    ``_start``).  It keeps the chart, which ``column_minors`` and ``cut_columns`` read in walks up a column.
+    ``_memo`` keeps what is computed once per point: the chart, the walk states a left factor resumes from
+    (``restrict``; None on a factor's chart), and on first use the seed (``cluster.seed_at``), the cut columns
+    above lambda_bar_a and the entries' texts (a factor's start as V's)."""
 
     diagram: SkewDiagram
     matrix: RatMatrix
@@ -69,22 +69,20 @@ class PointV:
         # On the variety that matroid is the skew shaped positroid, a lattice path matroid whose
         # bases are the k-sets Gale-between I_lambda and I_mu (Bonin, de Mier and Noy, JCTA 104
         # (2003)), so the greedy basis is I_mu: on T, pivoted at I_mu, iff T[r][t] = 0 for b_r < t.
-        steps = self._memo["walk"] = [] if _chart is None else None  # V's, for ``restrict``; a factor's: none
+        steps = self._memo["walk"] = [] if _chart is None else None  # a fresh point's, for ``restrict``
         if any(any(r[b + 1:]) for r, b in zip(T, basis)) or _walk(T, D, basis, d.n, _start, steps) != baf(d).window:
             raise OffVariety("point does not lie on the variety of its diagram")
         self._memo["chart"] = T, D, basis, g
 
     @classmethod
     def from_matrix(cls, d: SkewDiagram, M: RatMatrix, seed: int | None = None) -> "PointV":
-        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i: B^-1 M = T / D
-        for the tableau pivoted at I_mu.  That matrix is its own chart: its primitive column at b_i is e_i,
-        so its tableau pivoted at I_mu is its primitive rows, D = 1."""
+        """Accept any rank-k representative and re-gauge so that v_{b_i} = e_i: B^-1 M = T / D for the
+        tableau pivoted at I_mu.  The constructor builds that point as any other (its chart takes k pivots on
+        the unit columns at I_mu), so it records the walk states its left factors resume from."""
         T, D, basis, _ = _tableau(M.num, [b - 1 for b in d.I_mu()])
         if len(basis) < M.nrows:
             raise ValueError("columns at I_mu are dependent; not a point of the variety")
-        N = RatMatrix(T, D) if D > 0 else RatMatrix([[-x for x in r] for r in T], -D)
-        rows, g = _primitive_columns(N)
-        return cls(d, N, seed, (rows, 1, basis, g))
+        return cls(d, RatMatrix(T, D) if D > 0 else RatMatrix([[-x for x in r] for r in T], -D), seed)
 
     def column(self, t: int) -> tuple[int, ...]:
         """Column t of ``matrix.num``, any integer t, with the cyclic extension v_{t+n} = (-1)^{k-1} v_t."""
@@ -157,17 +155,19 @@ class PointV:
         (``_factor``): its tableau pivoted at I_mu pivots as V's, so its chart is that selection of V's T, with V's D,
         and its texts are V's.  Its necklace walk exchanges as V's on the same rows cut to ``columns`` (a row's first
         nonzero entry in the walk's order is the same where it lies in a kept column), so it resumes V's at the state
-        before V's first exchange that enters a column it drops, or V's last, relabeled with the window entries of
-        V's steps above it (``_walk``); if V recorded no state, from the top."""
+        before V's first exchange that enters a column it drops (``_walk`` records those), relabeled with the window
+        entries of V's steps above it; if there is none, every step is shared: it takes V's whole window, relabeled,
+        at top -1 and runs no exchange.  A factor records no states, so its own left factors walk from the top."""
         T, D, _, g = self._memo["chart"]
         n, new, steps, start = self.diagram.n, {t - 1: s for s, t in enumerate(columns)}, self._memo["walk"], None
-        if steps:
-            _, i, S, div, E, row_of = next((step for step in steps if step[0] not in new), steps[-1])
+        if steps is not None:
+            _, i, S, div, E, row_of = next((step for step in steps if step[0] not in new), (-1, -1, [], [], D, {}))
             window = [0] * d.n
             for p, v in enumerate(baf(self.diagram).window):  # V's entries of the steps before step i
                 if p in new and (v - 1) % n > i:
                     window[new[p]] = new[(v - 1) % n] + 1 + d.n * (v > n)
-            start = new[i], [[r[t - 1] for t in columns] for r in S], div, E, {new[c]: r for c, r in row_of.items()}, window
+            start = (new.get(i, -1), [[r[t - 1] for t in columns] for r in S], div, E,
+                     {new[c]: r for c, r in row_of.items()}, window)
         V_columns, texts = list(zip(*self.matrix.num)), self._texts()
         return self._factor(d, [(V_columns[t - 1], 1, g[t - 1]) for t in columns], self.matrix.den,
                             [[r[t - 1] for t in columns] for r in T], D, [texts[t - 1] for t in columns], start)
@@ -239,18 +239,12 @@ def _rational_rows(x) -> bool:
 # -- point invariants ---------------------------------------------------------------
 
 
-def _primitive_columns(M: RatMatrix) -> tuple[list[list[int]], list[int]]:
-    """M's integer rows with each column divided by its content g_t (0 for a zero column), and the contents."""
-    g = [gcd(*c) for c in zip(*M.num)]
-    return [[x // (h or 1) for x, h in zip(r, g)] for r in M.num], g
-
-
 def _necklace_tableau(M: RatMatrix, order) -> tuple[list[list[int]], int, list[int], bool, list[int]]:
     """``_tableau`` of M's columns made primitive, taken greedily in the 0-based ``order`` (``PointV``: the
     columns at I_mu first; ``f_of_point`` and ``membership``: from column n down to 1), and the contents g_t
-    of the columns: without them a common factor of a column would run through every minor of the tableau."""
-    rows, g = _primitive_columns(M)
-    return (*_tableau(rows, order), g)
+    of the columns (0 at a zero column): without them a common factor of a column would run through every minor."""
+    g = [gcd(*c) for c in zip(*M.num)]
+    return (*_tableau([[x // (h or 1) for x, h in zip(r, g)] for r in M.num], order), g)
 
 
 def _walk(T: list[list[int]], D: int, basis: list[int], n: int, start=None, steps=None) -> tuple[int, ...]:
@@ -267,8 +261,10 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int, start=None, step
     only the column of the current step leaves the basis, so that row is never read again.  It becomes
     a zero row, which ``_pivot`` skips (as ``_leading_minors`` retires its pivoted rows), and its
     column leaves ``row_of``.  A walk given ``start`` = (i, T, div, D, row_of, window), the state before
-    step i, runs from step i down in place of T, D and basis (``PointV.restrict``).  A list ``steps`` records
-    (j, i, T, div, D, row_of) before each exchange, copied shallow: ``_pivot`` replaces rows, never edits one.
+    step i, runs from step i down in place of T, D and basis (``PointV.restrict``; i = -1 runs no step).  A
+    list ``steps`` records (j, i, T, div, D, row_of), copied shallow (``_pivot`` replaces rows), before each
+    exchange with j < i: on the variety it enters a column a + mu_bar_a off I_mu, which a left factor may
+    drop; a wrap (j > i) enters a column of I_mu, which every left factor keeps.
     """
     top, T, div, D, row_of, window = start or (n - 1, T, [D] * len(T), D, {c: j for j, c in enumerate(basis)}, [0] * n)
     T, div, row_of, window, done = list(T), list(div), dict(row_of), list(window), [0] * n
@@ -280,9 +276,9 @@ def _walk(T: list[list[int]], D: int, basis: list[int], n: int, start=None, step
         row = T[r]
         j = next((j for j in chain(range(i - 1, -1, -1), range(n - 1, i, -1)) if row[j]), i)
         window[j] = i + 1 + n * (j >= i)
+        if j < i and steps is not None:
+            steps.append((j, i, list(T), list(div), D, {**row_of, i: r}))
         if j != i:
-            if steps is not None:
-                steps.append((j, i, list(T), list(div), D, {**row_of, i: r}))
             D = _pivot(T, r, j, D, div)
         if j < i:
             row_of[j] = r
@@ -329,11 +325,6 @@ def membership(M: RatMatrix, d: SkewDiagram) -> bool:
         return False
     T, D, basis, _, _ = _necklace_tableau(M, range(d.n - 1, -1, -1))
     return len(basis) == d.k and _walk(T, D, basis, d.n) == baf(d).window
-
-
-def necklace_of_point(M: RatMatrix) -> GrassmannNecklace:
-    """Gale-maximal nonvanishing k-subsets, read off f by the necklace-permutation bijection."""
-    return baf_to_necklace(f_of_point(M))
 
 
 # -- sampling -------------------------------------------------------------------------

@@ -217,6 +217,13 @@ def gauged(V, g):
     ))
 
 
+def other_gauge(V) -> RatMatrix:
+    """V's matrix with row 0 made 3 v_0 - v_1, over 7 den: the same point in a gauge where Delta_{I_mu} != 1,
+    which ``PointV.from_matrix`` re-gauges back to V."""
+    num = V.matrix.num
+    return RatMatrix((tuple(3 * x - y for x, y in zip(num[0], num[1])),) + num[1:], 7 * V.matrix.den)
+
+
 def intro_off_chart_point(seed_range=range(1, 40)):
     """A genuine point of the intro diagram outside the column-5 chart.
 
@@ -314,7 +321,7 @@ def transversal_oracle(F1, F2) -> bool:
 
 
 def necklace_entry_exhaustive(M, i: int) -> tuple[int, ...]:
-    """All-subsets oracle for one necklace entry (n <= ~12); checks necklace_of_point."""
+    """All-subsets oracle for one necklace entry (n <= ~12); checks baf_to_necklace(f_of_point(M))."""
     k, n = M.nrows, M.ncols
     start = (i % n) + 1
     keyed = [

@@ -14,7 +14,9 @@ from skewpos import (
     Partition,
     SkewDiagram,
     baf,
+    baf_to_necklace,
     beta,
+    f_of_point,
     in_U_a,
     membership,
     necklace,
@@ -171,9 +173,7 @@ def test_criterion_05():
         V = sample(d, seed=seed)
         assert membership(V.matrix, d)
         if d.n <= 10:
-            from skewpos import necklace_of_point
-
-            N = necklace_of_point(V.matrix)
+            N = baf_to_necklace(f_of_point(V.matrix))
             for i in range(1, d.n + 1):
                 assert N.entry(i) == necklace_entry_exhaustive(V.matrix, i)
             assert N.entries == necklace(d).entries

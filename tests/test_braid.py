@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from skewpos import BoxRef, Partition, SkewDiagram, beta, cut_braid
+from skewpos import BoxRef, Partition, SkewDiagram, beta
 from skewpos.braid import BraidWord, render
 
 from conftest import skew_diagrams
@@ -40,6 +40,12 @@ class TestBeta:
             assert box.i == letter
             assert d.contains_box(box.a, box.i)
             assert box.i < d.lambda_bar[box.a]  # never the top box of its column
+
+
+def cut_braid(d, a):
+    """The braids of the two halves of d.cut(a)."""
+    left, right = d.cut(a)
+    return beta(left)[0], beta(right)[0]
 
 
 class TestCutBraid:

@@ -31,7 +31,7 @@ from skewpos.splicing import _vanishing_chart_label, in_U_a, left_point
 from skewpos.variety import PointV, _walk, check_labeling, membership
 
 import conftest
-from conftest import Subspace, flag, right_point_minor_oracle, staircase, transversal, zassenhaus
+from conftest import Subspace, flag, other_gauge, right_point_minor_oracle, staircase, transversal, zassenhaus
 from test_cli import INTRO, RUNNING
 
 # sha256 of json.dumps(splice_report(sample(intro, seed=16), a), sort_keys=True)
@@ -235,8 +235,9 @@ def test_one_membership_per_matrix(counted, intro):
     """Membership (the necklace walk) runs where a point is built, on the tableau the point keeps
     as its chart: over all cuts of a sampled point, once per factor and never again on V.  The right
     factor walks from the top and the left one resumes V's walk (``PointV.restrict``): from one of the
-    states V's walk recorded, at a column the factor keeps, its rows cut to the factor's columns; neither
-    records states of its own."""
+    states V's walk recorded, at a column the factor keeps, its rows cut to the factor's columns, or, where
+    no recorded exchange enters a column the factor drops, at top -1 with no rows, which matches no recorded
+    state; neither records states of its own."""
     W = sample(intro, seed=16)
     columns = range(1, intro.n - intro.k + 1)
     factors = [P for a in columns for P in (Cut.at(W, a).left, Cut.at(W, a).right)]
@@ -253,6 +254,9 @@ def test_one_membership_per_matrix(counted, intro):
     for a, (*_, start, _) in zip(columns, calls[::2]):
         kept = [*intro.I_mu()[:intro.mu_bar[a]], *range(a + intro.mu_bar[a], intro.n + 1)]
         top, rows, div, D, row_of, _ = start
+        if top == -1:
+            assert (rows, div, row_of) == ([], [], {}) and all(j + 1 in kept for j, *_ in V._memo["walk"])
+            continue
         state = next(s for s in V._memo["walk"] if s[1] == kept[top] - 1)
         assert (rows, div, D) == ([[r[t - 1] for t in kept] for r in state[2]], state[3], state[4])
         assert row_of == {kept.index(c + 1): r for c, r in state[5].items()}
@@ -368,14 +372,14 @@ def test_a_point_runs_one_tableau_on_either_chart(counted, running):
     variety, and off it where the greedy basis is not I_mu and the gauge fails (the dense matrix of
     ``test_gauge_is_checked_before_the_variety``), with no second tableau to choose the error.  A point on
     a chart derived from V's (``restrict``, ``reframe``: both factors of every on-chart cut) runs none.
-    ``from_matrix`` runs the one tableau that re-gauges: the re-gauged matrix is its own chart."""
+    ``from_matrix`` runs two, each taking the columns at I_mu first: the one that re-gauges, and the
+    constructor's on the re-gauged matrix."""
     d = staircase(32)
     V = sample(d, seed=1)
     columns = [a for a in range(1, d.n - d.k + 1) if in_U_a(V, a)]
     rng = random.Random(3)
     dense = RatMatrix(tuple(tuple(rng.randint(1, 50) for _ in range(12)) for _ in range(5)))
-    num = V.matrix.num  # row 0 made 3 v_0 - v_1, over 7 den: the same point in another gauge
-    scaled = RatMatrix((tuple(3 * x - y for x, y in zip(num[0], num[1])),) + num[1:], 7 * V.matrix.den)
+    scaled = other_gauge(V)
     tableaux = counted(_tableau)
     assert PointV(d, V.matrix, V.seed) == V
     with pytest.raises(ValueError, match=r"^Delta_\{I_mu\} != 1"):
@@ -387,8 +391,8 @@ def test_a_point_runs_one_tableau_on_either_chart(counted, running):
     assert len([P for a in columns for P in (left_point(V, a), right_point(V, a))]) > 2 and tableaux == []
     W = PointV.from_matrix(d, scaled, V.seed)
     assert W == V and W._memo["chart"] == V._memo["chart"]
-    assert [(len(rows), len(rows[0]), list(order)) for rows, order in tableaux] == [
-        (d.k, d.n, [b - 1 for b in d.I_mu()])]
+    assert [(len(rows), len(rows[0]), list(order)[:d.k]) for rows, order in tableaux] == [
+        (d.k, d.n, [b - 1 for b in d.I_mu()])] * 2
 
 
 def test_only_the_necklace_walk_pivots_outside_linalg():
@@ -429,11 +433,27 @@ def test_the_necklace_walk_retires_the_rows_it_has_passed(monkeypatch, n, rewrit
 def test_the_left_factor_resumes_the_walk_of_v(monkeypatch, n):
     """The left factor at a = 5 of the seed-1 staircase point resumes V's walk at its first exchange that
     enters a column the factor drops, and runs 2 exchanges where a walk from the top ran 22, 46 and 94 at
-    n = 32, 64 and 128."""
-    V, exchanges, pivot = sample(staircase(n), seed=1), [], skewpos.variety._pivot
+    n = 32, 64 and 128; so does that of the same point built by ``PointV.from_matrix``."""
+    V = sample(staircase(n), seed=1)
+    W, exchanges, pivot = PointV.from_matrix(V.diagram, other_gauge(V), V.seed), [], skewpos.variety._pivot
     monkeypatch.setattr(skewpos.variety, "_pivot", lambda *args: exchanges.append(args[2]) or pivot(*args))
-    left_point(V, 5)
-    assert len(exchanges) == 2
+    for P in (V, W):
+        exchanges.clear()
+        left_point(P, 5)
+        assert len(exchanges) == 2
+
+
+@pytest.mark.parametrize("n, states", [(32, 14), (64, 26), (128, 50)])
+def test_v_records_only_the_states_a_cut_resumes_from(n, states):
+    """The walk that certifies the seed-1 staircase point records its state only before an exchange that
+    enters a column below the leaving one (j < i): those enter the columns a + mu_bar_a, one per non-empty
+    column, which a left factor may drop.  It records 14, 26 and 50 states at n = 32, 64 and 128, where
+    recording before every exchange kept 26, 50 and 98."""
+    d = staircase(n)
+    steps = sample(d, seed=1)._memo["walk"]
+    assert len(steps) == states and all(j < i for j, i, *_ in steps)
+    assert sorted(j + 1 for j, *_ in steps) == [
+        a + d.mu_bar[a] for a in range(1, d.n - d.k + 1) if d.mu_bar[a] < d.lambda_bar[a]]
 
 
 def test_verify_evaluates_each_chart_once(counted):
@@ -793,15 +813,15 @@ def test_mutation_and_the_necklace_by_their_closed_forms():
 # Public names with no caller in src/: each names an object of the paper and a test
 # checks a paper fact with it, or the benchmark reads it.
 UNCALLED_PUBLIC_NAMES = {
-    "braid.cut_braid": "beta(d) = beta(left) beta(right): test_braid::TestCutBraid",
     "diagram.SkewDiagram.tilde_label": "the short-label recursion: test_diagram::TestRecursions",
+    "permutations.baf_to_necklace": "the necklace-permutation bijection: test_permutations::TestBijection",
     "plabic.trip": "one trip of the figures: test_plabic::TestFigureTrips",
     "splicing.phi": "the splicing map lands in the product: test_splicing::TestWorkedExample",
     "splicing.in_U_a": "read by perfbench, which samples points on every column chart",
+    "variety.f_of_point": "f of a point, and its necklace: test_variety::TestFOfPoint and TestNecklaceOfPoint",
     "variety.PointV.delta": "the minor at any label: test_acceptance criteria 07 and 12, and the perfbench tracer",
     "variety.PointV.from_matrix": "re-gauges any representative: test_variety::TestPointV::test_regauge",
     "variety.membership": "the factors of a cut are on their varieties: test_acceptance, read by perfbench",
-    "variety.necklace_of_point": "the necklace of a point is that of its diagram: test_variety::TestNecklaceOfPoint",
 }
 
 

@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewpos import (
-    Cut, InvariantError, Partition, SkewDiagram, baf, f_of_point, in_U_a, necklace_of_point, omega, sample,
+    Cut, InvariantError, Partition, SkewDiagram, baf, baf_to_necklace, f_of_point, in_U_a, omega, sample,
 )
 from skewpos.linalg import RatMatrix, _leading_minors, _pivot, _tableau
 from skewpos.variety import _necklace_tableau, _walk, check_labeling
@@ -130,7 +130,7 @@ def test_necklace_walk_matches_both_oracles(M):
 def test_necklace_of_point_matches_exhaustive(M):
     """The necklace read off f by the bijection is the Gale-maximal nonvanishing subsets."""
     assume(len(echelon_oracle(qrows(M))) == M.nrows)
-    N = necklace_of_point(M)
+    N = baf_to_necklace(f_of_point(M))
     assert N.entries == tuple(necklace_entry_exhaustive(M, i) for i in range(1, M.ncols + 1))
 
 

@@ -4,7 +4,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +37,7 @@ from skewpos import (
 from skewpos.cli import main, random_diagram, subseed
 from skewpos.linalg import RatMatrix, quotient_to_str, ratio_to_str
 from skewpos.splicing import _vanishing_chart_label
-from skewpos.variety import OffVariety, PointV, _necklace_tableau, _primitive_columns, _walk
+from skewpos.variety import OffVariety, PointV, _necklace_tableau, _walk
 
 from conftest import (
     A_factor_oracle,
@@ -59,6 +59,7 @@ from conftest import (
     intro_off_chart_point,
     left_point_oracle,
     minor,
+    other_gauge,
     qcol,
     qrows,
     region,
@@ -724,7 +725,7 @@ class TestFactorMatrixOracle:
                 fresh = RatMatrix(P.matrix.num, P.matrix.den)
                 assert (P.matrix.num, P.matrix.den) == (fresh.num, fresh.den), (d, a)
                 assert all(type(r) is tuple for r in P.matrix.num), (d, a)
-                assert P._memo["chart"][3] == _primitive_columns(P.matrix)[1], (d, a)
+                assert P._memo["chart"][3] == [gcd(*c) for c in zip(*P.matrix.num)], (d, a)
                 assert P.to_json()["matrix"] == entry_texts(P.matrix), (d, a)
             count += 1
         return count
@@ -748,8 +749,9 @@ class TestFactorMatrixOracle:
 
 class TestResumedWalkOracle:
     """The left factor's necklace walk resumes V's (``PointV.restrict``) at the first exchange that enters a
-    column the factor drops: the window it ends with equals the full walk (``_walk``) and the eager walk
-    (``walk_oracle``) on the factor's own chart."""
+    column the factor drops, or, where there is none, takes V's whole window and runs no exchange: the window
+    it ends with equals the full walk (``_walk``) and the eager walk (``walk_oracle``) on the factor's own
+    chart."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -760,8 +762,8 @@ class TestResumedWalkOracle:
 
     @staticmethod
     def lefts(V, walks, columns=None) -> tuple[int, int]:
-        """(cuts, resumed walks) over the on-chart cuts of V at ``columns`` (default all); V's walk resumes
-        unless it made no exchange."""
+        """(cuts, resumed walks) over the on-chart cuts of V at ``columns`` (default all); every left factor of a
+        point built from its matrix resumes V's walk, and none of a factor's."""
         d, cuts, resumed = V.diagram, 0, 0
         for a in columns or range(1, d.n - d.k + 1):
             if not in_U_a(V, a):
@@ -769,27 +771,42 @@ class TestResumedWalkOracle:
             walks.clear()
             L = left_point(V, a)
             [((T, D, basis, n, start, steps), window)] = walks
-            assert (start is not None) == bool(V._memo["walk"]) and steps is None and n == L.diagram.n, (d, a)
+            assert (start is not None) == (V._memo["walk"] is not None), (d, a)
+            assert steps is None and n == L.diagram.n, (d, a)
             assert window == _walk(T, D, basis, n) == walk_oracle(T, D, basis, n) == baf(L.diagram).window, (d, a)
             cuts, resumed = cuts + 1, resumed + (start is not None)
         return cuts, resumed
 
     def test_every_cut_up_to_n7(self, walks):
         counts = [self.lefts(sample(d, seed=1), walks) for d in all_skew_diagrams(7)]
-        assert [sum(c) for c in zip(*counts)] == [6705, 5964]
+        assert [sum(c) for c in zip(*counts)] == [6705, 6705]
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_staircase(self, walks, n):
-        cuts, resumed = self.lefts(sample(staircase(n), seed=1), walks)
-        assert cuts == resumed > 0
+        """On the sampled point, and at n = 32 on the same point built by ``PointV.from_matrix``."""
+        V = sample(staircase(n), seed=1)
+        for P in [V, PointV.from_matrix(V.diagram, other_gauge(V), V.seed)] if n == 32 else [V]:
+            cuts, resumed = self.lefts(P, walks)
+            assert cuts == resumed > 0
 
-    def test_the_left_factor_at_column_1_is_v(self, walks, intro):
-        """At a = 1 the factor keeps every column, so the whole walk is shared: it resumes at V's last
-        exchange, and the factor is V."""
+    def test_a_factor_s_own_cuts_walk_from_the_top(self, walks):
+        """A factor, built on a chart derived from V's, records no walk states, so the left factors of its own
+        cuts walk from the top."""
+        V = sample(staircase(32), seed=1)
+        for P in (left_point(V, 5), right_point(V, 5)):
+            assert P._memo["walk"] is None
+            cuts, resumed = self.lefts(P, walks)
+            assert cuts > 0 and resumed == 0
+
+    def test_the_left_factor_at_column_1_is_v(self, monkeypatch, walks, intro):
+        """At a = 1 the factor keeps every column, so the whole walk is shared: it takes V's window at top -1,
+        runs no exchange, and the factor is V."""
         V = sample(intro, seed=16)
         assert self.lefts(V, walks, [1]) == (1, 1)
         [((*_, start, _), _)] = walks
-        assert start[0] == V._memo["walk"][-1][1] and left_point(V, 1) == V
+        exchanges, pivot = [], skewpos.variety._pivot
+        monkeypatch.setattr(skewpos.variety, "_pivot", lambda *args: exchanges.append(args) or pivot(*args))
+        assert start[0] == -1 and left_point(V, 1) == V and exchanges == []
 
     def test_a_restriction_that_diverges_at_the_first_exchange(self, walks):
         """V's first exchange enters column 3, which the left factor at a = 4 drops: the factor's walk

@@ -17,10 +17,10 @@ from skewpos import (
     Partition,
     SkewDiagram,
     baf,
+    baf_to_necklace,
     f_of_point,
     membership,
     necklace,
-    necklace_of_point,
     omega,
     sample,
     xi,
@@ -86,12 +86,12 @@ class TestFOfPoint:
 
 class TestNecklaceOfPoint:
     def test_identity_block(self):
-        N = necklace_of_point(identity_block(3, 7))
+        N = baf_to_necklace(f_of_point(identity_block(3, 7)))
         assert all(e == (1, 2, 3) for e in N.entries)
 
     def test_sampled_running(self, running):
         V = sample(running, seed=5)
-        assert necklace_of_point(V.matrix).entries == necklace(running).entries
+        assert baf_to_necklace(f_of_point(V.matrix)).entries == necklace(running).entries
 
     def test_greedy_equals_exhaustive(self):
         rng = random.Random(12)
@@ -100,7 +100,7 @@ class TestNecklaceOfPoint:
             M = RatMatrix(tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)))
             if len(echelon_oracle(qrows(M))) < k:
                 continue
-            N = necklace_of_point(M)
+            N = baf_to_necklace(f_of_point(M))
             for i in range(1, n + 1):
                 assert N.entry(i) == necklace_entry_exhaustive(M, i)
 
@@ -108,7 +108,7 @@ class TestNecklaceOfPoint:
     @settings(max_examples=25, deadline=None)
     def test_greedy_equals_exhaustive_on_variety(self, d):
         V = sample(d, seed=23)
-        N = necklace_of_point(V.matrix)
+        N = baf_to_necklace(f_of_point(V.matrix))
         for i in range(1, d.n + 1):
             assert N.entry(i) == necklace_entry_exhaustive(V.matrix, i)
 
