@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
-Subcommands: inspect, sample, splice, verify, quiver, plabic, mutate.
-Exit codes: 0 success, 1 property failure, 2 input error.  All output is
-deterministic for a fixed configuration: keys are sorted and rationals are
-serialized canonically.
+Subcommands: inspect, sample, splice, verify, quiver, plabic, mutate.  Each
+computes one document, which main writes to stdout or --out.  Exit codes: 0
+success, 1 property failure (a failed check, or a point off the cut's chart),
+2 input error.  All output is deterministic for a fixed configuration: keys are
+sorted and rationals are serialized canonically.
 """
 
 from __future__ import annotations
@@ -185,11 +186,11 @@ def random_diagram(rng: random.Random, max_n: int = 12) -> SkewDiagram:
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> tuple[dict, int]:
     d = load_diagram(args.diagram)
     word, columns = beta(d)
     rib = d.ribbon()
-    doc = {
+    return {
         "diagram": d.to_json(),
         "necklace": necklace(d).entries,
         "f": baf(d).window,
@@ -199,63 +200,35 @@ def cmd_inspect(args) -> int:
         "braid": {"k": word.strands, "letters": word.letters, "columns": columns, "text": render(columns)},
         "ribbon": {"R": rib.R, "Rbar": rib.Rbar, "R1": rib.R1},
         "quiver": quiver_json(d),
-    }
-    emit(doc, args.out)
-    return 0
+    }, 0
 
 
-def cmd_sample(args) -> int:
-    d = load_diagram(args.diagram)
-    V = sample_input(d, args, args.normalize_r1)
-    emit(V.to_json(), args.out)
-    return 0
+def cmd_sample(args) -> tuple[dict, int]:
+    return sample_input(load_diagram(args.diagram), args, args.normalize_r1).to_json(), 0
 
 
-def cmd_quiver(args) -> int:
-    d = load_diagram(args.diagram)
-    if args.format == "dot":
-        emit(quiver_dot(d), args.out)
-    else:
-        emit(quiver_json(d), args.out)
-    return 0
+def cmd_render(args) -> tuple[dict | str, int]:
+    """quiver and plabic: the renderer that --format names in the subcommand's table.  The table holds
+    names, looked up at each call, so a rebinding of the module's function (perfbench's tracer) is seen."""
+    return globals()[args.renderers[args.format]](load_diagram(args.diagram)), 0
 
 
-def cmd_plabic(args) -> int:
-    d = load_diagram(args.diagram)
-    if args.format == "text":
-        emit(ascii_grid(d), args.out)
-    else:
-        emit(trips_json(d), args.out)
-    return 0
+def cmd_splice(args) -> tuple[dict, int]:
+    doc = splice_report(load_point(args, load_diagram(args.diagram)), args.column)
+    return doc, 0 if all(v == "pass" for v in doc["checks"].values()) else 1
 
 
-def cmd_splice(args) -> int:
-    V = load_point(args, load_diagram(args.diagram))
-    try:
-        doc = splice_report(V, args.column)
-    except OffChart as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    emit(doc, args.out)
-    checks = doc["checks"]
-    return 0 if all(v == "pass" for v in checks.values()) else 1
-
-
-def cmd_mutate(args) -> int:
+def cmd_mutate(args) -> tuple[dict, int]:
     s = seed_at(load_point(args, load_diagram(args.diagram)))
     box = args.box
     new = mutate(s, box)
-    emit(
-        {
-            "box": [box.a, box.i],
-            "old_value": str(s.value(box)),
-            "new_value": str(new.value(box)),
-            "exchange_ratio": ratio_to_str(*exchange_products(s, box)),
-            "values": {f"a{b.a}i{b.i}": str(x) for b, x in new.values},
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "box": [box.a, box.i],
+        "old_value": str(s.value(box)),
+        "new_value": str(new.value(box)),
+        "exchange_ratio": ratio_to_str(*exchange_products(s, box)),
+        "values": {f"a{b.a}i{b.i}": str(x) for b, x in new.values},
+    }, 0
 
 
 def _trial_checks(d: SkewDiagram, seed: int, only: str | None, column: int | None):
@@ -301,7 +274,7 @@ def _guarded(checks):
         yield "crash", False, f"{type(exc).__name__}: {exc}"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     base = args.seed
     failures = []
     checks = 0
@@ -325,14 +298,12 @@ def cmd_verify(args) -> int:
                     {"trial": t, "diagram": d.to_json(), "seed": subseed(base, "point", t),
                      "check": name, "column": args.column, "detail": detail}
                 )
-    doc = {
+    return {
         "trials": trials,
         "checks": checks,
         "failures": failures,
         "status": "pass" if not failures else "fail",
-    }
-    emit(doc, args.out)
-    return 0 if not failures else 1
+    }, 0 if not failures else 1
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -362,11 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize-r1", action="store_true",
                    help="rescale free columns so the top-of-column minors equal 1")
 
-    p = command("quiver", cmd_quiver, "emit the initial quiver")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-
-    p = command("plabic", cmd_plabic, "emit lattice trips and the label table")
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    for name, summary, renderers in (
+        ("quiver", "emit the initial quiver", {"json": "quiver_json", "dot": "quiver_dot"}),
+        ("plabic", "emit lattice trips and the label table", {"json": "trips_json", "text": "ascii_grid"}),
+    ):
+        p = command(name, cmd_render, summary)
+        p.add_argument("--format", choices=list(renderers), default="json")
+        p.set_defaults(renderers=renderers)
 
     p = command("splice", cmd_splice, "split a point along a column and verify the identities",
                 "seed", "bound", "point")
@@ -387,12 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, write its document to stdout or --out, and map its errors to exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        emit(doc, args.out)
+    except OffChart as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -187,12 +187,6 @@ class SkewDiagram:
                 table[a, i] = J + I[i:]
         return table
 
-    def tilde_label(self, a: int, i: int) -> tuple[int, ...]:
-        """J-hat(a, i) = {b_1, ..., b_i}, defined when (a, i) is in mu and (a-1, i) in lambda/mu."""
-        if not (self.in_mu(a, i) and self.contains_box(a - 1, i)):
-            raise ValueError(f"tilde label undefined at ({a},{i})")
-        return self._I_mu[:i]
-
     # -- boundary ribbon ------------------------------------------------------
 
     def ribbon(self) -> "RibbonDecomposition":

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewpos import cli
+from skewpos import cli, splicing
 from skewpos.cli import MAX_BOUND, MAX_TRIALS, _json_text, main, random_diagram, subseed
 from skewpos.diagram import MAX_N, BoxRef
 
@@ -93,10 +93,19 @@ class TestSplice:
         W = intro_off_chart_point()
         pfile = tmp_path / "p.json"
         pfile.write_text(json.dumps(W.to_json()))
-        code, _, err = run(capsys, "splice", "--diagram", INTRO, "--point", str(pfile),
-                           "--column", "5")
-        assert code == 1
+        code, out, err = run(capsys, "splice", "--diagram", INTRO, "--point", str(pfile),
+                             "--column", "5")
+        assert code == 1 and out == ""
         assert err == "point not in the column-5 chart: minor at [5, 6, 10, 11, 12] vanishes\n"
+
+    def test_failed_check_still_writes_the_report(self, capsys, monkeypatch):
+        """A check that fails exits 1, and main still writes the report that names the violation."""
+        violation = {"side": "right", "box": [2, 1], "ratio": "(1)/2", "expected": "(1)/3"}
+        monkeypatch.setattr(splicing, "verify_exchange_ratios", lambda c: [violation])
+        code, out, err = run(capsys, "splice", "--diagram", INTRO, "--seed", "7", "--column", "6")
+        assert code == 1 and err == ""
+        assert json.loads(out)["checks"] == {"exchange_ratios": [violation], "membership": "pass",
+                                             "minor_scaling": "pass"}
 
     def test_point_off_the_variety(self, capsys, tmp_path):
         """A sample whose first column was edited keeps the gauge but leaves the variety."""
@@ -188,6 +197,12 @@ class TestMutate:
 class TestVerify:
     def test_trials_with_diagram_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--diagram", INTRO, "--trials", "7")
+        assert code == 2 and out == ""
+        assert err == "input error: --trials conflicts with --diagram, which runs one trial\n"
+
+    def test_trials_conflict_comes_before_the_diagram_error(self, capsys):
+        """The conflict is found before --diagram is read, so a bad diagram does not hide it."""
+        code, out, err = run(capsys, "verify", "--diagram", '{"n": 4}', "--trials", "7")
         assert code == 2 and out == ""
         assert err == "input error: --trials conflicts with --diagram, which runs one trial\n"
 

@@ -200,21 +200,6 @@ class TestLongLabel:
                 assert all(s < t for s, t in zip(J, J[1:])), (d, box)
 
 
-class TestTildeLabel:
-    def test_running(self, running):
-        assert running.tilde_label(6, 3) == (5, 6, 8)
-
-    def test_full_prefix(self, running):
-        assert running.tilde_label(6, 3) == running.I_mu()[:3]
-
-    def test_disconnected(self, disconnected):
-        assert disconnected.tilde_label(3, 2) == (3, 4)
-
-    def test_undefined(self, running):
-        with pytest.raises(ValueError):
-            running.tilde_label(3, 1)
-
-
 class TestRecursions:
     @given(skew_diagrams())
     def test_swap_right(self, d):
@@ -242,12 +227,11 @@ class TestRecursions:
 
     @given(skew_diagrams())
     def test_tilde_union(self, d):
+        """J(a, i+1) = J(a, i) | J-hat(a+1, i), where J-hat(a+1, i) = {b_1, ..., b_i} for (a+1, i) in mu."""
         for box in d.boxes():
             a, i = box.a, box.i
             if d.contains_box(a, i + 1) and d.in_mu(a + 1, i):
-                assert set(d.short_label(a, i + 1)) == set(d.short_label(a, i)) | set(
-                    d.tilde_label(a + 1, i)
-                )
+                assert set(d.short_label(a, i + 1)) == set(d.short_label(a, i)) | set(d.I_mu()[:i])
 
 
 class TestRibbon:

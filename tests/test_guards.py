@@ -4,8 +4,8 @@ The digests were recorded before the pipelines were restructured: the reports
 and the verify output must stay byte-identical.  The count tests pin how often
 the expensive invariants run, and a source check keeps every invariant an
 explicit raise that also runs under ``python -O``.  The surface checks keep
-every public name of the package used by the package, and every parsed CLI
-option read by its subcommand.
+every public name of the package used by the package, every parsed CLI
+option read by main or its subcommand, and main the one writer of the output.
 """
 
 import ast
@@ -813,7 +813,6 @@ def test_mutation_and_the_necklace_by_their_closed_forms():
 # Public names with no caller in src/: each names an object of the paper and a test
 # checks a paper fact with it, or the benchmark reads it.
 UNCALLED_PUBLIC_NAMES = {
-    "diagram.SkewDiagram.tilde_label": "the short-label recursion: test_diagram::TestRecursions",
     "permutations.baf_to_necklace": "the necklace-permutation bijection: test_permutations::TestBijection",
     "plabic.trip": "one trip of the figures: test_plabic::TestFigureTrips",
     "splicing.phi": "the splicing map lands in the product: test_splicing::TestWorkedExample",
@@ -871,8 +870,10 @@ def test_every_subcommand_has_an_argv():
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
-def test_every_parsed_option_is_read(command, capsys):
-    args = build_parser().parse_args([command] + SUBCOMMAND_ARGV[command])
+def test_every_parsed_option_is_read(command, capsys, monkeypatch):
+    """Run through main, so an option counts as read where main or the subcommand reads it."""
+    parser = build_parser()
+    args = parser.parse_args([command] + SUBCOMMAND_ARGV[command])
     read = set()
 
     class Recording:
@@ -880,6 +881,19 @@ def test_every_parsed_option_is_read(command, capsys):
             read.add(name)
             return getattr(args, name)
 
-    assert args.func(Recording()) == 0
+    monkeypatch.setattr(parser, "parse_args", lambda argv=None: Recording())
+    assert main([command] + SUBCOMMAND_ARGV[command]) == 0
     capsys.readouterr()
-    assert set(vars(args)) - {"command", "func"} - read == set()
+    assert set(vars(args)) - {"command"} - read == set()
+
+
+def test_main_is_the_one_writer():
+    """Every subcommand returns its document and exit code, and main alone writes it; quiver and
+    plabic are one subcommand function, which picks its renderer by --format."""
+    tree = ast.parse(Path(skewpos.cli.__file__).read_text())
+    main_def = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    emits = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "emit"]
+    assert len(emits) == 1 and emits[0] in ast.walk(main_def)
+    parser = build_parser()
+    assert parser.parse_args(["quiver", "--diagram", RUNNING]).func is parser.parse_args(
+        ["plabic", "--diagram", RUNNING]).func
